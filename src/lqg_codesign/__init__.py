@@ -55,6 +55,7 @@ from .flow import (
     flow_step,
     gradient,
     multi_start,
+    pbh_passing_placement,
     random_placement,
     run_flow,
 )
@@ -70,66 +71,6 @@ from .riccati import (
     solve_lyapunov,
 )
 from .simulate import SimConfig, SimResult, estimate_eta, simulate_path
+from .verify import run_checks
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdjointPair",
-    "AllStartsFailed",
-    "BetaGamma",
-    "CodesignError",
-    "CostReport",
-    "DegenerateStep",
-    "DimensionTooLarge",
-    "EquilibriumCandidate",
-    "FlowIterate",
-    "FlowOptions",
-    "FlowTrace",
-    "GainPair",
-    "MultiStartResult",
-    "NoStabilizingSolution",
-    "NonConvergence",
-    "NonNegativeEigenvalue",
-    "NotAnEquilibrium",
-    "NotHurwitz",
-    "NotSkew",
-    "OrbitGradient",
-    "PBHReport",
-    "PBHViolation",
-    "Placement",
-    "Plant",
-    "ProblemFormatError",
-    "SimConfig",
-    "SimResult",
-    "SimulationDiverged",
-    "SingularBlock",
-    "Spectrum",
-    "adjoint_pair",
-    "analytic_gains_at_v1",
-    "analytic_minimum",
-    "beta_gamma_coords",
-    "candidate_match_distance",
-    "cauchy_matrix",
-    "classify_candidates",
-    "classify_stability",
-    "cost_report",
-    "directional_derivative",
-    "enumerate_equilibria_zero",
-    "estimate_eta",
-    "flow_step",
-    "gain_pair",
-    "gradient",
-    "hessian_matrix",
-    "is_equilibrium",
-    "multi_start",
-    "pbh_check",
-    "phi",
-    "phi_bar",
-    "phi_gain_sensitivity",
-    "random_placement",
-    "run_flow",
-    "simulate_path",
-    "solve_care",
-    "solve_lyapunov",
-    "xi_vector",
-]

@@ -21,28 +21,21 @@ parallelism (0 = sequential).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
 
-from .cost import (
-    cost_report,
-    drive_matrices,
-    phi,
-    phi_bar,
-    phi_gain_sensitivity,
-)
+from .cost import cost_report
 from .equilibria import (
     KIND_COMMON,
     STABLE,
+    ZERO_EIGENVALUE_TOL,
     EquilibriumCandidate,
     Spectrum,
-    analytic_gains_at_v1,
     analytic_minimum,
     classify_candidates,
     classify_stability,
@@ -53,15 +46,14 @@ from .errors import (
     AllStartsFailed,
     CodesignError,
     DimensionTooLarge,
-    NotAnEquilibrium,
     ProblemFormatError,
     SimulationDiverged,
 )
-from .flow import FlowOptions, FlowTrace, default_workers, multi_start, random_placement
-from .numdiff import richardson_derivative
+from .flow import FlowOptions, FlowTrace, multi_start
 from .plant import Placement, Plant
-from .riccati import adjoint_pair, gain_pair, pbh_check
+from .riccati import pbh_check
 from .simulate import SimConfig, estimate_eta
+from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,8 +99,6 @@ def dumps(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
-    if isinstance(obj, complex):
-        return dumps({"re": obj.real, "im": obj.imag}, indent)
     return json.dumps(obj)
 
 
@@ -123,7 +113,7 @@ def _write_report(out_dir: Path, name: str, report: dict) -> Path:
 # Problem files
 
 
-@dataclass
+@dataclasses.dataclass
 class Problem:
     plant: Plant
     placement: Placement | None
@@ -315,7 +305,7 @@ def _trace_csv_lines(trace: FlowTrace, n: int) -> list[str]:
 def _classify_or_none(plant: Plant, placement: Placement) -> dict:
     try:
         eigs, verdict = classify_stability(plant, placement, eq_tol=1e-6)
-    except (NotAnEquilibrium, CodesignError) as exc:
+    except CodesignError as exc:
         return {"stability": None, "note": str(exc)}
     return {"stability": verdict, "hessian_eigs": list(eigs)}
 
@@ -323,13 +313,7 @@ def _classify_or_none(plant: Plant, placement: Placement) -> dict:
 def cmd_flow(problem: Problem, args) -> dict:
     plant = problem.plant
     opts = problem.flow_options
-    result = multi_start(
-        plant,
-        problem.n_starts,
-        problem.seed,
-        opts,
-        max_workers=default_workers(),
-    )
+    result = multi_start(plant, problem.n_starts, problem.seed, opts)
     best = result.best
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -368,8 +352,7 @@ def cmd_equilibria(problem: Problem, args) -> dict:
     plant = problem.plant
     spectrum = Spectrum.from_matrix(plant.A)
     lam1 = spectrum.Lambda[0]
-    candidates_out = []
-    if lam1 < -1e-10:
+    if lam1 < -ZERO_EIGENVALUE_TOL:
         candidates = enumerate_equilibria_zero(spectrum)
         candidates = classify_candidates(spectrum, candidates)
         regime = "negative_definite_zero_gain"
@@ -396,23 +379,18 @@ def cmd_equilibria(problem: Problem, args) -> dict:
             )
         ]
         regime = "negative_semidefinite_v1_only"
-    for cand in candidates:
-        candidates_out.append(
-            {
-                "kind": cand.kind,
-                "support": list(cand.support),
-                "sign_s": list(cand.sign_s),
-                "xi": None if cand.xi is None else list(cand.xi),
-                "placement": {
-                    "b": cand.placement.b_unit,
-                    "c": cand.placement.c_unit,
-                },
-                "stability": cand.stability,
-                "hessian_eigs": None
-                if cand.hessian_eigs is None
-                else list(cand.hessian_eigs),
-            }
-        )
+    candidates_out = [
+        {
+            "kind": cand.kind,
+            "support": cand.support,
+            "sign_s": cand.sign_s,
+            "xi": cand.xi,
+            "placement": {"b": cand.placement.b_unit, "c": cand.placement.c_unit},
+            "stability": cand.stability,
+            "hessian_eigs": cand.hessian_eigs,
+        }
+        for cand in candidates
+    ]
     stable_idx = [i for i, c in enumerate(candidates) if c.stability == STABLE]
     report = {
         "regime": regime,
@@ -441,13 +419,7 @@ def cmd_simulate(problem: Problem, args) -> dict:
         else None
     )
     return {
-        "config": {
-            "dt": cfg.dt,
-            "horizon_T": cfg.horizon_T,
-            "n_paths": cfg.n_paths,
-            "burn_in": cfg.burn_in,
-            "seed": cfg.seed,
-        },
+        "config": dataclasses.asdict(cfg),
         "eta_hat": result.eta_hat,
         "stderr": result.stderr,
         "phi_reference": result.phi_reference,
@@ -457,154 +429,9 @@ def cmd_simulate(problem: Problem, args) -> dict:
     }
 
 
-def _verify_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool) -> dict:
-    rng = np.random.default_rng(seed)
-    rescaled = plant.epsilon * plant.delta < 1e-12
-    worst = 0.0
-    for _ in range(3):
-        placement = random_placement(plant.n, rng)
-        if not (
-            pbh_check(plant.A, placement.b_unit, "stabilizability").ok
-            and pbh_check(plant.A, placement.c_unit, "detectability").ok
-        ):
-            continue
-        report = cost_report(plant, placement)
-        S_b, S_c = drive_matrices(report.gains, report.adjoints)
-        B, C = placement.B, placement.C
-        comm_b = B @ S_b - S_b @ B
-        comm_c = C @ S_c - S_c @ C
-        for _ in range(4):
-            W_b = rng.standard_normal((plant.n, plant.n))
-            W_b = 0.5 * (W_b - W_b.T)
-            W_c = rng.standard_normal((plant.n, plant.n))
-            W_c = 0.5 * (W_c - W_c.T)
-            pairing = float(np.trace(comm_b @ W_b) + np.trace(comm_c @ W_c))
-            if not rescaled:
-                pairing *= plant.epsilon * plant.delta
-            if flip_sign:
-                pairing = -pairing
-
-            def value(t: float) -> float:
-                rotated = Placement.normalized(
-                    sla.expm(-t * W_b) @ placement.b_unit,
-                    sla.expm(-t * W_c) @ placement.c_unit,
-                )
-                if rescaled:
-                    return phi_bar(plant, rotated)
-                return phi(plant, rotated)
-
-            # Step 1e-2: large enough to dominate solver-level noise in the
-            # cost (the derivative scale carries eps*delta), Richardson keeps
-            # truncation at O(h^4).
-            fd = richardson_derivative(value, 1e-2)
-            err = abs(pairing - fd) / max(abs(pairing), abs(fd), 1e-10)
-            worst = max(worst, err)
-    return {
-        "name": "gradient_vs_fd",
-        "passed": bool(worst < 1e-5),
-        "max_relative_error": worst,
-    }
-
-
-def _verify_gain_monotonicity(plant: Plant, seed: int) -> dict:
-    rng = np.random.default_rng(seed + 1)
-    worst_sign = -np.inf
-    worst_fd = 0.0
-    base_eps = max(plant.epsilon, 0.05)
-    base_delta = max(plant.delta, 0.05)
-    for _ in range(6):
-        placement = random_placement(plant.n, rng)
-        if not (
-            pbh_check(plant.A, placement.b_unit, "stabilizability").ok
-            and pbh_check(plant.A, placement.c_unit, "detectability").ok
-        ):
-            continue
-        r = base_eps * rng.uniform(0.5, 2.0)
-        s = base_delta * rng.uniform(0.5, 2.0)
-        sampled = Plant(plant.A, r, s)
-        dr, ds = phi_gain_sensitivity(sampled, placement)
-        worst_sign = max(worst_sign, dr, ds)
-        # Steps sized against noise, capped so the gain stays positive.
-        h_r = min(1e-2 * (1.0 + r), 0.4 * r)
-        h_s = min(1e-2 * (1.0 + s), 0.4 * s)
-        fd_r = richardson_derivative(
-            lambda h: phi(Plant(plant.A, r + h, s), placement), h_r
-        )
-        fd_s = richardson_derivative(
-            lambda h: phi(Plant(plant.A, r, s + h), placement), h_s
-        )
-        scale = max(abs(dr), abs(ds), 1e-10)
-        worst_fd = max(worst_fd, abs(dr - fd_r) / scale, abs(ds - fd_s) / scale)
-    return {
-        "name": "gain_monotonicity",
-        "passed": bool(worst_sign <= 1e-10 and worst_fd < 1e-6),
-        "max_partial": worst_sign,
-        "max_fd_relative_error": worst_fd,
-    }
-
-
-def _verify_phi_bar_sign(plant: Plant, seed: int) -> dict:
-    rng = np.random.default_rng(seed + 2)
-    worst = -np.inf
-    for _ in range(20):
-        placement = random_placement(plant.n, rng)
-        if not (
-            pbh_check(plant.A, placement.b_unit, "stabilizability").ok
-            and pbh_check(plant.A, placement.c_unit, "detectability").ok
-        ):
-            continue
-        worst = max(worst, phi_bar(plant, placement))
-    return {
-        "name": "phi_bar_nonpositive",
-        "passed": bool(worst <= 1e-10),
-        "max_phi_bar": worst,
-    }
-
-
-def _verify_analytic_gains(plant: Plant) -> dict:
-    A = plant.A
-    if sla.norm(A - A.T, "fro") > 1e-10 * (1.0 + sla.norm(A, "fro")):
-        return {"name": "analytic_gains_match", "passed": True, "skipped": "A not symmetric"}
-    spectrum = Spectrum.from_matrix(A)
-    lam = spectrum.Lambda
-    if lam[0] > 0 or (lam.size > 1 and np.min(-np.diff(lam)) < 1e-8):
-        return {
-            "name": "analytic_gains_match",
-            "passed": True,
-            "skipped": "spectrum not negative with distinct eigenvalues",
-        }
-    if lam[0] == 0.0 and (plant.epsilon <= 0 or plant.delta <= 0):
-        return {"name": "analytic_gains_match", "passed": True, "skipped": "zero mode at zero gain"}
-    v1 = spectrum.eigenvector(0)
-    placement = Placement(v1, v1.copy())
-    gains = gain_pair(plant, placement)
-    adjoints = adjoint_pair(plant, placement, gains)
-    K_d, S_d, M_d, N_d = analytic_gains_at_v1(spectrum, plant.epsilon, plant.delta)
-    Theta = spectrum.Theta
-    err = max(
-        float(np.max(np.abs(Theta.T @ gains.K @ Theta - np.diag(K_d)))),
-        float(np.max(np.abs(Theta.T @ gains.Sigma @ Theta - np.diag(S_d)))),
-        float(np.max(np.abs(Theta.T @ adjoints.M @ Theta - np.diag(M_d)))),
-        float(np.max(np.abs(Theta.T @ adjoints.N @ Theta - np.diag(N_d)))),
-    )
-    return {
-        "name": "analytic_gains_match",
-        "passed": bool(err < 1e-9),
-        "max_abs_error": err,
-    }
-
-
 def cmd_verify(problem: Problem, args) -> dict:
-    plant = problem.plant
     flip = bool(getattr(args, "inject_wrong_sign_gradient", False))
-    checks = [
-        _verify_gradient_vs_fd(plant, problem.seed, flip),
-        _verify_gain_monotonicity(plant, problem.seed),
-        _verify_phi_bar_sign(plant, problem.seed),
-        _verify_analytic_gains(plant),
-    ]
-    all_passed = all(c["passed"] for c in checks)
-    return {"checks": checks, "all_passed": all_passed}
+    return run_checks(problem.plant, problem.seed, flip_gradient_sign=flip)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ and the auxiliary potential built from the adjoint pair (M, N) is
 
     phi_bar = tr(A^T M N + N M A),
 
-which is <= 0 and equals -tr(K B K M) = -tr(Sigma C Sigma N) in the
-zero-gain limit epsilon = delta = 0 (where it generates the rescaled flow).
+which is <= 0 for symmetric Hurwitz A and equals -tr(K B K M) =
+-tr(Sigma C Sigma N) in the zero-gain limit epsilon = delta = 0 (where it
+generates the rescaled flow). The sign is not guaranteed otherwise: phi_bar
+is positive at some placements of Laplacian dynamics (zero mode) and of
+non-symmetric, open-loop-unstable A (1e4 to 1e16 seen at n = 50).
 
 ``phi_gain_sensitivity`` differentiates phi with respect to the actuation
 gain r and the sensor SNR s at (r, s) = (epsilon, delta); both partials are
@@ -139,10 +142,19 @@ def directional_derivative(
         if la.norm(om + om.T, "fro") > SKEW_TOL:
             raise NotSkew(f"{name} is not skew-symmetric")
 
-    report = cost_report(plant, placement)
+    pairing = _orbit_pairing(cost_report(plant, placement), placement, omega_b, omega_c)
+    return plant.epsilon * plant.delta * pairing
+
+
+def _orbit_pairing(
+    report: CostReport,
+    placement: Placement,
+    omega_b: np.ndarray,
+    omega_c: np.ndarray,
+) -> float:
+    """tr([B, S_b] Omega_b) + tr([C, S_c] Omega_c): the variation without eps*delta."""
     S_b, S_c = drive_matrices(report.gains, report.adjoints)
     B, C = placement.B, placement.C
     comm_b = B @ S_b - S_b @ B
     comm_c = C @ S_c - S_c @ C
-    pairing = float(np.trace(comm_b @ omega_b) + np.trace(comm_c @ omega_c))
-    return plant.epsilon * plant.delta * pairing
+    return float(np.trace(comm_b @ omega_b) + np.trace(comm_c @ omega_c))

@@ -49,6 +49,9 @@ from .plant import Placement, Plant
 ENUMERATION_CAP = 12
 SUPPORT_TOL = 1e-10
 EIGENGAP_TOL = 1e-10
+#: |lambda_1| at or below this is a zero mode (e.g. a Laplacian's) in the
+#: closed forms, and a negative semidefinite spectrum for the CLI.
+ZERO_EIGENVALUE_TOL = 1e-10
 EQ19_RESIDUAL_TOL = 1e-8
 STABILITY_MARGIN = 1e-7
 HESSIAN_STEP = 1e-4
@@ -441,6 +444,20 @@ def classify_candidates(
     return classified
 
 
+def _top_mode(lam: np.ndarray, epsilon: float, delta: float):
+    """(l1, sqrt(l1^2+eps), sqrt(l1^2+delta)) for the closed forms.
+
+    l1 is set to exactly 0 when it is roundoff: eigh returns a Laplacian's
+    zero eigenvalue as about +-1e-16.
+    """
+    lam1 = 0.0 if abs(lam[0]) <= ZERO_EIGENVALUE_TOL else lam[0]
+    if lam1 > 0.0:
+        raise NonNegativeEigenvalue(f"lambda_1 = {lam1:.6g} must be <= 0")
+    if lam1 == 0.0 and (epsilon <= 0.0 or delta <= 0.0):
+        raise ValueError("lambda_1 = 0 requires positive epsilon and delta")
+    return lam1, np.sqrt(lam1**2 + epsilon), np.sqrt(lam1**2 + delta)
+
+
 def analytic_minimum(spectrum: Spectrum, epsilon: float, delta: float) -> float:
     """Closed-form minimum of phi, attained at the (v_1, v_1) placement:
 
@@ -449,16 +466,11 @@ def analytic_minimum(spectrum: Spectrum, epsilon: float, delta: float) -> float:
         - sum_{k>=2} 1/(2 lambda_k).
 
     Valid for lambda_1 < 0, and for lambda_1 = 0 (negative semidefinite A,
-    e.g. Laplacian dynamics) provided epsilon and delta are positive.
+    e.g. Laplacian dynamics) provided epsilon and delta are positive;
+    |lambda_1| <= ZERO_EIGENVALUE_TOL counts as lambda_1 = 0.
     """
     lam = spectrum.Lambda
-    lam1 = lam[0]
-    if lam1 > 0.0:
-        raise NonNegativeEigenvalue(f"lambda_1 = {lam1:.6g} must be <= 0")
-    if lam1 == 0.0 and (epsilon <= 0.0 or delta <= 0.0):
-        raise ValueError("lambda_1 = 0 requires positive epsilon and delta")
-    a = np.sqrt(lam1**2 + epsilon)
-    b = np.sqrt(lam1**2 + delta)
+    lam1, a, b = _top_mode(lam, epsilon, delta)
     head = (a + b) / ((a - lam1) * (b - lam1))
     tail = float(np.sum(1.0 / (2.0 * lam[1:]))) if spectrum.n > 1 else 0.0
     return float(head - tail)
@@ -475,13 +487,7 @@ def analytic_gains_at_v1(
         N   = diag(1/(2 sqrt(l1^2+del) (sqrt(l1^2+eps) - l1)^2), 0, ..., 0)
     """
     lam = spectrum.Lambda
-    lam1 = lam[0]
-    if lam1 > 0.0:
-        raise NonNegativeEigenvalue(f"lambda_1 = {lam1:.6g} must be <= 0")
-    if lam1 == 0.0 and (epsilon <= 0.0 or delta <= 0.0):
-        raise ValueError("lambda_1 = 0 requires positive epsilon and delta")
-    a = np.sqrt(lam1**2 + epsilon)
-    b = np.sqrt(lam1**2 + delta)
+    lam1, a, b = _top_mode(lam, epsilon, delta)
     K_diag = np.concatenate([[1.0 / (a - lam1)], -1.0 / (2.0 * lam[1:])])
     S_diag = np.concatenate([[1.0 / (b - lam1)], -1.0 / (2.0 * lam[1:])])
     M_diag = np.zeros(spectrum.n)

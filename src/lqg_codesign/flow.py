@@ -118,12 +118,16 @@ class MultiStartResult:
     all: tuple[FlowTrace, ...]
 
 
+def is_zero_gain(plant: Plant) -> bool:
+    """eps*delta ~ 0: phi ignores the placement and the descent acts on phi_bar."""
+    return plant.epsilon * plant.delta < SCALE_TINY
+
+
 def effective_scale(plant: Plant, rescaled: bool) -> float:
     """Field scaling: eps*delta, or 1 when rescaled or eps*delta ~ 0."""
-    prod = plant.epsilon * plant.delta
-    if rescaled or prod < SCALE_TINY:
+    if rescaled or is_zero_gain(plant):
         return 1.0
-    return prod
+    return plant.epsilon * plant.delta
 
 
 def gradient(
@@ -177,13 +181,6 @@ def flow_step(
     return Placement(b_new / nb, c_new / nc)
 
 
-def _descends_phi_bar(plant: Plant) -> bool:
-    # At eps*delta = 0 the cost phi does not depend on the placement, so the
-    # rescaled field is the gradient flow of phi_bar and the line search must
-    # measure progress on phi_bar instead.
-    return plant.epsilon * plant.delta < SCALE_TINY
-
-
 def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     """Armijo-backtracked gradient descent from ``init``.
 
@@ -193,7 +190,7 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     error, which is recorded as status ``solver_failure`` with the failing
     iterate retained rather than raised.
     """
-    use_phi_bar = _descends_phi_bar(plant)
+    use_phi_bar = is_zero_gain(plant)
 
     def objective_of(report: CostReport) -> float:
         return report.phi_bar if use_phi_bar else report.phi
@@ -286,9 +283,13 @@ def random_placement(n: int, rng: np.random.Generator) -> Placement:
     return Placement(vecs[0], vecs[1])
 
 
-def _pbh_passing_placement(
+def pbh_passing_placement(
     plant: Plant, rng: np.random.Generator, max_tries: int = 128
 ) -> Placement | None:
+    """First ``random_placement`` draw from ``rng`` passing both PBH tests.
+
+    Returns None when ``max_tries`` draws all fail.
+    """
     for _ in range(max_tries):
         candidate = random_placement(plant.n, rng)
         ok_b = pbh_check(plant.A, candidate.b_unit, "stabilizability").ok
@@ -336,7 +337,7 @@ def multi_start(
         raise ValueError("n_starts must be at least 1")
     streams = np.random.SeedSequence(seed).spawn(n_starts)
     placements = [
-        _pbh_passing_placement(plant, np.random.default_rng(s)) for s in streams
+        pbh_passing_placement(plant, np.random.default_rng(s)) for s in streams
     ]
 
     def run_one(start: Placement | None) -> FlowTrace:

@@ -81,9 +81,14 @@ def _run_paths(
     path_indices,
     noise_scale: float = 1.0,
 ) -> np.ndarray:
-    """Per-path time averages; diverged paths come back as NaN."""
+    """Per-path time averages; diverged paths come back as NaN.
+
+    Each row of Z is the augmented state z = (x, xhat), advanced by the
+    Euler-Maruyama step z <- G z + L (dw, dnu) of the closed loop.
+    """
     n = plant.n
     n_paths = len(path_indices)
+    A = plant.A
     b = np.sqrt(plant.epsilon) * placement.b_unit
     c = np.sqrt(plant.delta) * placement.c_unit
     kb = gains.K @ b  # u = -(K b) . xhat
@@ -93,34 +98,39 @@ def _run_paths(
     n_steps = int(round(cfg.horizon_T / dt))
     burn_steps = int(round(cfg.burn_in / dt))
     averaging_time = (n_steps - burn_steps) * dt
-    sqrt_dt = noise_scale * np.sqrt(dt)
+
+    regulator = np.outer(b, kb)
+    injection = np.outer(sc, c)
+    G = np.eye(2 * n) + dt * np.block(
+        [[A, -regulator], [injection, A - regulator - injection]]
+    )
+    # (dw, dnu) -> (dw, sc dnu), scaled to increments over dt.
+    L = noise_scale * np.sqrt(dt) * np.block(
+        [[np.eye(n), np.zeros((n, 1))], [np.zeros((n, n)), sc[:, None]]]
+    )
+    G_T, L_T = G.T, L.T
 
     rngs = _path_rngs(cfg.seed, path_indices)
-    X = np.zeros((n_paths, n))
-    Xh = np.zeros((n_paths, n))
+    Z = np.zeros((n_paths, 2 * n))
     acc = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
-    A_T = plant.A.T
 
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
             m = min(_CHUNK_STEPS, n_steps - done)
+            # (m, n_paths, n + 1): step j's draws are one contiguous block.
             draws = np.stack(
-                [rng.standard_normal((m, n + 1)) for rng in rngs], axis=0
+                [rng.standard_normal((m, n + 1)) for rng in rngs], axis=1
             )
             for j in range(m):
-                u = -(Xh @ kb)
                 if done + j >= burn_steps:
+                    X = Z[:, :n]
+                    u = Z[:, n:] @ kb
                     acc += ((X * X).sum(axis=1) + u * u) * dt
-                dw = sqrt_dt * draws[:, j, :n]
-                dnu = sqrt_dt * draws[:, j, n]
-                dy = (X @ c) * dt + dnu
-                innovation = dy - (Xh @ c) * dt
-                X = X + dt * (X @ A_T + np.outer(u, b)) + dw
-                Xh = Xh + dt * (Xh @ A_T + np.outer(u, b)) + np.outer(innovation, sc)
+                Z = Z @ G_T + draws[j] @ L_T
             done += m
-            state_norm = np.linalg.norm(X, axis=1)
+            state_norm = np.linalg.norm(Z[:, :n], axis=1)
             alive &= np.isfinite(state_norm) & (state_norm <= DIVERGENCE_LIMIT)
 
     averages = acc / averaging_time

@@ -32,6 +32,7 @@ from lqg_codesign.equilibria import (
     KIND_DISJOINT,
     STABLE,
     UNSTABLE,
+    ZERO_EIGENVALUE_TOL,
     eq19_residual,
 )
 
@@ -327,6 +328,29 @@ class TestAnalyticFormulas:
             analytic_minimum(spec, 0.0, 0.5)
         value = analytic_minimum(spec, 0.04, 0.04)
         assert value == pytest.approx(2.0 / 0.2 + 1.0 / 4.0)
+
+    def test_closed_forms_survive_positive_roundoff_zero_mode(self):
+        # A = -L for a weighted 4-node graph; eigh returns its zero
+        # eigenvalue as a tiny positive number instead of 0.
+        edges = [
+            (0, 2, 1.9), (0, 3, 1.9), (1, 2, 1.9), (0, 1, 1.3), (2, 3, 0.7), (1, 3, 2.3)
+        ]
+        W = np.zeros((4, 4))
+        for i, j, w in edges:
+            W[i, j] = W[j, i] = w
+        A = -(np.diag(W.sum(axis=1)) - W)
+        spec = Spectrum.from_matrix(A)
+        assert 0.0 < spec.Lambda[0] <= ZERO_EIGENVALUE_TOL
+        eps, delta = 0.04, 0.09
+        plant = Plant(A, eps, delta)
+        ones = np.full(4, 0.5)
+        value = phi(plant, Placement(ones, ones))
+        assert analytic_minimum(spec, eps, delta) == pytest.approx(value, rel=1e-9)
+        gains = gain_pair(plant, Placement(ones, ones))
+        K_d, S_d, _, _ = analytic_gains_at_v1(spec, eps, delta)
+        Theta = spec.Theta
+        assert np.max(np.abs(Theta.T @ gains.K @ Theta - np.diag(K_d))) < 1e-9
+        assert np.max(np.abs(Theta.T @ gains.Sigma @ Theta - np.diag(S_d))) < 1e-9
 
 
 class TestCandidateMatching:

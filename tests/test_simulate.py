@@ -144,3 +144,50 @@ class TestCrossModuleAgreement:
         target = analytic_minimum(spectrum, 0.01, 0.01)
         assert result.phi_reference == pytest.approx(target, rel=1e-9)
         assert abs(result.eta_hat - target) < 3.0 * result.stderr + 0.01
+
+
+def _reference_averages(plant, placement, gains, cfg, path_indices):
+    """Euler-Maruyama with x and xhat stepped in separate lines, one path at a time."""
+    n = plant.n
+    A = plant.A
+    b = np.sqrt(plant.epsilon) * placement.b_unit
+    c = np.sqrt(plant.delta) * placement.c_unit
+    kb = gains.K @ b
+    sc = gains.Sigma @ c
+    dt = cfg.dt
+    n_steps = int(round(cfg.horizon_T / dt))
+    burn_steps = int(round(cfg.burn_in / dt))
+    averages = []
+    for idx in path_indices:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
+        draws = np.sqrt(dt) * rng.standard_normal((n_steps, n + 1))
+        x = np.zeros(n)
+        xhat = np.zeros(n)
+        acc = 0.0
+        for k in range(n_steps):
+            u = -(kb @ xhat)
+            if k >= burn_steps:
+                acc += (x @ x + u * u) * dt
+            dw, dnu = draws[k, :n], draws[k, n]
+            innovation = (c @ x) * dt + dnu - (c @ xhat) * dt
+            x = x + dt * (A @ x + b * u) + dw
+            xhat = xhat + dt * (A @ xhat + b * u) + innovation * sc
+        averages.append(acc / ((n_steps - burn_steps) * dt))
+    return np.array(averages)
+
+
+class TestSchemePinned:
+    def test_matches_separate_state_reference(self):
+        # Non-symmetric, open-loop unstable n = 3 plant; 5000 steps cross
+        # one chunk boundary of the batched simulator.
+        A = np.array([[0.3, 0.4, 0.0], [0.2, -0.5, 0.3], [0.1, 0.0, -2.0]])
+        plant = Plant(A, 0.5, 0.8)
+        placement = Placement.normalized([1.0, 0.3, -0.2], [0.1, 1.0, 0.5])
+        gains = gain_pair(plant, placement)
+        cfg = SimConfig(dt=0.002, horizon_T=10.0, n_paths=3, burn_in=1.0, seed=3)
+        reference = _reference_averages(plant, placement, gains, cfg, range(3))
+        batch = estimate_eta(plant, placement, cfg).per_path
+        np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=0.0)
+        for idx in range(3):
+            single = simulate_path(plant, placement, gains, cfg, idx)
+            assert single == pytest.approx(reference[idx], rel=1e-12, abs=0.0)
