@@ -16,13 +16,25 @@ whose solutions drive the placement gradient.
 
 The CARE is solved by the Hamiltonian invariant-subspace method (ordered real
 Schur form, stable eigenvalues first) followed by Newton-Kleinman refinement,
-which certifies the residual. The Lyapunov solve is Bartels-Stewart (scipy);
-tests cross-check it against a Kronecker-vectorization oracle and against the
-integral representation P = int_0^inf e^{Ft} Q e^{F^T t} dt.
+which certifies the residual. The Lyapunov solve is Bartels-Stewart
+(Bartels & Stewart, CACM 15(9), 1972): LAPACK ``trsyl`` on the real Schur form
+of F, the same steps in the same order as
+``scipy.linalg.solve_continuous_lyapunov``, so its results are scipy's to the
+bit. Tests cross-check it against a Kronecker-vectorization oracle and against
+the integral representation P = int_0^inf e^{Ft} Q e^{F^T t} dt.
+
+Eigenvalues, real Schur forms and certified Lyapunov solutions are memoized
+on the content of their input arrays (shape, strides and float64 bytes), 8
+entries each. A run evaluates the same few matrices many times: every PBH
+test factors A or A^T, and at zero gain the gains and closed loops do not
+depend on the placement. Memoized computations are pure, so a hit returns
+bitwise what a fresh computation would; errors are never cached.
 """
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +92,68 @@ class PBHReport:
     min_margin: float
 
 
+class _ContentKey:
+    """Hashable stand-in for an array, equal to any array of the same content.
+
+    Content is (shape, strides, bytes): equal bytes in a transposed layout
+    are a different key, because BLAS products can round differently on a
+    transposed operand. The array itself is kept only until the memoized
+    function has run on it.
+    """
+
+    __slots__ = ("array", "_content", "_hash")
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+        self._content = (array.shape, array.strides, array.tobytes())
+        self._hash = hash(self._content)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _ContentKey) and self._content == other._content
+
+
+def _content_memo(fn):
+    """Memoize ``fn(*arrays)`` on the arrays' content, 8 entries (LRU).
+
+    ``fn`` must be pure in its arguments' content and must not mutate them;
+    callers must not mutate what a memoized function returns.
+    """
+
+    @functools.lru_cache(maxsize=8)
+    def cached(*keys):
+        try:
+            return fn(*(key.array for key in keys))
+        finally:
+            for key in keys:
+                key.array = None
+
+    @functools.wraps(fn)
+    def memoized(*arrays):
+        return cached(*(_ContentKey(a) for a in arrays))
+
+    memoized.cache_clear = cached.cache_clear
+    memoized.cache_info = cached.cache_info
+    return memoized
+
+
+@_content_memo
+def _eigvals(M: np.ndarray) -> np.ndarray:
+    w = np.linalg.eigvals(M)
+    w.flags.writeable = False
+    return w
+
+
+@_content_memo
+def _real_schur(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r, u = la.schur(F, output="real")
+    r.flags.writeable = False
+    u.flags.writeable = False
+    return r, u
+
+
 def care_residual(A: np.ndarray, W: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     """Frobenius norm of A^T P + P A - P W P + Q."""
     return float(la.norm(A.T @ P + P @ A - P @ W @ P + Q, "fro"))
@@ -92,7 +166,7 @@ def lyapunov_residual(F: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
 
 def is_hurwitz(F: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
     """True when every eigenvalue of F has real part < -margin."""
-    return bool(np.max(np.linalg.eigvals(F).real) < -margin)
+    return bool(np.max(_eigvals(np.asarray(F, dtype=float)).real) < -margin)
 
 
 def solve_lyapunov(F, Q) -> np.ndarray:
@@ -119,10 +193,15 @@ def solve_lyapunov(F, Q) -> np.ndarray:
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    max_re = float(np.max(np.linalg.eigvals(F).real))
+    return _certified_lyapunov(F, Q).copy()
+
+
+@_content_memo
+def _certified_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    max_re = float(np.max(_eigvals(F).real))
     if max_re >= -HURWITZ_MARGIN:
         raise NotHurwitz(f"matrix is not Hurwitz: max Re(eig) = {max_re:.3e}")
-    P = la.solve_continuous_lyapunov(F, -Q)
+    P = _bartels_stewart(F, -Q)
     P = 0.5 * (P + P.T)
     res = lyapunov_residual(F, Q, P)
     tol = LYAP_RTOL * (1.0 + float(la.norm(P, "fro")))
@@ -130,7 +209,37 @@ def solve_lyapunov(F, Q) -> np.ndarray:
         raise NonConvergence(
             f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
         )
+    P.flags.writeable = False
     return P
+
+
+def _bartels_stewart(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve a X + X a^T = q for real a: ``scipy.linalg.solve_continuous_lyapunov``
+    step for step, on the memoized real Schur form of ``a``."""
+    if not np.isfinite(q).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if a.shape != q.shape:
+        raise ValueError("Matrix a and q should have the same shape.")
+    r, u = _real_schur(a)
+    f = u.conj().T.dot(q.dot(u))
+    trsyl = la.get_lapack_funcs("trsyl", (r, f))
+    y, scale, info = trsyl(r, r, f, tranb="T")
+    if info < 0:
+        raise ValueError(
+            "?TRSYL exited with the internal error "
+            f'"illegal value in argument number {-info}.". See '
+            "LAPACK documentation for the ?TRSYL error codes."
+        )
+    elif info == 1:
+        warnings.warn(
+            'Input "a" has an eigenvalue pair whose sum is '
+            "very close to or exactly zero. The solution is "
+            "obtained via perturbing the coefficients.",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    y *= scale
+    return u.dot(y).dot(u.conj().T)
 
 
 def solve_care(A, W, Q) -> np.ndarray:
@@ -241,7 +350,7 @@ def pbh_check(A, v, mode: str) -> PBHReport:
 
     tested = []
     ok = True
-    for lam in np.linalg.eigvals(M):
+    for lam in _eigvals(M):
         if lam.real < -1e-9:
             continue
         pencil = np.hstack([M - lam * np.eye(n), v[:, None]])

@@ -1,7 +1,10 @@
 """Self-checks behind ``codesign verify``: each one compares the library with
 an independent route to the same numbers (finite differences, closed forms)
 on PBH-passing placements drawn from a seeded stream, and returns a dict
-with its ``name``, ``passed`` and the worst error seen.
+with its ``name``, ``passed`` and the worst error seen. A check that cannot
+run on the plant (no draw passes PBH, or the closed forms do not apply)
+returns ``passed`` with a ``skipped`` reason instead of errors it never
+measured.
 """
 
 from __future__ import annotations
@@ -10,15 +13,18 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cost import _orbit_pairing, cost_report, phi, phi_bar, phi_gain_sensitivity
-from .equilibria import Spectrum, analytic_gains_at_v1
+from .equilibria import ZERO_EIGENVALUE_TOL, Spectrum, analytic_gains_at_v1
 from .flow import is_zero_gain, pbh_passing_placement
 from .numdiff import richardson_derivative
 from .plant import Placement, Plant
 from .riccati import adjoint_pair, gain_pair
 
 
-def _skipped(reason: str) -> dict:
-    return {"name": "analytic_gains_match", "passed": True, "skipped": reason}
+NO_PLACEMENT = "no placement passes both PBH tests"
+
+
+def _skipped(name: str, reason: str) -> dict:
+    return {"name": name, "passed": True, "skipped": reason}
 
 
 def _random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -32,10 +38,12 @@ def check_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool = False) -> di
     rescaled = is_zero_gain(plant)
     potential = phi_bar if rescaled else phi
     worst = 0.0
+    tested = 0
     for _ in range(3):
         placement = pbh_passing_placement(plant, rng)
         if placement is None:
             continue
+        tested += 1
         report = cost_report(plant, placement)
         for _ in range(4):
             W_b = _random_skew(plant.n, rng)
@@ -57,6 +65,8 @@ def check_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool = False) -> di
             fd = richardson_derivative(value, 1e-2)
             err = abs(pairing - fd) / max(abs(pairing), abs(fd), 1e-10)
             worst = max(worst, err)
+    if not tested:
+        return _skipped("gradient_vs_fd", NO_PLACEMENT)
     return {
         "name": "gradient_vs_fd",
         "passed": bool(worst < 1e-5),
@@ -71,10 +81,12 @@ def check_gain_monotonicity(plant: Plant, seed: int) -> dict:
     worst_fd = 0.0
     base_eps = max(plant.epsilon, 0.05)
     base_delta = max(plant.delta, 0.05)
+    tested = 0
     for _ in range(6):
         placement = pbh_passing_placement(plant, rng)
         if placement is None:
             continue
+        tested += 1
         r = base_eps * rng.uniform(0.5, 2.0)
         s = base_delta * rng.uniform(0.5, 2.0)
         dr, ds = phi_gain_sensitivity(Plant(plant.A, r, s), placement)
@@ -90,6 +102,8 @@ def check_gain_monotonicity(plant: Plant, seed: int) -> dict:
         )
         scale = max(abs(dr), abs(ds), 1e-10)
         worst_fd = max(worst_fd, abs(dr - fd_r) / scale, abs(ds - fd_s) / scale)
+    if not tested:
+        return _skipped("gain_monotonicity", NO_PLACEMENT)
     return {
         "name": "gain_monotonicity",
         "passed": bool(worst_sign <= 1e-10 and worst_fd < 1e-6),
@@ -102,11 +116,15 @@ def check_phi_bar_sign(plant: Plant, seed: int) -> dict:
     """Largest phi_bar over 20 sampled placements must be <= 1e-10."""
     rng = np.random.default_rng(seed + 2)
     worst = -np.inf
+    tested = 0
     for _ in range(20):
         placement = pbh_passing_placement(plant, rng)
         if placement is None:
             continue
+        tested += 1
         worst = max(worst, phi_bar(plant, placement))
+    if not tested:
+        return _skipped("phi_bar_nonpositive", NO_PLACEMENT)
     return {
         "name": "phi_bar_nonpositive",
         "passed": bool(worst <= 1e-10),
@@ -118,13 +136,17 @@ def check_analytic_gains(plant: Plant) -> dict:
     """Closed-form gains and adjoints at (v_1, v_1) against the solvers."""
     A = plant.A
     if sla.norm(A - A.T, "fro") > 1e-10 * (1.0 + sla.norm(A, "fro")):
-        return _skipped("A not symmetric")
+        return _skipped("analytic_gains_match", "A not symmetric")
     spectrum = Spectrum.from_matrix(A)
     lam = spectrum.Lambda
-    if lam[0] > 0 or (lam.size > 1 and np.min(-np.diff(lam)) < 1e-8):
-        return _skipped("spectrum not negative with distinct eigenvalues")
-    if lam[0] == 0.0 and (plant.epsilon <= 0 or plant.delta <= 0):
-        return _skipped("zero mode at zero gain")
+    # |lambda_1| <= ZERO_EIGENVALUE_TOL is the zero mode, whatever the sign
+    # of eigh's roundoff, as in the closed forms.
+    if lam[0] > ZERO_EIGENVALUE_TOL or (lam.size > 1 and np.min(-np.diff(lam)) < 1e-8):
+        return _skipped(
+            "analytic_gains_match", "spectrum not negative with distinct eigenvalues"
+        )
+    if abs(lam[0]) <= ZERO_EIGENVALUE_TOL and (plant.epsilon <= 0 or plant.delta <= 0):
+        return _skipped("analytic_gains_match", "zero mode at zero gain")
     v1 = spectrum.eigenvector(0)
     placement = Placement(v1, v1.copy())
     gains = gain_pair(plant, placement)

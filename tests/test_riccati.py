@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -20,6 +22,8 @@ from lqg_codesign import (
     solve_care,
     solve_lyapunov,
 )
+from lqg_codesign import riccati
+from lqg_codesign.cli import main
 from lqg_codesign.riccati import care_residual, is_hurwitz, lyapunov_residual
 
 
@@ -107,6 +111,63 @@ class TestSolveLyapunov:
         P = solve_lyapunov(F, Q)
         P_int = integral_lyapunov_solve(F, Q)
         assert la.norm(P - P_int, "fro") <= 1e-6 * la.norm(P_int, "fro")
+
+
+def _hurwitz(rng: np.random.Generator, n: int) -> np.ndarray:
+    X = rng.standard_normal((n, n))
+    return X - (np.max(np.linalg.eigvals(X).real) + 0.5) * np.eye(n)
+
+
+def _clear_riccati_caches():
+    for memo in (riccati._eigvals, riccati._real_schur, riccati._certified_lyapunov):
+        memo.cache_clear()
+
+
+class TestMemoizedSolves:
+    @pytest.mark.parametrize("n", [1, 3, 8, 50])
+    def test_bitwise_scipy_cold_and_warm(self, n):
+        rng = np.random.default_rng(300 + n)
+        F = _hurwitz(rng, n)
+        G = rng.standard_normal((n, n))
+        Q = G @ G.T
+        _clear_riccati_caches()
+        # The same content in two memory layouts: products on a transposed
+        # operand can round differently, and each must match scipy's.
+        for Q_in in (Q, np.asfortranarray(Q)):
+            P_ref = la.solve_continuous_lyapunov(F, -Q_in)
+            P_ref = 0.5 * (P_ref + P_ref.T)
+            for _ in range(2):
+                assert np.array_equal(solve_lyapunov(F, Q_in), P_ref)
+
+    def test_returned_array_is_the_callers(self):
+        rng = np.random.default_rng(5)
+        F = _hurwitz(rng, 4)
+        Q = np.eye(4)
+        first = solve_lyapunov(F, Q)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(solve_lyapunov(F, Q), expected)
+
+    def test_errors_are_not_cached(self):
+        F = np.diag([-1.0, 0.5])
+        for _ in range(2):
+            with pytest.raises(NotHurwitz):
+                solve_lyapunov(F, np.eye(2))
+
+    def test_equilibria_bytes_with_cold_and_warm_caches(self, tmp_path):
+        rng = np.random.default_rng(11)
+        basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        A = basis @ np.diag([-0.5, -1.3, -2.2, -3.0]) @ basis.T
+        problem = tmp_path / "spaced4.json"
+        problem.write_text(json.dumps({"A": A.tolist(), "epsilon": 0.0, "delta": 0.0}))
+        reports = []
+        for run in ("cold", "warm"):
+            if run == "cold":
+                _clear_riccati_caches()
+            out = tmp_path / run
+            assert main(["equilibria", "--problem", str(problem), "--out", str(out)]) == 0
+            reports.append((out / "equilibria.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestGainPair:
