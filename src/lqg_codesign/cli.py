@@ -169,7 +169,7 @@ def load_problem(path: Path) -> Problem:
     try:
         A = _build_matrix(raw["A"])
         plant = Plant(A, float(raw.get("epsilon", 0.0)), float(raw.get("delta", 0.0)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid plant: {exc}") from exc
 
     placement = None
@@ -191,13 +191,11 @@ def load_problem(path: Path) -> Problem:
         raise ProblemFormatError("'flow' must be an object")
     try:
         flow_options = FlowOptions(
-            step_init=float(flow_raw.get("step_init", 1.0)),
-            step_min=float(flow_raw.get("step_min", 1e-14)),
             grad_tol=float(flow_raw.get("grad_tol", 1e-9)),
             max_iters=int(flow_raw.get("max_iters", 100_000)),
             rescaled=bool(flow_raw.get("rescaled", False)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid flow options: {exc}") from exc
 
     sim_raw = raw.get("sim", {})
@@ -230,7 +228,7 @@ def _sim_config(problem: Problem) -> SimConfig:
             burn_in=float(raw.get("burn_in", 10.0)),
             seed=int(raw.get("seed", problem.seed)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid sim config: {exc}") from exc
 
 
@@ -499,7 +497,11 @@ def main(argv=None) -> int:
         print("usage error: need at least one start", file=sys.stderr)
         return EXIT_USAGE
     if args.command == "simulate":
-        if int(problem.sim_config_raw.get("n_paths", 32)) < 1:
+        try:
+            too_few_paths = int(problem.sim_config_raw.get("n_paths", 32)) < 1
+        except (TypeError, ValueError, OverflowError):
+            too_few_paths = False  # not a count at all: _sim_config reports it
+        if too_few_paths:
             print("usage error: need at least one simulation path", file=sys.stderr)
             return EXIT_USAGE
 

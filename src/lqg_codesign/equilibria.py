@@ -346,14 +346,12 @@ def _tangent_basis(v: np.ndarray) -> np.ndarray:
     return la.null_space(v[None, :])
 
 
-def hessian_matrix(
-    plant: Plant, placement: Placement, h: float = HESSIAN_STEP
-) -> np.ndarray:
+def hessian_matrix(plant: Plant, placement: Placement) -> np.ndarray:
     """Raw finite-difference Hessian of the potential at a placement.
 
-    Differentiates the projected gradient field centrally with step ``h``
-    along renormalized curves through orthonormal tangent bases of the
-    hyperplanes orthogonal to b_unit and c_unit (dimension 2(n-1) total).
+    Differentiates the projected gradient field centrally with step h =
+    ``HESSIAN_STEP`` along renormalized curves through orthonormal tangent bases
+    of the hyperplanes orthogonal to b_unit and c_unit (dimension 2(n-1) total).
     At a critical point the result is symmetric up to O(h) transport error;
     callers symmetrize before reading eigenvalues.
     """
@@ -366,6 +364,7 @@ def hessian_matrix(
         g = gradient(plant, Placement.normalized(b, c))
         return np.concatenate([U.T @ g.g_b, W.T @ g.g_c])
 
+    h = HESSIAN_STEP
     b0, c0 = placement.b_unit, placement.c_unit
     H = np.empty((dim, dim))
     for i in range(dim):
@@ -384,7 +383,6 @@ def hessian_matrix(
 def classify_stability(
     plant: Plant,
     placement: Placement,
-    h: float = HESSIAN_STEP,
     *,
     eq_tol: float = 1e-8,
 ) -> tuple[np.ndarray, str]:
@@ -411,7 +409,7 @@ def classify_stability(
         )
     if plant.n == 1:
         return np.array([]), STABLE
-    H = hessian_matrix(plant, placement, h)
+    H = hessian_matrix(plant, placement)
     H = 0.5 * (H + H.T)
     eigs = np.sort(np.linalg.eigvalsh(H))[::-1]
     min_eig = eigs[-1]
@@ -427,13 +425,12 @@ def classify_stability(
 def classify_candidates(
     spectrum: Spectrum,
     candidates: list[EquilibriumCandidate],
-    h: float = HESSIAN_STEP,
 ) -> list[EquilibriumCandidate]:
     """Classify enumerated zero-gain candidates in place of their None fields."""
     plant = Plant(spectrum.A, 0.0, 0.0)
     classified = []
     for cand in candidates:
-        eigs, verdict = classify_stability(plant, cand.placement, h)
+        eigs, verdict = classify_stability(plant, cand.placement)
         classified.append(
             replace(
                 cand,

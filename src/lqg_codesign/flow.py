@@ -20,6 +20,7 @@ acts on the potential phi_bar instead of phi).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +37,8 @@ from .riccati import pbh_check
 SCALE_TINY = 1e-12
 
 _ARMIJO_C1 = 1e-4
+_STEP_INIT = 1.0
+_STEP_MIN = 1e-14
 _STEP_GROWTH = 2.0
 _STEP_MAX = 1e15
 _DEGENERATE_NORM = 1e-14
@@ -48,19 +51,15 @@ STATUS_SOLVER_FAILURE = "solver_failure"
 
 @dataclass(frozen=True)
 class FlowOptions:
-    """Step control and termination parameters for the descent."""
+    """Termination parameters and field choice for the descent."""
 
-    step_init: float = 1.0
-    step_min: float = 1e-14
     grad_tol: float = 1e-9
     max_iters: int = 100_000
     rescaled: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.step_min <= self.step_init):
-            raise ValueError("need 0 < step_min <= step_init")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -106,10 +105,6 @@ class FlowTrace:
     @property
     def phis(self) -> np.ndarray:
         return np.array([it.phi for it in self.iterates])
-
-    @property
-    def objectives(self) -> np.ndarray:
-        return np.array([it.objective for it in self.iterates])
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     # field (for phi_bar at eps*delta ~ 0 the field is its own gradient).
     slope_factor = 1.0 if use_phi_bar else plant.epsilon * plant.delta / grad.scale
 
-    step = opts.step_init
+    step = _STEP_INIT
     grow = True
     best_norm = grad.norm
     stagnant = 0
@@ -225,7 +220,7 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
         if grow:
             step = min(step * _STEP_GROWTH, _STEP_MAX)
         accepted = False
-        while step >= opts.step_min:
+        while step >= _STEP_MIN:
             try:
                 candidate = flow_step(plant, placement, grad, step)
                 cand_report = cost_report(plant, candidate)

@@ -12,6 +12,7 @@ and C = c_unit c_unit^T automatically satisfy tr(B) = tr(C) = 1 and B^2 = B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ def _unit_vector(v, name: str) -> np.ndarray:
     if v.size < 1:
         raise ValueError(f"{name} must have at least one entry")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    # Written so that a NaN norm (a non-finite entry) fails too.
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
         raise ValueError(f"{name} must be a unit vector (|{name}| = {norm!r})")
     return v
 
@@ -50,8 +52,8 @@ class Plant:
         object.__setattr__(self, "A", _square_matrix(self.A))
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "delta", float(self.delta))
-        if self.epsilon < 0.0 or self.delta < 0.0:
-            raise ValueError("epsilon and delta must be nonnegative")
+        if not (0.0 <= self.epsilon < math.inf and 0.0 <= self.delta < math.inf):
+            raise ValueError("epsilon and delta must be finite and nonnegative")
 
     @property
     def n(self) -> int:
@@ -79,8 +81,8 @@ class Placement:
         b = np.asarray(b, dtype=float).reshape(-1)
         c = np.asarray(c, dtype=float).reshape(-1)
         nb, nc = np.linalg.norm(b), np.linalg.norm(c)
-        if nb == 0.0 or nc == 0.0:
-            raise ValueError("cannot normalize a zero vector")
+        if not (0.0 < nb < math.inf and 0.0 < nc < math.inf):
+            raise ValueError("cannot normalize a zero or non-finite vector")
         return cls(b / nb, c / nc)
 
     @property

@@ -15,20 +15,24 @@ Sigma), and ``adjoint_pair`` solves the closed-loop Lyapunov equations
 whose solutions drive the placement gradient.
 
 The CARE is solved by the Hamiltonian invariant-subspace method (ordered real
-Schur form, stable eigenvalues first) followed by Newton-Kleinman refinement,
-which certifies the residual. The Lyapunov solve is Bartels-Stewart
-(Bartels & Stewart, CACM 15(9), 1972): LAPACK ``trsyl`` on the real Schur form
-of F, the same steps in the same order as
-``scipy.linalg.solve_continuous_lyapunov``, so its results are scipy's to the
-bit. Tests cross-check it against a Kronecker-vectorization oracle and against
-the integral representation P = int_0^inf e^{Ft} Q e^{F^T t} dt.
+Schur form, stable eigenvalues first; Laub, IEEE TAC 24(6), 1979), refined by
+Newton-Kleinman to a certified residual, and its closed loop A - W P is
+certified Hurwitz. The Lyapunov solve is Bartels-Stewart (Bartels & Stewart,
+CACM 15(9), 1972): LAPACK ``trsyl`` on the real Schur form of F, the same
+steps in the same order as ``scipy.linalg.solve_continuous_lyapunov``, so its
+results are scipy's to the bit. Tests cross-check it against a
+Kronecker-vectorization oracle and against the integral representation
+P = int_0^inf e^{Ft} Q e^{F^T t} dt.
 
-Eigenvalues, real Schur forms and certified Lyapunov solutions are memoized
-on the content of their input arrays (shape, strides and float64 bytes), 8
-entries each. A run evaluates the same few matrices many times: every PBH
-test factors A or A^T, and at zero gain the gains and closed loops do not
-depend on the placement. Memoized computations are pure, so a hit returns
-bitwise what a fresh computation would; errors are never cached.
+The real Schur form is the only factorization of each Hamiltonian and each
+Lyapunov coefficient; its diagonal holds the real part of every eigenvalue
+(both entries of a 2x2 block), which is all the axis and Hurwitz guards read.
+Eigenvalues (for the PBH tests), real Schur forms and certified Lyapunov
+solutions are memoized on the content of their input arrays (shape, strides
+and float64 bytes), 8 entries each. A run evaluates the same few matrices many
+times: every PBH test factors A or A^T, and at zero gain the gains and closed
+loops do not depend on the placement. Memoized computations are pure, so a
+hit returns bitwise what a fresh computation would; errors are never cached.
 """
 
 from __future__ import annotations
@@ -166,7 +170,8 @@ def lyapunov_residual(F: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
 
 def is_hurwitz(F: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
     """True when every eigenvalue of F has real part < -margin."""
-    return bool(np.max(_eigvals(np.asarray(F, dtype=float)).real) < -margin)
+    r, _ = _real_schur(np.atleast_2d(np.asarray(F, dtype=float)))
+    return bool(np.max(np.diag(r)) < -margin)
 
 
 def solve_lyapunov(F, Q) -> np.ndarray:
@@ -198,10 +203,11 @@ def solve_lyapunov(F, Q) -> np.ndarray:
 
 @_content_memo
 def _certified_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    max_re = float(np.max(_eigvals(F).real))
+    r, u = _real_schur(F)
+    max_re = float(np.max(np.diag(r)))
     if max_re >= -HURWITZ_MARGIN:
         raise NotHurwitz(f"matrix is not Hurwitz: max Re(eig) = {max_re:.3e}")
-    P = _bartels_stewart(F, -Q)
+    P = _bartels_stewart(r, u, -Q)
     P = 0.5 * (P + P.T)
     res = lyapunov_residual(F, Q, P)
     tol = LYAP_RTOL * (1.0 + float(la.norm(P, "fro")))
@@ -213,14 +219,13 @@ def _certified_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return P
 
 
-def _bartels_stewart(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve a X + X a^T = q for real a: ``scipy.linalg.solve_continuous_lyapunov``
-    step for step, on the memoized real Schur form of ``a``."""
+def _bartels_stewart(r: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve a X + X a^T = q for real a = u r u^T in real Schur form:
+    ``scipy.linalg.solve_continuous_lyapunov`` step for step."""
     if not np.isfinite(q).all():
         raise ValueError("array must not contain infs or NaNs")
-    if a.shape != q.shape:
+    if r.shape != q.shape:
         raise ValueError("Matrix a and q should have the same shape.")
-    r, u = _real_schur(a)
     f = u.conj().T.dot(q.dot(u))
     trsyl = la.get_lapack_funcs("trsyl", (r, f))
     y, scale, info = trsyl(r, r, f, tranb="T")
@@ -261,9 +266,10 @@ def solve_care(A, W, Q) -> np.ndarray:
     Raises
     ------
     NoStabilizingSolution
-        If H has eigenvalues on the imaginary axis (within 1e-12), the stable
-        subspace does not have dimension n, or the subspace basis is too
-        ill-conditioned to invert.
+        If H has eigenvalues on the imaginary axis (within 1e-12), the
+        ordered Schur form fails, the stable subspace does not have dimension
+        n, the subspace basis is too ill-conditioned to invert, or the closed
+        loop A - W P of the refined P is not Hurwitz.
     NonConvergence
         If Newton-Kleinman refinement stalls above the residual tolerance.
     """
@@ -282,14 +288,17 @@ def solve_care(A, W, Q) -> np.ndarray:
             ) from exc
 
     H = np.block([[A, -W], [-Q, -A.T]])
-    ham_eigs = np.linalg.eigvals(H)
-    axis_dist = float(np.min(np.abs(ham_eigs.real)))
+    try:
+        T, U, sdim = la.schur(H, output="real", sort="lhp")
+    except la.LinAlgError as exc:
+        # The reordering fails when eigenvalues sit on or near the axis.
+        raise NoStabilizingSolution(f"Hamiltonian Schur form: {exc}") from exc
+    axis_dist = float(np.min(np.abs(np.diag(T))))
     if axis_dist <= HURWITZ_MARGIN:
         raise NoStabilizingSolution(
             "Hamiltonian has eigenvalues on the imaginary axis "
             f"(min |Re| = {axis_dist:.3e}); configuration is not stabilizable"
         )
-    _, U, sdim = la.schur(H, output="real", sort="lhp")
     if sdim != n:
         raise NoStabilizingSolution(
             f"stable Hamiltonian subspace has dimension {sdim}, expected {n}"
@@ -308,7 +317,7 @@ def solve_care(A, W, Q) -> np.ndarray:
     for _ in range(_MAX_NEWTON_REFINEMENTS):
         tol = CARE_RTOL * (1.0 + float(la.norm(P, "fro")) ** 2)
         if res <= tol:
-            return P
+            break
         F = A - W @ P
         try:
             P_next = solve_lyapunov(F.T, P @ W @ P + Q)
@@ -325,6 +334,13 @@ def solve_care(A, W, Q) -> np.ndarray:
         raise NonConvergence(
             f"Newton-Kleinman refinement stalled at residual {res:.3e} "
             f"(tolerance {tol:.3e})"
+        )
+    # Near a non-stabilizable configuration a tiny residual relative to
+    # |P|^2 can still come with a closed loop that is not Hurwitz.
+    max_re = float(np.max(np.linalg.eigvals(A - W @ P).real))
+    if max_re >= -HURWITZ_MARGIN:
+        raise NoStabilizingSolution(
+            f"closed loop A - W P is not Hurwitz (max Re(eig) = {max_re:.3e})"
         )
     return P
 

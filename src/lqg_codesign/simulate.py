@@ -15,6 +15,7 @@ after burn-in. Each path draws from its own RNG stream derived from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(t) for t in (self.dt, self.horizon_T, self.burn_in)):
+            raise ValueError("dt, horizon_T and burn_in must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.burn_in < 0.0 or self.horizon_T < 10.0 * self.burn_in:

@@ -1,6 +1,8 @@
+import copy
 import json
 
 import numpy as np
+import pytest
 
 from lqg_codesign.cli import dumps, load_problem, main
 
@@ -27,6 +29,18 @@ DIAG3 = {
     "flow": {"grad_tol": 1e-12, "max_iters": 20000},
     "seed": 7,
     "n_starts": 3,
+}
+
+
+NAN, INF = float("nan"), float("inf")
+
+NONSYM3 = {
+    "A": [[-1.0, 0.2, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]],
+    "epsilon": 0.5,
+    "delta": 0.5,
+    "placement": {"b": [1.0, 1.0, 0.0], "c": [0.0, 1.0, 1.0]},
+    "sim": {"dt": 0.01, "horizon_T": 20.0, "n_paths": 2, "burn_in": 1.0},
+    "flow": {"grad_tol": 1e-9, "max_iters": 10},
 }
 
 
@@ -74,6 +88,35 @@ class TestProblemLoading:
         payload["placement"] = {"b": [2.0], "c": [-3.0]}
         problem = load_problem(write_problem(tmp_path, "p.json", payload))
         assert abs(np.linalg.norm(problem.placement.b_unit) - 1.0) < 1e-15
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("solve", None, "A", [[NAN, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]]),
+            ("solve", None, "epsilon", NAN),
+            ("solve", None, "delta", INF),
+            ("solve", "placement", "b", [NAN, 1.0, 0.0]),
+            ("solve", "placement", "c", [0.0, INF, 1.0]),
+            ("simulate", "sim", "dt", NAN),
+            ("simulate", "sim", "horizon_T", INF),
+            ("simulate", "sim", "burn_in", NAN),
+            ("simulate", "sim", "n_paths", INF),
+            ("simulate", "sim", "n_paths", -INF),
+            ("simulate", "sim", "seed", INF),
+            ("flow", "flow", "grad_tol", NAN),
+            ("flow", "flow", "grad_tol", INF),
+            ("flow", "flow", "max_iters", INF),
+        ],
+    )
+    def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):
+        payload = copy.deepcopy(NONSYM3)
+        (payload if section is None else payload[section])[key] = value
+        # json.dumps writes NaN and Infinity, and json.loads reads them back.
+        problem = write_problem(tmp_path, "nonfinite.json", payload)
+        assert main([command, "--problem", problem, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("problem error:")
 
 
 class TestSolveCommand:

@@ -11,12 +11,14 @@ from conftest import (
 )
 
 from lqg_codesign import (
+    CodesignError,
     NoStabilizingSolution,
     NotHurwitz,
     PBHViolation,
     Placement,
     Plant,
     adjoint_pair,
+    cost_report,
     gain_pair,
     pbh_check,
     solve_care,
@@ -71,6 +73,43 @@ class TestSolveCare:
         with pytest.raises(NoStabilizingSolution):
             solve_care(A, W, np.eye(2))
 
+    def test_uncontrollable_zero_mode_rejected(self):
+        A = np.diag([0.0, -1.0])
+        W = np.diag([0.0, 1.0])  # the zero mode sits on the imaginary axis
+        with pytest.raises(NoStabilizingSolution):
+            solve_care(A, W, np.eye(2))
+
+    def test_non_stabilizing_result_is_refused(self):
+        # An unactuated oscillator: the residual test alone accepts a P with
+        # entries near 1e8 whose closed loop keeps the eigenvalues +-i.
+        A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(NoStabilizingSolution, match="not Hurwitz"):
+            solve_care(A, np.diag([0.0, 0.0, 1.0]), np.eye(3))
+
+    def test_non_stabilizable_probe_never_returns(self):
+        # An unactuated skew block (eigenvalues on the imaginary axis) beside
+        # an actuated stable block: no stabilizing solution exists.
+        rng = np.random.default_rng(0)
+        for i in range(300):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, n))
+            G = rng.standard_normal((m, m))
+            A = np.zeros((n, n))
+            A[:m, :m] = G - G.T
+            A[m:, m:] = -rng.uniform(0.5, 2.0) * np.eye(n - m)
+            W = np.diag([0.0] * m + [1.0] * (n - m))
+            Q = np.zeros((n, n)) if i % 2 == 0 else np.eye(n)
+            with pytest.raises(CodesignError):
+                solve_care(A, W, Q)
+
+    def test_failed_schur_reordering_is_no_stabilizing_solution(self, monkeypatch):
+        def failing_schur(*args, **kwargs):
+            raise la.LinAlgError("Leading eigenvalues do not satisfy sort condition")
+
+        monkeypatch.setattr(la, "schur", failing_schur)
+        with pytest.raises(NoStabilizingSolution, match="sort condition"):
+            solve_care(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+
 
 def _outer_weight(W: np.ndarray, v: np.ndarray) -> float:
     """Weight w such that W = w * v v^T (for building the scipy reference)."""
@@ -121,6 +160,59 @@ def _hurwitz(rng: np.random.Generator, n: int) -> np.ndarray:
 def _clear_riccati_caches():
     for memo in (riccati._eigvals, riccati._real_schur, riccati._certified_lyapunov):
         memo.cache_clear()
+
+
+def _shifted_with_pair(rng: np.random.Generator, n: int, top: float) -> np.ndarray:
+    """Random orthogonal similarity of a real quasi-triangular matrix whose
+    rightmost eigenvalues are the pair top +- 1.5i (just top when n = 1)."""
+    T = np.triu(rng.standard_normal((n, n))) / n
+    np.fill_diagonal(T, top - rng.uniform(0.1, 2.0, n))
+    T[0, 0] = top
+    for k in range(0, n - 1, 2):  # 2x2 blocks with eigenvalues T[k, k] +- 1.5i
+        T[k + 1, k + 1] = T[k, k]
+        T[k, k + 1], T[k + 1, k] = 1.5, -1.5
+    Qo, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Qo @ T @ Qo.T
+
+
+class TestOneFactorizationPerMatrix:
+    def test_no_matrix_is_factored_twice(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((4, 4)) + 0.5 * np.eye(4)
+        assert np.max(np.linalg.eigvals(A).real) > 0.0
+        assert not np.allclose(A, A.T)
+        plant = Plant(A, 0.7, 1.3)
+        placement = random_placement_for(rng, 4)
+
+        seen = {"eigvals": [], "schur": []}
+
+        def recording(name, fn):
+            def wrapped(M, *args, **kwargs):
+                M_arr = np.asarray(M, dtype=float)
+                seen[name].append((M_arr.shape, M_arr.tobytes()))
+                return fn(M, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(la, "schur", recording("schur", la.schur))
+        _clear_riccati_caches()
+        cost_report(plant, placement)
+
+        assert (8, 8) in {shape for shape, _ in seen["schur"]}  # the Hamiltonians
+        shared = set(seen["eigvals"]) & set(seen["schur"])
+        assert not shared, f"factored twice: {[shape for shape, _ in shared]}"
+        assert all(shape == (4, 4) for shape, _ in seen["eigvals"])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50])
+    @pytest.mark.parametrize("offset", [-1e-11, 1e-11])
+    def test_is_hurwitz_matches_eigenvalues(self, n, offset):
+        threshold = -riccati.HURWITZ_MARGIN
+        F = _shifted_with_pair(np.random.default_rng(400 + n), n, threshold + offset)
+        expected = offset < 0.0
+        assert (np.max(np.linalg.eigvals(F).real) < threshold) == expected
+        _clear_riccati_caches()
+        assert is_hurwitz(F) == expected
 
 
 class TestMemoizedSolves:
