@@ -38,14 +38,13 @@ SCALE_TINY = 1e-12
 
 _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
-_STEP_MIN = 1e-14
 _STEP_GROWTH = 2.0
 _STEP_MAX = 1e15
 _DEGENERATE_NORM = 1e-14
-_STAGNATION_WINDOW = 200
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
+STATUS_NO_DECREASE = "no_decrease"
 STATUS_SOLVER_FAILURE = "solver_failure"
 
 
@@ -179,11 +178,17 @@ def flow_step(
 def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     """Armijo-backtracked gradient descent from ``init``.
 
-    Terminates when the normal-metric gradient norm drops below
-    ``opts.grad_tol`` (status ``converged``), after ``opts.max_iters``
-    accepted steps or a stalled line search (``max_iters``), or on a solver
-    error, which is recorded as status ``solver_failure`` with the failing
-    iterate retained rather than raised.
+    Ends with one of four statuses:
+
+    - ``converged``: the normal-metric gradient norm dropped below
+      ``opts.grad_tol``;
+    - ``no_decrease``: no step that still moves the placement lowers the
+      objective. Backtracking stops once the step times the larger of the
+      two gradient vector norms is at most the float resolution eps, since a
+      smaller move is lost in the rounding of the renormalization;
+    - ``max_iters``: ``opts.max_iters`` steps were accepted;
+    - ``solver_failure``: the start point could not be evaluated. This is
+      recorded rather than raised.
     """
     use_phi_bar = is_zero_gain(plant)
 
@@ -204,23 +209,20 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     # factor eps*delta/scale accounts for descending phi with a rescaled
     # field (for phi_bar at eps*delta ~ 0 the field is its own gradient).
     slope_factor = 1.0 if use_phi_bar else plant.epsilon * plant.delta / grad.scale
+    resolution = np.finfo(float).eps
 
     step = _STEP_INIT
     grow = True
-    best_norm = grad.norm
-    stagnant = 0
     for _ in range(opts.max_iters):
         if grad.norm < opts.grad_tol:
             break
-        if stagnant >= _STAGNATION_WINDOW:
-            # The gradient norm has hit the resolution floor of the
-            # objective; further steps only harvest rounding noise.
-            break
         slope = -slope_factor * grad.norm**2
+        # Positive whenever grad.norm is, so the backtracking below ends.
+        reach = max(np.linalg.norm(grad.g_b), np.linalg.norm(grad.g_c))
         if grow:
             step = min(step * _STEP_GROWTH, _STEP_MAX)
         accepted = False
-        while step >= _STEP_MIN:
+        while step * reach > resolution:
             try:
                 candidate = flow_step(plant, placement, grad, step)
                 cand_report = cost_report(plant, candidate)
@@ -233,14 +235,10 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
                 break
             step *= 0.5
         if not accepted:
-            # No decrease at any admissible step: numerically stationary.
-            break
+            return FlowTrace(tuple(iterates), STATUS_NO_DECREASE, placement)
         prev_norm = grad.norm
         placement, report = candidate, cand_report
-        try:
-            grad = gradient(plant, placement, rescaled=opts.rescaled, report=report)
-        except CodesignError:
-            return FlowTrace(tuple(iterates), STATUS_SOLVER_FAILURE, placement)
+        grad = gradient(plant, placement, rescaled=opts.rescaled, report=report)
         # Below the objective's float resolution the Armijo test accepts any
         # non-increase, so regulate the step with the gradient norm instead:
         # keep growing while it contracts, halve when it bounces.
@@ -249,14 +247,6 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
         else:
             grow = False
             step *= 0.5
-        if grad.norm < best_norm * (1.0 - 1e-2):
-            best_norm = grad.norm
-            stagnant = 0
-        elif grad.norm > 2.0 * best_norm:
-            # Clearly in transit (e.g. leaving a saddle), not stuck.
-            stagnant = 0
-        else:
-            stagnant += 1
         obj = cand_obj
         iterates.append(FlowIterate(placement, report.phi, obj, grad.norm, step))
     status = STATUS_CONVERGED if grad.norm < opts.grad_tol else STATUS_MAX_ITERS

@@ -25,7 +25,12 @@ from lqg_codesign import (
     run_flow,
 )
 from lqg_codesign.cost import drive_matrices
-from lqg_codesign.flow import STATUS_CONVERGED
+from lqg_codesign.flow import (
+    STATUS_CONVERGED,
+    STATUS_MAX_ITERS,
+    STATUS_NO_DECREASE,
+    pbh_passing_placement,
+)
 
 
 def _zero_gradient(n: int) -> OrbitGradient:
@@ -211,6 +216,54 @@ class TestRunFlow:
         init = Placement(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         trace = run_flow(plant, init, FlowOptions())
         assert trace.status == "solver_failure"
+
+
+class TestStopRule:
+    def test_huge_gradient_start_descends(self):
+        # The third non-symmetric n = 6 draw with an unstable mode. The start
+        # sits near the detectability PBH boundary: phi ~ 3.4e10 and a
+        # gradient norm ~ 2e14, so even a 1e-14 step moves the placement
+        # across the sphere. Backtracking must keep going until the step
+        # stops moving the placement, not stop at a fixed floor.
+        rng = np.random.default_rng(2024)
+        unstable = []
+        while len(unstable) < 3:
+            A = rng.standard_normal((6, 6)) / np.sqrt(6) - 0.3 * np.eye(6)
+            if np.max(np.linalg.eigvals(A).real) > 0.05:
+                unstable.append(A)
+        plant = Plant(unstable[2], 0.5, 0.8)
+        opts = FlowOptions(grad_tol=1e-9, max_iters=5_000)
+        start = pbh_passing_placement(plant, np.random.default_rng([2, 1]))
+        trace = run_flow(plant, start, opts)
+        assert trace.iterates[0].phi > 1e10
+        assert len(trace.iterates) > 1
+        other = pbh_passing_placement(plant, np.random.default_rng([2, 0]))
+        reference = run_flow(plant, other, opts).iterates[-1].phi
+        assert abs(trace.iterates[-1].phi - reference) <= 1e-9 * abs(reference)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ends_at_float_resolution_without_non_moves(self, seed):
+        # grad_tol = 1e-15 is below what the Armijo test on phi ~ 4.6 can
+        # resolve, so the run must stop with no_decrease, and every accepted
+        # step must actually move the placement.
+        A = np.array([[0.3, 1.0, 0.0], [-0.5, -1.2, 0.4], [0.2, 0.0, -2.0]])
+        plant = Plant(A, 0.5, 0.8)
+        opts = FlowOptions(grad_tol=1e-15, max_iters=5_000)
+        start = pbh_passing_placement(plant, np.random.default_rng(seed))
+        trace = run_flow(plant, start, opts)
+        assert trace.status == STATUS_NO_DECREASE
+        assert len(trace.iterates) - 1 < opts.max_iters
+        for prev, cur in zip(trace.iterates, trace.iterates[1:]):
+            same_b = np.array_equal(prev.placement.b_unit, cur.placement.b_unit)
+            same_c = np.array_equal(prev.placement.c_unit, cur.placement.c_unit)
+            assert not (same_b and same_c)
+
+    def test_budget_spent_reports_max_iters(self):
+        plant = Plant(np.diag([-1.0, -2.0, -3.0]), 0.5, 0.5)
+        start = Placement(np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.8, 0.6]))
+        trace = run_flow(plant, start, FlowOptions(grad_tol=1e-9, max_iters=3))
+        assert trace.status == STATUS_MAX_ITERS
+        assert len(trace.iterates) == 4
 
 
 class TestMultiStart:
