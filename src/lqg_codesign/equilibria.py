@@ -25,7 +25,8 @@ and sign pattern s, the candidate exists iff the solution xi of
 is entrywise positive, and then beta*beta = gamma*gamma is proportional to
 xi. Stability is classified by a central finite-difference Hessian of the
 potential (phi, or phi_bar in the zero-gain limit) on the tangent space of
-the sphere pair.
+the sphere pair; enumerated candidates use the closed-form field of
+``zero_gain_field``, where every Lyapunov solve is a Hadamard product with Psi.
 """
 
 from __future__ import annotations
@@ -346,23 +347,63 @@ def _tangent_basis(v: np.ndarray) -> np.ndarray:
     return la.null_space(v[None, :])
 
 
-def hessian_matrix(plant: Plant, placement: Placement) -> np.ndarray:
+def zero_gain_field(spectrum: Spectrum):
+    """Closed-form ``field(b, c) -> (g_b, g_c, phi_bar)`` at epsilon = delta = 0.
+
+    K = Sigma = Theta diag(k) Theta^T with k = -1/(2 lambda), both closed loops
+    equal A, and in the eigenbasis M = Psi o (k c~)(k c~)^T, N likewise with
+    b~ = Theta^T b, c~ = Theta^T c. With x = k^2 b~ c~, y = Psi x, mu = x . y:
+    g_b = Theta (mu b~ - k^2 c~ y), g_c = Theta (mu c~ - k^2 b~ y), phi_bar = -mu,
+    at the placement ``Placement.normalized(b, c)``.
+    """
+    Theta = spectrum.Theta
+    psi = cauchy_matrix(spectrum.Lambda)
+    k2 = 0.25 / spectrum.Lambda**2
+
+    def field(b: np.ndarray, c: np.ndarray):
+        placement = Placement.normalized(b, c)
+        bt = Theta.T @ placement.b_unit
+        ct = Theta.T @ placement.c_unit
+        x = k2 * bt * ct
+        y = psi @ x
+        mu = float(x @ y)
+        return Theta @ (mu * bt - k2 * ct * y), Theta @ (mu * ct - k2 * bt * y), -mu
+
+    return field
+
+
+def _gradient_field(plant: Plant):
+    """``flow.gradient`` as a field ``(b, c) -> (g_b, g_c, phi_bar)``."""
+
+    def field(b: np.ndarray, c: np.ndarray):
+        placement = Placement.normalized(b, c)
+        report = cost_report(plant, placement)
+        g = gradient(plant, placement, report=report)
+        return g.g_b, g.g_c, report.phi_bar
+
+    return field
+
+
+def hessian_matrix(plant: Plant, placement: Placement, *, field=None) -> np.ndarray:
     """Raw finite-difference Hessian of the potential at a placement.
 
-    Differentiates the projected gradient field centrally with step h =
+    Differentiates the projected gradient ``field`` (default ``flow.gradient``)
+    centrally with step h =
     ``HESSIAN_STEP`` along renormalized curves through orthonormal tangent bases
     of the hyperplanes orthogonal to b_unit and c_unit (dimension 2(n-1) total).
     At a critical point the result is symmetric up to O(h) transport error;
     callers symmetrize before reading eigenvalues.
     """
+    if field is None:
+        field = _gradient_field(plant)
     n = plant.n
     U = _tangent_basis(placement.b_unit)
     W = _tangent_basis(placement.c_unit)
     dim = 2 * (n - 1)
 
     def grad_coords(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        g = gradient(plant, Placement.normalized(b, c))
-        return np.concatenate([U.T @ g.g_b, W.T @ g.g_c])
+        g_b, g_c, _ = field(b, c)
+        return np.concatenate([U.T @ g_b, W.T @ g_c])
 
     h = HESSIAN_STEP
     b0, c0 = placement.b_unit, placement.c_unit
@@ -385,15 +426,17 @@ def classify_stability(
     placement: Placement,
     *,
     eq_tol: float = 1e-8,
+    field=None,
 ) -> tuple[np.ndarray, str]:
     """Finite-difference Hessian classification at an equilibrium.
 
     Differentiates the projected gradient field with ``hessian_matrix`` and
     symmetrizes. In the zero-gain regime (eps*delta < 1e-12) the field is
     the rescaled one, so the Hessian is that of the potential phi_bar;
-    otherwise it is the Hessian of phi. Classification: stable if the
-    smallest eigenvalue exceeds 1e-7, unstable if it is below -1e-7,
-    degenerate otherwise.
+    otherwise it is the Hessian of phi. A ``zero_gain_field`` passed as
+    ``field`` replaces ``flow.gradient``, and the equilibrium residuals become
+    |g_b| and |g_c|. Classification: stable if the smallest eigenvalue exceeds
+    1e-7, unstable if it is below -1e-7, degenerate otherwise.
 
     Returns (eigenvalues descending, classification).
 
@@ -402,14 +445,18 @@ def classify_stability(
     NotAnEquilibrium
         If the equilibrium residual exceeds ``eq_tol``.
     """
-    flag, residuals = is_equilibrium(plant, placement, eq_tol)
-    if not flag:
+    if field is None:
+        residuals = is_equilibrium(plant, placement, eq_tol)[1]
+    else:
+        g_b, g_c, _ = field(placement.b_unit, placement.c_unit)
+        residuals = np.array([np.linalg.norm(g_b), np.linalg.norm(g_c)])
+    if not np.all(residuals <= eq_tol):
         raise NotAnEquilibrium(
             f"residuals {residuals} exceed tolerance {eq_tol:g}"
         )
     if plant.n == 1:
         return np.array([]), STABLE
-    H = hessian_matrix(plant, placement)
+    H = hessian_matrix(plant, placement, field=field)
     H = 0.5 * (H + H.T)
     eigs = np.sort(np.linalg.eigvalsh(H))[::-1]
     min_eig = eigs[-1]
@@ -426,11 +473,13 @@ def classify_candidates(
     spectrum: Spectrum,
     candidates: list[EquilibriumCandidate],
 ) -> list[EquilibriumCandidate]:
-    """Classify enumerated zero-gain candidates in place of their None fields."""
+    """Classify enumerated zero-gain candidates in place of their None fields,
+    on the closed-form field of ``zero_gain_field`` built once per spectrum."""
     plant = Plant(spectrum.A, 0.0, 0.0)
+    field = zero_gain_field(spectrum)
     classified = []
     for cand in candidates:
-        eigs, verdict = classify_stability(plant, cand.placement)
+        eigs, verdict = classify_stability(plant, cand.placement, field=field)
         classified.append(
             replace(
                 cand,

@@ -27,17 +27,10 @@ P = int_0^inf e^{Ft} Q e^{F^T t} dt.
 The real Schur form is the only factorization of each Hamiltonian and each
 Lyapunov coefficient; its diagonal holds the real part of every eigenvalue
 (both entries of a 2x2 block), which is all the axis and Hurwitz guards read.
-Eigenvalues (for the PBH tests), real Schur forms and certified Lyapunov
-solutions are memoized on the content of their input arrays (shape, strides
-and float64 bytes), 8 entries each. A run evaluates the same few matrices many
-times: every PBH test factors A or A^T, and at zero gain the gains and closed
-loops do not depend on the placement. Memoized computations are pure, so a
-hit returns bitwise what a fresh computation would; errors are never cached.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -96,68 +89,6 @@ class PBHReport:
     min_margin: float
 
 
-class _ContentKey:
-    """Hashable stand-in for an array, equal to any array of the same content.
-
-    Content is (shape, strides, bytes): equal bytes in a transposed layout
-    are a different key, because BLAS products can round differently on a
-    transposed operand. The array itself is kept only until the memoized
-    function has run on it.
-    """
-
-    __slots__ = ("array", "_content", "_hash")
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-        self._content = (array.shape, array.strides, array.tobytes())
-        self._hash = hash(self._content)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _ContentKey) and self._content == other._content
-
-
-def _content_memo(fn):
-    """Memoize ``fn(*arrays)`` on the arrays' content, 8 entries (LRU).
-
-    ``fn`` must be pure in its arguments' content and must not mutate them;
-    callers must not mutate what a memoized function returns.
-    """
-
-    @functools.lru_cache(maxsize=8)
-    def cached(*keys):
-        try:
-            return fn(*(key.array for key in keys))
-        finally:
-            for key in keys:
-                key.array = None
-
-    @functools.wraps(fn)
-    def memoized(*arrays):
-        return cached(*(_ContentKey(a) for a in arrays))
-
-    memoized.cache_clear = cached.cache_clear
-    memoized.cache_info = cached.cache_info
-    return memoized
-
-
-@_content_memo
-def _eigvals(M: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvals(M)
-    w.flags.writeable = False
-    return w
-
-
-@_content_memo
-def _real_schur(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r, u = la.schur(F, output="real")
-    r.flags.writeable = False
-    u.flags.writeable = False
-    return r, u
-
-
 def care_residual(A: np.ndarray, W: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     """Frobenius norm of A^T P + P A - P W P + Q."""
     return float(la.norm(A.T @ P + P @ A - P @ W @ P + Q, "fro"))
@@ -170,7 +101,7 @@ def lyapunov_residual(F: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
 
 def is_hurwitz(F: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
     """True when every eigenvalue of F has real part < -margin."""
-    r, _ = _real_schur(np.atleast_2d(np.asarray(F, dtype=float)))
+    r = la.schur(np.atleast_2d(np.asarray(F, dtype=float)), output="real")[0]
     return bool(np.max(np.diag(r)) < -margin)
 
 
@@ -198,12 +129,7 @@ def solve_lyapunov(F, Q) -> np.ndarray:
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    return _certified_lyapunov(F, Q).copy()
-
-
-@_content_memo
-def _certified_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    r, u = _real_schur(F)
+    r, u = la.schur(F, output="real")
     max_re = float(np.max(np.diag(r)))
     if max_re >= -HURWITZ_MARGIN:
         raise NotHurwitz(f"matrix is not Hurwitz: max Re(eig) = {max_re:.3e}")
@@ -215,7 +141,6 @@ def _certified_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise NonConvergence(
             f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
         )
-    P.flags.writeable = False
     return P
 
 
@@ -366,7 +291,7 @@ def pbh_check(A, v, mode: str) -> PBHReport:
 
     tested = []
     ok = True
-    for lam in _eigvals(M):
+    for lam in np.linalg.eigvals(M):
         if lam.real < -1e-9:
             continue
         pencil = np.hstack([M - lam * np.eye(n), v[:, None]])

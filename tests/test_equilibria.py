@@ -20,6 +20,7 @@ from lqg_codesign import (
     classify_stability,
     enumerate_equilibria_zero,
     gain_pair,
+    gradient,
     hessian_matrix,
     is_equilibrium,
     phi,
@@ -34,6 +35,7 @@ from lqg_codesign.equilibria import (
     UNSTABLE,
     ZERO_EIGENVALUE_TOL,
     eq19_residual,
+    zero_gain_field,
 )
 
 
@@ -276,6 +278,57 @@ class TestClassifyStability:
         for cand in candidates:
             if cand.kind == KIND_DISJOINT:
                 assert cand.stability != STABLE
+
+
+def spaced_in_random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Eigenvalues evenly spaced on [-3, -0.5] in a random orthonormal basis."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = basis @ np.diag(np.linspace(-0.5, -3.0, n)) @ basis.T
+    return 0.5 * (A + A.T)
+
+
+class TestZeroGainField:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+    def test_matches_general_gradient_and_phi_bar(self, n):
+        rng = np.random.default_rng(1600 + n)
+        A = spaced_in_random_basis(rng, n)
+        plant = Plant(A, 0.0, 0.0)
+        field = zero_gain_field(Spectrum.from_matrix(A))
+        for _ in range(4):
+            # Off the sphere, as the finite-difference steps are.
+            b = rng.uniform(0.5, 2.0) * random_placement_for(rng, n).b_unit
+            c = rng.uniform(0.5, 2.0) * random_placement_for(rng, n).c_unit
+            placement = Placement.normalized(b, c)
+            ref = gradient(plant, placement)
+            ref_phi_bar = phi_bar(plant, placement)
+            g_b, g_c, field_phi_bar = field(b, c)
+            scale = max(la.norm(ref.g_b), la.norm(ref.g_c), abs(ref_phi_bar))
+            assert la.norm(g_b - ref.g_b) <= 1e-10 * scale
+            assert la.norm(g_c - ref.g_c) <= 1e-10 * scale
+            assert abs(field_phi_bar - ref_phi_bar) <= 1e-10 * abs(ref_phi_bar)
+
+    def test_classification_matches_general_path(self):
+        A = spaced_in_random_basis(np.random.default_rng(1700), 4)
+        spec = Spectrum.from_matrix(A)
+        plant = Plant(A, 0.0, 0.0)
+        candidates = classify_candidates(spec, enumerate_equilibria_zero(spec))
+        assert len(candidates) == 27
+        for cand in candidates:
+            eigs, verdict = classify_stability(plant, cand.placement)
+            assert cand.stability == verdict
+            # Interior eigenvalues may be roundoff of an exact zero, so the
+            # error is measured against each Hessian's largest eigenvalue.
+            diff = np.max(np.abs(np.array(cand.hessian_eigs) - eigs))
+            assert diff <= 1e-8 * np.max(np.abs(eigs))
+
+    def test_rejects_non_equilibrium(self):
+        rng = np.random.default_rng(1701)
+        A = spaced_in_random_basis(rng, 3)
+        field = zero_gain_field(Spectrum.from_matrix(A))
+        with pytest.raises(NotAnEquilibrium):
+            classify_stability(
+                Plant(A, 0.0, 0.0), random_placement_for(rng, 3), field=field
+            )
 
 
 class TestAnalyticFormulas:

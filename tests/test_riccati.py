@@ -157,11 +157,6 @@ def _hurwitz(rng: np.random.Generator, n: int) -> np.ndarray:
     return X - (np.max(np.linalg.eigvals(X).real) + 0.5) * np.eye(n)
 
 
-def _clear_riccati_caches():
-    for memo in (riccati._eigvals, riccati._real_schur, riccati._certified_lyapunov):
-        memo.cache_clear()
-
-
 def _shifted_with_pair(rng: np.random.Generator, n: int, top: float) -> np.ndarray:
     """Random orthogonal similarity of a real quasi-triangular matrix whose
     rightmost eigenvalues are the pair top +- 1.5i (just top when n = 1)."""
@@ -196,7 +191,6 @@ class TestOneFactorizationPerMatrix:
 
         monkeypatch.setattr(np.linalg, "eigvals", recording("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(la, "schur", recording("schur", la.schur))
-        _clear_riccati_caches()
         cost_report(plant, placement)
 
         assert (8, 8) in {shape for shape, _ in seen["schur"]}  # the Hamiltonians
@@ -211,18 +205,16 @@ class TestOneFactorizationPerMatrix:
         F = _shifted_with_pair(np.random.default_rng(400 + n), n, threshold + offset)
         expected = offset < 0.0
         assert (np.max(np.linalg.eigvals(F).real) < threshold) == expected
-        _clear_riccati_caches()
         assert is_hurwitz(F) == expected
 
 
-class TestMemoizedSolves:
+class TestRepeatedSolves:
     @pytest.mark.parametrize("n", [1, 3, 8, 50])
-    def test_bitwise_scipy_cold_and_warm(self, n):
+    def test_bitwise_scipy_on_repeat(self, n):
         rng = np.random.default_rng(300 + n)
         F = _hurwitz(rng, n)
         G = rng.standard_normal((n, n))
         Q = G @ G.T
-        _clear_riccati_caches()
         # The same content in two memory layouts: products on a transposed
         # operand can round differently, and each must match scipy's.
         for Q_in in (Q, np.asfortranarray(Q)):
@@ -246,16 +238,14 @@ class TestMemoizedSolves:
             with pytest.raises(NotHurwitz):
                 solve_lyapunov(F, np.eye(2))
 
-    def test_equilibria_bytes_with_cold_and_warm_caches(self, tmp_path):
+    def test_equilibria_bytes_of_two_in_process_runs(self, tmp_path):
         rng = np.random.default_rng(11)
         basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         A = basis @ np.diag([-0.5, -1.3, -2.2, -3.0]) @ basis.T
         problem = tmp_path / "spaced4.json"
         problem.write_text(json.dumps({"A": A.tolist(), "epsilon": 0.0, "delta": 0.0}))
         reports = []
-        for run in ("cold", "warm"):
-            if run == "cold":
-                _clear_riccati_caches()
+        for run in ("first", "second"):
             out = tmp_path / run
             assert main(["equilibria", "--problem", str(problem), "--out", str(out)]) == 0
             reports.append((out / "equilibria.json").read_bytes())
