@@ -9,13 +9,14 @@ which lifts exactly to the unit-sphere pair through B = b b^T:
     db/dt = eps*delta (I - b b^T) S_b b,      S_b = K M K,
 
 (and the same for c with S_c = Sigma N Sigma). The iteration is explicit
-Euler with Armijo backtracking and renormalization, so the orbit constraint
-holds exactly at every iterate. ``OrbitGradient.g_b`` stores the *gradient*
-(ascent) direction -scale*(I - b b^T) S_b b, so a step moves along
-``b - step * g_b``; the scale is eps*delta for the plain flow and 1 for the
-rescaled field, which is also substituted automatically when eps*delta is
-numerically zero (the plain field vanishes identically there and the descent
-acts on the potential phi_bar instead of phi).
+Euler with secant (Barzilai-Borwein) trial steps, backtracking and
+renormalization, so the orbit constraint holds exactly at every iterate.
+``OrbitGradient.g_b`` stores the *gradient* (ascent) direction
+-scale*(I - b b^T) S_b b, so a step moves along ``b - step * g_b``; the
+scale is eps*delta for the plain flow and 1 for the rescaled field, which is
+also substituted automatically when eps*delta is numerically zero (the plain
+field vanishes identically there and the descent acts on the potential
+phi_bar instead of phi).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ SCALE_TINY = 1e-12
 
 _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
-_STEP_GROWTH = 2.0
 _STEP_MAX = 1e15
 _DEGENERATE_NORM = 1e-14
 
@@ -84,7 +84,7 @@ class OrbitGradient:
 
 @dataclass(frozen=True)
 class FlowIterate:
-    """One accepted iterate: placement, cost, descent diagnostics."""
+    """One accepted iterate; ``step`` is the step that produced it (0 at the start)."""
 
     placement: Placement
     phi: float
@@ -176,16 +176,21 @@ def flow_step(
 
 
 def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
-    """Armijo-backtracked gradient descent from ``init``.
+    """Gradient descent from ``init`` with secant trial steps.
+
+    After the first trial step (1), each is the Barzilai-Borwein step s.s/s.y
+    of the last move in R^{2n}, or twice the last step if s.y <= 0. It is
+    halved until Armijo's test holds or, where the objective moved by at most
+    4 ulps, the gradient norm falls.
 
     Ends with one of four statuses:
 
     - ``converged``: the normal-metric gradient norm dropped below
       ``opts.grad_tol``;
-    - ``no_decrease``: no step that still moves the placement lowers the
-      objective. Backtracking stops once the step times the larger of the
-      two gradient vector norms is at most the float resolution eps, since a
-      smaller move is lost in the rounding of the renormalization;
+    - ``no_decrease``: no step that moves the placement lowers the
+      objective, nor, within its rounding, the gradient norm. Backtracking
+      ends once step * max(|g_b|, |g_c|) <= eps: a smaller move is lost in
+      the rounding of the renormalization;
     - ``max_iters``: ``opts.max_iters`` steps were accepted;
     - ``solver_failure``: the start point could not be evaluated. This is
       recorded rather than raised.
@@ -212,16 +217,12 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     resolution = np.finfo(float).eps
 
     step = _STEP_INIT
-    grow = True
     for _ in range(opts.max_iters):
         if grad.norm < opts.grad_tol:
             break
         slope = -slope_factor * grad.norm**2
         # Positive whenever grad.norm is, so the backtracking below ends.
         reach = max(np.linalg.norm(grad.g_b), np.linalg.norm(grad.g_c))
-        if grow:
-            step = min(step * _STEP_GROWTH, _STEP_MAX)
-        accepted = False
         while step * reach > resolution:
             try:
                 candidate = flow_step(plant, placement, grad, step)
@@ -230,25 +231,27 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
                 step *= 0.5
                 continue
             cand_obj = objective_of(cand_report)
-            if cand_obj <= obj + _ARMIJO_C1 * step * slope:
-                accepted = True
+            cand_grad = gradient(
+                plant, candidate, rescaled=opts.rescaled, report=cand_report
+            )
+            if cand_obj <= obj + _ARMIJO_C1 * step * slope or (
+                abs(cand_obj - obj) <= 4.0 * resolution * abs(obj)
+                and cand_grad.norm < grad.norm
+            ):
                 break
             step *= 0.5
-        if not accepted:
-            return FlowTrace(tuple(iterates), STATUS_NO_DECREASE, placement)
-        prev_norm = grad.norm
-        placement, report = candidate, cand_report
-        grad = gradient(plant, placement, rescaled=opts.rescaled, report=report)
-        # Below the objective's float resolution the Armijo test accepts any
-        # non-increase, so regulate the step with the gradient norm instead:
-        # keep growing while it contracts, halve when it bounces.
-        if cand_obj < obj or grad.norm < prev_norm:
-            grow = True
         else:
-            grow = False
-            step *= 0.5
-        obj = cand_obj
-        iterates.append(FlowIterate(placement, report.phi, obj, grad.norm, step))
+            return FlowTrace(tuple(iterates), STATUS_NO_DECREASE, placement)
+        iterates.append(
+            FlowIterate(candidate, cand_report.phi, cand_obj, cand_grad.norm, step)
+        )
+        # Next trial: the secant step s.s / s.y of this move in R^{2n}.
+        s_b = candidate.b_unit - placement.b_unit
+        s_c = candidate.c_unit - placement.c_unit
+        sy = s_b @ (cand_grad.g_b - grad.g_b) + s_c @ (cand_grad.g_c - grad.g_c)
+        ss = s_b @ s_b + s_c @ s_c
+        step = min(ss / sy if sy > 0.0 else 2.0 * step, _STEP_MAX)
+        placement, grad, obj = candidate, cand_grad, cand_obj
     status = STATUS_CONVERGED if grad.norm < opts.grad_tol else STATUS_MAX_ITERS
     return FlowTrace(tuple(iterates), status, placement)
 
@@ -309,8 +312,9 @@ def multi_start(
     Start points are drawn from independent per-start RNG streams (spawned
     from ``seed``), rejection-checked against the PBH tests, so the result is
     deterministic in ``seed`` and independent of execution order. The best
-    trace minimizes the final cost phi (ties broken by the auxiliary
-    objective, then by start index).
+    trace is the lowest-index usable start with final phi <= phi_min + 8 u
+    |phi_min| (u the float eps); at zero gain, where phi ignores the
+    placement, the same rule then applies to the descended objective.
 
     Raises
     ------
@@ -337,20 +341,16 @@ def multi_start(
     else:
         traces = [run_one(p) for p in placements]
 
-    usable = [
-        (i, t) for i, t in enumerate(traces) if t.status != STATUS_SOLVER_FAILURE
-    ]
+    usable = [t for t in traces if t.status != STATUS_SOLVER_FAILURE]
     if not usable:
         raise AllStartsFailed(f"all {n_starts} starts ended in solver failure")
-    best = min(
-        usable,
-        key=lambda item: (
-            item[1].iterates[-1].phi,
-            item[1].iterates[-1].objective,
-            item[0],
-        ),
-    )[1]
-    return MultiStartResult(best=best, all=tuple(traces))
+    # Starts that reach one minimum differ in the last bits of phi, which
+    # must not switch the reported start.
+    for value in (lambda t: t.iterates[-1].phi, lambda t: t.iterates[-1].objective):
+        low = min(value(t) for t in usable)
+        tie = 8.0 * np.finfo(float).eps * abs(low)
+        usable = [t for t in usable if value(t) <= low + tie]
+    return MultiStartResult(best=usable[0], all=tuple(traces))
 
 
 def _fallback_placement(n: int) -> Placement:

@@ -16,6 +16,7 @@ from lqg_codesign import (
     Plant,
     cost_report,
     directional_derivative,
+    flow,
     flow_step,
     gradient,
     multi_start,
@@ -29,8 +30,13 @@ from lqg_codesign.flow import (
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
     STATUS_NO_DECREASE,
+    FlowIterate,
+    FlowTrace,
     pbh_passing_placement,
 )
+
+
+_U = np.finfo(float).eps
 
 
 def _zero_gradient(n: int) -> OrbitGradient:
@@ -241,14 +247,15 @@ class TestStopRule:
         reference = run_flow(plant, other, opts).iterates[-1].phi
         assert abs(trace.iterates[-1].phi - reference) <= 1e-9 * abs(reference)
 
+    _RESOLUTION_A = np.array([[0.3, 1.0, 0.0], [-0.5, -1.2, 0.4], [0.2, 0.0, -2.0]])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_ends_at_float_resolution_without_non_moves(self, seed):
-        # grad_tol = 1e-15 is below what the Armijo test on phi ~ 4.6 can
-        # resolve, so the run must stop with no_decrease, and every accepted
-        # step must actually move the placement.
-        A = np.array([[0.3, 1.0, 0.0], [-0.5, -1.2, 0.4], [0.2, 0.0, -2.0]])
-        plant = Plant(A, 0.5, 0.8)
-        opts = FlowOptions(grad_tol=1e-15, max_iters=5_000)
+        # grad_tol = 1e-30 is below what either phi ~ 4.6 or the gradient
+        # norm can resolve, so the run must stop with no_decrease, and every
+        # accepted step must actually move the placement.
+        plant = Plant(self._RESOLUTION_A, 0.5, 0.8)
+        opts = FlowOptions(grad_tol=1e-30, max_iters=5_000)
         start = pbh_passing_placement(plant, np.random.default_rng(seed))
         trace = run_flow(plant, start, opts)
         assert trace.status == STATUS_NO_DECREASE
@@ -258,12 +265,72 @@ class TestStopRule:
             same_c = np.array_equal(prev.placement.c_unit, cur.placement.c_unit)
             assert not (same_b and same_c)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_converges_below_phi_resolution(self, seed):
+        # Near the minimum a step changes phi ~ 4.6 by less than its rounding,
+        # so Armijo alone cannot tell a good step from a bad one; judging such
+        # a step by the gradient norm carries the run on to 1e-14.
+        plant = Plant(self._RESOLUTION_A, 0.5, 0.8)
+        opts = FlowOptions(grad_tol=1e-14, max_iters=5_000)
+        start = pbh_passing_placement(plant, np.random.default_rng(seed))
+        trace = run_flow(plant, start, opts)
+        assert trace.status == STATUS_CONVERGED
+        assert trace.iterates[-1].grad_norm < 1e-14
+
     def test_budget_spent_reports_max_iters(self):
         plant = Plant(np.diag([-1.0, -2.0, -3.0]), 0.5, 0.5)
         start = Placement(np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.8, 0.6]))
         trace = run_flow(plant, start, FlowOptions(grad_tol=1e-9, max_iters=3))
         assert trace.status == STATUS_MAX_ITERS
         assert len(trace.iterates) == 4
+
+
+def _weighted_laplacian_plant() -> Plant:
+    # Ring of 8 with four chords; A = -L has a zero mode the placement must excite.
+    edges = [(i, (i + 1) % 8, 0.6 + 0.1 * i) for i in range(8)]
+    edges += [(0, 4, 1.3), (1, 6, 0.7), (2, 5, 1.1), (3, 7, 0.9)]
+    W = np.zeros((8, 8))
+    for i, j, w in edges:
+        W[i, j] = W[j, i] = w
+    return Plant(-(np.diag(W.sum(axis=1)) - W), 0.5, 0.5)
+
+
+class TestLineSearch:
+    def test_evaluation_budget(self, monkeypatch):
+        # Secant trial steps are accepted almost always: at most 1.5 cost
+        # evaluations per accepted step, and every start converges.
+        calls = []
+        original = flow.cost_report
+
+        def counted(plant, placement):
+            calls.append(None)
+            return original(plant, placement)
+
+        monkeypatch.setattr(flow, "cost_report", counted)
+        plant = _weighted_laplacian_plant()
+        opts = FlowOptions(grad_tol=1e-9, max_iters=3_000)
+        result = multi_start(plant, 4, seed=17, opts=opts, max_workers=1)
+        assert all(tr.status == STATUS_CONVERGED for tr in result.all)
+        accepted = sum(len(tr.iterates) - 1 for tr in result.all)
+        trials = len(calls) - len(result.all)  # one evaluation per start point
+        assert trials <= 1.5 * accepted
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("zero_gain", [False, True])
+    def test_step_reproduces_each_iterate(self, seed, zero_gain):
+        # Each recorded step is the one that produced its iterate, also at
+        # zero gain, where steps accepted below phi_bar's resolution are common.
+        if zero_gain:
+            plant, grad_tol = Plant(np.diag([-1.0, -2.0, -3.0]), 0.0, 0.0), 1e-12
+        else:
+            plant, grad_tol = _weighted_laplacian_plant(), 1e-9
+        start = pbh_passing_placement(plant, np.random.default_rng(seed))
+        trace = run_flow(plant, start, FlowOptions(grad_tol=grad_tol, max_iters=3_000))
+        assert len(trace.iterates) > 1
+        for prev, it in zip(trace.iterates, trace.iterates[1:]):
+            moved = flow_step(plant, prev.placement, gradient(plant, prev.placement), it.step)
+            assert np.array_equal(moved.b_unit, it.placement.b_unit)
+            assert np.array_equal(moved.c_unit, it.placement.c_unit)
 
 
 class TestMultiStart:
@@ -292,6 +359,37 @@ class TestMultiStart:
                 assert i1.phi == i2.phi and i1.grad_norm == i2.grad_norm
                 assert np.array_equal(i1.placement.b_unit, i2.placement.b_unit)
                 assert np.array_equal(i1.placement.c_unit, i2.placement.c_unit)
+
+    @pytest.mark.parametrize(
+        "finals, objectives, expected",
+        [
+            # within 8 ulps of the least phi: the lowest index wins
+            ([1.0 + 4 * _U, 1.0, 1.0 + 2 * _U], None, 0),
+            ([1.0 + 16 * _U, 1.0 + 6 * _U, 1.0], None, 1),
+            # beyond 8 ulps: the least phi wins
+            ([1.0 + 16 * _U, 1.0], None, 1),
+            ([-2.0, -2.0 * (1.0 - 6 * _U), -2.0 * (1.0 + 6 * _U)], None, 0),
+            # equal phi (zero gain): the same rule on the descended objective
+            ([3.0, 3.0, 3.0], [-1.0, -1.0 - 32 * _U, -1.0 - 30 * _U], 1),
+        ],
+    )
+    def test_near_ties_go_to_lowest_start_index(
+        self, monkeypatch, finals, objectives, expected
+    ):
+        objectives = finals if objectives is None else objectives
+        plant = Plant(np.diag([-1.0, -2.0]), 0.1, 0.1)
+        e1 = np.array([1.0, 0.0])
+        traces = iter(
+            FlowTrace(
+                (FlowIterate(Placement(e1, e1), value, obj, 0.0, 0.0),),
+                STATUS_CONVERGED,
+                Placement(e1, e1),
+            )
+            for value, obj in zip(finals, objectives)
+        )
+        monkeypatch.setattr(flow, "run_flow", lambda *args: next(traces))
+        result = multi_start(plant, len(finals), seed=0, opts=FlowOptions(), max_workers=1)
+        assert result.best is result.all[expected]
 
     def test_all_starts_failed(self):
         plant = Plant(np.eye(2), 1.0, 1.0)  # repeated unstable mode: PBH never passes
