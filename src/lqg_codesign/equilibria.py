@@ -23,10 +23,11 @@ and sign pattern s, the candidate exists iff the solution xi of
     diag(s) Psi' diag(s) xi = (lambda_i^2)_support
 
 is entrywise positive, and then beta*beta = gamma*gamma is proportional to
-xi. Stability is classified by a central finite-difference Hessian of the
-potential (phi, or phi_bar in the zero-gain limit) on the tangent space of
-the sphere pair; enumerated candidates use the closed-form field of
-``zero_gain_field``, where every Lyapunov solve is a Hadamard product with Psi.
+xi, which the closed-form Cauchy inverse gives for every pattern of a
+support at once. Stability is read from the Hessian of the potential on the
+tangent space of the sphere pair: in closed form for enumerated candidates
+(``zero_gain_field``), by finite differences of ``flow.gradient`` (phi, or
+phi_bar in the zero-gain limit) in ``classify_stability``.
 """
 
 from __future__ import annotations
@@ -233,31 +234,50 @@ def eq19_residual(beta: np.ndarray, gamma: np.ndarray, spectrum: Spectrum) -> fl
     )
 
 
-def xi_vector(lambdas, support, signs) -> tuple[np.ndarray, bool]:
+def xi_vector(lambdas, support, signs) -> tuple[np.ndarray, bool | np.ndarray]:
     """Solve diag(s) Psi' diag(s) xi = (lambda_i^2) on a support block.
 
-    Returns the solution restricted to the support and the existence flag
-    (all entries strictly positive). The block is a +/-1 congruence of a
-    positive-definite Cauchy block, hence nonsingular in exact arithmetic; a
-    numerically singular block raises ``SingularBlock`` rather than guessing.
+    ``signs`` is one +/-1 pattern or one per column; xi and the existence
+    flag (all entries positive) follow that layout. With a = -lambda on the
+    support, Psi'^-1 = diag(P) Psi' diag(P), P_i = prod_k (a_i + a_k) /
+    prod_{k != i} (a_i - a_k) (Boros, Kailath and Olshevsky, LAA 302-303,
+    1999), so xi = s * P * (T s) with T_ij = P_j a_j^2 / (a_i + a_j). T_ij
+    carries at most 4 |support| + 1 roundings and (T s)_i |support| - 1 more,
+    so each sign is decided against the bound 5 |support| u sum_j |T_ij|: a
+    pattern exists if every entry is surely positive, is absent if any is
+    surely negative, and raises ``SingularBlock`` otherwise.
     """
     lam = np.asarray(lambdas, dtype=float).reshape(-1)
-    support = tuple(int(i) for i in support)
-    signs = np.asarray(signs, dtype=float).reshape(-1)
-    if len(support) == 0:
+    idx = np.array(support, dtype=int).reshape(-1)
+    signs = np.atleast_1d(np.asarray(signs, dtype=float))
+    if idx.size == 0:
         raise ValueError("support must be nonempty")
-    if signs.size != len(support) or np.any(np.abs(signs) != 1.0):
-        raise ValueError("signs must be a +/-1 pattern over the support")
-    psi = cauchy_matrix(lam)
-    idx = np.array(support)
-    block = psi[np.ix_(idx, idx)] * np.outer(signs, signs)
-    if np.linalg.cond(block) > 1e12:
+    if signs.ndim > 2 or signs.shape[0] != idx.size or np.any(np.abs(signs) != 1.0):
+        raise ValueError("signs must be +/-1 patterns over the support")
+    a = -lam[idx]
+    if np.any(a <= 0.0):
+        raise NonNegativeEigenvalue("the Cauchy block needs negative eigenvalues")
+    sums = a[:, None] + a[None, :]
+    diffs = a[:, None] - a[None, :]
+    np.fill_diagonal(diffs, 1.0)
+    P = np.prod(sums, axis=1) / np.prod(diffs, axis=1)
+    T = (P * a**2) / sums
+    cols = signs.reshape(idx.size, -1)
+    Ts = np.zeros(cols.shape)
+    for j in range(idx.size):  # a fixed order: no column depends on the batch
+        Ts += T[:, j, None] * cols[j]
+    bound = (5.0 * idx.size * np.finfo(float).eps / 2 * np.abs(T).sum(axis=1))[:, None]
+    sign_xi = cols * np.sign(P)[:, None] * Ts
+    exists = np.all(sign_xi > bound, axis=0)
+    undecided = ~exists & ~np.any(sign_xi < -bound, axis=0)
+    if np.any(undecided):
+        k = int(np.argmax(undecided))
         raise SingularBlock(
-            "sign-conjugated Cauchy block is numerically singular "
-            f"(cond = {np.linalg.cond(block):.3e})"
+            f"sign of xi undecided on support {tuple(idx.tolist())}, pattern "
+            f"{cols[:, k]}: T s = {Ts[:, k]} against rounding bound {bound[:, 0]}"
         )
-    xi = la.solve(block, lam[idx] ** 2, assume_a="sym")
-    return xi, bool(np.all(xi > 0.0))
+    xi = (cols * P[:, None] * Ts).reshape(signs.shape)
+    return xi, (exists if signs.ndim == 2 else bool(exists[0]))
 
 
 def _common_support_placement(
@@ -281,7 +301,8 @@ def enumerate_equilibria_zero(spectrum: Spectrum) -> list[EquilibriumCandidate]:
     """Enumerate zero-gain equilibrium candidates for a negative spectrum.
 
     Emits one common-support candidate per (support, sign pattern with
-    leading +1) whose xi-certificate is positive, each verified against the
+    leading +1) whose xi-certificate is positive (all patterns of a support
+    are certified by one ``xi_vector`` call), each verified against the
     coupled eigen-equations to residual 1e-8, plus one representative
     disjoint-support candidate (v_i, v_j) per ordered pair i != j. The sign
     patterns fix the first support entry to +1 because flipping all of gamma
@@ -299,12 +320,12 @@ def enumerate_equilibria_zero(spectrum: Spectrum) -> list[EquilibriumCandidate]:
 
     candidates: list[EquilibriumCandidate] = []
     for size in range(1, n + 1):
+        patterns = np.array(
+            [(1.0,) + tail for tail in itertools.product((1.0, -1.0), repeat=size - 1)]
+        ).T
         for support in itertools.combinations(range(n), size):
-            for tail in itertools.product((1.0, -1.0), repeat=size - 1):
-                signs = np.array((1.0,) + tail)
-                xi, exists = xi_vector(spectrum.Lambda, support, signs)
-                if not exists:
-                    continue
+            xis, exists = xi_vector(spectrum.Lambda, support, patterns)
+            for signs, xi in zip(patterns.T[exists], xis.T[exists]):
                 placement, beta, gamma = _common_support_placement(
                     spectrum, support, signs, xi
                 )
@@ -348,118 +369,78 @@ def _tangent_basis(v: np.ndarray) -> np.ndarray:
 
 
 def zero_gain_field(spectrum: Spectrum):
-    """Closed-form ``field(b, c) -> (g_b, g_c, phi_bar)`` at epsilon = delta = 0.
+    """Closed-form ``field(b, c) -> (g_b, g_c, phi_bar, H)`` at epsilon = delta = 0.
 
     K = Sigma = Theta diag(k) Theta^T with k = -1/(2 lambda), both closed loops
     equal A, and in the eigenbasis M = Psi o (k c~)(k c~)^T, N likewise with
-    b~ = Theta^T b, c~ = Theta^T c. With x = k^2 b~ c~, y = Psi x, mu = x . y:
-    g_b = Theta (mu b~ - k^2 c~ y), g_c = Theta (mu c~ - k^2 b~ y), phi_bar = -mu,
-    at the placement ``Placement.normalized(b, c)``.
+    b~ = Theta^T b, c~ = Theta^T c. With p = k^2 c~, q = k^2 b~, x = p b~,
+    y = Psi x, mu = x . y: g_b = Theta (mu b~ - p y), g_c = Theta (mu c~ - q y),
+    phi_bar = -mu, at ``Placement.normalized(b, c)``. H is the Riemannian
+    Hessian of phi_bar, the Jacobian of (g~_b, g~_c) projected onto tangent
+    bases U of b~ and W of c~ (Absil, Mahony and Trumpf, GSI 2013), where its
+    rank-one terms such as b~ (2 p y)^T vanish: H = [U^T H_bb U, U^T H_bc W;
+    W^T H_bc^T U, W^T H_cc W] with H_bb = mu I - diag(p) Psi diag(p),
+    H_bc = -diag(k^2 y) - diag(p) Psi diag(q) and H_cc likewise in q.
     """
     Theta = spectrum.Theta
     psi = cauchy_matrix(spectrum.Lambda)
     k2 = 0.25 / spectrum.Lambda**2
+    eye = np.eye(spectrum.n)
 
     def field(b: np.ndarray, c: np.ndarray):
         placement = Placement.normalized(b, c)
         bt = Theta.T @ placement.b_unit
         ct = Theta.T @ placement.c_unit
-        x = k2 * bt * ct
+        p, q = k2 * ct, k2 * bt
+        x = p * bt
         y = psi @ x
         mu = float(x @ y)
-        return Theta @ (mu * bt - k2 * ct * y), Theta @ (mu * ct - k2 * bt * y), -mu
+        H_bb = mu * eye - p[:, None] * psi * p
+        H_bc = -np.diag(k2 * y) - p[:, None] * psi * q
+        H_cc = mu * eye - q[:, None] * psi * q
+        U, W = _tangent_basis(bt), _tangent_basis(ct)
+        H = np.block(
+            [[U.T @ H_bb @ U, U.T @ H_bc @ W], [W.T @ H_bc.T @ U, W.T @ H_cc @ W]]
+        )
+        return Theta @ (mu * bt - p * y), Theta @ (mu * ct - q * y), -mu, H
 
     return field
 
 
-def _gradient_field(plant: Plant):
-    """``flow.gradient`` as a field ``(b, c) -> (g_b, g_c, phi_bar)``."""
-
-    def field(b: np.ndarray, c: np.ndarray):
-        placement = Placement.normalized(b, c)
-        report = cost_report(plant, placement)
-        g = gradient(plant, placement, report=report)
-        return g.g_b, g.g_c, report.phi_bar
-
-    return field
-
-
-def hessian_matrix(plant: Plant, placement: Placement, *, field=None) -> np.ndarray:
+def hessian_matrix(plant: Plant, placement: Placement) -> np.ndarray:
     """Raw finite-difference Hessian of the potential at a placement.
 
-    Differentiates the projected gradient ``field`` (default ``flow.gradient``)
-    centrally with step h =
-    ``HESSIAN_STEP`` along renormalized curves through orthonormal tangent bases
-    of the hyperplanes orthogonal to b_unit and c_unit (dimension 2(n-1) total).
+    Differentiates ``flow.gradient`` centrally with step h = ``HESSIAN_STEP``
+    along renormalized curves through orthonormal tangent bases of the
+    hyperplanes orthogonal to b_unit and c_unit (dimension 2(n-1) total).
     At a critical point the result is symmetric up to O(h) transport error;
     callers symmetrize before reading eigenvalues.
     """
-    if field is None:
-        field = _gradient_field(plant)
-    n = plant.n
-    U = _tangent_basis(placement.b_unit)
-    W = _tangent_basis(placement.c_unit)
-    dim = 2 * (n - 1)
-
-    def grad_coords(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        g_b, g_c, _ = field(b, c)
-        return np.concatenate([U.T @ g_b, W.T @ g_c])
-
     h = HESSIAN_STEP
     b0, c0 = placement.b_unit, placement.c_unit
-    H = np.empty((dim, dim))
-    for i in range(dim):
-        if i < n - 1:
-            d = U[:, i]
-            plus = grad_coords(b0 + h * d, c0)
-            minus = grad_coords(b0 - h * d, c0)
-        else:
-            d = W[:, i - (n - 1)]
-            plus = grad_coords(b0, c0 + h * d)
-            minus = grad_coords(b0, c0 - h * d)
-        H[:, i] = (plus - minus) / (2.0 * h)
-    return H
+    U, W = _tangent_basis(b0), _tangent_basis(c0)
+
+    def grad_coords(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        g = gradient(plant, Placement.normalized(b, c))
+        return np.concatenate([U.T @ g.g_b, W.T @ g.g_c])
+
+    columns = [grad_coords(b0 + h * d, c0) - grad_coords(b0 - h * d, c0) for d in U.T]
+    columns += [grad_coords(b0, c0 + h * d) - grad_coords(b0, c0 - h * d) for d in W.T]
+    dim = 2 * (plant.n - 1)
+    return np.reshape(columns, (dim, dim)).T / (2.0 * h)
 
 
-def classify_stability(
-    plant: Plant,
-    placement: Placement,
-    *,
-    eq_tol: float = 1e-8,
-    field=None,
-) -> tuple[np.ndarray, str]:
-    """Finite-difference Hessian classification at an equilibrium.
-
-    Differentiates the projected gradient field with ``hessian_matrix`` and
-    symmetrizes. In the zero-gain regime (eps*delta < 1e-12) the field is
-    the rescaled one, so the Hessian is that of the potential phi_bar;
-    otherwise it is the Hessian of phi. A ``zero_gain_field`` passed as
-    ``field`` replaces ``flow.gradient``, and the equilibrium residuals become
-    |g_b| and |g_c|. Classification: stable if the smallest eigenvalue exceeds
-    1e-7, unstable if it is below -1e-7, degenerate otherwise.
-
-    Returns (eigenvalues descending, classification).
-
-    Raises
-    ------
-    NotAnEquilibrium
-        If the equilibrium residual exceeds ``eq_tol``.
-    """
-    if field is None:
-        residuals = is_equilibrium(plant, placement, eq_tol)[1]
-    else:
-        g_b, g_c, _ = field(placement.b_unit, placement.c_unit)
-        residuals = np.array([np.linalg.norm(g_b), np.linalg.norm(g_c)])
+def _require_equilibrium(residuals: np.ndarray, eq_tol: float) -> None:
     if not np.all(residuals <= eq_tol):
-        raise NotAnEquilibrium(
-            f"residuals {residuals} exceed tolerance {eq_tol:g}"
-        )
-    if plant.n == 1:
-        return np.array([]), STABLE
-    H = hessian_matrix(plant, placement, field=field)
-    H = 0.5 * (H + H.T)
-    eigs = np.sort(np.linalg.eigvalsh(H))[::-1]
-    min_eig = eigs[-1]
+        raise NotAnEquilibrium(f"residuals {residuals} exceed tolerance {eq_tol:g}")
+
+
+def _verdict(H: np.ndarray) -> tuple[np.ndarray, str]:
+    """(eigenvalues descending, verdict) of the symmetric part of a Hessian:
+    stable if the smallest eigenvalue exceeds 1e-7, unstable if it is below
+    -1e-7, degenerate otherwise. An empty Hessian (n = 1) is stable."""
+    eigs = np.sort(np.linalg.eigvalsh(0.5 * (H + H.T)))[::-1]
+    min_eig = np.min(eigs, initial=np.inf)
     if min_eig > STABILITY_MARGIN:
         verdict = STABLE
     elif min_eig < -STABILITY_MARGIN:
@@ -469,23 +450,40 @@ def classify_stability(
     return eigs, verdict
 
 
+def classify_stability(
+    plant: Plant, placement: Placement, *, eq_tol: float = 1e-8
+) -> tuple[np.ndarray, str]:
+    """Finite-difference Hessian classification at an equilibrium.
+
+    Classifies the ``hessian_matrix`` of ``flow.gradient`` with ``_verdict``.
+    In the zero-gain regime (eps*delta < 1e-12) the gradient is the rescaled
+    one, so the Hessian is that of phi_bar; otherwise it is that of phi.
+
+    Returns (eigenvalues descending, classification).
+
+    Raises
+    ------
+    NotAnEquilibrium
+        If the equilibrium residual exceeds ``eq_tol``.
+    """
+    _require_equilibrium(is_equilibrium(plant, placement, eq_tol)[1], eq_tol)
+    return _verdict(hessian_matrix(plant, placement))
+
+
 def classify_candidates(
-    spectrum: Spectrum,
-    candidates: list[EquilibriumCandidate],
+    spectrum: Spectrum, candidates: list[EquilibriumCandidate]
 ) -> list[EquilibriumCandidate]:
-    """Classify enumerated zero-gain candidates in place of their None fields,
-    on the closed-form field of ``zero_gain_field`` built once per spectrum."""
-    plant = Plant(spectrum.A, 0.0, 0.0)
+    """Classify enumerated zero-gain candidates in place of their None fields
+    by ``_verdict`` on the closed-form Hessian of ``zero_gain_field``. Raises
+    ``NotAnEquilibrium`` if |g_b| or |g_c| exceeds 1e-8."""
     field = zero_gain_field(spectrum)
     classified = []
     for cand in candidates:
-        eigs, verdict = classify_stability(plant, cand.placement, field=field)
+        g_b, g_c, _, H = field(cand.placement.b_unit, cand.placement.c_unit)
+        _require_equilibrium(np.array([la.norm(g_b), la.norm(g_c)]), 1e-8)
+        eigs, verdict = _verdict(H)
         classified.append(
-            replace(
-                cand,
-                hessian_eigs=tuple(float(e) for e in eigs),
-                stability=verdict,
-            )
+            replace(cand, hessian_eigs=tuple(eigs.tolist()), stability=verdict)
         )
     return classified
 

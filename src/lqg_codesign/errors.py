@@ -43,7 +43,7 @@ class NonNegativeEigenvalue(CodesignError):
 
 
 class SingularBlock(CodesignError):
-    """A sign-conjugated Cauchy block is numerically singular."""
+    """A zero-gain xi certificate is undecided or fails its eq-19 verification."""
 
 
 class DimensionTooLarge(CodesignError):

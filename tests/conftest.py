@@ -7,6 +7,7 @@ import scipy.linalg as la
 from scipy.integrate import quad_vec
 
 from lqg_codesign import Placement, Plant
+from lqg_codesign.equilibria import STABLE, beta_gamma_coords, eq19_residual
 
 
 def random_symmetric_hurwitz(
@@ -24,6 +25,26 @@ def random_symmetric_hurwitz(
             break
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return Q @ np.diag(eigs) @ Q.T
+
+
+def spaced_in_random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Eigenvalues evenly spaced on [-3, -0.5] in a random orthonormal basis."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = basis @ np.diag(np.linspace(-0.5, -3.0, n)) @ basis.T
+    return 0.5 * (A + A.T)
+
+
+def assert_unique_stable_top_pair(spectrum, placements, verdicts) -> None:
+    """Zero-gain envelope: exactly one stable candidate, the top-eigenvector
+    pair (v_1, v_1), and every candidate solves eq. 19 to below 1e-8."""
+    stable = [i for i, v in enumerate(verdicts) if v == STABLE]
+    assert len(stable) == 1, stable
+    v1 = spectrum.eigenvector(0)
+    top = placements[stable[0]]
+    assert min(abs(top.b_unit @ v1), abs(top.c_unit @ v1)) >= 1.0 - 1e-8
+    for placement in placements:
+        coords = beta_gamma_coords(placement, spectrum)
+        assert eq19_residual(coords.beta, coords.gamma, spectrum) < 1e-8
 
 
 def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import assert_unique_stable_top_pair, spaced_in_random_basis
 
 from lqg_codesign.cli import dumps, load_problem, main
+from lqg_codesign.equilibria import Spectrum
+from lqg_codesign.plant import Placement
 
 
 def write_problem(tmp_path, name: str, payload: dict) -> str:
@@ -209,6 +212,26 @@ class TestEquilibriaCommand:
         assert len(report["stable_indices"]) == 1
         stable = report["candidates"][report["stable_indices"][0]]
         assert stable["support"] == [0]
+
+    def test_n9_spaced_spectrum(self, tmp_path):
+        A = spaced_in_random_basis(np.random.default_rng(1901), 9)
+        problem = write_problem(
+            tmp_path, "spaced9.json", {"A": A.tolist(), "epsilon": 0.0, "delta": 0.0}
+        )
+        out = tmp_path / "out"
+        assert main(["equilibria", "--problem", problem, "--out", str(out)]) == 0
+        report = json.loads((out / "equilibria.json").read_text())
+        kinds = [c["kind"] for c in report["candidates"]]
+        assert kinds.count("common_support") == 518
+        assert kinds.count("disjoint_support") == 72
+        placements = [
+            Placement(np.array(c["placement"]["b"]), np.array(c["placement"]["c"]))
+            for c in report["candidates"]
+        ]
+        verdicts = [c["stability"] for c in report["candidates"]]
+        spectrum = Spectrum.from_matrix(np.array(A))
+        assert_unique_stable_top_pair(spectrum, placements, verdicts)
+        assert report["stable_indices"] == [verdicts.index("stable")]
 
     def test_dimension_cap_exit_5(self, tmp_path):
         payload = {

@@ -1,7 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg as la
-from conftest import random_placement_for, random_symmetric_hurwitz
+from conftest import (
+    assert_unique_stable_top_pair,
+    random_placement_for,
+    random_symmetric_hurwitz,
+    spaced_in_random_basis,
+)
 
 from lqg_codesign import (
     DimensionTooLarge,
@@ -9,6 +16,7 @@ from lqg_codesign import (
     NotAnEquilibrium,
     Placement,
     Plant,
+    SingularBlock,
     Spectrum,
     analytic_gains_at_v1,
     analytic_minimum,
@@ -31,16 +39,44 @@ from lqg_codesign.equilibria import (
     DEGENERATE,
     KIND_COMMON,
     KIND_DISJOINT,
+    STABILITY_MARGIN,
     STABLE,
     UNSTABLE,
     ZERO_EIGENVALUE_TOL,
+    EquilibriumCandidate,
+    _tangent_basis,
     eq19_residual,
     zero_gain_field,
 )
+from lqg_codesign.numdiff import richardson_derivative
 
 
 def spectrum_of(lams) -> Spectrum:
     return Spectrum.from_matrix(np.diag(np.asarray(lams, dtype=float)))
+
+
+def exact_xi(lams, signs) -> list[Fraction]:
+    """xi of diag(s) Psi diag(s) xi = lambda^2 by rational Gaussian elimination.
+
+    The block is a sign congruence of a positive-definite Cauchy matrix, so
+    elimination needs no pivoting.
+    """
+    lam = [Fraction(float(x)) for x in lams]
+    s = [int(x) for x in signs]
+    m = len(lam)
+    rows = [
+        [-s[i] * s[j] / (lam[i] + lam[j]) for j in range(m)] + [lam[i] ** 2]
+        for i in range(m)
+    ]
+    for k in range(m):
+        for r in range(k + 1, m):
+            f = rows[r][k] / rows[k][k]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
+    xi = [Fraction(0)] * m
+    for i in reversed(range(m)):
+        tail = sum(rows[i][j] * xi[j] for j in range(i + 1, m))
+        xi[i] = (rows[i][m] - tail) / rows[i][i]
+    return xi
 
 
 class TestSpectrum:
@@ -156,6 +192,75 @@ class TestXiVector:
         with pytest.raises(ValueError):
             xi_vector([-1.0, -2.0], (0, 1), (1, 2))
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_matches_exact_rational_elimination(self, n):
+        lam = np.linspace(-0.5, -3.0, n)
+        rng = np.random.default_rng(1800 + n)
+        for _ in range(40):
+            signs = rng.choice([-1.0, 1.0], size=n)
+            exact = exact_xi(lam, signs)
+            xi, exists = xi_vector(lam, range(n), signs)
+            scale = max(abs(e) for e in exact)
+            err = max(abs(Fraction(float(x)) - e) for x, e in zip(xi, exact)) / scale
+            assert err <= 1e-10
+            assert exists == all(e > 0 for e in exact)
+
+    def test_batch_columns_equal_single_pattern_calls(self):
+        A = spaced_in_random_basis(np.random.default_rng(1801), 9)
+        lam = Spectrum.from_matrix(A).Lambda
+        support = (0, 2, 3, 5, 8)
+        patterns = np.array([[1.0, s1, s2, s3, s4] for s1 in (1, -1) for s2 in (1, -1)
+                             for s3 in (1, -1) for s4 in (1, -1)]).T
+        xis, exists = xi_vector(lam, support, patterns)
+        assert xis.shape == patterns.shape and exists.shape == (patterns.shape[1],)
+        assert 0 < exists.sum() < exists.size
+        for k in range(patterns.shape[1]):
+            xi, flag = xi_vector(lam, support, patterns[:, k])
+            assert np.array_equal(xi, xis[:, k]) and flag == exists[k]
+
+    def test_entry_within_its_bound_does_not_block_an_absent_pattern(self):
+        # xi_3 is exactly 0 on this support, so no rounding bound decides its
+        # sign, but xi_0 = -8126.25 rules the pattern out.
+        lam = np.linspace(-0.5, -3.0, 11)
+        support, signs = (0, 1, 2, 6, 7, 10), (1, 1, -1, -1, -1, -1)
+        exact = exact_xi(lam[list(support)], signs)
+        assert exact[3] == 0 and exact[0] == Fraction(-32505, 4)
+        _, exists = xi_vector(lam, support, signs)
+        assert not exists
+
+    @pytest.mark.parametrize("entry,lo,hi", [(1, -1.44, -1.448), (2, -1.448, -1.4734)])
+    def test_sign_change_between_adjacent_floats_never_gives_a_wrong_flag(
+        self, entry, lo, hi
+    ):
+        # On Lambda = (v, -2, -3) with s = (1, -1, -1), entry 1 of xi turns
+        # positive inside the first bracket and entry 2 negative inside the
+        # second, so the existence flag flips in both.
+        signs = (1.0, -1.0, -1.0)
+
+        def exact_sign(v):
+            return exact_xi([v, -2.0, -3.0], signs)[entry] > 0
+
+        assert exact_sign(lo) != exact_sign(hi)
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if exact_sign(mid) == exact_sign(lo) else (lo, mid)
+        # Within a few ulps of the sign change the entry is far inside its
+        # rounding bound, so both bracketing floats are undecided.
+        for v in (lo, hi):
+            with pytest.raises(SingularBlock, match="rounding bound"):
+                xi_vector([v, -2.0, -3.0], (0, 1, 2), signs)
+        decided = 0
+        for k in range(1, 41):
+            for v in (lo + k * (lo - hi), hi + k * (hi - lo)):
+                lams = [v, -2.0, -3.0]
+                try:
+                    _, exists = xi_vector(lams, (0, 1, 2), signs)
+                except SingularBlock:
+                    continue
+                assert exists == all(e > 0 for e in exact_xi(lams, signs)), v
+                decided += 1
+        assert decided > 0
+
 
 class TestEnumeration:
     def test_two_dim_candidate_set(self):
@@ -193,6 +298,18 @@ class TestEnumeration:
         A = -(np.diag(W.sum(axis=1)) - W)  # has a zero eigenvalue
         with pytest.raises(NonNegativeEigenvalue):
             enumerate_equilibria_zero(Spectrum.from_matrix(A))
+
+
+class TestEnvelope:
+    def test_n12_spaced_spectrum(self):
+        A = spaced_in_random_basis(np.random.default_rng(1900), 12)
+        spec = Spectrum.from_matrix(A)
+        candidates = classify_candidates(spec, enumerate_equilibria_zero(spec))
+        assert sum(c.kind == KIND_COMMON for c in candidates) == 4148
+        assert sum(c.kind == KIND_DISJOINT for c in candidates) == 132
+        assert_unique_stable_top_pair(
+            spec, [c.placement for c in candidates], [c.stability for c in candidates]
+        )
 
 
 class TestCommonSupportStructure:
@@ -280,11 +397,23 @@ class TestClassifyStability:
                 assert cand.stability != STABLE
 
 
-def spaced_in_random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Eigenvalues evenly spaced on [-3, -0.5] in a random orthonormal basis."""
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    A = basis @ np.diag(np.linspace(-0.5, -3.0, n)) @ basis.T
-    return 0.5 * (A + A.T)
+def richardson_hessian(plant: Plant, placement: Placement) -> np.ndarray:
+    """Hessian of the potential by Richardson-extrapolated central differences
+    of ``flow.gradient`` (O(h^4), h = 1e-4) along the tangent bases."""
+    U = _tangent_basis(placement.b_unit)
+    W = _tangent_basis(placement.c_unit)
+    b0, c0 = placement.b_unit, placement.c_unit
+
+    def coords(b, c):
+        g = gradient(plant, Placement.normalized(b, c))
+        return np.concatenate([U.T @ g.g_b, W.T @ g.g_c])
+
+    columns = []
+    for d in U.T:
+        columns.append(richardson_derivative(lambda t: coords(b0 + t * d, c0), 1e-4))
+    for d in W.T:
+        columns.append(richardson_derivative(lambda t: coords(b0, c0 + t * d), 1e-4))
+    return np.column_stack(columns)
 
 
 class TestZeroGainField:
@@ -295,17 +424,30 @@ class TestZeroGainField:
         plant = Plant(A, 0.0, 0.0)
         field = zero_gain_field(Spectrum.from_matrix(A))
         for _ in range(4):
-            # Off the sphere, as the finite-difference steps are.
+            # Off the sphere: the field normalizes its arguments.
             b = rng.uniform(0.5, 2.0) * random_placement_for(rng, n).b_unit
             c = rng.uniform(0.5, 2.0) * random_placement_for(rng, n).c_unit
             placement = Placement.normalized(b, c)
             ref = gradient(plant, placement)
             ref_phi_bar = phi_bar(plant, placement)
-            g_b, g_c, field_phi_bar = field(b, c)
+            g_b, g_c, field_phi_bar, H = field(b, c)
             scale = max(la.norm(ref.g_b), la.norm(ref.g_c), abs(ref_phi_bar))
             assert la.norm(g_b - ref.g_b) <= 1e-10 * scale
             assert la.norm(g_c - ref.g_c) <= 1e-10 * scale
             assert abs(field_phi_bar - ref_phi_bar) <= 1e-10 * abs(ref_phi_bar)
+            assert H.shape == (2 * (n - 1), 2 * (n - 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_hessian_is_symmetric(self, n):
+        rng = np.random.default_rng(1650 + n)
+        spec = Spectrum.from_matrix(spaced_in_random_basis(rng, n))
+        field = zero_gain_field(spec)
+        placements = [random_placement_for(rng, n) for _ in range(4)]
+        candidates = enumerate_equilibria_zero(spec)
+        placements += [c.placement for c in candidates[:: max(1, n)]]
+        for placement in placements:
+            H = field(placement.b_unit, placement.c_unit)[3]
+            assert la.norm(H - H.T, "fro") <= 1e-14 * la.norm(H, "fro")
 
     def test_classification_matches_general_path(self):
         A = spaced_in_random_basis(np.random.default_rng(1700), 4)
@@ -314,8 +456,10 @@ class TestZeroGainField:
         candidates = classify_candidates(spec, enumerate_equilibria_zero(spec))
         assert len(candidates) == 27
         for cand in candidates:
-            eigs, verdict = classify_stability(plant, cand.placement)
+            _, verdict = classify_stability(plant, cand.placement)
             assert cand.stability == verdict
+            H = richardson_hessian(plant, cand.placement)
+            eigs = np.sort(la.eigvalsh(0.5 * (H + H.T)))[::-1]
             # Interior eigenvalues may be roundoff of an exact zero, so the
             # error is measured against each Hessian's largest eigenvalue.
             diff = np.max(np.abs(np.array(cand.hessian_eigs) - eigs))
@@ -323,12 +467,13 @@ class TestZeroGainField:
 
     def test_rejects_non_equilibrium(self):
         rng = np.random.default_rng(1701)
-        A = spaced_in_random_basis(rng, 3)
-        field = zero_gain_field(Spectrum.from_matrix(A))
+        spec = Spectrum.from_matrix(spaced_in_random_basis(rng, 3))
+        placement = random_placement_for(rng, 3)
+        g_b, g_c, _, _ = zero_gain_field(spec)(placement.b_unit, placement.c_unit)
+        assert max(la.norm(g_b), la.norm(g_c)) > 1e-8
+        cand = EquilibriumCandidate(placement, KIND_COMMON, (0,), (1, 0, 0), None)
         with pytest.raises(NotAnEquilibrium):
-            classify_stability(
-                Plant(A, 0.0, 0.0), random_placement_for(rng, 3), field=field
-            )
+            classify_candidates(spec, [cand])
 
 
 class TestAnalyticFormulas:
