@@ -62,6 +62,7 @@ from .flow import (
 from .plant import Placement, Plant
 from .riccati import (
     AdjointPair,
+    ClosedLoop,
     GainPair,
     PBHReport,
     adjoint_pair,

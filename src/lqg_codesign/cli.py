@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import cost_report
+from .cost import CostReport, cost_report
 from .equilibria import (
     KIND_COMMON,
     STABLE,
@@ -248,7 +248,7 @@ def _pbh_report_dict(plant: Plant, placement: Placement) -> dict:
         ("stabilizability", placement.b_unit),
         ("detectability", placement.c_unit),
     ):
-        rep = pbh_check(plant.A, vector, mode)
+        rep = pbh_check(plant.A, vector, mode, eigenvalues=plant.eigenvalues)
         out[mode] = {
             "ok": rep.ok,
             "min_margin": rep.min_margin,
@@ -278,6 +278,12 @@ def cmd_solve(problem: Problem, args) -> dict:
         "residuals": {
             "K": report.gains.residual_K,
             "Sigma": report.gains.residual_Sigma,
+            "M": report.adjoints.residual_M,
+            "N": report.adjoints.residual_N,
+        },
+        "hurwitz_margins": {
+            "regulator": report.gains.loop_K.margin,
+            "filter": report.gains.loop_Sigma.margin,
         },
         "pbh": _pbh_report_dict(plant, placement),
     }
@@ -300,9 +306,11 @@ def _trace_csv_lines(trace: FlowTrace, n: int) -> list[str]:
     return lines
 
 
-def _classify_or_none(plant: Plant, placement: Placement) -> dict:
+def _classify_or_none(plant: Plant, placement: Placement, report: CostReport) -> dict:
     try:
-        eigs, verdict = classify_stability(plant, placement, eq_tol=1e-6)
+        eigs, verdict = classify_stability(
+            plant, placement, eq_tol=1e-6, report=report
+        )
     except CodesignError as exc:
         return {"stability": None, "note": str(exc)}
     return {"stability": verdict, "hessian_eigs": list(eigs)}
@@ -318,7 +326,10 @@ def cmd_flow(problem: Problem, args) -> dict:
     (out_dir / "flow_trace.csv").write_text(
         "\n".join(_trace_csv_lines(best, plant.n)) + "\n"
     )
-    eq_flag, eq_res = is_equilibrium(plant, best.final, 10.0 * opts.grad_tol)
+    report = cost_report(plant, best.final)
+    eq_flag, eq_res = is_equilibrium(
+        plant, best.final, 10.0 * opts.grad_tol, report=report
+    )
     summary = {
         "seed": problem.seed,
         "n_starts": problem.n_starts,
@@ -332,7 +343,7 @@ def cmd_flow(problem: Problem, args) -> dict:
                 "within_10x_grad_tol": eq_flag,
                 "residuals": list(eq_res),
             },
-            **_classify_or_none(plant, best.final),
+            **_classify_or_none(plant, best.final, report),
         },
         "starts": [
             {

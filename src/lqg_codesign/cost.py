@@ -17,8 +17,9 @@ non-symmetric, open-loop-unstable A (1e4 to 1e16 seen at n = 50).
 
 ``phi_gain_sensitivity`` differentiates phi with respect to the actuation
 gain r and the sensor SNR s at (r, s) = (epsilon, delta); both partials are
-nonpositive. ``directional_derivative`` evaluates the first variation of phi
-along an orbit tangent (ad_B Omega_b, ad_C Omega_c):
+nonpositive, and each is one Lyapunov solve on a closed loop that the gain
+pair kept in Schur form. ``directional_derivative`` evaluates the first
+variation of phi along an orbit tangent (ad_B Omega_b, ad_C Omega_c):
 
     v . phi = eps*delta * ( tr([B, K M K] Omega_b) + tr([C, Sigma N Sigma] Omega_c) ).
 """
@@ -32,11 +33,12 @@ import scipy.linalg as la
 
 from .errors import NotSkew
 from .plant import Placement, Plant
-from .riccati import (
+# ``solve_lyapunov`` is unused here but stays a module attribute: the
+# benchmark's tracer (benchmark/tracer.py) wraps ``cost.solve_lyapunov``.
+from .riccati import (  # noqa: F401
     AdjointPair,
     GainPair,
     adjoint_pair,
-    closed_loop_matrices,
     gain_pair,
     solve_lyapunov,
 )
@@ -103,16 +105,17 @@ def phi_gain_sensitivity(plant: Plant, placement: Placement) -> tuple[float, flo
         (A - r B K)^T K' + K' (A - r B K) = K B K,
 
     so K' <= 0, and dphi/dr = tr((A Sigma + Sigma A^T + I) K'); symmetrically
-    for Sigma' and dphi/ds. Both returned values are nonpositive.
+    for Sigma' and dphi/ds. Both returned values are nonpositive. Each
+    derivative is one solve on the closed loop the gain pair kept.
     """
     gains = gain_pair(plant, placement)
     K, Sigma = gains.K, gains.Sigma
     A = plant.A
     eye = np.eye(plant.n)
-    F_reg, F_fil = closed_loop_matrices(plant, placement, gains)
 
-    K_prime = -solve_lyapunov(F_reg.T, K @ placement.B @ K)
-    Sigma_prime = -solve_lyapunov(F_fil, Sigma @ placement.C @ Sigma)
+    K_prime = -gains.loop_K.solve(K @ placement.B @ K, transpose=True)[0]
+    S_forcing = Sigma @ placement.C @ Sigma
+    Sigma_prime = -gains.loop_Sigma.solve(S_forcing, transpose=True)[0]
 
     dphi_dr = float(np.trace((A @ Sigma + Sigma @ A.T + eye) @ K_prime))
     dphi_ds = float(np.trace((A.T @ K + K @ A + eye) @ Sigma_prime))

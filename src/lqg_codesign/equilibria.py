@@ -26,8 +26,10 @@ is entrywise positive, and then beta*beta = gamma*gamma is proportional to
 xi, which the closed-form Cauchy inverse gives for every pattern of a
 support at once. Stability is read from the Hessian of the potential on the
 tangent space of the sphere pair: in closed form for enumerated candidates
-(``zero_gain_field``), by finite differences of ``flow.gradient`` (phi, or
-phi_bar in the zero-gain limit) in ``classify_stability``.
+(``zero_gain_field``), and in ``classify_stability`` (phi, or phi_bar in the
+zero-gain limit) by ``hessian_matrix``, which differentiates
+``flow.gradient`` exactly: four tangent-linear Lyapunov solves per tangent
+direction on the closed-loop Schur forms the cost evaluation kept.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as la
 
-from .cost import cost_report, drive_matrices
+from .cost import CostReport, cost_report, drive_matrices
 from .errors import (
     DimensionTooLarge,
     NonNegativeEigenvalue,
@@ -56,7 +58,6 @@ EIGENGAP_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-10
 EQ19_RESIDUAL_TOL = 1e-8
 STABILITY_MARGIN = 1e-7
-HESSIAN_STEP = 1e-4
 
 KIND_COMMON = "common_support"
 KIND_DISJOINT = "disjoint_support"
@@ -163,14 +164,20 @@ class EquilibriumCandidate:
 
 
 def is_equilibrium(
-    plant: Plant, placement: Placement, tol: float
+    plant: Plant,
+    placement: Placement,
+    tol: float,
+    *,
+    report: CostReport | None = None,
 ) -> tuple[bool, np.ndarray]:
     """Test the equilibrium condition; returns (flag, [res_b, res_c]).
 
     The residuals are |(I - b b^T) K M K b| and |(I - c c^T) S N S c|, which
     vanish exactly when b and c are eigenvectors of the drive matrices.
+    Passing a precomputed ``report`` avoids re-solving the placement.
     """
-    report = cost_report(plant, placement)
+    if report is None:
+        report = cost_report(plant, placement)
     S_b, S_c = drive_matrices(report.gains, report.adjoints)
     b, c = placement.b_unit, placement.c_unit
     res_b = np.linalg.norm(S_b @ b - (b @ S_b @ b) * b)
@@ -407,27 +414,63 @@ def zero_gain_field(spectrum: Spectrum):
     return field
 
 
-def hessian_matrix(plant: Plant, placement: Placement) -> np.ndarray:
-    """Raw finite-difference Hessian of the potential at a placement.
+def hessian_matrix(
+    plant: Plant, placement: Placement, *, report: CostReport | None = None
+) -> np.ndarray:
+    """Exact Hessian of the potential at a placement, by tangent linearization.
 
-    Differentiates ``flow.gradient`` centrally with step h = ``HESSIAN_STEP``
-    along renormalized curves through orthonormal tangent bases of the
-    hyperplanes orthogonal to b_unit and c_unit (dimension 2(n-1) total).
-    At a critical point the result is symmetric up to O(h) transport error;
-    callers symmetrize before reading eigenvalues.
+    Column j is the derivative of the gradient coordinates
+    (U^T g_b, W^T g_c) of ``flow.gradient`` along the j-th direction
+    (d_b, d_c) of orthonormal tangent bases U of b_unit and W of c_unit
+    (dimension 2(n-1) total), with b moved along d_b and c along d_c. With
+    dB = d_b b^T + b d_b^T, dC likewise, and the closed loops kept by the
+    gain pair (F_K = A - eps B K, F_S = A^T - delta C Sigma):
+
+        F_K^T dK + dK F_K = eps K dB K,
+        F_S^T dSig + dSig F_S = delta Sigma dC Sigma,
+        F_K dM + dM F_K^T + dF_K M + M dF_K^T + d(Sigma C Sigma) = 0,
+        F_S dN + dN F_S^T + dF_S N + N dF_S^T + d(K B K) = 0,
+
+    with dF_K = -eps (dB K + B dK) and dF_S = -delta (dC Sigma + C dSig), so
+    dS_b = sym(dK M K + K dM K + K M dK), dS_c likewise, and the b rows
+    are U^T (-s)(dS_b b + S_b d_b - (b^T S_b b) d_b), s the field scale:
+    four solves on kept Schur forms per direction. At a critical point the
+    result is the Riemannian Hessian (Absil, Mahony and Trumpf, GSI 2013),
+    symmetric up to rounding; elsewhere it is the Jacobian of the projected
+    field. Passing a precomputed ``report`` avoids re-solving the placement.
     """
-    h = HESSIAN_STEP
-    b0, c0 = placement.b_unit, placement.c_unit
-    U, W = _tangent_basis(b0), _tangent_basis(c0)
+    if report is None:
+        report = cost_report(plant, placement)
+    grad = gradient(plant, placement, report=report)
+    gains, adjoints = report.gains, report.adjoints
+    K, Sigma, M, N = gains.K, gains.Sigma, adjoints.M, adjoints.N
+    eps, delta = plant.epsilon, plant.delta
+    b, c = placement.b_unit, placement.c_unit
+    B, C = placement.B, placement.C
+    U, W = _tangent_basis(b), _tangent_basis(c)
 
-    def grad_coords(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        g = gradient(plant, Placement.normalized(b, c))
-        return np.concatenate([U.T @ g.g_b, W.T @ g.g_c])
+    def sym(X: np.ndarray) -> np.ndarray:
+        return X + X.T
 
-    columns = [grad_coords(b0 + h * d, c0) - grad_coords(b0 - h * d, c0) for d in U.T]
-    columns += [grad_coords(b0, c0 + h * d) - grad_coords(b0, c0 - h * d) for d in W.T]
+    def column(d_b: np.ndarray, d_c: np.ndarray) -> np.ndarray:
+        dB, dC = sym(np.outer(d_b, b)), sym(np.outer(d_c, c))
+        KdBK, SdCS = K @ dB @ K, Sigma @ dC @ Sigma
+        dK = gains.loop_K.solve(-eps * KdBK, transpose=True)[0]
+        dS = gains.loop_Sigma.solve(-delta * SdCS, transpose=True)[0]
+        dF_K = -eps * (dB @ K + B @ dK)
+        dF_S = -delta * (dC @ Sigma + C @ dS)
+        dM = gains.loop_K.solve(sym(dF_K @ M) + sym(dS @ C @ Sigma) + SdCS)[0]
+        dN = gains.loop_Sigma.solve(sym(dF_S @ N) + sym(dK @ B @ K) + KdBK)[0]
+        dS_b = 0.5 * sym(dK @ M @ K + K @ dM @ K + K @ M @ dK)
+        dS_c = 0.5 * sym(dS @ N @ Sigma + Sigma @ dN @ Sigma + Sigma @ N @ dS)
+        dg_b = dS_b @ b + grad.S_b @ d_b - (b @ grad.S_b @ b) * d_b
+        dg_c = dS_c @ c + grad.S_c @ d_c - (c @ grad.S_c @ c) * d_c
+        return -grad.scale * np.concatenate([U.T @ dg_b, W.T @ dg_c])
+
+    zero = np.zeros(plant.n)
+    columns = [column(d, zero) for d in U.T] + [column(zero, d) for d in W.T]
     dim = 2 * (plant.n - 1)
-    return np.reshape(columns, (dim, dim)).T / (2.0 * h)
+    return np.reshape(columns, (dim, dim)).T
 
 
 def _require_equilibrium(residuals: np.ndarray, eq_tol: float) -> None:
@@ -451,13 +494,18 @@ def _verdict(H: np.ndarray) -> tuple[np.ndarray, str]:
 
 
 def classify_stability(
-    plant: Plant, placement: Placement, *, eq_tol: float = 1e-8
+    plant: Plant,
+    placement: Placement,
+    *,
+    eq_tol: float = 1e-8,
+    report: CostReport | None = None,
 ) -> tuple[np.ndarray, str]:
-    """Finite-difference Hessian classification at an equilibrium.
+    """Exact Hessian classification at an equilibrium.
 
-    Classifies the ``hessian_matrix`` of ``flow.gradient`` with ``_verdict``.
-    In the zero-gain regime (eps*delta < 1e-12) the gradient is the rescaled
-    one, so the Hessian is that of phi_bar; otherwise it is that of phi.
+    Classifies the ``hessian_matrix`` of ``flow.gradient`` with ``_verdict``,
+    solving the placement once (or not at all, given its ``report``). In the
+    zero-gain regime (eps*delta < 1e-12) the gradient is the rescaled one, so
+    the Hessian is that of phi_bar; otherwise it is that of phi.
 
     Returns (eigenvalues descending, classification).
 
@@ -466,8 +514,11 @@ def classify_stability(
     NotAnEquilibrium
         If the equilibrium residual exceeds ``eq_tol``.
     """
-    _require_equilibrium(is_equilibrium(plant, placement, eq_tol)[1], eq_tol)
-    return _verdict(hessian_matrix(plant, placement))
+    if report is None:
+        report = cost_report(plant, placement)
+    residuals = is_equilibrium(plant, placement, eq_tol, report=report)[1]
+    _require_equilibrium(residuals, eq_tol)
+    return _verdict(hessian_matrix(plant, placement, report=report))
 
 
 def classify_candidates(

@@ -278,11 +278,12 @@ def pbh_passing_placement(
 
     Returns None when ``max_tries`` draws all fail.
     """
+    A, eigs = plant.A, plant.eigenvalues
     for _ in range(max_tries):
         candidate = random_placement(plant.n, rng)
-        ok_b = pbh_check(plant.A, candidate.b_unit, "stabilizability").ok
-        ok_c = pbh_check(plant.A, candidate.c_unit, "detectability").ok
-        if ok_b and ok_c:
+        pbh_b = pbh_check(A, candidate.b_unit, "stabilizability", eigenvalues=eigs)
+        pbh_c = pbh_check(A, candidate.c_unit, "detectability", eigenvalues=eigs)
+        if pbh_b.ok and pbh_c.ok:
             return candidate
     return None
 

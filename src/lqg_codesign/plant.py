@@ -13,7 +13,7 @@ and C = c_unit c_unit^T automatically satisfy tr(B) = tr(C) = 1 and B^2 = B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,16 @@ def _unit_vector(v, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Plant:
-    """System matrix with actuation gain epsilon and sensor SNR delta."""
+    """System matrix with actuation gain epsilon and sensor SNR delta.
+
+    ``eigenvalues`` is the spectrum of A, computed once here for every PBH
+    test on the plant (spec(A^T) = spec(A) serves detectability).
+    """
 
     A: np.ndarray
     epsilon: float
     delta: float
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _square_matrix(self.A))
@@ -54,6 +59,7 @@ class Plant:
         object.__setattr__(self, "delta", float(self.delta))
         if not (0.0 <= self.epsilon < math.inf and 0.0 <= self.delta < math.inf):
             raise ValueError("epsilon and delta must be finite and nonnegative")
+        object.__setattr__(self, "eigenvalues", np.linalg.eigvals(self.A))
 
     @property
     def n(self) -> int:

@@ -27,6 +27,13 @@ P = int_0^inf e^{Ft} Q e^{F^T t} dt.
 The real Schur form is the only factorization of each Hamiltonian and each
 Lyapunov coefficient; its diagonal holds the real part of every eigenvalue
 (both entries of a 2x2 block), which is all the axis and Hurwitz guards read.
+A ``ClosedLoop`` keeps the Schur form of F for every further solve with F or
+F^T: the CARE's Hurwitz certificate factors A - W P once, and the adjoint
+solves and the tangent-linear Hessian (``equilibria.hessian_matrix``) reuse
+that form, so a ``cost_report`` at positive gains takes four Schur forms
+(two Hamiltonians, two closed loops) unless Newton-Kleinman refines. The
+spectrum of A for the PBH tests is the plant's (``Plant.eigenvalues``),
+computed once per plant. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -56,21 +63,62 @@ _PBH_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
+class ClosedLoop:
+    """A Hurwitz matrix F kept with its real Schur form F = u r u^T.
+
+    Every Lyapunov equation on F or F^T is then one ``trsyl`` call; nothing
+    re-factors F.
+    """
+
+    F: np.ndarray
+    r: np.ndarray
+    u: np.ndarray
+
+    @property
+    def margin(self) -> float:
+        """Hurwitz margin -max Re(eig F), read off the Schur diagonal."""
+        return -float(np.max(np.diag(self.r)))
+
+    def solve(self, Q, transpose: bool = False) -> tuple[np.ndarray, float]:
+        """Solve F P + P F^T + Q = 0 (F^T P + P F + Q = 0 with ``transpose``).
+
+        Returns P and its residual, certified against 1e-11 * (1 + |P|_F);
+        raises ``NonConvergence`` past it.
+        """
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        P = _bartels_stewart(self.r, self.u, -Q, transpose)
+        P = 0.5 * (P + P.T)
+        res = lyapunov_residual(self.F.T if transpose else self.F, Q, P)
+        tol = LYAP_RTOL * (1.0 + float(la.norm(P, "fro")))
+        if res > tol:
+            raise NonConvergence(
+                f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
+            )
+        return P, res
+
+
+@dataclass(frozen=True)
 class GainPair:
-    """Stabilizing ARE solutions: regulator gain K and filter covariance Sigma."""
+    """Stabilizing ARE solutions: regulator gain K and filter covariance Sigma,
+    with their closed loops A - (eps B) K and A^T - (delta C) Sigma."""
 
     K: np.ndarray
     Sigma: np.ndarray
     residual_K: float
     residual_Sigma: float
+    loop_K: ClosedLoop
+    loop_Sigma: ClosedLoop
 
 
 @dataclass(frozen=True)
 class AdjointPair:
-    """Closed-loop Lyapunov solutions M (state covariance side) and N (dual)."""
+    """Closed-loop Lyapunov solutions M (state covariance side) and N (dual),
+    with their certified residuals."""
 
     M: np.ndarray
     N: np.ndarray
+    residual_M: float
+    residual_N: float
 
 
 @dataclass(frozen=True)
@@ -105,6 +153,23 @@ def is_hurwitz(F: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
     return bool(np.max(np.diag(r)) < -margin)
 
 
+def closed_loop(F) -> ClosedLoop:
+    """Real Schur form of F, kept for Lyapunov solves; F must be Hurwitz.
+
+    Raises
+    ------
+    NotHurwitz
+        If any eigenvalue of F has real part >= -1e-12.
+    """
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    loop = ClosedLoop(F, *la.schur(F, output="real"))
+    if loop.margin <= HURWITZ_MARGIN:
+        raise NotHurwitz(
+            f"matrix is not Hurwitz: max Re(eig) = {-loop.margin:.3e}"
+        )
+    return loop
+
+
 def solve_lyapunov(F, Q) -> np.ndarray:
     """Solve F P + P F^T + Q = 0 for Hurwitz F and symmetric Q >= 0.
 
@@ -127,33 +192,25 @@ def solve_lyapunov(F, Q) -> np.ndarray:
     NonConvergence
         If the computed residual exceeds 1e-11 * (1 + |P|_F).
     """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    r, u = la.schur(F, output="real")
-    max_re = float(np.max(np.diag(r)))
-    if max_re >= -HURWITZ_MARGIN:
-        raise NotHurwitz(f"matrix is not Hurwitz: max Re(eig) = {max_re:.3e}")
-    P = _bartels_stewart(r, u, -Q)
-    P = 0.5 * (P + P.T)
-    res = lyapunov_residual(F, Q, P)
-    tol = LYAP_RTOL * (1.0 + float(la.norm(P, "fro")))
-    if res > tol:
-        raise NonConvergence(
-            f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return P
+    return closed_loop(F).solve(Q)[0]
 
 
-def _bartels_stewart(r: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve a X + X a^T = q for real a = u r u^T in real Schur form:
-    ``scipy.linalg.solve_continuous_lyapunov`` step for step."""
+def _bartels_stewart(
+    r: np.ndarray, u: np.ndarray, q: np.ndarray, transpose: bool = False
+) -> np.ndarray:
+    """Solve a X + X a^T = q (a^T X + X a = q with ``transpose``) for real
+    a = u r u^T in real Schur form: ``scipy.linalg.solve_continuous_lyapunov``
+    step for step."""
     if not np.isfinite(q).all():
         raise ValueError("array must not contain infs or NaNs")
     if r.shape != q.shape:
         raise ValueError("Matrix a and q should have the same shape.")
     f = u.conj().T.dot(q.dot(u))
     trsyl = la.get_lapack_funcs("trsyl", (r, f))
-    y, scale, info = trsyl(r, r, f, tranb="T")
+    if transpose:
+        y, scale, info = trsyl(r, r, f, trana="T")
+    else:
+        y, scale, info = trsyl(r, r, f, tranb="T")
     if info < 0:
         raise ValueError(
             "?TRSYL exited with the internal error "
@@ -198,6 +255,11 @@ def solve_care(A, W, Q) -> np.ndarray:
     NonConvergence
         If Newton-Kleinman refinement stalls above the residual tolerance.
     """
+    return _solve_care(A, W, Q)[0]
+
+
+def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
+    """``solve_care`` returning (P, residual, closed loop A - W P)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -205,12 +267,16 @@ def solve_care(A, W, Q) -> np.ndarray:
 
     if la.norm(W, "fro") == 0.0:
         # Degenerate CARE: A^T P + P A + Q = 0, solvable iff A is Hurwitz.
+        # The closed loop is A itself; its Schur form solves the transposed
+        # equation.
         try:
-            return solve_lyapunov(A.T, Q)
+            loop = closed_loop(A)
         except NotHurwitz as exc:
             raise NoStabilizingSolution(
                 "W = 0 and A is not Hurwitz: no stabilizing solution exists"
             ) from exc
+        P, res = loop.solve(Q, transpose=True)
+        return P, res, loop
 
     H = np.block([[A, -W], [-Q, -A.T]])
     try:
@@ -261,23 +327,24 @@ def solve_care(A, W, Q) -> np.ndarray:
             f"(tolerance {tol:.3e})"
         )
     # Near a non-stabilizable configuration a tiny residual relative to
-    # |P|^2 can still come with a closed loop that is not Hurwitz.
-    max_re = float(np.max(np.linalg.eigvals(A - W @ P).real))
-    if max_re >= -HURWITZ_MARGIN:
-        raise NoStabilizingSolution(
-            f"closed loop A - W P is not Hurwitz (max Re(eig) = {max_re:.3e})"
-        )
-    return P
+    # |P|^2 can still come with a closed loop that is not Hurwitz. The Schur
+    # form that certifies it is kept for the Lyapunov solves on that loop.
+    try:
+        loop = closed_loop(A - W @ P)
+    except NotHurwitz as exc:
+        raise NoStabilizingSolution(f"closed loop A - W P: {exc}") from exc
+    return P, res, loop
 
 
-def pbh_check(A, v, mode: str) -> PBHReport:
+def pbh_check(A, v, mode: str, *, eigenvalues=None) -> PBHReport:
     """PBH rank test of (A, v) for stabilizability or detectability.
 
     For every eigenvalue lambda of A with Re(lambda) >= 0 (numerically,
     >= -1e-9 so that marginal modes such as a Laplacian zero eigenvalue are
     included), checks rank [A - lambda*I, v] = n; detectability runs the same
     test on A^T. The reported margin per eigenvalue is the smallest singular
-    value of the augmented matrix.
+    value of the augmented matrix. ``eigenvalues``, when given, is the
+    spectrum of A (``Plant.eigenvalues``), which both modes share.
     """
     if mode not in ("stabilizability", "detectability"):
         raise ValueError(f"unknown PBH mode {mode!r}")
@@ -288,10 +355,12 @@ def pbh_check(A, v, mode: str) -> PBHReport:
     M = A if mode == "stabilizability" else A.T
     n = M.shape[0]
     threshold = _PBH_RANK_TOL * (1.0 + float(la.norm(M, "fro")))
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(M)
 
     tested = []
     ok = True
-    for lam in np.linalg.eigvals(M):
+    for lam in eigenvalues:
         if lam.real < -1e-9:
             continue
         pencil = np.hstack([M - lam * np.eye(n), v[:, None]])
@@ -308,7 +377,7 @@ def _require_pbh(plant: Plant, placement: Placement) -> None:
         (placement.b_unit, "stabilizability", "(A, b)"),
         (placement.c_unit, "detectability", "(A, c)"),
     ):
-        report = pbh_check(plant.A, v, mode)
+        report = pbh_check(plant.A, v, mode, eigenvalues=plant.eigenvalues)
         if not report.ok:
             lam = min(report.tested, key=lambda t: t[1])[0]
             raise PBHViolation(
@@ -322,7 +391,9 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
 
     K solves A^T K + K A - eps K B K + I = 0 and Sigma solves the dual
     A Sigma + Sigma A^T - delta Sigma C Sigma + I = 0, with B, C the
-    normalized projectors of the placement.
+    normalized projectors of the placement. The closed loops are kept in
+    real Schur form: A - (eps B) K, and A^T - (delta C) Sigma, the transpose
+    of the filter loop A - delta Sigma C.
 
     Raises
     ------
@@ -333,29 +404,20 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     """
     _require_pbh(plant, placement)
     eye = np.eye(plant.n)
-    K = solve_care(plant.A, plant.epsilon * placement.B, eye)
-    Sigma = solve_care(plant.A.T, plant.delta * placement.C, eye)
-    res_K = care_residual(plant.A, plant.epsilon * placement.B, eye, K)
-    res_S = care_residual(plant.A.T, plant.delta * placement.C, eye, Sigma)
-    return GainPair(K=K, Sigma=Sigma, residual_K=res_K, residual_Sigma=res_S)
-
-
-def closed_loop_matrices(plant: Plant, placement: Placement, gains: GainPair):
-    """Return (A - eps*B*K, A - delta*Sigma*C), both Hurwitz for valid gains."""
-    F_reg = plant.A - plant.epsilon * (placement.B @ gains.K)
-    F_fil = plant.A - plant.delta * (gains.Sigma @ placement.C)
-    return F_reg, F_fil
+    K, res_K, loop_K = _solve_care(plant.A, plant.epsilon * placement.B, eye)
+    Sigma, res_S, loop_S = _solve_care(plant.A.T, plant.delta * placement.C, eye)
+    return GainPair(K, Sigma, res_K, res_S, loop_K, loop_S)
 
 
 def adjoint_pair(plant: Plant, placement: Placement, gains: GainPair) -> AdjointPair:
     """Solve the closed-loop Lyapunov equations for the adjoint pair (M, N).
 
-    M solves (A - eps B K) M + M (A - eps B K)^T + Sigma C Sigma = 0 and
-    N solves (A - delta Sigma C)^T N + N (A - delta Sigma C) + K B K = 0.
-    A ``NotHurwitz`` here signals inconsistent gains.
+    M solves (A - eps B K) M + M (A - eps B K)^T + Sigma C Sigma = 0 on
+    ``gains.loop_K`` and N solves
+    (A - delta Sigma C)^T N + N (A - delta Sigma C) + K B K = 0 on
+    ``gains.loop_Sigma``, so neither loop is factored again.
     """
-    F_reg, F_fil = closed_loop_matrices(plant, placement, gains)
     K, Sigma = gains.K, gains.Sigma
-    M = solve_lyapunov(F_reg, Sigma @ placement.C @ Sigma)
-    N = solve_lyapunov(F_fil.T, K @ placement.B @ K)
-    return AdjointPair(M=M, N=N)
+    M, res_M = gains.loop_K.solve(Sigma @ placement.C @ Sigma)
+    N, res_N = gains.loop_Sigma.solve(K @ placement.B @ K)
+    return AdjointPair(M, N, res_M, res_N)

@@ -6,8 +6,14 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import quad_vec
 
-from lqg_codesign import Placement, Plant
-from lqg_codesign.equilibria import STABLE, beta_gamma_coords, eq19_residual
+from lqg_codesign import Placement, Plant, gradient
+from lqg_codesign.equilibria import (
+    STABLE,
+    _tangent_basis,
+    beta_gamma_coords,
+    eq19_residual,
+)
+from lqg_codesign.numdiff import richardson_derivative
 
 
 def random_symmetric_hurwitz(
@@ -47,6 +53,26 @@ def assert_unique_stable_top_pair(spectrum, placements, verdicts) -> None:
         assert eq19_residual(coords.beta, coords.gamma, spectrum) < 1e-8
 
 
+def richardson_hessian(plant: Plant, placement: Placement) -> np.ndarray:
+    """Finite-difference oracle for ``hessian_matrix``: Richardson-extrapolated
+    central differences of ``flow.gradient`` (O(h^4), h = 1e-4) along the
+    tangent bases, on renormalized curves."""
+    U = _tangent_basis(placement.b_unit)
+    W = _tangent_basis(placement.c_unit)
+    b0, c0 = placement.b_unit, placement.c_unit
+
+    def coords(b, c):
+        g = gradient(plant, Placement.normalized(b, c))
+        return np.concatenate([U.T @ g.g_b, W.T @ g.g_c])
+
+    columns = []
+    for d in U.T:
+        columns.append(richardson_derivative(lambda t: coords(b0 + t * d, c0), 1e-4))
+    for d in W.T:
+        columns.append(richardson_derivative(lambda t: coords(b0, c0 + t * d), 1e-4))
+    return np.column_stack(columns)
+
+
 def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.standard_normal(n)
     return v / np.linalg.norm(v)
@@ -84,6 +110,20 @@ def integral_lyapunov_solve(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Quadrature of the integral representation int_0^inf e^{Ft} Q e^{F^T t} dt."""
     val, _ = quad_vec(lambda t: la.expm(F * t) @ Q @ la.expm(F.T * t), 0.0, np.inf)
     return val
+
+
+def scipy_phi_oracle(
+    A: np.ndarray, eps: float, delta: float, b: np.ndarray, c: np.ndarray
+) -> tuple[float, float]:
+    """(phi, phi_bar) from scipy's CARE and Lyapunov solvers."""
+    n = A.shape[0]
+    K = la.solve_continuous_are(A, np.sqrt(eps) * b[:, None], np.eye(n), np.eye(1))
+    S = la.solve_continuous_are(A.T, np.sqrt(delta) * c[:, None], np.eye(n), np.eye(1))
+    B, C = np.outer(b, b), np.outer(c, c)
+    phi = float(np.trace(A.T @ K @ S + S @ K @ A + K + S))
+    M = la.solve_continuous_lyapunov(A - eps * B @ K, -S @ C @ S)
+    N = la.solve_continuous_lyapunov((A - delta * S @ C).T, -K @ B @ K)
+    return phi, float(np.trace(A.T @ M @ N + N @ M @ A))
 
 
 def angular_distance(u: np.ndarray, v: np.ndarray) -> float:

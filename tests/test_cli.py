@@ -132,6 +132,19 @@ class TestSolveCommand:
         assert abs(report["K"][0][0] - 1.0 / 3.0) < 1e-12
         assert report["pbh"]["stabilizability"]["ok"]
 
+    def test_closed_loop_margins_and_adjoint_residuals(self, tmp_path):
+        # K = Sigma = 1/3, so both closed loops are -1 - 3 * 1/3 = -2, and
+        # M = N = (1/9) / 4.
+        problem = write_problem(tmp_path, "scalar.json", SCALAR)
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", problem, "--out", str(out)]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        for loop in ("regulator", "filter"):
+            assert abs(report["hurwitz_margins"][loop] - 2.0) < 1e-12
+        for adjoint in ("M", "N"):
+            assert abs(report[adjoint][0][0] - 1.0 / 36.0) < 1e-14
+            assert 0.0 <= report["residuals"][adjoint] <= 1e-11 * (1.0 + 1.0 / 36.0)
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 from conftest import (
     random_placement_for,
     random_skew,
     random_symmetric_hurwitz,
     rotate_placement,
     scalar_plant,
+    scipy_phi_oracle,
 )
 
 from lqg_codesign import (
+    CodesignError,
     NotSkew,
     Placement,
     Plant,
@@ -17,6 +20,7 @@ from lqg_codesign import (
     phi,
     phi_bar,
     phi_gain_sensitivity,
+    pbh_check,
 )
 from lqg_codesign.numdiff import richardson_derivative
 
@@ -154,3 +158,61 @@ class TestCovariance:
             Placement(U @ placement.b_unit, U @ placement.c_unit),
         )
         assert abs(base - moved) / abs(base) < 1e-9
+
+
+def _near_pbh_direction(rng, M, lo, hi):
+    """Unit v with PBH margin of (M, v) in [lo, hi]: v leaves the boundary
+    direction orthogonal to a left eigenvector of the rightmost eigenvalue
+    along its real part, and bisection picks how far. None if it saturates."""
+    eigs, left = la.eig(M, left=True, right=False)
+    w = left[:, np.argmax(eigs.real)]
+    basis = la.orth(np.column_stack([w.real, w.imag]))
+    v0 = rng.standard_normal(M.shape[0])
+    boundary = v0 - basis @ (basis.T @ v0)
+    away = basis[:, 0]
+
+    def margin(t):
+        v = boundary / la.norm(boundary) + t * away
+        v = v / la.norm(v)
+        return pbh_check(M, v, "stabilizability").min_margin, v
+
+    low, high = 0.0, 1.0
+    if margin(high)[0] < lo:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        m, v = margin(mid)
+        if lo <= m <= hi:
+            return v
+        low, high = (mid, high) if m < lo else (low, mid)
+    return None
+
+
+class TestNearPBHEnvelope:
+    def test_certified_or_typed_error_at_n50(self):
+        # Open-loop-unstable n = 50 plants, b and c each at PBH margin
+        # 0.005-0.02: the cost either matches scipy's solvers or raises a
+        # typed error.
+        rng = np.random.default_rng(5050)
+        n, eps, delta = 50, 2.0, 2.0
+        certified = 0
+        draws = 0
+        while draws < 40:
+            A = rng.standard_normal((n, n)) / np.sqrt(n) - 0.8 * np.eye(n)
+            if np.max(np.linalg.eigvals(A).real) <= 0.0:
+                continue
+            lo, hi = 0.005, 0.02
+            b = _near_pbh_direction(rng, A, lo, hi)
+            c = _near_pbh_direction(rng, A.T, lo, hi)
+            if b is None or c is None:
+                continue
+            draws += 1
+            try:
+                report = cost_report(Plant(A, eps, delta), Placement(b, c))
+            except CodesignError:
+                continue
+            phi_ref, phi_bar_ref = scipy_phi_oracle(A, eps, delta, b, c)
+            assert abs(report.phi - phi_ref) <= 1e-8 * abs(phi_ref)
+            assert abs(report.phi_bar - phi_bar_ref) <= 1e-8 * abs(phi_bar_ref)
+            certified += 1
+        assert certified >= 30, certified

@@ -7,11 +7,13 @@ from conftest import (
     assert_unique_stable_top_pair,
     random_placement_for,
     random_symmetric_hurwitz,
+    richardson_hessian,
     spaced_in_random_basis,
 )
 
 from lqg_codesign import (
     DimensionTooLarge,
+    FlowOptions,
     NonNegativeEigenvalue,
     NotAnEquilibrium,
     Placement,
@@ -26,6 +28,7 @@ from lqg_codesign import (
     cauchy_matrix,
     classify_candidates,
     classify_stability,
+    cost_report,
     enumerate_equilibria_zero,
     gain_pair,
     gradient,
@@ -33,6 +36,7 @@ from lqg_codesign import (
     is_equilibrium,
     phi,
     phi_bar,
+    run_flow,
     xi_vector,
 )
 from lqg_codesign.equilibria import (
@@ -44,11 +48,10 @@ from lqg_codesign.equilibria import (
     UNSTABLE,
     ZERO_EIGENVALUE_TOL,
     EquilibriumCandidate,
-    _tangent_basis,
+    _verdict,
     eq19_residual,
     zero_gain_field,
 )
-from lqg_codesign.numdiff import richardson_derivative
 
 
 def spectrum_of(lams) -> Spectrum:
@@ -367,10 +370,10 @@ class TestClassifyStability:
 
     def test_scalar_dimension_is_stable(self):
         plant = Plant(np.array([[-1.0]]), 0.5, 0.5)
-        eigs, verdict = classify_stability(
-            plant, Placement(np.array([1.0]), np.array([1.0]))
-        )
+        placement = Placement(np.array([1.0]), np.array([1.0]))
+        eigs, verdict = classify_stability(plant, placement)
         assert verdict == STABLE and eigs.size == 0
+        assert hessian_matrix(plant, placement).shape == (0, 0)
 
     def test_raw_hessian_is_nearly_symmetric(self):
         plant = Plant(np.diag([-1.0, -2.0, -3.0]), 0.0, 0.0)
@@ -397,23 +400,66 @@ class TestClassifyStability:
                 assert cand.stability != STABLE
 
 
-def richardson_hessian(plant: Plant, placement: Placement) -> np.ndarray:
-    """Hessian of the potential by Richardson-extrapolated central differences
-    of ``flow.gradient`` (O(h^4), h = 1e-4) along the tangent bases."""
-    U = _tangent_basis(placement.b_unit)
-    W = _tangent_basis(placement.c_unit)
-    b0, c0 = placement.b_unit, placement.c_unit
+def ring_laplacian_plant(rng: np.random.Generator, n: int, gain: float) -> Plant:
+    """A = -L for a weighted ring with n/2 random chords (weights 0.5-1.5)."""
+    weights = np.zeros((n, n))
+    for i in range(n):
+        weights[i, (i + 1) % n] = rng.uniform(0.5, 1.5)
+    for _ in range(n // 2):
+        i, j = rng.choice(n, 2, replace=False)
+        weights[i, j] = rng.uniform(0.5, 1.5)
+    weights = weights + weights.T
+    return Plant(weights - np.diag(weights.sum(axis=1)), gain, gain)
 
-    def coords(b, c):
-        g = gradient(plant, Placement.normalized(b, c))
-        return np.concatenate([U.T @ g.g_b, W.T @ g.g_c])
 
-    columns = []
-    for d in U.T:
-        columns.append(richardson_derivative(lambda t: coords(b0 + t * d, c0), 1e-4))
-    for d in W.T:
-        columns.append(richardson_derivative(lambda t: coords(b0, c0 + t * d), 1e-4))
-    return np.column_stack(columns)
+class TestExactHessian:
+    @pytest.mark.parametrize("case", ["laplacian16", "nonsymmetric3", "filter_only"])
+    def test_matches_richardson_off_critical(self, case):
+        rng = np.random.default_rng(1800)
+        if case == "laplacian16":
+            plant = ring_laplacian_plant(rng, 16, 0.5)
+        elif case == "nonsymmetric3":
+            A = [[-1.0, 0.2, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]]
+            plant = Plant(np.array(A), 0.5, 0.5)
+        else:  # eps = 0 < delta: the regulator loop is A itself
+            plant = Plant(spaced_in_random_basis(rng, 5), 0.0, 0.8)
+        placement = random_placement_for(rng, plant.n)
+        H = hessian_matrix(plant, placement)
+        H_fd = richardson_hessian(plant, placement)
+        # Off critical: there the Jacobian of the projected field is not
+        # symmetric, so every term of it is checked.
+        assert gradient(plant, placement).norm > 0.05 * la.norm(H_fd)
+        assert la.norm(H - H_fd) <= 1e-8 * la.norm(H_fd)
+
+    def test_zero_gain_matches_closed_form_on_every_candidate(self):
+        spec = Spectrum.from_matrix(spaced_in_random_basis(np.random.default_rng(6), 6))
+        plant = Plant(spec.A, 0.0, 0.0)
+        field = zero_gain_field(spec)
+        candidates = enumerate_equilibria_zero(spec)
+        assert len(candidates) == 93
+        for cand in candidates:
+            b, c = cand.placement.b_unit, cand.placement.c_unit
+            eigs, verdict = _verdict(hessian_matrix(plant, cand.placement))
+            eigs_cf, verdict_cf = _verdict(field(b, c)[3])
+            assert np.max(np.abs(eigs - eigs_cf)) <= 1e-12 * np.max(np.abs(eigs_cf))
+            assert verdict == verdict_cf
+
+    def test_symmetric_at_flow_optimum(self):
+        rng = np.random.default_rng(1801)
+        plant = ring_laplacian_plant(rng, 16, 0.5)
+        trace = run_flow(plant, random_placement_for(rng, 16), FlowOptions())
+        assert trace.status == "converged"
+        H = hessian_matrix(plant, trace.final)
+        assert la.norm(H - H.T) <= 1e-12 * la.norm(H)
+        assert _verdict(H)[1] == STABLE
+
+    def test_report_is_reused(self):
+        rng = np.random.default_rng(1802)
+        plant = Plant(random_symmetric_hurwitz(rng, 4), 0.3, 0.6)
+        placement = random_placement_for(rng, 4)
+        report = cost_report(plant, placement)
+        H = hessian_matrix(plant, placement, report=report)
+        assert np.array_equal(H, hessian_matrix(plant, placement))
 
 
 class TestZeroGainField:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 from conftest import scalar_plant
 
 from lqg_codesign import (
+    ClosedLoop,
     GainPair,
     Placement,
     Plant,
@@ -101,8 +103,15 @@ class TestEdgeCases:
         # zero gains on an unstable plant: |x| crosses 1e8 well inside T
         plant = Plant(np.array([[0.5]]), 0.0, 0.0)
         placement = Placement(np.array([1.0]), np.array([1.0]))
+        # with zero gains both closed loops are the unstable A itself
+        loop = ClosedLoop(plant.A, *la.schur(plant.A))
         gains = GainPair(
-            K=np.zeros((1, 1)), Sigma=np.zeros((1, 1)), residual_K=0.0, residual_Sigma=0.0
+            K=np.zeros((1, 1)),
+            Sigma=np.zeros((1, 1)),
+            residual_K=0.0,
+            residual_Sigma=0.0,
+            loop_K=loop,
+            loop_Sigma=loop,
         )
         cfg = SimConfig(dt=0.01, horizon_T=60.0, n_paths=1, burn_in=0.0, seed=1)
         with pytest.raises(SimulationDiverged):
