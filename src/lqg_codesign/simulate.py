@@ -7,9 +7,10 @@ Simulates the closed-loop stochastic plant under the steady-state LQG law
     dy    = c^T x dt + dnu,
     dxhat = A xhat dt + b u dt + Sigma c (dy - c^T xhat dt),
 
-by Euler-Maruyama with fixed dt (order 1.0 weak for this additive-noise
-system) from x0 = xhat0 = 0, and averages (x^T x + u^2) over the window
-after burn-in. Each path draws from its own RNG stream derived from
+from x0 = xhat0 = 0, sampled every dt by the exact transition of this
+linear SDE (Van Loan, IEEE TAC 23(3), 1978), and averages (x^T x + u^2)
+over the samples after burn-in, which is unbiased for phi in stationarity
+at any dt. Each path draws from its own RNG stream derived from
 (seed, path_index), so results do not depend on scheduling or chunking.
 """
 
@@ -19,19 +20,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 
-from .cost import phi
+# ``phi`` is unused but stays importable: benchmark/tracer.py wraps it.
+from .cost import phi, phi_from_gains  # noqa: F401
 from .errors import SimulationDiverged
 from .plant import Placement, Plant
 from .riccati import GainPair, gain_pair
 
 DIVERGENCE_LIMIT = 1e8
-_CHUNK_STEPS = 4096
+_CHUNK_STEPS = 1024  # peak memory: a few (steps, paths, 2n) arrays
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Euler-Maruyama configuration.
+    """Monte Carlo configuration; ``dt`` is the sampling interval.
 
     ``burn_in`` is simulated time discarded before averaging, with the
     sanity constraint horizon_T >= 10 * burn_in >= 0.
@@ -76,42 +79,70 @@ def _path_rngs(seed: int, path_indices) -> list[np.random.Generator]:
     ]
 
 
+def _transition(
+    plant: Plant, placement: Placement, gains: GainPair, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, L_d) of the exact step z <- Phi z + L_d w, w ~ N(0, I), over dt.
+
+    Phi = e^{G dt} and Q_d = L_d L_d^T = int_0^dt e^{Gs} L L^T e^{G^T s} ds
+    come from the exponential of [[-G, L L^T], [0, G^T]] h (Van Loan), taken
+    on h = dt / 2^k with |G| h <= 1 because e^{-G h} swamps Q_d once |G| h
+    nears 30, then doubled k times: Q(2h) = Q(h) + Phi(h) Q(h) Phi(h)^T and
+    Phi(2h) = Phi(h)^2. Q_d is singular when epsilon or delta is 0, so it is
+    factored by eigh (roundoff negatives clipped), not Cholesky, and the
+    factor is rotated onto the one nearest sqrt(dt) L (orthogonal
+    Procrustes): draw i then feeds the same noise source at every placement,
+    and common random numbers couple paired runs.
+    """
+    n = plant.n
+    A = plant.A
+    b = np.sqrt(plant.epsilon) * placement.b_unit
+    c = np.sqrt(plant.delta) * placement.c_unit
+    sc = gains.Sigma @ c  # estimator injection direction
+    regulator = np.outer(b, gains.K @ b)  # u = -(K b) . xhat
+    injection = np.outer(sc, c)
+    G = np.block([[A, -regulator], [injection, A - regulator - injection]])
+    dim = 2 * n
+    # (dw, dnu) -> (dw, sc dnu), padded with zero columns to a square L.
+    L = np.zeros((dim, dim))
+    L[:n, :n] = np.eye(n)
+    L[n:, n] = sc
+    k = math.ceil(math.log2(max(np.linalg.norm(G, 1) * dt, 1.0)))
+    block = np.block([[-G, L @ L.T], [np.zeros((dim, dim)), G.T]])
+    V = la.expm(dt / 2**k * block)
+    Phi = V[dim:, dim:].T
+    Q_d = Phi @ V[:dim, dim:]
+    for _ in range(k):
+        Q_d = Q_d + Phi @ Q_d @ Phi.T
+        Phi = Phi @ Phi
+    w, U = np.linalg.eigh(0.5 * (Q_d + Q_d.T))
+    F = U * np.sqrt(np.clip(w, 0.0, None))
+    return Phi, F @ la.polar(F.T @ (np.sqrt(dt) * L))[0]
+
+
 def _run_paths(
     plant: Plant,
     placement: Placement,
     gains: GainPair,
     cfg: SimConfig,
     path_indices,
-    noise_scale: float = 1.0,
 ) -> np.ndarray:
     """Per-path time averages; diverged paths come back as NaN.
 
     Each row of Z is the augmented state z = (x, xhat), advanced by the
-    Euler-Maruyama step z <- G z + L (dw, dnu) of the closed loop.
+    exact step of ``_transition``; the cost is read before each step.
     """
     n = plant.n
     n_paths = len(path_indices)
-    A = plant.A
-    b = np.sqrt(plant.epsilon) * placement.b_unit
-    c = np.sqrt(plant.delta) * placement.c_unit
-    kb = gains.K @ b  # u = -(K b) . xhat
-    sc = gains.Sigma @ c  # estimator injection direction
+    kb = gains.K @ (np.sqrt(plant.epsilon) * placement.b_unit)
 
     dt = cfg.dt
     n_steps = int(round(cfg.horizon_T / dt))
     burn_steps = int(round(cfg.burn_in / dt))
     averaging_time = (n_steps - burn_steps) * dt
 
-    regulator = np.outer(b, kb)
-    injection = np.outer(sc, c)
-    G = np.eye(2 * n) + dt * np.block(
-        [[A, -regulator], [injection, A - regulator - injection]]
-    )
-    # (dw, dnu) -> (dw, sc dnu), scaled to increments over dt.
-    L = noise_scale * np.sqrt(dt) * np.block(
-        [[np.eye(n), np.zeros((n, 1))], [np.zeros((n, n)), sc[:, None]]]
-    )
-    G_T, L_T = G.T, L.T
+    Phi, L_d = _transition(plant, placement, gains, dt)
+    Phi_T, L_T = Phi.T, L_d.T
 
     rngs = _path_rngs(cfg.seed, path_indices)
     Z = np.zeros((n_paths, 2 * n))
@@ -122,16 +153,20 @@ def _run_paths(
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
             m = min(_CHUNK_STEPS, n_steps - done)
-            # (m, n_paths, n + 1): step j's draws are one contiguous block.
-            draws = np.stack(
-                [rng.standard_normal((m, n + 1)) for rng in rngs], axis=1
-            )
+            # (m, n_paths, 2n): step j's noise is one contiguous block.
+            noise = np.stack(
+                [rng.standard_normal((m, 2 * n)) for rng in rngs], axis=1
+            ) @ L_T
+            states = np.empty_like(noise)
             for j in range(m):
-                if done + j >= burn_steps:
-                    X = Z[:, :n]
-                    u = Z[:, n:] @ kb
-                    acc += ((X * X).sum(axis=1) + u * u) * dt
-                Z = Z @ G_T + draws[j] @ L_T
+                states[j] = Z
+                Z = Z @ Phi_T + noise[j]
+            # The cost of each state before its step, summed in step order
+            # (cumsum adds sequentially, so chunking does not move bits).
+            kept = states[max(burn_steps - done, 0):]
+            X, Xhat = kept[..., :n], kept[..., n:]
+            costs = (X * X).sum(axis=2) + (Xhat * kb).sum(axis=2) ** 2
+            acc = np.concatenate([acc[None], costs * dt]).cumsum(axis=0)[-1]
             done += m
             state_norm = np.linalg.norm(Z[:, :n], axis=1)
             alive &= np.isfinite(state_norm) & (state_norm <= DIVERGENCE_LIMIT)
@@ -147,20 +182,17 @@ def simulate_path(
     gains: GainPair,
     cfg: SimConfig,
     path_index: int,
-    *,
-    noise_scale: float = 1.0,
 ) -> float:
     """Time-averaged cost of one path, deterministic in (seed, path_index).
-
-    ``noise_scale = 0`` is a validation hook that disables both noise
-    sources, making the zero-initialized closed loop stay at the origin.
 
     Raises
     ------
     SimulationDiverged
-        If |x| exceeds 1e8 (non-Hurwitz closed loop or dt too large).
+        If |x| exceeds 1e8 (gains that leave the closed loop non-Hurwitz).
     """
-    value = _run_paths(plant, placement, gains, cfg, [path_index], noise_scale)[0]
+    # Two copies of the path: numpy steps a lone row with gemv, whose
+    # rounding differs from the gemm that steps a batch.
+    value = _run_paths(plant, placement, gains, cfg, [path_index] * 2)[0]
     if np.isnan(value):
         raise SimulationDiverged(
             f"path {path_index} exceeded |x| = {DIVERGENCE_LIMIT:g}"
@@ -201,6 +233,6 @@ def estimate_eta(plant: Plant, placement: Placement, cfg: SimConfig) -> SimResul
         eta_hat=eta_hat,
         stderr=stderr,
         per_path=per_path,
-        phi_reference=phi(plant, placement),
+        phi_reference=phi_from_gains(plant.A, gains),
         flags=tuple(flags),
     )

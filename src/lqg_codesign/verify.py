@@ -9,18 +9,26 @@ measured.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 import scipy.linalg as sla
 
 from .cost import _orbit_pairing, cost_report, phi, phi_bar, phi_gain_sensitivity
 from .equilibria import ZERO_EIGENVALUE_TOL, Spectrum, analytic_gains_at_v1
 from .flow import is_zero_gain, pbh_passing_placement
-from .numdiff import richardson_derivative
 from .plant import Placement, Plant
 from .riccati import adjoint_pair, gain_pair
 
 
 NO_PLACEMENT = "no placement passes both PBH tests"
+
+
+def richardson_derivative(f: Callable[[float], float], h: float) -> float:
+    """Richardson-extrapolated central difference of f at 0 (O(h^4))."""
+    d1 = (f(h) - f(-h)) / (2.0 * h)
+    d2 = (f(0.5 * h) - f(-0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
 
 
 def _skipped(name: str, reason: str) -> dict:

@@ -13,7 +13,7 @@ from lqg_codesign.equilibria import (
     beta_gamma_coords,
     eq19_residual,
 )
-from lqg_codesign.numdiff import richardson_derivative
+from lqg_codesign.verify import richardson_derivative
 
 
 def random_symmetric_hurwitz(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import assert_unique_stable_top_pair, spaced_in_random_basis
 
+from lqg_codesign import SimulationDiverged, cli
 from lqg_codesign.cli import dumps, load_problem, main
 from lqg_codesign.equilibria import Spectrum
 from lqg_codesign.plant import Placement
@@ -23,6 +24,15 @@ SCALAR = {
     "placement": {"b": [1.0], "c": [1.0]},
     "sim": {"dt": 0.002, "horizon_T": 30.0, "n_paths": 12, "burn_in": 3.0},
     "seed": 5,
+}
+
+# dt = 2.5 > 2/|lambda|: an Euler step would diverge, the exact one does not.
+COARSE = {
+    "A": [[-1.0]],
+    "epsilon": 0.0,
+    "delta": 0.0,
+    "placement": {"b": [1.0], "c": [1.0]},
+    "sim": {"dt": 2.5, "horizon_T": 500.0, "n_paths": 4, "burn_in": 0.0},
 }
 
 DIAG3 = {
@@ -293,15 +303,19 @@ class TestSimulateCommand:
         problem = write_problem(tmp_path, "zero.json", payload)
         assert main(["simulate", "--problem", problem, "--out", str(tmp_path / "o")]) == 1
 
-    def test_divergent_discretization_exit_6(self, tmp_path):
-        payload = {
-            "A": [[-1.0]],
-            "epsilon": 0.0,
-            "delta": 0.0,
-            "placement": {"b": [1.0], "c": [1.0]},
-            "sim": {"dt": 2.5, "horizon_T": 500.0, "n_paths": 4, "burn_in": 0.0},
-        }
-        problem = write_problem(tmp_path, "div.json", payload)
+    def test_coarse_discretization_exit_0(self, tmp_path):
+        problem = write_problem(tmp_path, "coarse.json", COARSE)
+        out = tmp_path / "o"
+        assert main(["simulate", "--problem", problem, "--out", str(out)]) == 0
+        report = json.loads((out / "simulate.json").read_text())
+        assert None not in report["per_path"]
+
+    def test_simulation_diverged_exit_6(self, tmp_path, monkeypatch):
+        def diverged(*args):
+            raise SimulationDiverged("4 of 4 paths diverged (over the 10% budget)")
+
+        monkeypatch.setattr(cli, "estimate_eta", diverged)
+        problem = write_problem(tmp_path, "coarse.json", COARSE)
         assert main(["simulate", "--problem", problem, "--out", str(tmp_path / "o")]) == 6
 
 

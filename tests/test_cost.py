@@ -22,7 +22,7 @@ from lqg_codesign import (
     phi_gain_sensitivity,
     pbh_check,
 )
-from lqg_codesign.numdiff import richardson_derivative
+from lqg_codesign.verify import richardson_derivative
 
 
 class TestPhi:

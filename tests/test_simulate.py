@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
-from conftest import scalar_plant
+from conftest import scalar_plant, scipy_phi_oracle
 
 from lqg_codesign import (
     ClosedLoop,
@@ -15,6 +15,8 @@ from lqg_codesign import (
     phi,
     simulate_path,
 )
+from lqg_codesign import simulate
+from lqg_codesign.simulate import _transition
 
 
 class TestSimConfig:
@@ -31,26 +33,24 @@ class TestSimConfig:
 
 class TestUncontrolledStationaryVariance:
     def test_matches_discrete_ou_oracle(self):
-        # With u = 0 the Euler chain is x_{k+1} = (1 - dt) x_k + w_k, whose
-        # stationary second moment is exactly 1/(2 - dt).
+        # With u = 0 the sampled chain is x_{k+1} = e^{-dt} x_k + w_k with
+        # Var w_k = (1 - e^{-2 dt})/2, whose stationary second moment is
+        # exactly 1/2, the continuous-time value.
         plant, placement = scalar_plant(0.0, 0.0)
-        dt = 0.01
-        cfg = SimConfig(dt=dt, horizon_T=200.0, n_paths=48, burn_in=20.0, seed=11)
+        cfg = SimConfig(dt=0.01, horizon_T=200.0, n_paths=48, burn_in=20.0, seed=11)
         result = estimate_eta(plant, placement, cfg)
-        assert abs(result.eta_hat - 1.0 / (2.0 - dt)) < 4.0 * result.stderr
-        # and the continuous-time value 1/2 within bias allowance
-        assert abs(result.eta_hat - 0.5) < 4.0 * result.stderr + dt
+        assert abs(result.eta_hat - 0.5) < 4.0 * result.stderr
         assert result.phi_reference == pytest.approx(0.5, abs=1e-12)
 
-    def test_bias_shrinks_when_dt_halves(self):
-        # First-order bias of the scalar no-control case is dt/(2(2 - dt)).
+    def test_unbiased_at_every_dt(self):
+        # Euler-Maruyama's stationary moment 1/(2 - dt) is 0.667 at dt = 0.5;
+        # the exact transition keeps 1/2 at every sampling interval.
         plant, placement = scalar_plant(0.0, 0.0)
-        results = {}
-        for dt in (0.05, 0.025):
+        for dt in (0.05, 0.025, 0.5):
             cfg = SimConfig(dt=dt, horizon_T=400.0, n_paths=64, burn_in=20.0, seed=19)
-            results[dt] = estimate_eta(plant, placement, cfg)
-        predicted_bias = 0.05 / (2.0 * (2.0 - 0.05))
-        assert abs(results[0.05].eta_hat - results[0.025].eta_hat) < 2.0 * predicted_bias
+            result = estimate_eta(plant, placement, cfg)
+            assert abs(result.eta_hat - 0.5) < 4.0 * result.stderr, dt
+        assert abs(result.eta_hat - 1.0 / (2.0 - 0.5)) > 4.0 * result.stderr
 
 
 class TestScalarClosedLoop:
@@ -60,12 +60,6 @@ class TestScalarClosedLoop:
         result = estimate_eta(plant, placement, cfg)
         assert abs(result.eta_hat - 4.0 / 9.0) < 3.0 * result.stderr + 0.01
         assert result.phi_reference == pytest.approx(4.0 / 9.0, abs=1e-12)
-
-    def test_zero_noise_hook_gives_zero_cost(self):
-        plant, placement = scalar_plant(3.0, 3.0)
-        gains = gain_pair(plant, placement)
-        cfg = SimConfig(dt=1e-2, horizon_T=20.0, n_paths=4, burn_in=2.0, seed=0)
-        assert simulate_path(plant, placement, gains, cfg, 0, noise_scale=0.0) == 0.0
 
 
 class TestDeterminism:
@@ -89,6 +83,14 @@ class TestDeterminism:
         # single-path values agree with the batched estimate
         batch = estimate_eta(plant, placement, cfg)
         assert batch.per_path[3] == v0
+
+    @pytest.mark.parametrize("n_paths", [1, 8])
+    def test_chunk_length_does_not_change_bits(self, monkeypatch, n_paths):
+        plant, placement = scalar_plant(1.0, 1.0)
+        cfg = SimConfig(dt=1e-2, horizon_T=30.0, n_paths=n_paths, burn_in=3.0, seed=5)
+        default = estimate_eta(plant, placement, cfg).per_path
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", 333)
+        assert np.array_equal(estimate_eta(plant, placement, cfg).per_path, default)
 
 
 class TestEdgeCases:
@@ -117,13 +119,14 @@ class TestEdgeCases:
         with pytest.raises(SimulationDiverged):
             simulate_path(plant, placement, gains, cfg, 0)
 
-    def test_unstable_discretization_fails_divergence_budget(self):
-        # dt > 2/|lambda| makes the Euler chain explode even though the
-        # continuous closed loop is stable
+    def test_coarse_step_stays_on_phi(self):
+        # dt > 2/|lambda| made the Euler chain explode; the exact transition
+        # of the stable closed loop neither diverges nor biases the mean.
         plant, placement = scalar_plant(0.0, 0.0)
         cfg = SimConfig(dt=2.5, horizon_T=500.0, n_paths=8, burn_in=0.0, seed=7)
-        with pytest.raises(SimulationDiverged):
-            estimate_eta(plant, placement, cfg)
+        result = estimate_eta(plant, placement, cfg)
+        assert not result.flags
+        assert abs(result.eta_hat - 0.5) <= 4.0 * result.stderr
 
 
 class TestPlacementRanking:
@@ -155,21 +158,32 @@ class TestCrossModuleAgreement:
         assert abs(result.eta_hat - target) < 3.0 * result.stderr + 0.01
 
 
-def _reference_averages(plant, placement, gains, cfg, path_indices):
-    """Euler-Maruyama with x and xhat stepped in separate lines, one path at a time."""
-    n = plant.n
-    A = plant.A
-    b = np.sqrt(plant.epsilon) * placement.b_unit
-    c = np.sqrt(plant.delta) * placement.c_unit
-    kb = gains.K @ b
-    sc = gains.Sigma @ c
+def _closed_loop(A, b, c, K, Sigma):
+    """Generator G, noise map L and control row kb of the closed loop
+    dz = G z dt + L (dw, dnu) on z = (x, xhat), u = -kb . xhat."""
+    n = A.shape[0]
+    kb = K @ b
+    sc = Sigma @ c
+    G = np.block(
+        [
+            [A, -np.outer(b, kb)],
+            [np.outer(sc, c), A - np.outer(b, kb) - np.outer(sc, c)],
+        ]
+    )
+    L = np.block([[np.eye(n), np.zeros((n, 1))], [np.zeros((n, n)), sc[:, None]]])
+    return G, L, kb
+
+
+def _reference_averages(Phi, L_d, kb, cfg, path_indices):
+    """The exact step, x and xhat stepped in separate lines, one path at a time."""
+    n = Phi.shape[0] // 2
     dt = cfg.dt
     n_steps = int(round(cfg.horizon_T / dt))
     burn_steps = int(round(cfg.burn_in / dt))
     averages = []
     for idx in path_indices:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
-        draws = np.sqrt(dt) * rng.standard_normal((n_steps, n + 1))
+        draws = rng.standard_normal((n_steps, 2 * n))
         x = np.zeros(n)
         xhat = np.zeros(n)
         acc = 0.0
@@ -177,26 +191,107 @@ def _reference_averages(plant, placement, gains, cfg, path_indices):
             u = -(kb @ xhat)
             if k >= burn_steps:
                 acc += (x @ x + u * u) * dt
-            dw, dnu = draws[k, :n], draws[k, n]
-            innovation = (c @ x) * dt + dnu - (c @ xhat) * dt
-            x = x + dt * (A @ x + b * u) + dw
-            xhat = xhat + dt * (A @ xhat + b * u) + innovation * sc
+            noise = L_d @ draws[k]
+            x, xhat = (
+                Phi[:n, :n] @ x + Phi[:n, n:] @ xhat + noise[:n],
+                Phi[n:, :n] @ x + Phi[n:, n:] @ xhat + noise[n:],
+            )
         averages.append(acc / ((n_steps - burn_steps) * dt))
     return np.array(averages)
+
+
+NONSYM3 = np.array([[0.3, 0.4, 0.0], [0.2, -0.5, 0.3], [0.1, 0.0, -2.0]])
 
 
 class TestSchemePinned:
     def test_matches_separate_state_reference(self):
         # Non-symmetric, open-loop unstable n = 3 plant; 5000 steps cross
-        # one chunk boundary of the batched simulator.
-        A = np.array([[0.3, 0.4, 0.0], [0.2, -0.5, 0.3], [0.1, 0.0, -2.0]])
-        plant = Plant(A, 0.5, 0.8)
+        # chunk boundaries of the batched simulator.
+        plant = Plant(NONSYM3, 0.5, 0.8)
         placement = Placement.normalized([1.0, 0.3, -0.2], [0.1, 1.0, 0.5])
         gains = gain_pair(plant, placement)
         cfg = SimConfig(dt=0.002, horizon_T=10.0, n_paths=3, burn_in=1.0, seed=3)
-        reference = _reference_averages(plant, placement, gains, cfg, range(3))
+        b = np.sqrt(plant.epsilon) * placement.b_unit
+        c = np.sqrt(plant.delta) * placement.c_unit
+        G, L, kb = _closed_loop(plant.A, b, c, gains.K, gains.Sigma)
+
+        Phi, L_d = _transition(plant, placement, gains, cfg.dt)
+        np.testing.assert_allclose(Phi, la.expm(G * cfg.dt), rtol=0.0, atol=1e-13)
+        P = la.solve_continuous_lyapunov(G, -L @ L.T)
+        np.testing.assert_allclose(
+            L_d @ L_d.T, P - Phi @ P @ Phi.T, rtol=0.0, atol=1e-12 * np.abs(P).max()
+        )
+
+        reference = _reference_averages(Phi, L_d, kb, cfg, range(3))
         batch = estimate_eta(plant, placement, cfg).per_path
         np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=0.0)
         for idx in range(3):
             single = simulate_path(plant, placement, gains, cfg, idx)
             assert single == pytest.approx(reference[idx], rel=1e-12, abs=0.0)
+
+
+    @pytest.mark.parametrize("dt", [0.1, 1.0])
+    def test_stiff_coarse_step_keeps_its_covariance(self, dt):
+        # |G| dt = 200 at dt = 1, where one Van Loan exponential over the
+        # whole step gets the covariance wrong by a factor of 1e64.
+        plant = Plant(np.diag([-1.0, -200.0]), 1.0, 1.0)
+        placement = Placement.normalized([1.0, 1.0], [1.0, 1.0])
+        gains = gain_pair(plant, placement)
+        b, c = placement.b_unit, placement.c_unit
+        G, L, _ = _closed_loop(plant.A, b, c, gains.K, gains.Sigma)
+        Phi, L_d = _transition(plant, placement, gains, dt)
+        np.testing.assert_allclose(Phi, la.expm(G * dt), rtol=0.0, atol=1e-13)
+        P = la.solve_continuous_lyapunov(G, -L @ L.T)
+        np.testing.assert_allclose(
+            L_d @ L_d.T, P - Phi @ P @ Phi.T, rtol=0.0, atol=1e-12 * np.abs(P).max()
+        )
+
+
+MONTECARLO = (
+    np.diag([-1.0, -2.0, -3.0]),
+    Placement.normalized([1.0, 1.0, 1.0], [1.0, 0.5, 0.25]),
+)
+
+
+class TestTraceFormula:
+    @pytest.mark.parametrize(
+        "A, placement",
+        [
+            MONTECARLO,
+            (NONSYM3, Placement.normalized([1.0, 0.3, -0.2], [0.1, 1.0, 0.5])),
+        ],
+        ids=["montecarlo", "nonsymmetric3"],
+    )
+    def test_phi_is_stationary_cost_of_closed_loop(self, A, placement):
+        # phi = tr(Q_z P) with Q_z = diag(I, kb kb^T) and P the stationary
+        # covariance of the augmented closed loop, built from scipy's CARE.
+        eps, delta = 1.0, 1.0
+        n = A.shape[0]
+        b = np.sqrt(eps) * placement.b_unit
+        c = np.sqrt(delta) * placement.c_unit
+        K = la.solve_continuous_are(A, b[:, None], np.eye(n), np.eye(1))
+        Sigma = la.solve_continuous_are(A.T, c[:, None], np.eye(n), np.eye(1))
+        G, L, kb = _closed_loop(A, b, c, K, Sigma)
+        P = la.solve_continuous_lyapunov(G, -L @ L.T)
+        stationary = np.trace(la.block_diag(np.eye(n), np.outer(kb, kb)) @ P)
+        assert phi(Plant(A, eps, delta), placement) == pytest.approx(
+            stationary, rel=1e-10
+        )
+
+
+class TestCoarseSampling:
+    def test_montecarlo_problem_at_dt_0_05(self):
+        # Sampling every 0.05 leaves the mean on phi: Euler-Maruyama's bias
+        # at this dt put 9 of these 40 runs outside |z| <= 4.
+        A, placement = MONTECARLO
+        plant = Plant(A, 1.0, 1.0)
+        target = scipy_phi_oracle(A, 1.0, 1.0, placement.b_unit, placement.c_unit)[0]
+        z_scores = []
+        for seed in range(60, 100):
+            cfg = SimConfig(
+                dt=0.05, horizon_T=100.0, n_paths=32, burn_in=10.0, seed=seed
+            )
+            result = estimate_eta(plant, placement, cfg)
+            z_scores.append((result.eta_hat - target) / result.stderr)
+        assert max(np.abs(z_scores)) <= 4.0
+        assert abs(np.mean(z_scores)) < 0.5
