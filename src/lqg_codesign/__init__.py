@@ -6,14 +6,7 @@ spheres, with analytic zero-gain equilibrium enumeration and a Monte Carlo
 validator.
 """
 
-from .cost import (
-    CostReport,
-    cost_report,
-    directional_derivative,
-    phi,
-    phi_bar,
-    phi_gain_sensitivity,
-)
+from .cost import CostReport, cost_report, phi, phi_bar, phi_gain_sensitivity
 from .equilibria import (
     BetaGamma,
     EquilibriumCandidate,
@@ -52,6 +45,7 @@ from .flow import (
     FlowTrace,
     MultiStartResult,
     OrbitGradient,
+    directional_derivative,
     flow_step,
     gradient,
     multi_start,

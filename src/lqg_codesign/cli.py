@@ -189,11 +189,14 @@ def load_problem(path: Path) -> Problem:
     flow_raw = raw.get("flow", {})
     if not isinstance(flow_raw, dict):
         raise ProblemFormatError("'flow' must be an object")
+    known = {field.name for field in dataclasses.fields(FlowOptions)}
+    for key in flow_raw:
+        if key not in known:
+            raise ProblemFormatError(f"unknown key {key!r} in 'flow'")
     try:
         flow_options = FlowOptions(
             grad_tol=float(flow_raw.get("grad_tol", 1e-9)),
             max_iters=int(flow_raw.get("max_iters", 100_000)),
-            rescaled=bool(flow_raw.get("rescaled", False)),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid flow options: {exc}") from exc
@@ -350,6 +353,7 @@ def cmd_flow(problem: Problem, args) -> dict:
                 "status": tr.status,
                 "phi": tr.iterates[-1].phi if tr.iterates else None,
                 "iterations": max(len(tr.iterates) - 1, 0),
+                **({} if tr.error is None else {"error": tr.error}),
             }
             for tr in result.all
         ],

@@ -10,18 +10,17 @@ and the auxiliary potential built from the adjoint pair (M, N) is
     phi_bar = tr(A^T M N + N M A),
 
 which is <= 0 for symmetric Hurwitz A and equals -tr(K B K M) =
--tr(Sigma C Sigma N) in the zero-gain limit epsilon = delta = 0 (where it
-generates the rescaled flow). The sign is not guaranteed otherwise: phi_bar
+-tr(Sigma C Sigma N) in the zero-gain limit epsilon = delta = 0 (where the
+descent acts on it). The sign is not guaranteed otherwise: phi_bar
 is positive at some placements of Laplacian dynamics (zero mode) and of
 non-symmetric, open-loop-unstable A (1e4 to 1e16 seen at n = 50).
 
 ``phi_gain_sensitivity`` differentiates phi with respect to the actuation
 gain r and the sensor SNR s at (r, s) = (epsilon, delta); both partials are
 nonpositive, and each is one Lyapunov solve on a closed loop that the gain
-pair kept in Schur form. ``directional_derivative`` evaluates the first
-variation of phi along an orbit tangent (ad_B Omega_b, ad_C Omega_c):
-
-    v . phi = eps*delta * ( tr([B, K M K] Omega_b) + tr([C, Sigma N Sigma] Omega_c) ).
+pair kept in Schur form. ``drive_matrices`` gives the symmetric matrices
+(K M K, Sigma N Sigma) from which ``flow.gradient`` forms the descent field
+and every first variation of phi along the orbits.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
-from .errors import NotSkew
 from .plant import Placement, Plant
 # ``solve_lyapunov`` is unused here but stays a module attribute: the
 # benchmark's tracer (benchmark/tracer.py) wraps ``cost.solve_lyapunov``.
@@ -42,8 +39,6 @@ from .riccati import (  # noqa: F401
     gain_pair,
     solve_lyapunov,
 )
-
-SKEW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,44 +115,3 @@ def phi_gain_sensitivity(plant: Plant, placement: Placement) -> tuple[float, flo
     dphi_dr = float(np.trace((A @ Sigma + Sigma @ A.T + eye) @ K_prime))
     dphi_ds = float(np.trace((A.T @ K + K @ A + eye) @ Sigma_prime))
     return dphi_dr, dphi_ds
-
-
-def directional_derivative(
-    plant: Plant,
-    placement: Placement,
-    omega_b: np.ndarray,
-    omega_c: np.ndarray,
-) -> float:
-    """First variation of phi along the orbit tangent (ad_B Omega_b, ad_C Omega_c).
-
-    The tangent is realized by the curves b(t) = expm(-t*Omega_b) b_unit and
-    c(t) = expm(-t*Omega_c) c_unit, whose derivative at t = 0 is
-    ([B, Omega_b], [C, Omega_c]).
-
-    Raises
-    ------
-    NotSkew
-        If either direction fails |Omega + Omega^T|_F <= 1e-12.
-    """
-    omega_b = np.atleast_2d(np.asarray(omega_b, dtype=float))
-    omega_c = np.atleast_2d(np.asarray(omega_c, dtype=float))
-    for name, om in (("omega_b", omega_b), ("omega_c", omega_c)):
-        if la.norm(om + om.T, "fro") > SKEW_TOL:
-            raise NotSkew(f"{name} is not skew-symmetric")
-
-    pairing = _orbit_pairing(cost_report(plant, placement), placement, omega_b, omega_c)
-    return plant.epsilon * plant.delta * pairing
-
-
-def _orbit_pairing(
-    report: CostReport,
-    placement: Placement,
-    omega_b: np.ndarray,
-    omega_c: np.ndarray,
-) -> float:
-    """tr([B, S_b] Omega_b) + tr([C, S_c] Omega_c): the variation without eps*delta."""
-    S_b, S_c = drive_matrices(report.gains, report.adjoints)
-    B, C = placement.B, placement.C
-    comm_b = B @ S_b - S_b @ B
-    comm_c = C @ S_c - S_c @ C
-    return float(np.trace(comm_b @ omega_b) + np.trace(comm_c @ omega_c))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as la
 
-from .cost import CostReport, cost_report, drive_matrices
+from .cost import CostReport, cost_report
 from .errors import (
     DimensionTooLarge,
     NonNegativeEigenvalue,
@@ -172,17 +172,13 @@ def is_equilibrium(
 ) -> tuple[bool, np.ndarray]:
     """Test the equilibrium condition; returns (flag, [res_b, res_c]).
 
-    The residuals are |(I - b b^T) K M K b| and |(I - c c^T) S N S c|, which
-    vanish exactly when b and c are eigenvectors of the drive matrices.
-    Passing a precomputed ``report`` avoids re-solving the placement.
+    The residuals are the norms of the tangent residuals r_b and r_c of
+    ``flow.gradient``, which vanish exactly when b and c are eigenvectors of
+    the drive matrices. Passing a precomputed ``report`` avoids re-solving
+    the placement.
     """
-    if report is None:
-        report = cost_report(plant, placement)
-    S_b, S_c = drive_matrices(report.gains, report.adjoints)
-    b, c = placement.b_unit, placement.c_unit
-    res_b = np.linalg.norm(S_b @ b - (b @ S_b @ b) * b)
-    res_c = np.linalg.norm(S_c @ c - (c @ S_c @ c) * c)
-    residuals = np.array([res_b, res_c])
+    grad = gradient(plant, placement, report=report)
+    residuals = np.array([np.linalg.norm(grad.r_b), np.linalg.norm(grad.r_c)])
     return bool(np.all(residuals <= tol)), residuals
 
 
@@ -504,8 +500,8 @@ def classify_stability(
 
     Classifies the ``hessian_matrix`` of ``flow.gradient`` with ``_verdict``,
     solving the placement once (or not at all, given its ``report``). In the
-    zero-gain regime (eps*delta < 1e-12) the gradient is the rescaled one, so
-    the Hessian is that of phi_bar; otherwise it is that of phi.
+    zero-gain regime (eps*delta < 1e-12) the gradient is that of phi_bar, so
+    the Hessian is too; otherwise it is that of phi.
 
     Returns (eigenvalues descending, classification).
 

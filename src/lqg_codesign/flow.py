@@ -11,12 +11,15 @@ which lifts exactly to the unit-sphere pair through B = b b^T:
 (and the same for c with S_c = Sigma N Sigma). The iteration is explicit
 Euler with secant (Barzilai-Borwein) trial steps, backtracking and
 renormalization, so the orbit constraint holds exactly at every iterate.
-``OrbitGradient.g_b`` stores the *gradient* (ascent) direction
--scale*(I - b b^T) S_b b, so a step moves along ``b - step * g_b``; the
-scale is eps*delta for the plain flow and 1 for the rescaled field, which is
-also substituted automatically when eps*delta is numerically zero (the plain
-field vanishes identically there and the descent acts on the potential
-phi_bar instead of phi).
+
+``gradient`` is the one place that forms this field. ``OrbitGradient``
+keeps the tangent residual r_b = (I - b b^T) S_b b (and r_c), which
+vanishes exactly at an equilibrium, and the gradient (ascent) direction
+g_b = -scale * r_b, so a step moves along ``b - step * g_b``. The scale is
+eps*delta, or 1 when eps*delta is numerically zero: the eps*delta field
+vanishes identically there, and the descent acts on the potential phi_bar
+instead of phi. Every first-order quantity reads the residuals: the
+equilibrium test, the Armijo slope -norm^2 and ``directional_derivative``.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostReport, cost_report, drive_matrices
-from .errors import AllStartsFailed, CodesignError, DegenerateStep
+from .errors import AllStartsFailed, CodesignError, DegenerateStep, NotSkew
 from .plant import Placement, Plant
 from .riccati import pbh_check
 
 #: Below this value of eps*delta the natural flow field is identically zero
-#: and the rescaled field is used instead.
+#: and the field of scale 1, the gradient of phi_bar, is used instead.
 SCALE_TINY = 1e-12
+SKEW_TOL = 1e-12
 
 _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
@@ -46,15 +50,16 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_NO_DECREASE = "no_decrease"
 STATUS_SOLVER_FAILURE = "solver_failure"
+#: Why a start, or a ``verify`` check, has no placement to run on.
+NO_PLACEMENT = "no placement passes both PBH tests"
 
 
 @dataclass(frozen=True)
 class FlowOptions:
-    """Termination parameters and field choice for the descent."""
+    """Termination parameters for the descent."""
 
     grad_tol: float = 1e-9
     max_iters: int = 100_000
-    rescaled: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
@@ -67,19 +72,28 @@ class FlowOptions:
 class OrbitGradient:
     """Gradient data at a placement.
 
-    ``g_b`` and ``g_c`` are the sphere-lifted gradient (ascent) vectors,
-    orthogonal to b_unit and c_unit; ``norm`` is the normal-metric norm of
-    the gradient, which vanishes exactly when [B, K M K] = 0 and
-    [C, Sigma N Sigma] = 0; ``scale`` records the field scaling in effect
-    (eps*delta, or 1 for the rescaled field).
+    ``r_b`` and ``r_c`` are the tangent residuals (I - b b^T) S_b b and
+    (I - c c^T) S_c c, orthogonal to b_unit and c_unit; ``g_b`` and ``g_c``
+    are the sphere-lifted gradient (ascent) vectors -scale * r; ``norm`` is
+    the normal-metric norm of the gradient, which vanishes exactly when
+    [B, K M K] = 0 and [C, Sigma N Sigma] = 0; ``scale`` records the field
+    scaling in effect (eps*delta, or 1 at zero gain).
     """
 
     S_b: np.ndarray
     S_c: np.ndarray
-    g_b: np.ndarray
-    g_c: np.ndarray
+    r_b: np.ndarray
+    r_c: np.ndarray
     norm: float
     scale: float
+
+    @property
+    def g_b(self) -> np.ndarray:
+        return -self.scale * self.r_b
+
+    @property
+    def g_c(self) -> np.ndarray:
+        return -self.scale * self.r_c
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,8 @@ class FlowTrace:
     iterates: tuple[FlowIterate, ...]
     status: str
     final: Placement
+    #: Why a ``solver_failure`` start stopped; None for every other status.
+    error: str | None = None
 
     @property
     def phis(self) -> np.ndarray:
@@ -117,21 +133,11 @@ def is_zero_gain(plant: Plant) -> bool:
     return plant.epsilon * plant.delta < SCALE_TINY
 
 
-def effective_scale(plant: Plant, rescaled: bool) -> float:
-    """Field scaling: eps*delta, or 1 when rescaled or eps*delta ~ 0."""
-    if rescaled or is_zero_gain(plant):
-        return 1.0
-    return plant.epsilon * plant.delta
-
-
 def gradient(
-    plant: Plant,
-    placement: Placement,
-    *,
-    rescaled: bool = False,
-    report: CostReport | None = None,
+    plant: Plant, placement: Placement, *, report: CostReport | None = None
 ) -> OrbitGradient:
-    """Normal-metric gradient of the cost at a placement.
+    """Normal-metric gradient of the cost at a placement: of phi, or of
+    phi_bar at zero gain.
 
     Passing a precomputed ``report`` avoids re-solving the four equations.
     """
@@ -139,18 +145,42 @@ def gradient(
         report = cost_report(plant, placement)
     S_b, S_c = drive_matrices(report.gains, report.adjoints)
     b, c = placement.b_unit, placement.c_unit
-    proj_b = S_b @ b - (b @ S_b @ b) * b
-    proj_c = S_c @ c - (c @ S_c @ c) * c
-    scale = effective_scale(plant, rescaled)
-    norm = scale * np.sqrt(2.0 * (proj_b @ proj_b + proj_c @ proj_c))
-    return OrbitGradient(
-        S_b=S_b,
-        S_c=S_c,
-        g_b=-scale * proj_b,
-        g_c=-scale * proj_c,
-        norm=float(norm),
-        scale=scale,
-    )
+    r_b = S_b @ b - (b @ S_b @ b) * b
+    r_c = S_c @ c - (c @ S_c @ c) * c
+    scale = 1.0 if is_zero_gain(plant) else plant.epsilon * plant.delta
+    norm = scale * np.sqrt(2.0 * (r_b @ r_b + r_c @ r_c))
+    return OrbitGradient(S_b=S_b, S_c=S_c, r_b=r_b, r_c=r_c, norm=float(norm), scale=scale)
+
+
+def directional_derivative(
+    plant: Plant,
+    placement: Placement,
+    omega_b: np.ndarray,
+    omega_c: np.ndarray,
+) -> float:
+    """First variation of phi along the orbit tangent (ad_B Omega_b, ad_C Omega_c):
+
+        eps*delta (tr([B, S_b] Omega_b) + tr([C, S_c] Omega_c))
+            = 2 eps*delta (r_b . Omega_b b + r_c . Omega_c c).
+
+    The tangent is realized by the curves b(t) = expm(-t*Omega_b) b_unit and
+    c(t) = expm(-t*Omega_c) c_unit, whose derivative at t = 0 is
+    ([B, Omega_b], [C, Omega_c]).
+
+    Raises
+    ------
+    NotSkew
+        If either direction fails |Omega + Omega^T|_F <= 1e-12.
+    """
+    omega_b = np.atleast_2d(np.asarray(omega_b, dtype=float))
+    omega_c = np.atleast_2d(np.asarray(omega_c, dtype=float))
+    for name, om in (("omega_b", omega_b), ("omega_c", omega_c)):
+        if np.linalg.norm(om + om.T, "fro") > SKEW_TOL:
+            raise NotSkew(f"{name} is not skew-symmetric")
+    grad = gradient(plant, placement)
+    b, c = placement.b_unit, placement.c_unit
+    pairing = grad.r_b @ omega_b @ b + grad.r_c @ omega_c @ c
+    return float(2.0 * plant.epsilon * plant.delta * pairing)
 
 
 def flow_step(
@@ -180,8 +210,8 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
 
     After the first trial step (1), each is the Barzilai-Borwein step s.s/s.y
     of the last move in R^{2n}, or twice the last step if s.y <= 0. It is
-    halved until Armijo's test holds or, where the objective moved by at most
-    4 ulps, the gradient norm falls.
+    halved until Armijo's test on the slope -norm^2 holds or, where the
+    objective moved by at most 4 ulps, the gradient norm falls.
 
     Ends with one of four statuses:
 
@@ -193,7 +223,7 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
       the rounding of the renormalization;
     - ``max_iters``: ``opts.max_iters`` steps were accepted;
     - ``solver_failure``: the start point could not be evaluated. This is
-      recorded rather than raised.
+      recorded, with the solver's message in ``error``, rather than raised.
     """
     use_phi_bar = is_zero_gain(plant)
 
@@ -204,23 +234,18 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     iterates: list[FlowIterate] = []
     try:
         report = cost_report(plant, placement)
-        grad = gradient(plant, placement, rescaled=opts.rescaled, report=report)
-    except CodesignError:
-        return FlowTrace(iterates=(), status=STATUS_SOLVER_FAILURE, final=init)
+        grad = gradient(plant, placement, report=report)
+    except CodesignError as exc:
+        return FlowTrace((), STATUS_SOLVER_FAILURE, init, error=str(exc))
 
     obj = objective_of(report)
     iterates.append(FlowIterate(placement, report.phi, obj, grad.norm, 0.0))
-    # Slope of the objective in the step parameter along (-g_b, -g_c); the
-    # factor eps*delta/scale accounts for descending phi with a rescaled
-    # field (for phi_bar at eps*delta ~ 0 the field is its own gradient).
-    slope_factor = 1.0 if use_phi_bar else plant.epsilon * plant.delta / grad.scale
     resolution = np.finfo(float).eps
 
     step = _STEP_INIT
     for _ in range(opts.max_iters):
         if grad.norm < opts.grad_tol:
             break
-        slope = -slope_factor * grad.norm**2
         # Positive whenever grad.norm is, so the backtracking below ends.
         reach = max(np.linalg.norm(grad.g_b), np.linalg.norm(grad.g_c))
         while step * reach > resolution:
@@ -231,10 +256,8 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
                 step *= 0.5
                 continue
             cand_obj = objective_of(cand_report)
-            cand_grad = gradient(
-                plant, candidate, rescaled=opts.rescaled, report=cand_report
-            )
-            if cand_obj <= obj + _ARMIJO_C1 * step * slope or (
+            cand_grad = gradient(plant, candidate, report=cand_report)
+            if cand_obj <= obj - _ARMIJO_C1 * step * grad.norm**2 or (
                 abs(cand_obj - obj) <= 4.0 * resolution * abs(obj)
                 and cand_grad.norm < grad.norm
             ):
@@ -301,14 +324,10 @@ def default_workers() -> int:
 
 
 def multi_start(
-    plant: Plant,
-    n_starts: int,
-    seed: int,
-    opts: FlowOptions,
-    *,
-    max_workers: int | None = None,
+    plant: Plant, n_starts: int, seed: int, opts: FlowOptions
 ) -> MultiStartResult:
-    """Run the descent from ``n_starts`` seeded uniform placements.
+    """Run the descent from ``n_starts`` seeded uniform placements, on
+    ``default_workers()`` threads.
 
     Start points are drawn from independent per-start RNG streams (spawned
     from ``seed``), rejection-checked against the PBH tests, so the result is
@@ -332,12 +351,14 @@ def multi_start(
 
     def run_one(start: Placement | None) -> FlowTrace:
         if start is None:
-            return FlowTrace((), STATUS_SOLVER_FAILURE, _fallback_placement(plant.n))
+            return FlowTrace(
+                (), STATUS_SOLVER_FAILURE, _fallback_placement(plant.n), NO_PLACEMENT
+            )
         return run_flow(plant, start, opts)
 
-    workers = default_workers() if max_workers is None else max_workers
+    workers = default_workers()
     if workers > 1 and n_starts > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(workers) as pool:
             traces = list(pool.map(run_one, placements))
     else:
         traces = [run_one(p) for p in placements]

@@ -147,12 +147,6 @@ def lyapunov_residual(F: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     return float(la.norm(F @ P + P @ F.T + Q, "fro"))
 
 
-def is_hurwitz(F: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
-    """True when every eigenvalue of F has real part < -margin."""
-    r = la.schur(np.atleast_2d(np.asarray(F, dtype=float)), output="real")[0]
-    return bool(np.max(np.diag(r)) < -margin)
-
-
 def closed_loop(F) -> ClosedLoop:
     """Real Schur form of F, kept for Lyapunov solves; F must be Hurwitz.
 

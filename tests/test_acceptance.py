@@ -182,7 +182,7 @@ def test_criterion_5_enumeration_vs_flow():
         plant = Plant(np.diag(lams), 0.0, 0.0)
         spectrum = Spectrum.from_matrix(plant.A)
         candidates = enumerate_equilibria_zero(spectrum)
-        opts = FlowOptions(grad_tol=1e-9, max_iters=5_000, rescaled=True)
+        opts = FlowOptions(grad_tol=1e-9, max_iters=5_000)
         result = multi_start(plant, 50, seed=123, opts=opts)
         for trace in result.all:
             all_converged &= trace.status == STATUS_CONVERGED

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import assert_unique_stable_top_pair, spaced_in_random_basis
 
-from lqg_codesign import SimulationDiverged, cli
+from lqg_codesign import SimulationDiverged, cli, flow
 from lqg_codesign.cli import dumps, load_problem, main
 from lqg_codesign.equilibria import Spectrum
 from lqg_codesign.plant import Placement
@@ -121,6 +121,8 @@ class TestNonFiniteInput:
             ("flow", "flow", "grad_tol", NAN),
             ("flow", "flow", "grad_tol", INF),
             ("flow", "flow", "max_iters", INF),
+            # an unknown key, such as the retired field switch, is an error
+            ("flow", "flow", "rescaled", True),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):
@@ -211,6 +213,28 @@ class TestFlowCommand:
         problem = write_problem(tmp_path, "diag3.json", DIAG3)
         code = main(["flow", "--problem", problem, "--out", str(tmp_path / "o"), "--starts", "0"])
         assert code == 1
+
+    def test_failed_start_reports_its_error(self, tmp_path, monkeypatch):
+        # The first start draws no PBH-passing placement; only it gets "error".
+        real = flow.pbh_passing_placement
+        calls = []
+
+        def first_fails(*args):
+            calls.append(None)
+            return None if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(flow, "pbh_passing_placement", first_fails)
+        problem = write_problem(tmp_path, "diag3.json", DIAG3)
+        out = tmp_path / "out"
+        assert main(["flow", "--problem", problem, "--out", str(out)]) == 0
+        starts = json.loads((out / "flow.json").read_text())["starts"]
+        assert starts[0] == {
+            "status": "solver_failure",
+            "phi": None,
+            "iterations": 0,
+            "error": flow.NO_PLACEMENT,
+        }
+        assert all(s["status"] == "converged" and "error" not in s for s in starts[1:])
 
     def test_all_starts_failed_exit_4(self, tmp_path):
         payload = {"A": [[1.0, 0.0], [0.0, 1.0]], "epsilon": 1.0, "delta": 1.0, "n_starts": 2}

@@ -112,6 +112,26 @@ class TestIsEquilibrium:
         flag, residuals = is_equilibrium(plant, random_placement_for(rng, 3), 1e-8)
         assert not flag and np.max(residuals) > 1e-8
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residuals_are_eigenvector_defects(self, seed):
+        # res_b = |K M K b - (b^T K M K b) b| and res_c likewise with
+        # Sigma N Sigma, from the solves themselves.
+        rng = np.random.default_rng(70 + seed)
+        plant = Plant(random_symmetric_hurwitz(rng, 4), 0.4, 0.9)
+        placement = random_placement_for(rng, 4)
+        report = cost_report(plant, placement)
+        K, Sigma = report.gains.K, report.gains.Sigma
+        expected = []
+        for S, v in (
+            (K @ report.adjoints.M @ K, placement.b_unit),
+            (Sigma @ report.adjoints.N @ Sigma, placement.c_unit),
+        ):
+            Sv = 0.5 * (S + S.T) @ v
+            expected.append(np.linalg.norm(Sv - (v @ Sv) * v))
+        residuals = is_equilibrium(plant, placement, 1e-8)[1]
+        assert residuals == pytest.approx(expected, rel=1e-12)
+        assert min(expected) > 1e-8
+
     def test_scalar_always(self):
         plant = Plant(np.array([[-1.0]]), 2.0, 1.0)
         flag, residuals = is_equilibrium(
@@ -626,7 +646,7 @@ class TestSupportDichotomy:
         rng = np.random.default_rng(1500 + seed)
         spec = spectrum_of([-0.7, -1.6, -3.1])
         plant = Plant(spec.A, 0.0, 0.0)
-        opts = FlowOptions(grad_tol=1e-11, max_iters=800, rescaled=True)
+        opts = FlowOptions(grad_tol=1e-11, max_iters=800)
         trace = run_flow(plant, rp(rng, 3), opts)
         assert trace.iterates[-1].grad_norm < 1e-7
         beta, gamma = orbit_canonical_coords(trace.final, spec)

@@ -26,7 +26,7 @@ from lqg_codesign import (
 )
 from lqg_codesign import riccati
 from lqg_codesign.cli import main
-from lqg_codesign.riccati import care_residual, is_hurwitz, lyapunov_residual
+from lqg_codesign.riccati import care_residual, closed_loop, lyapunov_residual
 
 
 class TestSolveCare:
@@ -56,7 +56,10 @@ class TestSolveCare:
         assert la.norm(P - P.T) < 1e-12
         assert np.min(np.linalg.eigvalsh(P)) >= -1e-10
         assert care_residual(A, W, Q, P) <= 1e-10 * (1 + la.norm(P) ** 2)
-        assert is_hurwitz(A - W @ P)
+        F = A - W @ P
+        assert closed_loop(F).margin == pytest.approx(
+            -np.max(np.linalg.eigvals(F).real), rel=1e-8
+        )
         # independent oracle: scipy's CARE solver on the equivalent (B, R) form
         P_ref = la.solve_continuous_are(
             A, v[:, None], Q, np.array([[1.0 / _outer_weight(W, v)]])
@@ -223,11 +226,19 @@ class TestOneFactorizationPerMatrix:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 50])
     @pytest.mark.parametrize("offset", [-1e-11, 1e-11])
     def test_is_hurwitz_matches_eigenvalues(self, n, offset):
+        # closed_loop accepts F exactly when max Re(eig F) < -HURWITZ_MARGIN,
+        # and its margin is -max Re(eig F).
         threshold = -riccati.HURWITZ_MARGIN
         F = _shifted_with_pair(np.random.default_rng(400 + n), n, threshold + offset)
-        expected = offset < 0.0
-        assert (np.max(np.linalg.eigvals(F).real) < threshold) == expected
-        assert is_hurwitz(F) == expected
+        top = np.max(np.linalg.eigvals(F).real)
+        assert (top < threshold) == (offset < 0.0)
+        if offset < 0.0:
+            # -top is about 1e-11: a roundoff of 1e-16 in either routine is
+            # 1e-5 of it.
+            assert closed_loop(F).margin == pytest.approx(-top, rel=1e-3)
+        else:
+            with pytest.raises(NotHurwitz):
+                closed_loop(F)
 
 
 class TestRepeatedSolves:
