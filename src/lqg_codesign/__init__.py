@@ -40,6 +40,7 @@ from .errors import (
     SingularBlock,
 )
 from .flow import (
+    FlowCounters,
     FlowIterate,
     FlowOptions,
     FlowTrace,
@@ -58,6 +59,7 @@ from .riccati import (
     AdjointPair,
     ClosedLoop,
     GainPair,
+    ModalLoop,
     PBHReport,
     adjoint_pair,
     gain_pair,

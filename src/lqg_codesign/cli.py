@@ -342,6 +342,7 @@ def cmd_flow(problem: Problem, args) -> dict:
             "status": best.status,
             "iterations": len(best.iterates) - 1,
             "grad_norm": best.iterates[-1].grad_norm,
+            "counters": dataclasses.asdict(best.counters),
             "equilibrium": {
                 "within_10x_grad_tol": eq_flag,
                 "residuals": list(eq_res),
@@ -353,6 +354,7 @@ def cmd_flow(problem: Problem, args) -> dict:
                 "status": tr.status,
                 "phi": tr.iterates[-1].phi if tr.iterates else None,
                 "iterations": max(len(tr.iterates) - 1, 0),
+                "counters": dataclasses.asdict(tr.counters),
                 **({} if tr.error is None else {"error": tr.error}),
             }
             for tr in result.all

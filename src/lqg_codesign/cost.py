@@ -18,9 +18,11 @@ non-symmetric, open-loop-unstable A (1e4 to 1e16 seen at n = 50).
 ``phi_gain_sensitivity`` differentiates phi with respect to the actuation
 gain r and the sensor SNR s at (r, s) = (epsilon, delta); both partials are
 nonpositive, and each is one Lyapunov solve on a closed loop that the gain
-pair kept in Schur form. ``drive_matrices`` gives the symmetric matrices
-(K M K, Sigma N Sigma) from which ``flow.gradient`` forms the descent field
-and every first variation of phi along the orbits.
+pair kept: in real Schur form, or in modal form on a symmetric plant, whose
+cost report then takes no Schur form at all (``riccati``).
+``drive_matrices`` gives the symmetric matrices (K M K, Sigma N Sigma) from
+which ``flow.gradient`` forms the descent field and every first variation
+of phi along the orbits.
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ def phi_bar_from_adjoints(A: np.ndarray, adjoints: AdjointPair) -> float:
 
 
 def cost_report(plant: Plant, placement: Placement) -> CostReport:
-    """Solve all four equations for a placement and assemble the report."""
+    """Solve all four equations for a placement and assemble the report.
+
+    ``report.gains.fallback`` says why a symmetric plant's Riccati solve left
+    the modal path, if it did.
+    """
     gains = gain_pair(plant, placement)
     adjoints = adjoint_pair(plant, placement, gains)
     return CostReport(

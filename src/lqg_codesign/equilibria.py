@@ -28,8 +28,8 @@ support at once. Stability is read from the Hessian of the potential on the
 tangent space of the sphere pair: in closed form for enumerated candidates
 (``zero_gain_field``), and in ``classify_stability`` (phi, or phi_bar in the
 zero-gain limit) by ``hessian_matrix``, which differentiates
-``flow.gradient`` exactly: four tangent-linear Lyapunov solves per tangent
-direction on the closed-loop Schur forms the cost evaluation kept.
+``flow.gradient`` exactly: three tangent-linear Lyapunov solves per tangent
+direction on the closed loops the cost evaluation kept.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     NotAnEquilibrium,
     SingularBlock,
 )
-from .flow import gradient
+from .flow import OrbitGradient, gradient
 from .plant import Placement, Plant
 
 ENUMERATION_CAP = 12
@@ -177,7 +177,10 @@ def is_equilibrium(
     the drive matrices. Passing a precomputed ``report`` avoids re-solving
     the placement.
     """
-    grad = gradient(plant, placement, report=report)
+    return _equilibrium_residuals(gradient(plant, placement, report=report), tol)
+
+
+def _equilibrium_residuals(grad: OrbitGradient, tol: float) -> tuple[bool, np.ndarray]:
     residuals = np.array([np.linalg.norm(grad.r_b), np.linalg.norm(grad.r_c)])
     return bool(np.all(residuals <= tol)), residuals
 
@@ -429,21 +432,31 @@ def hessian_matrix(
 
     with dF_K = -eps (dB K + B dK) and dF_S = -delta (dC Sigma + C dSig), so
     dS_b = sym(dK M K + K dM K + K M dK), dS_c likewise, and the b rows
-    are U^T (-s)(dS_b b + S_b d_b - (b^T S_b b) d_b), s the field scale:
-    four solves on kept Schur forms per direction. At a critical point the
-    result is the Riemannian Hessian (Absil, Mahony and Trumpf, GSI 2013),
-    symmetric up to rounding; elsewhere it is the Jacobian of the projected
-    field. Passing a precomputed ``report`` avoids re-solving the placement.
+    are U^T (-s)(dS_b b + S_b d_b - (b^T S_b b) d_b), s the field scale.
+    That is three solves on the kept loops per direction: a b-direction has
+    dC = 0, so dSig = 0, and a c-direction has dB = 0, so dK = 0, and these
+    identically zero solves are skipped. At a critical point the result is
+    the Riemannian Hessian (Absil, Mahony and Trumpf, GSI 2013), symmetric
+    up to rounding; elsewhere it is the Jacobian of the projected field.
+    Passing a precomputed ``report`` avoids re-solving the placement.
     """
     if report is None:
         report = cost_report(plant, placement)
     grad = gradient(plant, placement, report=report)
+    return _hessian(plant, placement, report, grad)
+
+
+def _hessian(
+    plant: Plant, placement: Placement, report: CostReport, grad: OrbitGradient
+) -> np.ndarray:
+    """``hessian_matrix`` given the report and its ``flow.gradient``."""
     gains, adjoints = report.gains, report.adjoints
     K, Sigma, M, N = gains.K, gains.Sigma, adjoints.M, adjoints.N
     eps, delta = plant.epsilon, plant.delta
     b, c = placement.b_unit, placement.c_unit
     B, C = placement.B, placement.C
     U, W = _tangent_basis(b), _tangent_basis(c)
+    unmoved = np.zeros((plant.n, plant.n))
 
     def sym(X: np.ndarray) -> np.ndarray:
         return X + X.T
@@ -451,8 +464,11 @@ def hessian_matrix(
     def column(d_b: np.ndarray, d_c: np.ndarray) -> np.ndarray:
         dB, dC = sym(np.outer(d_b, b)), sym(np.outer(d_c, c))
         KdBK, SdCS = K @ dB @ K, Sigma @ dC @ Sigma
-        dK = gains.loop_K.solve(-eps * KdBK, transpose=True)[0]
-        dS = gains.loop_Sigma.solve(-delta * SdCS, transpose=True)[0]
+        dK = dS = unmoved
+        if d_b.any():
+            dK = gains.loop_K.solve(-eps * KdBK, transpose=True)[0]
+        if d_c.any():
+            dS = gains.loop_Sigma.solve(-delta * SdCS, transpose=True)[0]
         dF_K = -eps * (dB @ K + B @ dK)
         dF_S = -delta * (dC @ Sigma + C @ dS)
         dM = gains.loop_K.solve(sym(dF_K @ M) + sym(dS @ C @ Sigma) + SdCS)[0]
@@ -499,9 +515,10 @@ def classify_stability(
     """Exact Hessian classification at an equilibrium.
 
     Classifies the ``hessian_matrix`` of ``flow.gradient`` with ``_verdict``,
-    solving the placement once (or not at all, given its ``report``). In the
-    zero-gain regime (eps*delta < 1e-12) the gradient is that of phi_bar, so
-    the Hessian is too; otherwise it is that of phi.
+    solving the placement once (or not at all, given its ``report``) and
+    forming its gradient once for both the equilibrium test and the Hessian.
+    In the zero-gain regime (eps*delta < 1e-12) the gradient is that of
+    phi_bar, so the Hessian is too; otherwise it is that of phi.
 
     Returns (eigenvalues descending, classification).
 
@@ -512,9 +529,9 @@ def classify_stability(
     """
     if report is None:
         report = cost_report(plant, placement)
-    residuals = is_equilibrium(plant, placement, eq_tol, report=report)[1]
-    _require_equilibrium(residuals, eq_tol)
-    return _verdict(hessian_matrix(plant, placement, report=report))
+    grad = gradient(plant, placement, report=report)
+    _require_equilibrium(_equilibrium_residuals(grad, eq_tol)[1], eq_tol)
+    return _verdict(_hessian(plant, placement, report, grad))
 
 
 def classify_candidates(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -108,6 +108,27 @@ class FlowIterate:
 
 
 @dataclass(frozen=True)
+class FlowCounters:
+    """Work a descent run did, none of which changes its result.
+
+    ``evaluations`` counts ``cost_report`` calls and ``backtracks`` halved
+    trial steps. ``swallowed_errors`` counts the ``CodesignError``s the line
+    search caught and backtracked from (the last message is kept), and
+    ``modal_fallbacks`` the evaluations whose gain pair fell back from the
+    modal to the Hamiltonian path (``GainPair.fallback``; the last reason is
+    kept). That count is 0 on a symmetric plant with positive gains and
+    separated |lambda|, and on every non-symmetric plant.
+    """
+
+    evaluations: int = 0
+    backtracks: int = 0
+    swallowed_errors: int = 0
+    last_swallowed_error: str | None = None
+    modal_fallbacks: int = 0
+    last_modal_fallback: str | None = None
+
+
+@dataclass(frozen=True)
 class FlowTrace:
     """History of a descent run."""
 
@@ -116,6 +137,7 @@ class FlowTrace:
     final: Placement
     #: Why a ``solver_failure`` start stopped; None for every other status.
     error: str | None = None
+    counters: FlowCounters = FlowCounters()
 
     @property
     def phis(self) -> np.ndarray:
@@ -224,19 +246,35 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     - ``max_iters``: ``opts.max_iters`` steps were accepted;
     - ``solver_failure``: the start point could not be evaluated. This is
       recorded, with the solver's message in ``error``, rather than raised.
+
+    ``counters`` tallies the evaluations, backtracks, swallowed errors and
+    modal fallbacks of the run.
     """
     use_phi_bar = is_zero_gain(plant)
+    tally = asdict(FlowCounters())
 
     def objective_of(report: CostReport) -> float:
         return report.phi_bar if use_phi_bar else report.phi
 
+    def evaluate(candidate: Placement) -> CostReport:
+        tally["evaluations"] += 1
+        report = cost_report(plant, candidate)
+        if report.gains.fallback is not None:
+            tally["modal_fallbacks"] += 1
+            tally["last_modal_fallback"] = report.gains.fallback
+        return report
+
+    def finish(status: str, error: str | None = None) -> FlowTrace:
+        counters = FlowCounters(**tally)
+        return FlowTrace(tuple(iterates), status, placement, error, counters)
+
     placement = init
     iterates: list[FlowIterate] = []
     try:
-        report = cost_report(plant, placement)
+        report = evaluate(placement)
         grad = gradient(plant, placement, report=report)
     except CodesignError as exc:
-        return FlowTrace((), STATUS_SOLVER_FAILURE, init, error=str(exc))
+        return finish(STATUS_SOLVER_FAILURE, str(exc))
 
     obj = objective_of(report)
     iterates.append(FlowIterate(placement, report.phi, obj, grad.norm, 0.0))
@@ -251,20 +289,22 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
         while step * reach > resolution:
             try:
                 candidate = flow_step(plant, placement, grad, step)
-                cand_report = cost_report(plant, candidate)
-            except CodesignError:
-                step *= 0.5
-                continue
-            cand_obj = objective_of(cand_report)
-            cand_grad = gradient(plant, candidate, report=cand_report)
-            if cand_obj <= obj - _ARMIJO_C1 * step * grad.norm**2 or (
-                abs(cand_obj - obj) <= 4.0 * resolution * abs(obj)
-                and cand_grad.norm < grad.norm
-            ):
-                break
+                cand_report = evaluate(candidate)
+            except CodesignError as exc:
+                tally["swallowed_errors"] += 1
+                tally["last_swallowed_error"] = str(exc)
+            else:
+                cand_obj = objective_of(cand_report)
+                cand_grad = gradient(plant, candidate, report=cand_report)
+                if cand_obj <= obj - _ARMIJO_C1 * step * grad.norm**2 or (
+                    abs(cand_obj - obj) <= 4.0 * resolution * abs(obj)
+                    and cand_grad.norm < grad.norm
+                ):
+                    break
+            tally["backtracks"] += 1
             step *= 0.5
         else:
-            return FlowTrace(tuple(iterates), STATUS_NO_DECREASE, placement)
+            return finish(STATUS_NO_DECREASE)
         iterates.append(
             FlowIterate(candidate, cand_report.phi, cand_obj, cand_grad.norm, step)
         )
@@ -275,8 +315,7 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
         ss = s_b @ s_b + s_c @ s_c
         step = min(ss / sy if sy > 0.0 else 2.0 * step, _STEP_MAX)
         placement, grad, obj = candidate, cand_grad, cand_obj
-    status = STATUS_CONVERGED if grad.norm < opts.grad_tol else STATUS_MAX_ITERS
-    return FlowTrace(tuple(iterates), status, placement)
+    return finish(STATUS_CONVERGED if grad.norm < opts.grad_tol else STATUS_MAX_ITERS)
 
 
 def random_placement(n: int, rng: np.random.Generator) -> Placement:
@@ -340,7 +379,7 @@ def multi_start(
     ------
     AllStartsFailed
         If every start ends with a solver failure (or no PBH-passing start
-        could be drawn).
+        could be drawn); the message ends with the first start's error.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -365,7 +404,10 @@ def multi_start(
 
     usable = [t for t in traces if t.status != STATUS_SOLVER_FAILURE]
     if not usable:
-        raise AllStartsFailed(f"all {n_starts} starts ended in solver failure")
+        raise AllStartsFailed(
+            f"all {n_starts} starts ended in solver failure; the first: "
+            f"{traces[0].error}"
+        )
     # Starts that reach one minimum differ in the last bits of phi, which
     # must not switch the reported start.
     for value in (lambda t: t.iterates[-1].phi, lambda t: t.iterates[-1].objective):

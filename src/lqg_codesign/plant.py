@@ -45,13 +45,18 @@ class Plant:
     """System matrix with actuation gain epsilon and sensor SNR delta.
 
     ``eigenvalues`` is the spectrum of A, computed once here for every PBH
-    test on the plant (spec(A^T) = spec(A) serves detectability).
+    test on the plant (spec(A^T) = spec(A) serves detectability). When A is
+    exactly symmetric it comes from one eigendecomposition
+    A = eigenvectors diag(eigenvalues) eigenvectors^T (ascending), which
+    ``riccati.gain_pair`` reuses for its modal Riccati solves; otherwise
+    ``eigenvectors`` is None.
     """
 
     A: np.ndarray
     epsilon: float
     delta: float
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _square_matrix(self.A))
@@ -59,7 +64,12 @@ class Plant:
         object.__setattr__(self, "delta", float(self.delta))
         if not (0.0 <= self.epsilon < math.inf and 0.0 <= self.delta < math.inf):
             raise ValueError("epsilon and delta must be finite and nonnegative")
-        object.__setattr__(self, "eigenvalues", np.linalg.eigvals(self.A))
+        if np.array_equal(self.A, self.A.T):
+            eigenvalues, eigenvectors = np.linalg.eigh(self.A)
+        else:
+            eigenvalues, eigenvectors = np.linalg.eigvals(self.A), None
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     @property
     def n(self) -> int:

@@ -24,15 +24,28 @@ results are scipy's to the bit. Tests cross-check it against a
 Kronecker-vectorization oracle and against the integral representation
 P = int_0^inf e^{Ft} Q e^{F^T t} dt.
 
-The real Schur form is the only factorization of each Hamiltonian and each
-Lyapunov coefficient; its diagonal holds the real part of every eigenvalue
-(both entries of a 2x2 block), which is all the axis and Hurwitz guards read.
-A ``ClosedLoop`` keeps the Schur form of F for every further solve with F or
-F^T: the CARE's Hurwitz certificate factors A - W P once, and the adjoint
-solves and the tangent-linear Hessian (``equilibria.hessian_matrix``) reuse
-that form, so a ``cost_report`` at positive gains takes four Schur forms
-(two Hamiltonians, two closed loops) unless Newton-Kleinman refines. The
-spectrum of A for the PBH tests is the plant's (``Plant.eigenvalues``),
+On a plant whose A is exactly symmetric both CAREs are solved in the
+eigenbasis the plant computed once (``Plant.eigenvectors``): the closed-loop
+poles are the roots of a secular equation (Kalman's return-difference
+identity), which LAPACK ``dlasd4`` solves to high relative accuracy, the
+gain follows from the pole-placement residues, and the closed loop is kept
+as a ``ModalLoop``, F = W diag(p) W^-1, on which every Lyapunov solve is a
+Hadamard product. The CARE residual and the Hurwitz margin are certified as
+on the Hamiltonian path. A side that cannot be solved this way (zero gain,
+|eigenvalues| not separated, a decoupled unstable mode, a failed
+certificate) falls back to the Hamiltonian path, and ``GainPair.fallback``
+says why; non-symmetric plants take that path only.
+
+On the Hamiltonian path the real Schur form is the only factorization of
+each Hamiltonian and each Lyapunov coefficient; its diagonal holds the real
+part of every eigenvalue (both entries of a 2x2 block), which is all the
+axis and Hurwitz guards read. A ``ClosedLoop`` keeps the Schur form of F for
+every further solve with F or F^T: the CARE's Hurwitz certificate factors
+A - W P once, and the adjoint solves and the tangent-linear Hessian
+(``equilibria.hessian_matrix``) reuse that form, so a ``cost_report`` on a
+non-symmetric plant takes four Schur forms (two Hamiltonians, two closed
+loops) unless Newton-Kleinman refines, and one on a symmetric plant none.
+The spectrum of A for the PBH tests is the plant's (``Plant.eigenvalues``),
 computed once per plant. Nothing is kept between calls.
 """
 
@@ -52,6 +65,8 @@ from .errors import (
 )
 from .plant import Placement, Plant
 
+_dlasd4 = la.get_lapack_funcs("lasd4", dtype=np.float64)
+
 #: Residual tolerances and margins (double precision, n <= 50).
 CARE_RTOL = 1e-10
 LYAP_RTOL = 1e-11
@@ -60,6 +75,11 @@ PSD_TOL = -1e-10
 
 _MAX_NEWTON_REFINEMENTS = 5
 _PBH_RANK_TOL = 1e-9
+#: Modal path: a mode with |beta_i| <= 8u (u the float eps) is decoupled
+#: exactly, and the |lambda| of the other modes must be strictly increasing
+#: with gaps above 1e-8 * max |lambda|.
+_DEFLATE_TOL = 8.0 * np.finfo(float).eps
+_MODAL_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,27 +107,78 @@ class ClosedLoop:
         """
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         P = _bartels_stewart(self.r, self.u, -Q, transpose)
-        P = 0.5 * (P + P.T)
-        res = lyapunov_residual(self.F.T if transpose else self.F, Q, P)
-        tol = LYAP_RTOL * (1.0 + float(la.norm(P, "fro")))
-        if res > tol:
-            raise NonConvergence(
-                f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
-            )
-        return P, res
+        return _certified(self.F, Q, P, transpose)
+
+
+@dataclass(frozen=True)
+class ModalLoop:
+    """A Hurwitz matrix F with real simple eigenvalues p, kept as
+    F = W diag(p) W^{-1} (``Winv`` holds W^{-1}).
+
+    A symmetric plant's modal Riccati solve builds it; it has the interface
+    of ``ClosedLoop``. A Lyapunov equation on F or F^T is a Hadamard product
+    with -1/(p_k + p_l) between two W-transforms, certified as
+    ``ClosedLoop.solve`` certifies.
+    """
+
+    F: np.ndarray
+    W: np.ndarray
+    Winv: np.ndarray
+    p: np.ndarray
+
+    @property
+    def margin(self) -> float:
+        """Hurwitz margin -max p."""
+        return -float(np.max(self.p))
+
+    def solve(self, Q, transpose: bool = False) -> tuple[np.ndarray, float]:
+        """As ``ClosedLoop.solve``: F^T P + P F + Q = 0 is solved by
+        P = W^-T [-(W^T Q W) / (p_k + p_l)] W^-1, F P + P F^T + Q = 0 by
+        P = W [-(W^-1 Q W^-T) / (p_k + p_l)] W^T."""
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        P = _modal_lyapunov(self.W, self.Winv, self.p, Q, transpose)
+        return _certified(self.F, Q, P, transpose)
+
+
+def _modal_lyapunov(W, Winv, p, Q, transpose: bool) -> np.ndarray:
+    """The uncertified solve of ``ModalLoop.solve``."""
+    inner, outer = (W.T, Winv.T) if transpose else (Winv, W)
+    Y = (inner @ Q @ inner.T) / -(p[:, None] + p)
+    return outer @ Y @ outer.T
+
+
+def _certified(F, Q, P, transpose: bool) -> tuple[np.ndarray, float]:
+    """Symmetrize a Lyapunov solution and certify its residual against
+    1e-11 * (1 + |P|_F); a non-finite residual fails too."""
+    P = 0.5 * (P + P.T)
+    res = lyapunov_residual(F.T if transpose else F, Q, P)
+    tol = LYAP_RTOL * (1.0 + float(la.norm(P, "fro")))
+    if not res <= tol:
+        raise NonConvergence(
+            f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return P, res
 
 
 @dataclass(frozen=True)
 class GainPair:
     """Stabilizing ARE solutions: regulator gain K and filter covariance Sigma,
-    with their closed loops A - (eps B) K and A^T - (delta C) Sigma."""
+    with their closed loops A - (eps B) K and A^T - (delta C) Sigma.
+
+    On a symmetric plant each loop is a ``ModalLoop``, or a ``ClosedLoop``
+    for a side whose modal solve fell back to the Hamiltonian path;
+    ``fallback`` then says why ("regulator: ..." and/or "filter: ..."). It
+    is None when nothing fell back, and always for non-symmetric plants,
+    which have the Hamiltonian path only.
+    """
 
     K: np.ndarray
     Sigma: np.ndarray
     residual_K: float
     residual_Sigma: float
-    loop_K: ClosedLoop
-    loop_Sigma: ClosedLoop
+    loop_K: ClosedLoop | ModalLoop
+    loop_Sigma: ClosedLoop | ModalLoop
+    fallback: str | None = None
 
 
 @dataclass(frozen=True)
@@ -380,27 +451,131 @@ def _require_pbh(plant: Plant, placement: Placement) -> None:
             )
 
 
+class _ModalFallback(Exception):
+    """Why a modal Riccati solve hands over to the Hamiltonian path."""
+
+
+def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, ModalLoop]:
+    """``_solve_care(A, gain v v^T, I)`` for symmetric A = Theta diag(lam) Theta^T.
+
+    With beta = Theta^T v the closed loop in modal coordinates is
+    diag(lam) - beta k~^T, k~ = gain Theta^T P v. Its poles p_k = -sigma_k
+    follow from Kalman's return-difference identity: sigma_k^2 are the
+    eigenvalues of diag(lam)^2 + gain beta beta^T, a secular equation that
+    LAPACK ``dlasd4`` solves together with every difference |lam_i| - sigma_k
+    to high relative accuracy (Gu and Eisenstat, SIMAX 16(1), 1995), so
+    lam_i - p_k is exact to a few ulps. Pole placement gives the residues
+    k~_i beta_i = prod_k (lam_i - p_k) / prod_{j != i} (lam_i - lam_j), the
+    right eigenvectors V_ik = beta_i / (lam_i - p_k) (columns scaled to unit
+    norm) and the left ones k~_i / (lam_i - p_k), whose rescaled transpose
+    is V^-1. A mode with |beta_i| <= 8u is decoupled exactly: k~_i = 0 and
+    its pole is lam_i. With W = Theta V and g = Theta k~, P is the modal
+    solve of (A - v g^T)^T P + P (A - v g^T) + g g^T / gain + I = 0, and the
+    loop kept is A - (gain v v^T) P.
+
+    P is certified as the Hamiltonian path certifies it: poles left of
+    -1e-12 and the CARE residual within 1e-10 * (1 + |P|_F^2). Every later
+    solve on the loop carries the Lyapunov certificate.
+
+    Raises
+    ------
+    _ModalFallback
+        At zero gain, for a decoupled mode with lam_i >= 0, coupled |lam_i|
+        not separated by 1e-8 * max |lam| (repeated or +-lam eigenvalues), a
+        nonzero ``dlasd4`` info, a non-finite P or a failed certificate.
+    """
+    if gain == 0.0:
+        raise _ModalFallback("W = 0")
+    beta = Theta.T @ v
+    coupled = np.abs(beta) > _DEFLATE_TOL
+    rest = np.flatnonzero(~coupled)
+    if np.any(lam[rest] >= 0.0):
+        raise _ModalFallback("a decoupled mode has lambda >= 0")
+    idx = np.flatnonzero(coupled)
+    idx = idx[np.argsort(np.abs(lam[idx]))]
+    lam_a, beta_a = lam[idx], beta[idx]
+    d = np.abs(lam_a)
+    if np.any(np.diff(d) <= _MODAL_GAP * d[-1]):
+        raise _ModalFallback("|lambda| not separated by 1e-8 * max |lambda|")
+    norm = float(np.linalg.norm(beta_a))
+    z, rho = beta_a / norm, gain * norm**2
+    m = idx.size
+    sigma = np.empty(m)
+    below = np.empty((m, m))  # below[k, i] = d_i - sigma_k
+    for k in range(m):
+        below[k], sigma[k], _, info = _dlasd4(k, d, z, rho)
+        if info != 0:
+            raise _ModalFallback(f"dlasd4 info = {info}")
+    if m == 1:  # dlasd4 returns DELTA = 1, an eigenvector entry, for one mode
+        below[0, 0] = -rho / (d[0] + sigma[0])
+    # Coupled modes first, then the decoupled ones, which keep their pole.
+    p = np.concatenate([-sigma, lam[rest]])
+    if not -np.max(p) > HURWITZ_MARGIN:
+        raise _ModalFallback(f"closed loop not Hurwitz: max pole {np.max(p):.3e}")
+    diff = np.where(lam_a[:, None] <= 0.0, -below.T, d[:, None] + sigma)  # lam_i - p_k
+    gaps = lam_a[:, None] - lam_a
+    np.fill_diagonal(gaps, 1.0)
+    eye = np.eye(lam.size)
+    with np.errstate(all="ignore"):
+        k_a = np.prod(diff / gaps, axis=1) / beta_a
+        V = beta_a[:, None] / diff
+        V /= np.linalg.norm(V, axis=0)
+        U = k_a[:, None] / diff
+        Vinv = (U / np.sum(U * V, axis=0)).T
+        W = np.hstack([Theta[:, idx] @ V, Theta[:, rest]])
+        Winv = np.vstack([Vinv @ Theta[:, idx].T, Theta[:, rest].T])
+        g = Theta[:, idx] @ k_a
+        P = _modal_lyapunov(W, Winv, p, np.outer(g, g) / gain + eye, transpose=True)
+    if not np.isfinite(P).all():
+        raise _ModalFallback("non-finite modal solution")
+    P = 0.5 * (P + P.T)
+    Wv = gain * np.outer(v, v)
+    res = care_residual(A, Wv, eye, P)
+    tol = CARE_RTOL * (1.0 + float(la.norm(P, "fro")) ** 2)
+    if not res <= tol:
+        raise _ModalFallback(f"CARE residual {res:.3e} exceeds tolerance {tol:.3e}")
+    return P, res, ModalLoop(A - Wv @ P, W, Winv, p)
+
+
 def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     """Solve the two LQG Riccati equations for a placement.
 
     K solves A^T K + K A - eps K B K + I = 0 and Sigma solves the dual
     A Sigma + Sigma A^T - delta Sigma C Sigma + I = 0, with B, C the
-    normalized projectors of the placement. The closed loops are kept in
-    real Schur form: A - (eps B) K, and A^T - (delta C) Sigma, the transpose
-    of the filter loop A - delta Sigma C.
+    normalized projectors of the placement. The closed loops are kept for
+    further solves: A - (eps B) K, and A^T - (delta C) Sigma, the transpose
+    of the filter loop A - delta Sigma C. On a symmetric plant each side is
+    solved in the plant's eigenbasis (``_modal_care``), and a side whose
+    modal solve fails takes the Hamiltonian path, with the reason in
+    ``GainPair.fallback``; a non-symmetric plant takes the Hamiltonian path.
 
     Raises
     ------
     PBHViolation
         If (A, b) is not stabilizable or (A, c) is not detectable.
     NoStabilizingSolution, NonConvergence
-        Propagated from the CARE solver.
+        Propagated from the Hamiltonian CARE solver.
     """
     _require_pbh(plant, placement)
     eye = np.eye(plant.n)
-    K, res_K, loop_K = _solve_care(plant.A, plant.epsilon * placement.B, eye)
-    Sigma, res_S, loop_S = _solve_care(plant.A.T, plant.delta * placement.C, eye)
-    return GainPair(K, Sigma, res_K, res_S, loop_K, loop_S)
+    solved, fallbacks = [], []
+    for side, A, gain, v in (
+        ("regulator", plant.A, plant.epsilon, placement.b_unit),
+        ("filter", plant.A.T, plant.delta, placement.c_unit),
+    ):
+        if plant.eigenvectors is not None:
+            try:
+                solved.append(
+                    _modal_care(A, plant.eigenvalues, plant.eigenvectors, gain, v)
+                )
+                continue
+            except _ModalFallback as exc:
+                fallbacks.append(f"{side}: {exc}")
+        solved.append(_solve_care(A, gain * np.outer(v, v), eye))
+    (K, res_K, loop_K), (Sigma, res_S, loop_S) = solved
+    return GainPair(
+        K, Sigma, res_K, res_S, loop_K, loop_S, "; ".join(fallbacks) or None
+    )
 
 
 def adjoint_pair(plant: Plant, placement: Placement, gains: GainPair) -> AdjointPair:

@@ -33,6 +33,18 @@ def random_symmetric_hurwitz(
     return Q @ np.diag(eigs) @ Q.T
 
 
+def ring_laplacian_plant(rng: np.random.Generator, n: int, gain: float) -> Plant:
+    """A = -L for a weighted ring with n/2 random chords (weights 0.5-1.5)."""
+    weights = np.zeros((n, n))
+    for i in range(n):
+        weights[i, (i + 1) % n] = rng.uniform(0.5, 1.5)
+    for _ in range(n // 2):
+        i, j = rng.choice(n, 2, replace=False)
+        weights[i, j] = rng.uniform(0.5, 1.5)
+    weights = weights + weights.T
+    return Plant(weights - np.diag(weights.sum(axis=1)), gain, gain)
+
+
 def spaced_in_random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
     """Eigenvalues evenly spaced on [-3, -0.5] in a random orthonormal basis."""
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))

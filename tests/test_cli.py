@@ -209,6 +209,18 @@ class TestFlowCommand:
         main(["flow", "--problem", problem, "--out", str(out2)])
         assert (out1 / "flow_trace.csv").read_bytes() == (out2 / "flow_trace.csv").read_bytes()
 
+    def test_counters_per_start_and_for_best(self, tmp_path):
+        problem = write_problem(tmp_path, "diag3.json", DIAG3)
+        out = tmp_path / "out"
+        assert main(["flow", "--problem", problem, "--out", str(out)]) == 0
+        report = json.loads((out / "flow.json").read_text())
+        for entry in report["starts"] + [report["best"]]:
+            counters = entry["counters"]
+            assert counters["swallowed_errors"] == 0
+            assert counters["evaluations"] == entry["iterations"] + 1 + counters["backtracks"]
+            assert counters["modal_fallbacks"] == 0
+            assert counters["last_modal_fallback"] is None
+
     def test_zero_starts_usage_error(self, tmp_path):
         problem = write_problem(tmp_path, "diag3.json", DIAG3)
         code = main(["flow", "--problem", problem, "--out", str(tmp_path / "o"), "--starts", "0"])
@@ -232,14 +244,25 @@ class TestFlowCommand:
             "status": "solver_failure",
             "phi": None,
             "iterations": 0,
+            "counters": {
+                "evaluations": 0,
+                "backtracks": 0,
+                "swallowed_errors": 0,
+                "last_swallowed_error": None,
+                "modal_fallbacks": 0,
+                "last_modal_fallback": None,
+            },
             "error": flow.NO_PLACEMENT,
         }
         assert all(s["status"] == "converged" and "error" not in s for s in starts[1:])
 
-    def test_all_starts_failed_exit_4(self, tmp_path):
+    def test_all_starts_failed_exit_4(self, tmp_path, capsys):
+        # A = I has the double eigenvalue 1, which no rank-one b stabilizes:
+        # every start fails, and the message says why the first one did.
         payload = {"A": [[1.0, 0.0], [0.0, 1.0]], "epsilon": 1.0, "delta": 1.0, "n_starts": 2}
         problem = write_problem(tmp_path, "unstab.json", payload)
         assert main(["flow", "--problem", problem, "--out", str(tmp_path / "o")]) == 4
+        assert flow.NO_PLACEMENT in capsys.readouterr().err
 
 
 class TestEquilibriaCommand:

@@ -8,6 +8,7 @@ from conftest import (
     random_placement_for,
     random_symmetric_hurwitz,
     richardson_hessian,
+    ring_laplacian_plant,
     spaced_in_random_basis,
 )
 
@@ -48,10 +49,12 @@ from lqg_codesign.equilibria import (
     UNSTABLE,
     ZERO_EIGENVALUE_TOL,
     EquilibriumCandidate,
+    _tangent_basis,
     _verdict,
     eq19_residual,
     zero_gain_field,
 )
+from lqg_codesign.riccati import ClosedLoop
 
 
 def spectrum_of(lams) -> Spectrum:
@@ -420,16 +423,37 @@ class TestClassifyStability:
                 assert cand.stability != STABLE
 
 
-def ring_laplacian_plant(rng: np.random.Generator, n: int, gain: float) -> Plant:
-    """A = -L for a weighted ring with n/2 random chords (weights 0.5-1.5)."""
-    weights = np.zeros((n, n))
-    for i in range(n):
-        weights[i, (i + 1) % n] = rng.uniform(0.5, 1.5)
-    for _ in range(n // 2):
-        i, j = rng.choice(n, 2, replace=False)
-        weights[i, j] = rng.uniform(0.5, 1.5)
-    weights = weights + weights.T
-    return Plant(weights - np.diag(weights.sum(axis=1)), gain, gain)
+def _four_solve_hessian(plant: Plant, placement: Placement, report) -> np.ndarray:
+    """``hessian_matrix`` with all four solves per direction, the identically
+    zero ones included: the formula that skipping them must keep bit for bit."""
+    grad = gradient(plant, placement, report=report)
+    K, S = report.gains.K, report.gains.Sigma
+    M, N = report.adjoints.M, report.adjoints.N
+    loop_K, loop_S = report.gains.loop_K, report.gains.loop_Sigma
+    eps, delta = plant.epsilon, plant.delta
+    b, c, B, C = placement.b_unit, placement.c_unit, placement.B, placement.C
+    U, W = _tangent_basis(b), _tangent_basis(c)
+    zero = np.zeros(plant.n)
+    columns = []
+    for d_b, d_c in [(d, zero) for d in U.T] + [(zero, d) for d in W.T]:
+        dB = np.outer(d_b, b) + np.outer(b, d_b)
+        dC = np.outer(d_c, c) + np.outer(c, d_c)
+        KdBK, SdCS = K @ dB @ K, S @ dC @ S
+        dK = loop_K.solve(-eps * KdBK, transpose=True)[0]
+        dS = loop_S.solve(-delta * SdCS, transpose=True)[0]
+        dF_K = -eps * (dB @ K + B @ dK)
+        dF_S = -delta * (dC @ S + C @ dS)
+        FM, SCS, FN, KBK = dF_K @ M, dS @ C @ S, dF_S @ N, dK @ B @ K
+        dM = loop_K.solve((FM + FM.T) + (SCS + SCS.T) + SdCS)[0]
+        dN = loop_S.solve((FN + FN.T) + (KBK + KBK.T) + KdBK)[0]
+        X_b = dK @ M @ K + K @ dM @ K + K @ M @ dK
+        X_c = dS @ N @ S + S @ dN @ S + S @ N @ dS
+        dS_b, dS_c = 0.5 * (X_b + X_b.T), 0.5 * (X_c + X_c.T)
+        dg_b = dS_b @ b + grad.S_b @ d_b - (b @ grad.S_b @ b) * d_b
+        dg_c = dS_c @ c + grad.S_c @ d_c - (c @ grad.S_c @ c) * d_c
+        columns.append(-grad.scale * np.concatenate([U.T @ dg_b, W.T @ dg_c]))
+    dim = 2 * (plant.n - 1)
+    return np.reshape(columns, (dim, dim)).T
 
 
 class TestExactHessian:
@@ -463,6 +487,27 @@ class TestExactHessian:
             eigs_cf, verdict_cf = _verdict(field(b, c)[3])
             assert np.max(np.abs(eigs - eigs_cf)) <= 1e-12 * np.max(np.abs(eigs_cf))
             assert verdict == verdict_cf
+
+    def test_skips_identically_zero_forcings(self, monkeypatch):
+        # A b-direction leaves Sigma unmoved and a c-direction K: three
+        # solves per direction, and the Hessian keeps every bit.
+        rng = np.random.default_rng(1805)
+        A = np.array([[-1.0, 0.2, 0.0], [0.0, -2.0, 0.4], [0.3, 0.0, -3.0]])
+        plant = Plant(A, 0.5, 0.8)
+        placement = random_placement_for(rng, 3)
+        report = cost_report(plant, placement)
+        expected = _four_solve_hessian(plant, placement, report)
+        calls = []
+        original = ClosedLoop.solve
+
+        def counted(self, Q, transpose=False):
+            calls.append(transpose)
+            return original(self, Q, transpose)
+
+        monkeypatch.setattr(ClosedLoop, "solve", counted)
+        H = hessian_matrix(plant, placement, report=report)
+        assert len(calls) == 3 * 2 * (plant.n - 1)
+        assert np.array_equal(H, expected)
 
     def test_symmetric_at_flow_optimum(self):
         rng = np.random.default_rng(1801)

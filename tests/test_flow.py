@@ -11,6 +11,7 @@ from lqg_codesign import (
     AllStartsFailed,
     DegenerateStep,
     FlowOptions,
+    NonConvergence,
     OrbitGradient,
     Placement,
     Plant,
@@ -332,6 +333,66 @@ class TestLineSearch:
             assert np.array_equal(moved.c_unit, it.placement.c_unit)
 
 
+class TestCounters:
+    def test_evaluations_and_backtracks(self, monkeypatch):
+        # Every trial is one evaluation, accepted or backtracked from.
+        calls = []
+        original = flow.cost_report
+
+        def counted(plant, placement):
+            calls.append(None)
+            return original(plant, placement)
+
+        monkeypatch.setattr(flow, "cost_report", counted)
+        plant = _weighted_laplacian_plant()
+        start = pbh_passing_placement(plant, np.random.default_rng(3))
+        trace = run_flow(plant, start, FlowOptions(grad_tol=1e-9, max_iters=3_000))
+        counters = trace.counters
+        assert trace.status == STATUS_CONVERGED
+        assert counters.evaluations == len(calls)
+        assert counters.evaluations == len(trace.iterates) + counters.backtracks
+        assert counters.backtracks > 0
+        assert (counters.swallowed_errors, counters.last_swallowed_error) == (0, None)
+        assert (counters.modal_fallbacks, counters.last_modal_fallback) == (0, None)
+
+    def test_swallowed_error_is_counted_with_its_message(self, monkeypatch):
+        # The first trial step fails; the line search backtracks from it.
+        calls = []
+        original = flow.cost_report
+
+        def failing(plant, placement):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NonConvergence("injected failure")
+            return original(plant, placement)
+
+        monkeypatch.setattr(flow, "cost_report", failing)
+        plant = Plant(np.diag([-1.0, -2.0, -3.0]), 0.5, 0.5)
+        start = pbh_passing_placement(plant, np.random.default_rng(4))
+        trace = run_flow(plant, start, FlowOptions(grad_tol=1e-9, max_iters=3_000))
+        counters = trace.counters
+        assert trace.status == STATUS_CONVERGED
+        assert counters.swallowed_errors == 1
+        assert counters.last_swallowed_error == "injected failure"
+        assert counters.evaluations == len(calls)
+        assert counters.evaluations == len(trace.iterates) + counters.backtracks
+        assert counters.backtracks >= 1
+
+    def test_repeated_eigenvalues_report_modal_fallbacks(self):
+        # Repeated |lambda| leave the modal path at every evaluation; distinct
+        # ones never do, and a non-symmetric plant has no modal path.
+        start = Placement.normalized([1.0, 0.5, 0.2], [0.3, 1.0, 0.6])
+        opts = FlowOptions(grad_tol=1e-9, max_iters=20)
+        repeated = run_flow(Plant(np.diag([-1.0, -1.0, -2.0]), 0.5, 0.5), start, opts)
+        counters = repeated.counters
+        assert counters.modal_fallbacks == counters.evaluations > 1
+        assert "not separated" in counters.last_modal_fallback
+        for A in (np.diag([-1.0, -1.5, -2.0]), np.triu(np.ones((3, 3))) - 3.0 * np.eye(3)):
+            trace = run_flow(Plant(A, 0.5, 0.5), start, opts)
+            assert trace.counters.evaluations > 1
+            assert (trace.counters.modal_fallbacks, trace.counters.last_modal_fallback) == (0, None)
+
+
 class TestMultiStart:
     def test_single_start_reduces_to_run_flow(self):
         plant = Plant(np.diag([-1.0, -2.0]), 0.05, 0.05)
@@ -394,7 +455,7 @@ class TestMultiStart:
 
     def test_all_starts_failed(self):
         plant = Plant(np.eye(2), 1.0, 1.0)  # repeated unstable mode: PBH never passes
-        with pytest.raises(AllStartsFailed):
+        with pytest.raises(AllStartsFailed, match=flow.NO_PLACEMENT):
             multi_start(plant, 3, seed=0, opts=FlowOptions())
 
     def test_rejects_nonpositive_start_count(self):

@@ -8,6 +8,8 @@ from conftest import (
     kron_lyapunov_solve,
     random_placement_for,
     random_symmetric_hurwitz,
+    ring_laplacian_plant,
+    spaced_in_random_basis,
 )
 
 from lqg_codesign import (
@@ -26,6 +28,7 @@ from lqg_codesign import (
 )
 from lqg_codesign import riccati
 from lqg_codesign.cli import main
+from lqg_codesign.equilibria import hessian_matrix
 from lqg_codesign.riccati import care_residual, closed_loop, lyapunov_residual
 
 
@@ -223,6 +226,29 @@ class TestOneFactorizationPerMatrix:
             assert len(set(seen["schur"])) == 4, (eps, delta)
             assert seen["eigvals"] == [], (eps, delta)
 
+    def test_symmetric_plant_takes_no_factorization(self, monkeypatch):
+        # A symmetric plant is factored once, when it is built: its cost
+        # report and exact Hessian take no Schur form and no eigensolver.
+        rng = np.random.default_rng(42)
+        plant = Plant(spaced_in_random_basis(rng, 4), 0.5, 0.5)
+        placement = random_placement_for(rng, 4)
+        seen = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                seen.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        with monkeypatch.context() as patch:
+            for module, name in ((la, "schur"), (np.linalg, "eigvals"), (np.linalg, "eigh")):
+                patch.setattr(module, name, recording(getattr(module, name)))
+            report = cost_report(plant, placement)
+            hessian_matrix(plant, placement, report=report)
+        assert seen == []
+        assert report.gains.fallback is None
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 50])
     @pytest.mark.parametrize("offset", [-1e-11, 1e-11])
     def test_is_hurwitz_matches_eigenvalues(self, n, offset):
@@ -340,6 +366,160 @@ class TestGainPair:
             K_lo = gain_pair(Plant(A, r, 0.3), placement).K
             K_hi = gain_pair(Plant(A, r + r_step, 0.3), placement).K
             assert np.max(np.linalg.eigvalsh(K_hi - K_lo)) <= 1e-8
+
+
+def _symmetric_plant(rng, n, spread, eps, delta) -> Plant:
+    """Exactly symmetric A with eigenvalues uniform on ``spread``, random basis."""
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = basis @ np.diag(rng.uniform(*spread, size=n)) @ basis.T
+    return Plant(0.5 * (A + A.T), eps, delta)
+
+
+def _hamiltonian_values(plant: Plant, placement: Placement) -> dict:
+    """Oracle: K, Sigma, M, N, phi and phi_bar by the Hamiltonian path and
+    the Schur forms of its closed loops."""
+    eye = np.eye(plant.n)
+    K, _, loop_K = riccati._solve_care(plant.A, plant.epsilon * placement.B, eye)
+    S, _, loop_S = riccati._solve_care(plant.A.T, plant.delta * placement.C, eye)
+    M = loop_K.solve(S @ placement.C @ S)[0]
+    N = loop_S.solve(K @ placement.B @ K)[0]
+    A = plant.A
+    phi = np.trace(A.T @ K @ S + S @ K @ A + K + S)
+    return {"K": K, "Sigma": S, "M": M, "N": N, "phi": phi,
+            "phi_bar": np.trace(A.T @ M @ N + N @ M @ A)}
+
+
+def _modal_values(plant: Plant, placement: Placement) -> dict:
+    report = cost_report(plant, placement)
+    assert report.gains.fallback is None
+    assert isinstance(report.gains.loop_K, riccati.ModalLoop)
+    assert isinstance(report.gains.loop_Sigma, riccati.ModalLoop)
+    return {"K": report.gains.K, "Sigma": report.gains.Sigma,
+            "M": report.adjoints.M, "N": report.adjoints.N,
+            "phi": report.phi, "phi_bar": report.phi_bar}
+
+
+def _longdouble_care_residual(A, gain: float, v, P) -> float:
+    """|A^T P + P A - gain P v v^T P + I|_F / |P|_F in extended precision."""
+    A, v, P = (np.asarray(x, dtype=np.longdouble) for x in (A, v, P))
+    Pv = P @ v
+    R = A.T @ P + P @ A - np.longdouble(gain) * np.outer(Pv, Pv) + np.eye(len(v))
+    return float(np.sqrt(np.sum(R**2) / np.sum(P**2)))
+
+
+class TestModalPath:
+    @pytest.mark.parametrize(
+        "n, spread", [(3, (-3.0, -0.3)), (16, (-3.0, -0.3)), (50, (-3.0, -0.3)), (6, (-2.0, 1.5))]
+    )
+    def test_matches_hamiltonian_on_random_symmetric_plants(self, n, spread):
+        # The last case is open-loop unstable: lambda_i - p_k is read off
+        # dlasd4's WORK there instead of its DELTA.
+        rng = np.random.default_rng(1700 + n)
+        plant = _symmetric_plant(rng, n, spread, 0.5, 0.7)
+        for _ in range(3):
+            placement = random_placement_for(rng, n)
+            modal = _modal_values(plant, placement)
+            oracle = _hamiltonian_values(plant, placement)
+            for name, value in modal.items():
+                err = la.norm(np.atleast_1d(value - oracle[name]))
+                assert err <= 1e-10 * la.norm(np.atleast_1d(oracle[name])), name
+
+    def test_laplacian_agrees_with_smaller_backward_error(self):
+        # The zero mode's conditioning separates the two paths by up to about
+        # 1e-11 in K, so the modal K is also judged by its own residual,
+        # which stays below the Hamiltonian path's (up to 1e-13 here).
+        rng = np.random.default_rng(1800)
+        plant = ring_laplacian_plant(rng, 16, 0.5)
+        for _ in range(20):
+            placement = random_placement_for(rng, 16)
+            modal = _modal_values(plant, placement)
+            oracle = _hamiltonian_values(plant, placement)
+            assert abs(modal["phi"] - oracle["phi"]) <= 1e-9 * oracle["phi"]
+            res = _longdouble_care_residual(plant.A, 0.5, placement.b_unit, modal["K"])
+            assert res <= 1e-14
+
+    @pytest.mark.parametrize("size", [0.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_deflation_near_the_ones_vector(self, size):
+        # At b = c = 1/sqrt(n) every mode but the zero mode decouples, and
+        # dlasd4 runs on one mode; nearby placements couple every mode
+        # weakly. Both stay modal and agree with the oracle.
+        rng = np.random.default_rng(1801)
+        plant = ring_laplacian_plant(rng, 16, 0.5)
+        ones = np.ones(16) / 4.0
+        placement = Placement.normalized(
+            ones + size * rng.standard_normal(16), ones + size * rng.standard_normal(16)
+        )
+        modal = _modal_values(plant, placement)
+        oracle = _hamiltonian_values(plant, placement)
+        for name in ("K", "Sigma", "M", "N", "phi"):
+            err = la.norm(np.atleast_1d(modal[name] - oracle[name]))
+            assert err <= 1e-12 * la.norm(np.atleast_1d(oracle[name])), name
+        # phi_bar vanishes at the optimum: compare it on the scale of its terms.
+        scale = la.norm(plant.A) * la.norm(oracle["M"]) * la.norm(oracle["N"])
+        assert abs(modal["phi_bar"] - oracle["phi_bar"]) <= 1e-12 * scale
+        if size == 0.0:
+            loop = gain_pair(plant, placement).loop_K
+            assert np.count_nonzero(~np.isin(loop.p, plant.eigenvalues)) == 1
+
+    @pytest.mark.parametrize("lam1", [-1.0, 1.0])
+    def test_one_coupled_mode(self, lam1):
+        # b = c = e1 couples one mode, where dlasd4 returns DELTA = WORK = 1,
+        # eigenvector entries rather than differences; lam1 <= 0 reads DELTA.
+        plant = Plant(np.diag([lam1, -2.0, -3.0]), 0.5, 0.5)
+        e1 = np.array([1.0, 0.0, 0.0])
+        gains = gain_pair(plant, Placement(e1, e1))
+        assert gains.fallback is None
+        top = (lam1 + np.sqrt(lam1**2 + 0.5)) / 0.5  # 2 lam k - k^2 / 2 + 1 = 0
+        expected = np.diag([top, 0.25, 1.0 / 6.0])
+        assert np.allclose(gains.K, expected, rtol=0.0, atol=1e-15)
+        assert np.allclose(gains.Sigma, expected, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12])
+    def test_near_repeated_eigenvalues_fall_back(self, gap):
+        rng = np.random.default_rng(1802)
+        basis = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        A = basis @ np.diag([-1.0, -1.0 - gap, -2.0, -3.0]) @ basis.T
+        plant = Plant(0.5 * (A + A.T), 0.5, 0.5)
+        placement = random_placement_for(rng, 4)
+        gains = gain_pair(plant, placement)
+        assert gains.fallback.startswith("regulator: |lambda| not separated")
+        assert "; filter: |lambda| not separated" in gains.fallback
+        assert isinstance(gains.loop_K, riccati.ClosedLoop)
+        K = riccati._solve_care(plant.A, 0.5 * placement.B, np.eye(4))[0]
+        assert np.array_equal(gains.K, K)
+
+    def test_zero_gain_side_falls_back(self):
+        # eps = 0 < delta: the regulator's W = 0 takes the Hamiltonian
+        # path's Lyapunov branch, and the filter side stays modal.
+        rng = np.random.default_rng(1803)
+        plant = Plant(spaced_in_random_basis(rng, 5), 0.0, 0.8)
+        gains = gain_pair(plant, random_placement_for(rng, 5))
+        assert gains.fallback == "regulator: W = 0"
+        assert isinstance(gains.loop_K, riccati.ClosedLoop)
+        assert isinstance(gains.loop_Sigma, riccati.ModalLoop)
+        # Unstable A at eps = 0 still has no stabilizing solution.
+        unstable = Plant(np.diag([0.5, -1.0]), 0.0, 0.8)
+        with pytest.raises(NoStabilizingSolution):
+            gain_pair(unstable, Placement.normalized([1.0, 1.0], [1.0, 1.0]))
+
+    def test_decoupled_unstable_mode_falls_back(self):
+        lam = np.array([-2.0, 0.5])
+        with pytest.raises(riccati._ModalFallback, match="decoupled"):
+            riccati._modal_care(np.diag(lam), lam, np.eye(2), 1.0, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_modal_loop_solve_matches_kronecker_oracle(self, transpose):
+        rng = np.random.default_rng(1804)
+        plant = _symmetric_plant(rng, 6, (-3.0, -0.3), 0.5, 0.7)
+        loop = gain_pair(plant, random_placement_for(rng, 6)).loop_K
+        G = rng.standard_normal((6, 6))
+        Q = G @ G.T
+        P, res = loop.solve(Q, transpose=transpose)
+        F = loop.F.T if transpose else loop.F
+        expected = kron_lyapunov_solve(F, Q)
+        assert la.norm(P - expected) <= 1e-12 * la.norm(expected)
+        assert res == lyapunov_residual(F, Q, P)
+        assert loop.margin == pytest.approx(-np.max(np.linalg.eigvals(loop.F).real))
 
 
 class TestAdjointPair:
