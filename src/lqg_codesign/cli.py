@@ -68,14 +68,10 @@ EXIT_DIVERGED = 6
 # JSON emission with 17-significant-digit floats
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return "%.17g" % x
-
-
 def dumps(obj, indent: int = 0) -> str:
     """Serialize nested dict/list/scalar data with %.17g floats."""
+    if isinstance(obj, (float, np.floating)):
+        return "%.17g" % obj if math.isfinite(obj) else "null"
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):
@@ -97,8 +93,6 @@ def dumps(obj, indent: int = 0) -> str:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
     return json.dumps(obj)
 
 

@@ -14,14 +14,15 @@ Sigma), and ``adjoint_pair`` solves the closed-loop Lyapunov equations
 
 whose solutions drive the placement gradient.
 
-The CARE is solved by the Hamiltonian invariant-subspace method (ordered real
-Schur form, stable eigenvalues first; Laub, IEEE TAC 24(6), 1979), refined by
-Newton-Kleinman to a certified residual, and its closed loop A - W P is
-certified Hurwitz. The Lyapunov solve is Bartels-Stewart (Bartels & Stewart,
-CACM 15(9), 1972): LAPACK ``trsyl`` on the real Schur form of F, the same
-steps in the same order as ``scipy.linalg.solve_continuous_lyapunov``, so its
-results are scipy's to the bit. Tests cross-check it against a
-Kronecker-vectorization oracle and against the integral representation
+The CARE is solved once by the Hamiltonian invariant-subspace method
+(ordered real Schur form, stable eigenvalues first; Laub, IEEE TAC 24(6),
+1979) and certified, not refined: its closed loop A - W P must be Hurwitz,
+and then its residual within tolerance, or a typed error says which failed.
+The Lyapunov solve is Bartels-Stewart (Bartels & Stewart, CACM 15(9), 1972):
+LAPACK ``trsyl`` on the real Schur form of F, the same steps in the same
+order as ``scipy.linalg.solve_continuous_lyapunov``, so its results are
+scipy's to the bit. Tests cross-check it against a Kronecker-vectorization
+oracle and against the integral representation
 P = int_0^inf e^{Ft} Q e^{F^T t} dt.
 
 On a plant whose A is exactly symmetric both CAREs are solved in the
@@ -30,11 +31,12 @@ poles are the roots of a secular equation (Kalman's return-difference
 identity), which LAPACK ``dlasd4`` solves to high relative accuracy, the
 gain follows from the pole-placement residues, and the closed loop is kept
 as a ``ModalLoop``, F = W diag(p) W^-1, on which every Lyapunov solve is a
-Hadamard product. The CARE residual and the Hurwitz margin are certified as
-on the Hamiltonian path. A side that cannot be solved this way (zero gain,
-|eigenvalues| not separated, a decoupled unstable mode, a failed
-certificate) falls back to the Hamiltonian path, and ``GainPair.fallback``
-says why; non-symmetric plants take that path only.
+Hadamard product. The Hurwitz margin and then the CARE residual are
+certified as on the Hamiltonian path, the residual by the same test. A side
+that cannot be solved this way (zero gain, |eigenvalues| not separated, a
+decoupled unstable mode, a failed certificate) falls back to the Hamiltonian
+path, and ``GainPair.fallback`` says why; non-symmetric plants take that
+path only.
 
 On the Hamiltonian path the real Schur form is the only factorization of
 each Hamiltonian and each Lyapunov coefficient; its diagonal holds the real
@@ -44,7 +46,7 @@ every further solve with F or F^T: the CARE's Hurwitz certificate factors
 A - W P once, and the adjoint solves and the tangent-linear Hessian
 (``equilibria.hessian_matrix``) reuse that form, so a ``cost_report`` on a
 non-symmetric plant takes four Schur forms (two Hamiltonians, two closed
-loops) unless Newton-Kleinman refines, and one on a symmetric plant none.
+loops), and one on a symmetric plant none.
 The spectrum of A for the PBH tests is the plant's (``Plant.eigenvalues``),
 computed once per plant. Nothing is kept between calls.
 """
@@ -71,9 +73,7 @@ _dlasd4 = la.get_lapack_funcs("lasd4", dtype=np.float64)
 CARE_RTOL = 1e-10
 LYAP_RTOL = 1e-11
 HURWITZ_MARGIN = 1e-12
-PSD_TOL = -1e-10
 
-_MAX_NEWTON_REFINEMENTS = 5
 _PBH_RANK_TOL = 1e-9
 #: Modal path: a mode with |beta_i| <= 8u (u the float eps) is decoupled
 #: exactly, and the |lambda| of the other modes must be strictly increasing
@@ -158,6 +158,16 @@ def _certified(F, Q, P, transpose: bool) -> tuple[np.ndarray, float]:
             f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
         )
     return P, res
+
+
+def _certified_care(A, W, Q, P) -> float:
+    """CARE residual of a symmetric P, certified against
+    1e-10 * (1 + |P|_F^2); a non-finite residual fails too."""
+    res = care_residual(A, W, Q, P)
+    tol = CARE_RTOL * (1.0 + float(la.norm(P, "fro")) ** 2)
+    if not res <= tol:
+        raise NonConvergence(f"CARE residual {res:.3e} exceeds tolerance {tol:.3e}")
+    return res
 
 
 @dataclass(frozen=True)
@@ -302,12 +312,13 @@ def solve_care(A, W, Q) -> np.ndarray:
         H = [[ A, -W ],
              [ -Q, -A^T ]],
 
-    selecting the n stable eigenvalues, then refines with Newton-Kleinman
-    steps (each one a Lyapunov solve) until the certified residual
+    selecting the n stable eigenvalues. The solution is certified, not
+    refined: the closed loop A - W P must be Hurwitz, and then the residual
+    must satisfy
 
-        |A^T P + P A - P W P + Q|_F <= 1e-10 * (1 + |P|_F^2)
+        |A^T P + P A - P W P + Q|_F <= 1e-10 * (1 + |P|_F^2).
 
-    is met. When W = 0 the equation degenerates to a Lyapunov equation and is
+    When W = 0 the equation degenerates to a Lyapunov equation and is
     dispatched to ``solve_lyapunov`` directly.
 
     Raises
@@ -316,9 +327,10 @@ def solve_care(A, W, Q) -> np.ndarray:
         If H has eigenvalues on the imaginary axis (within 1e-12), the
         ordered Schur form fails, the stable subspace does not have dimension
         n, the subspace basis is too ill-conditioned to invert, or the closed
-        loop A - W P of the refined P is not Hurwitz.
+        loop A - W P is not Hurwitz.
     NonConvergence
-        If Newton-Kleinman refinement stalls above the residual tolerance.
+        If the closed loop is Hurwitz but the residual exceeds its tolerance
+        or is not finite.
     """
     return _solve_care(A, W, Q)[0]
 
@@ -368,37 +380,15 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
         )
     P = la.solve(U1.T, U2.T).T
     P = 0.5 * (P + P.T)
-
-    res = care_residual(A, W, Q, P)
-    for _ in range(_MAX_NEWTON_REFINEMENTS):
-        tol = CARE_RTOL * (1.0 + float(la.norm(P, "fro")) ** 2)
-        if res <= tol:
-            break
-        F = A - W @ P
-        try:
-            P_next = solve_lyapunov(F.T, P @ W @ P + Q)
-        except NotHurwitz as exc:
-            raise NoStabilizingSolution(
-                "closed loop A - W P is not Hurwitz after Schur step"
-            ) from exc
-        res_next = care_residual(A, W, Q, P_next)
-        if res_next >= res:
-            break
-        P, res = P_next, res_next
-    tol = CARE_RTOL * (1.0 + float(la.norm(P, "fro")) ** 2)
-    if res > tol:
-        raise NonConvergence(
-            f"Newton-Kleinman refinement stalled at residual {res:.3e} "
-            f"(tolerance {tol:.3e})"
-        )
     # Near a non-stabilizable configuration a tiny residual relative to
-    # |P|^2 can still come with a closed loop that is not Hurwitz. The Schur
-    # form that certifies it is kept for the Lyapunov solves on that loop.
+    # |P|^2 can still come with a closed loop that is not Hurwitz, so the
+    # loop is certified first. Its Schur form is kept for the Lyapunov
+    # solves on that loop.
     try:
         loop = closed_loop(A - W @ P)
     except NotHurwitz as exc:
         raise NoStabilizingSolution(f"closed loop A - W P: {exc}") from exc
-    return P, res, loop
+    return P, _certified_care(A, W, Q, P), loop
 
 
 def pbh_check(A, v, mode: str, *, eigenvalues=None) -> PBHReport:
@@ -530,10 +520,10 @@ def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, Modal
         raise _ModalFallback("non-finite modal solution")
     P = 0.5 * (P + P.T)
     Wv = gain * np.outer(v, v)
-    res = care_residual(A, Wv, eye, P)
-    tol = CARE_RTOL * (1.0 + float(la.norm(P, "fro")) ** 2)
-    if not res <= tol:
-        raise _ModalFallback(f"CARE residual {res:.3e} exceeds tolerance {tol:.3e}")
+    try:
+        res = _certified_care(A, Wv, eye, P)
+    except NonConvergence as exc:
+        raise _ModalFallback(str(exc)) from exc
     return P, res, ModalLoop(A - Wv @ P, W, Winv, p)
 
 

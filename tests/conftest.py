@@ -23,14 +23,16 @@ def random_symmetric_hurwitz(
     spread: tuple[float, float] = (-3.0, -0.3),
     min_gap: float = 0.15,
 ) -> np.ndarray:
-    """Symmetric Hurwitz matrix with distinct eigenvalues and random basis."""
+    """Exactly symmetric Hurwitz matrix with distinct eigenvalues and random
+    basis, so a ``Plant`` built on it takes the modal path."""
     low, high = spread
     while True:
         eigs = np.sort(rng.uniform(low, high, size=n))[::-1]
         if n == 1 or np.min(-np.diff(eigs)) > min_gap:
             break
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q @ np.diag(eigs) @ Q.T
+    A = Q @ np.diag(eigs) @ Q.T
+    return 0.5 * (A + A.T)
 
 
 def ring_laplacian_plant(rng: np.random.Generator, n: int, gain: float) -> Plant:

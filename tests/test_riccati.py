@@ -8,6 +8,7 @@ from conftest import (
     kron_lyapunov_solve,
     random_placement_for,
     random_symmetric_hurwitz,
+    random_unit,
     ring_laplacian_plant,
     spaced_in_random_basis,
 )
@@ -15,6 +16,7 @@ from conftest import (
 from lqg_codesign import (
     CodesignError,
     NoStabilizingSolution,
+    NonConvergence,
     NotHurwitz,
     PBHViolation,
     Placement,
@@ -105,7 +107,7 @@ class TestSolveCare:
             A[m:, m:] = -rng.uniform(0.5, 2.0) * np.eye(n - m)
             W = np.diag([0.0] * m + [1.0] * (n - m))
             Q = np.zeros((n, n)) if i % 2 == 0 else np.eye(n)
-            with pytest.raises(CodesignError):
+            with pytest.raises(NoStabilizingSolution):
                 solve_care(A, W, Q)
 
     def test_failed_schur_reordering_is_no_stabilizing_solution(self, monkeypatch):
@@ -407,7 +409,93 @@ def _longdouble_care_residual(A, gain: float, v, P) -> float:
     return float(np.sqrt(np.sum(R**2) / np.sum(P**2)))
 
 
+def _off_mode(rng: np.random.Generator, vecs: np.ndarray, margin: float) -> np.ndarray:
+    """A unit vector orthogonal to the columns of ``vecs``, tilted out of that
+    complement by ``margin`` in a random direction."""
+    basis = np.linalg.qr(vecs)[0]
+    v = rng.standard_normal(vecs.shape[0])
+    v -= basis @ (basis.T @ v)
+    return v / np.linalg.norm(v) + margin * random_unit(rng, vecs.shape[0])
+
+
+def _near_pbh_boundary(rng: np.random.Generator, n: int, margin: float, symmetric: bool):
+    """A plant with one unstable mode (a complex pair when non-symmetric) and
+    a placement whose b and c miss that mode's left and right eigenvectors
+    by about ``margin``."""
+    if symmetric:
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A = basis @ np.diag(np.r_[np.linspace(-3.0, -0.3, n - 1), 0.5]) @ basis.T
+        A = 0.5 * (A + A.T)
+        left = right = basis[:, -1:]
+    else:
+        A = _shifted_with_pair(rng, n, 0.5)
+        lam, Y = np.linalg.eig(A.T)
+        lam_r, X = np.linalg.eig(A)
+        y, x = Y[:, np.argmax(lam.real)], X[:, np.argmax(lam_r.real)]
+        left, right = np.c_[y.real, y.imag], np.c_[x.real, x.imag]
+    placement = Placement.normalized(_off_mode(rng, left, margin), _off_mode(rng, right, margin))
+    return Plant(A, 0.5, 0.5), placement
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_nan_care_residual_is_non_convergence(self, monkeypatch, symmetric):
+        # A residual that is not finite fails the certificate on both paths:
+        # the modal solve falls back and the Hamiltonian solve raises.
+        rng = np.random.default_rng(1850)
+        A = random_symmetric_hurwitz(rng, 4) if symmetric else _hurwitz(rng, 4)
+        plant = Plant(A, 0.5, 0.5)
+        placement = random_placement_for(rng, 4)
+        assert (plant.eigenvectors is not None) == symmetric
+        monkeypatch.setattr(riccati, "care_residual", lambda *args: float("nan"))
+        with pytest.raises(NonConvergence, match="CARE residual nan exceeds"):
+            cost_report(plant, placement)
+        if symmetric:
+            with pytest.raises(riccati._ModalFallback, match="CARE residual nan exceeds"):
+                riccati._modal_care(
+                    plant.A, plant.eigenvalues, plant.eigenvectors, 0.5, placement.b_unit
+                )
+
+    def test_near_pbh_boundary_returns_certified_or_raises(self):
+        # Each cost report either carries residuals and Hurwitz margins
+        # inside their certificates, checked here from the returned matrices,
+        # or raises a typed error; the sweep sees both.
+        outcomes = set()
+        for n in (3, 6, 10):
+            rng = np.random.default_rng(1860 + n)
+            for margin in 10.0 ** -np.arange(2, 9):
+                for symmetric in (False, True):
+                    plant, placement = _near_pbh_boundary(rng, n, margin, symmetric)
+                    try:
+                        report = cost_report(plant, placement)
+                    except CodesignError:
+                        outcomes.add("raised")
+                        continue
+                    outcomes.add("returned")
+                    A, eye = plant.A, np.eye(n)
+                    g, adj = report.gains, report.adjoints
+                    for coeff, W, P, res, loop in (
+                        (A, 0.5 * placement.B, g.K, g.residual_K, g.loop_K),
+                        (A.T, 0.5 * placement.C, g.Sigma, g.residual_Sigma, g.loop_Sigma),
+                    ):
+                        assert res == care_residual(coeff, W, eye, P)
+                        assert res <= riccati.CARE_RTOL * (1.0 + la.norm(P) ** 2)
+                        assert np.array_equal(loop.F, coeff - W @ P)
+                        assert loop.margin > riccati.HURWITZ_MARGIN
+                        assert np.max(np.linalg.eigvals(loop.F).real) < 0.0
+                    for P, res in ((adj.M, adj.residual_M), (adj.N, adj.residual_N)):
+                        assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
+        assert outcomes == {"returned", "raised"}
+
+
 class TestModalPath:
+    def test_symmetric_helper_takes_the_modal_path(self):
+        for n in (1, 3, 5):
+            rng = np.random.default_rng(1870 + n)
+            plant = Plant(random_symmetric_hurwitz(rng, n), 0.5, 0.5)
+            assert plant.eigenvectors is not None
+            assert gain_pair(plant, random_placement_for(rng, n)).fallback is None
+
     @pytest.mark.parametrize(
         "n, spread", [(3, (-3.0, -0.3)), (16, (-3.0, -0.3)), (50, (-3.0, -0.3)), (6, (-2.0, 1.5))]
     )
