@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -118,7 +119,9 @@ class ModalLoop:
     A symmetric plant's modal Riccati solve builds it; it has the interface
     of ``ClosedLoop``. A Lyapunov equation on F or F^T is a Hadamard product
     with -1/(p_k + p_l) between two W-transforms, certified as
-    ``ClosedLoop.solve`` certifies.
+    ``ClosedLoop.solve`` certifies. A solve that fails its certificate (the
+    transforms are as ill-conditioned as W) is solved again on the real
+    Schur form of F, taken on first need and kept.
     """
 
     F: np.ndarray
@@ -137,7 +140,14 @@ class ModalLoop:
         P = W [-(W^-1 Q W^-T) / (p_k + p_l)] W^T."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         P = _modal_lyapunov(self.W, self.Winv, self.p, Q, transpose)
-        return _certified(self.F, Q, P, transpose)
+        try:
+            return _certified(self.F, Q, P, transpose)
+        except NonConvergence:
+            return self._schur.solve(Q, transpose)
+
+    @cached_property
+    def _schur(self) -> ClosedLoop:
+        return closed_loop(self.F)
 
 
 def _modal_lyapunov(W, Winv, p, Q, transpose: bool) -> np.ndarray:

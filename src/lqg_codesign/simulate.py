@@ -11,7 +11,16 @@ from x0 = xhat0 = 0, sampled every dt by the exact transition of this
 linear SDE (Van Loan, IEEE TAC 23(3), 1978), and averages (x^T x + u^2)
 over the samples after burn-in, which is unbiased for phi in stationarity
 at any dt. Each path draws from its own RNG stream derived from
-(seed, path_index), so results do not depend on scheduling or chunking.
+(seed, path_index).
+
+The chain z <- Phi z + L_d w is stepped as a segmented linear scan
+(Blelloch, CMU-CS-90-190, 1990) over segments of L steps anchored at step 0:
+L = 32 while 2n < 32, else L = 1, the plain recursion, because from there
+on the extra products cost more than the interpreter saves. Chunks are
+whole segments, so no state's operations depend on the chunk length, and
+neither do the results. A lone path is stepped as two copies, because numpy
+rounds a one-row product (gemv) differently from a batch (gemm); below
+2n = 32 ``simulate_path`` then reproduces the batch bit for bit.
 """
 
 from __future__ import annotations
@@ -110,7 +119,7 @@ def _transition(
     k = math.ceil(math.log2(max(np.linalg.norm(G, 1) * dt, 1.0)))
     block = np.block([[-G, L @ L.T], [np.zeros((dim, dim)), G.T]])
     V = la.expm(dt / 2**k * block)
-    Phi = V[dim:, dim:].T
+    Phi = V[dim:, dim:].T.copy()  # C-ordered, see _run_paths
     Q_d = Phi @ V[:dim, dim:]
     for _ in range(k):
         Q_d = Q_d + Phi @ Q_d @ Phi.T
@@ -118,6 +127,11 @@ def _transition(
     w, U = np.linalg.eigh(0.5 * (Q_d + Q_d.T))
     F = U * np.sqrt(np.clip(w, 0.0, None))
     return Phi, F @ la.polar(F.T @ (np.sqrt(dt) * L))[0]
+
+
+def _segment_length(dim: int) -> int:
+    """Steps per segment of the scan for a state of dimension ``dim``."""
+    return 32 if dim < 32 else 1
 
 
 def _run_paths(
@@ -129,11 +143,25 @@ def _run_paths(
 ) -> np.ndarray:
     """Per-path time averages; diverged paths come back as NaN.
 
-    Each row of Z is the augmented state z = (x, xhat), advanced by the
-    exact step of ``_transition``; the cost is read before each step.
+    Each path's augmented state z = (x, xhat) is a row of Z, advanced by
+    Z <- Z Phi^T + E, the exact step of ``_transition``; the cost is read
+    before each step. Per chunk of segments of L steps, every segment of
+    every path is stepped from zero together (L - 1 products), the true start
+    of each segment is carried from the one before by (Phi^T)^L (one product
+    per segment) and its free response start (Phi^T)^r, 0 < r < L, added
+    (one product per r). The state at step n_steps, read for divergence, is
+    taken inside the last segment, not from the zero-noise steps that pad it.
+
+    Below 2n = 32 every product multiplies by the transpose of a C-ordered
+    matrix, and OpenBLAS rounds each row of such a product alike for any
+    number of rows from 2 up; its small-matrix kernels, which do not, take
+    these products only from an inner dimension of 32. From 2n = 32 on
+    every product has one row per path, whatever the chunk.
     """
     n = plant.n
+    dim = 2 * n
     n_paths = len(path_indices)
+    rows = list(path_indices) * (2 if n_paths == 1 else 1)  # no gemv
     kb = gains.K @ (np.sqrt(plant.epsilon) * placement.b_unit)
 
     dt = cfg.dt
@@ -142,37 +170,59 @@ def _run_paths(
     averaging_time = (n_steps - burn_steps) * dt
 
     Phi, L_d = _transition(plant, placement, gains, dt)
-    Phi_T, L_T = Phi.T, L_d.T
+    seg = _segment_length(dim)
+    powers = [Phi]  # Phi^r for r = 1 .. seg
+    for _ in range(seg - 1):
+        powers.append(powers[-1] @ Phi)
+    chunk = -(-_CHUNK_STEPS // seg) * seg
 
-    rngs = _path_rngs(cfg.seed, path_indices)
-    Z = np.zeros((n_paths, 2 * n))
-    acc = np.zeros(n_paths)
-    alive = np.ones(n_paths, dtype=bool)
+    rngs = _path_rngs(cfg.seed, rows)
+    Z = np.zeros((len(rows), dim))
+    acc = np.zeros(len(rows))
+    alive = np.ones(len(rows), dtype=bool)
 
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
-            m = min(_CHUNK_STEPS, n_steps - done)
-            # (m, n_paths, 2n): step j's noise is one contiguous block.
-            noise = np.stack(
-                [rng.standard_normal((m, 2 * n)) for rng in rngs], axis=1
-            ) @ L_T
+            m = min(chunk, n_steps - done)
+            n_seg = -(-m // seg)
+            # Each path draws into its own rows, zero past the horizon.
+            draws = np.empty((len(rows), n_seg * seg, dim))
+            draws[:, m:] = 0.0
+            for rng, out in zip(rngs, draws):
+                rng.standard_normal(out=out[:m])
+            # One (paths x 2n) product per step: (segments, seg, paths, 2n).
+            noise = (draws.transpose(1, 0, 2) @ L_d.T).reshape(n_seg, seg, -1, dim)
+            # states[s, r]: the state before step r of segment s, first from
+            # a zero start; Y: the zero-start state after the segment.
             states = np.empty_like(noise)
-            for j in range(m):
-                states[j] = Z
-                Z = Z @ Phi_T + noise[j]
+            Y = noise[:, 0]
+            for r in range(1, seg):
+                states[:, r] = Y
+                Y = (Y.reshape(-1, dim) @ Phi.T).reshape(Y.shape) + noise[:, r]
+            for s in range(n_seg):
+                states[s, 0] = Z
+                Z = Z @ powers[-1].T + Y[s]
+            starts = states[:, 0].reshape(-1, dim)
+            for r in range(1, seg):
+                states[:, r] += (starts @ powers[r - 1].T).reshape(Y.shape)
+            states = states.reshape(-1, len(rows), dim)
+            if m < len(states):
+                Z = states[m]
             # The cost of each state before its step, summed in step order
             # (cumsum adds sequentially, so chunking does not move bits).
-            kept = states[max(burn_steps - done, 0):]
+            kept = states[max(burn_steps - done, 0) : m]
             X, Xhat = kept[..., :n], kept[..., n:]
-            costs = (X * X).sum(axis=2) + (Xhat * kb).sum(axis=2) ** 2
+            # einsum, not a gemv with kb, whose rounding depends on the row.
+            u = np.einsum("kpi,i->kp", Xhat, kb)
+            costs = np.einsum("kpi,kpi->kp", X, X) + u * u
             acc = np.concatenate([acc[None], costs * dt]).cumsum(axis=0)[-1]
             done += m
             state_norm = np.linalg.norm(Z[:, :n], axis=1)
             alive &= np.isfinite(state_norm) & (state_norm <= DIVERGENCE_LIMIT)
 
-    averages = acc / averaging_time
-    averages[~alive] = np.nan
+    averages = acc[:n_paths] / averaging_time
+    averages[~alive[:n_paths]] = np.nan
     return averages
 
 
@@ -190,9 +240,7 @@ def simulate_path(
     SimulationDiverged
         If |x| exceeds 1e8 (gains that leave the closed loop non-Hurwitz).
     """
-    # Two copies of the path: numpy steps a lone row with gemv, whose
-    # rounding differs from the gemm that steps a batch.
-    value = _run_paths(plant, placement, gains, cfg, [path_index] * 2)[0]
+    value = _run_paths(plant, placement, gains, cfg, [path_index])[0]
     if np.isnan(value):
         raise SimulationDiverged(
             f"path {path_index} exceeded |x| = {DIVERGENCE_LIMIT:g}"

@@ -487,6 +487,43 @@ class TestCertificates:
                         assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
         assert outcomes == {"returned", "raised"}
 
+    def test_failed_modal_lyapunov_certificate_is_solved_on_the_schur_form(self):
+        # The sweep above, replayed. On these symmetric placements an adjoint
+        # solve in the modal basis fails its certificate; the same closed
+        # loop's Schur form then solves it, and the report is certified.
+        rescued = {(3, 2), (3, 3), (3, 4), (6, 3), (10, 3), (10, 4)}
+        seen = set()
+        for n in (3, 6, 10):
+            rng = np.random.default_rng(1860 + n)
+            for k, margin in zip(range(2, 9), 10.0 ** -np.arange(2, 9)):
+                for symmetric in (False, True):
+                    plant, placement = _near_pbh_boundary(rng, n, margin, symmetric)
+                    if not symmetric or (n, k) not in rescued:
+                        continue
+                    seen.add((n, k))
+                    report = cost_report(plant, placement)
+                    g, adj = report.gains, report.adjoints
+                    assert g.fallback is None
+                    assert isinstance(g.loop_K, riccati.ModalLoop)
+                    assert isinstance(g.loop_Sigma, riccati.ModalLoop)
+                    assert "_schur" in vars(g.loop_K) or "_schur" in vars(g.loop_Sigma)
+                    A, eye = plant.A, np.eye(n)
+                    for coeff, W, P, res, loop in (
+                        (A, 0.5 * placement.B, g.K, g.residual_K, g.loop_K),
+                        (A.T, 0.5 * placement.C, g.Sigma, g.residual_Sigma, g.loop_Sigma),
+                    ):
+                        assert res == care_residual(coeff, W, eye, P)
+                        assert res <= riccati.CARE_RTOL * (1.0 + la.norm(P) ** 2)
+                        assert np.array_equal(loop.F, coeff - W @ P)
+                        assert np.max(np.linalg.eigvals(loop.F).real) < 0.0
+                    for P, Q, res, loop in (
+                        (adj.M, g.Sigma @ placement.C @ g.Sigma, adj.residual_M, g.loop_K),
+                        (adj.N, g.K @ placement.B @ g.K, adj.residual_N, g.loop_Sigma),
+                    ):
+                        assert res == lyapunov_residual(loop.F, Q, P)
+                        assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
+        assert seen == rescued
+
 
 class TestModalPath:
     def test_symmetric_helper_takes_the_modal_path(self):

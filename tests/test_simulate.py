@@ -93,6 +93,23 @@ class TestDeterminism:
         assert np.array_equal(estimate_eta(plant, placement, cfg).per_path, default)
 
 
+def _uncontrolled(a):
+    """The scalar plant dx = a x dt + dw with zero gains: both closed loops
+    are A itself, unstable for a > 0."""
+    plant = Plant(np.array([[a]]), 0.0, 0.0)
+    placement = Placement(np.array([1.0]), np.array([1.0]))
+    loop = ClosedLoop(plant.A, *la.schur(plant.A))
+    gains = GainPair(
+        K=np.zeros((1, 1)),
+        Sigma=np.zeros((1, 1)),
+        residual_K=0.0,
+        residual_Sigma=0.0,
+        loop_K=loop,
+        loop_Sigma=loop,
+    )
+    return plant, placement, gains
+
+
 class TestEdgeCases:
     def test_single_path_stderr_flagged(self):
         plant, placement = scalar_plant(0.5, 0.5)
@@ -103,21 +120,33 @@ class TestEdgeCases:
 
     def test_diverging_path_raises(self):
         # zero gains on an unstable plant: |x| crosses 1e8 well inside T
-        plant = Plant(np.array([[0.5]]), 0.0, 0.0)
-        placement = Placement(np.array([1.0]), np.array([1.0]))
-        # with zero gains both closed loops are the unstable A itself
-        loop = ClosedLoop(plant.A, *la.schur(plant.A))
-        gains = GainPair(
-            K=np.zeros((1, 1)),
-            Sigma=np.zeros((1, 1)),
-            residual_K=0.0,
-            residual_Sigma=0.0,
-            loop_K=loop,
-            loop_Sigma=loop,
-        )
+        plant, placement, gains = _uncontrolled(0.5)
         cfg = SimConfig(dt=0.01, horizon_T=60.0, n_paths=1, burn_in=0.0, seed=1)
         with pytest.raises(SimulationDiverged):
             simulate_path(plant, placement, gains, cfg, 0)
+
+    def test_divergence_inside_the_last_partial_segment(self):
+        # |x| first exceeds 1e8 after step k, inside a segment: a horizon of
+        # k steps must raise, one of k - 1 must not, although the zero-noise
+        # steps that pad that segment carry the state past 1e8.
+        plant, placement, gains = _uncontrolled(5.0)
+        Phi, L_d = _transition(plant, placement, gains, 0.01)
+        rng = np.random.default_rng(np.random.SeedSequence([1, 0]))
+        z = np.zeros(2)
+        for k, w in enumerate(rng.standard_normal((1000, 2)), start=1):
+            z = Phi @ z + L_d @ w
+            if abs(z[0]) > 1e8:
+                break
+        seg = simulate._segment_length(2)
+        assert k > seg and k % seg not in (0, 1)
+
+        def run(steps):
+            cfg = SimConfig(dt=0.01, horizon_T=steps * 0.01, n_paths=1, seed=1)
+            return simulate_path(plant, placement, gains, cfg, 0)
+
+        with pytest.raises(SimulationDiverged):
+            run(k)
+        assert np.isfinite(run(k - 1))
 
     def test_coarse_step_stays_on_phi(self):
         # dt > 2/|lambda| made the Euler chain explode; the exact transition
@@ -203,6 +232,19 @@ def _reference_averages(Phi, L_d, kb, cfg, path_indices):
 NONSYM3 = np.array([[0.3, 0.4, 0.0], [0.2, -0.5, 0.3], [0.1, 0.0, -2.0]])
 
 
+def _check_against_reference(plant, placement, gains, cfg):
+    """Batch and single-path averages against ``_reference_averages``."""
+    b = np.sqrt(plant.epsilon) * placement.b_unit
+    kb = gains.K @ b
+    Phi, L_d = _transition(plant, placement, gains, cfg.dt)
+    reference = _reference_averages(Phi, L_d, kb, cfg, range(cfg.n_paths))
+    batch = estimate_eta(plant, placement, cfg).per_path
+    np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=0.0)
+    for idx in range(cfg.n_paths):
+        single = simulate_path(plant, placement, gains, cfg, idx)
+        assert single == pytest.approx(reference[idx], rel=1e-12, abs=0.0)
+
+
 class TestSchemePinned:
     def test_matches_separate_state_reference(self):
         # Non-symmetric, open-loop unstable n = 3 plant; 5000 steps cross
@@ -213,7 +255,7 @@ class TestSchemePinned:
         cfg = SimConfig(dt=0.002, horizon_T=10.0, n_paths=3, burn_in=1.0, seed=3)
         b = np.sqrt(plant.epsilon) * placement.b_unit
         c = np.sqrt(plant.delta) * placement.c_unit
-        G, L, kb = _closed_loop(plant.A, b, c, gains.K, gains.Sigma)
+        G, L, _ = _closed_loop(plant.A, b, c, gains.K, gains.Sigma)
 
         Phi, L_d = _transition(plant, placement, gains, cfg.dt)
         np.testing.assert_allclose(Phi, la.expm(G * cfg.dt), rtol=0.0, atol=1e-13)
@@ -221,14 +263,16 @@ class TestSchemePinned:
         np.testing.assert_allclose(
             L_d @ L_d.T, P - Phi @ P @ Phi.T, rtol=0.0, atol=1e-12 * np.abs(P).max()
         )
+        _check_against_reference(plant, placement, gains, cfg)
 
-        reference = _reference_averages(Phi, L_d, kb, cfg, range(3))
-        batch = estimate_eta(plant, placement, cfg).per_path
-        np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=0.0)
-        for idx in range(3):
-            single = simulate_path(plant, placement, gains, cfg, idx)
-            assert single == pytest.approx(reference[idx], rel=1e-12, abs=0.0)
-
+    def test_matches_reference_inside_one_segment(self):
+        # 25 steps, all inside the first segment of the scan.
+        plant = Plant(NONSYM3, 0.5, 0.8)
+        placement = Placement.normalized([1.0, 0.3, -0.2], [0.1, 1.0, 0.5])
+        gains = gain_pair(plant, placement)
+        cfg = SimConfig(dt=0.002, horizon_T=0.05, n_paths=3, burn_in=0.002, seed=3)
+        assert 25 < simulate._segment_length(6)
+        _check_against_reference(plant, placement, gains, cfg)
 
     @pytest.mark.parametrize("dt", [0.1, 1.0])
     def test_stiff_coarse_step_keeps_its_covariance(self, dt):
@@ -245,6 +289,33 @@ class TestSchemePinned:
         np.testing.assert_allclose(
             L_d @ L_d.T, P - Phi @ P @ Phi.T, rtol=0.0, atol=1e-12 * np.abs(P).max()
         )
+
+
+class TestSegmentBits:
+    # At 2n = 6 numpy's gemv and gemm round differently, so these pin that
+    # every product of the scan has at least two rows, and that segments
+    # are anchored at step 0 whatever the chunk length.
+    @pytest.mark.parametrize("n_paths", [1, 4])
+    @pytest.mark.parametrize(
+        "steps, burn_steps",
+        [(20, 1), (173, 10), (500, 45)],
+        ids=["inside_one_segment", "partial_last_segment", "burn_in_mid_segment"],
+    )
+    def test_single_batch_and_chunking_agree(self, monkeypatch, n_paths, steps, burn_steps):
+        seg = simulate._segment_length(6)
+        assert steps % seg and burn_steps % seg
+        plant = Plant(NONSYM3, 0.5, 0.8)
+        placement = Placement.normalized([1.0, 0.3, -0.2], [0.1, 1.0, 0.5])
+        gains = gain_pair(plant, placement)
+        cfg = SimConfig(
+            dt=0.01, horizon_T=steps * 0.01, n_paths=n_paths, burn_in=burn_steps * 0.01, seed=9
+        )
+        default = estimate_eta(plant, placement, cfg).per_path
+        for idx in range(n_paths):
+            assert simulate_path(plant, placement, gains, cfg, idx) == default[idx]
+        for chunk in (333, seg // 4):
+            monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
+            assert np.array_equal(estimate_eta(plant, placement, cfg).per_path, default)
 
 
 MONTECARLO = (
