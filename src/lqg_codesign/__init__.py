@@ -21,6 +21,7 @@ from .equilibria import (
     enumerate_equilibria_zero,
     hessian_matrix,
     is_equilibrium,
+    top_mode,
     xi_vector,
 )
 from .errors import (

@@ -33,7 +33,6 @@ from .cost import CostReport, cost_report
 from .equilibria import (
     KIND_COMMON,
     STABLE,
-    ZERO_EIGENVALUE_TOL,
     EquilibriumCandidate,
     Spectrum,
     analytic_minimum,
@@ -41,6 +40,7 @@ from .equilibria import (
     classify_stability,
     enumerate_equilibria_zero,
     is_equilibrium,
+    top_mode,
 )
 from .errors import (
     AllStartsFailed,
@@ -359,20 +359,15 @@ def cmd_flow(problem: Problem, args) -> dict:
 
 def cmd_equilibria(problem: Problem, args) -> dict:
     plant = problem.plant
-    spectrum = Spectrum.from_matrix(plant.A)
-    lam1 = spectrum.Lambda[0]
-    if lam1 < -ZERO_EIGENVALUE_TOL:
-        candidates = enumerate_equilibria_zero(spectrum)
-        candidates = classify_candidates(spectrum, candidates)
+    spectrum = Spectrum.of(plant)
+    # top_mode raises for lambda_1 > 0, and for a zero mode at zero gain.
+    if top_mode(spectrum.Lambda, plant.epsilon, plant.delta)[0] < 0.0:
+        candidates = classify_candidates(spectrum, enumerate_equilibria_zero(spectrum))
         regime = "negative_definite_zero_gain"
     else:
         # Negative semidefinite spectrum (e.g. Laplacian): the zero-gain
         # enumeration is unavailable, but the cost-minimizing placement is
         # still the top-eigenvector pair; classify it at the problem's gains.
-        if plant.epsilon <= 0.0 or plant.delta <= 0.0:
-            raise ProblemFormatError(
-                "semidefinite spectra need positive epsilon and delta"
-            )
         v1 = spectrum.eigenvector(0)
         placement = Placement(v1, v1.copy())
         eigs, verdict = classify_stability(plant, placement)
@@ -401,20 +396,14 @@ def cmd_equilibria(problem: Problem, args) -> dict:
         for cand in candidates
     ]
     stable_idx = [i for i, c in enumerate(candidates) if c.stability == STABLE]
-    report = {
+    return {
         "regime": regime,
         "eigenvalues": spectrum.Lambda,
         "n_candidates": len(candidates),
         "stable_indices": stable_idx,
         "candidates": candidates_out,
+        "analytic_minimum": analytic_minimum(spectrum, plant.epsilon, plant.delta),
     }
-    try:
-        report["analytic_minimum"] = analytic_minimum(
-            spectrum, plant.epsilon, plant.delta
-        )
-    except (CodesignError, ValueError):
-        report["analytic_minimum"] = None
-    return report
 
 
 def cmd_simulate(problem: Problem, args) -> dict:

@@ -30,6 +30,10 @@ tangent space of the sphere pair: in closed form for enumerated candidates
 zero-gain limit) by ``hessian_matrix``, which differentiates
 ``flow.gradient`` exactly: three tangent-linear Lyapunov solves per tangent
 direction on the closed loops the cost evaluation kept.
+
+The spectrum is the plant's own ``eigh`` (``Spectrum.of``). The closed forms
+at (v_1, v_1) also hold for negative semidefinite A, with any repeated
+eigenvalues below lambda_1; ``top_mode`` is their one zero-mode rule.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ from .plant import Placement, Plant
 ENUMERATION_CAP = 12
 SUPPORT_TOL = 1e-10
 EIGENGAP_TOL = 1e-10
-#: |lambda_1| at or below this is a zero mode (e.g. a Laplacian's) in the
-#: closed forms, and a negative semidefinite spectrum for the CLI.
+#: |lambda_1| at or below this is a zero mode (e.g. a Laplacian's), by
+#: ``top_mode``.
 ZERO_EIGENVALUE_TOL = 1e-10
 EQ19_RESIDUAL_TOL = 1e-8
 STABILITY_MARGIN = 1e-7
@@ -69,7 +73,8 @@ DEGENERATE = "degenerate"
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition A = Theta diag(Lambda) Theta^T, Lambda descending.
+    """Eigendecomposition A = Theta diag(Lambda) Theta^T, Lambda descending
+    (repeated eigenvalues allowed), read off the plant's own ``eigh``.
 
     Eigenvector signs are fixed so each column's largest-magnitude entry is
     positive, making the decomposition deterministic.
@@ -84,8 +89,8 @@ class Spectrum:
         n = Lambda.size
         if Theta.shape != (n, n):
             raise ValueError("Theta and Lambda dimensions disagree")
-        if np.any(np.diff(Lambda) >= 0):
-            raise ValueError("eigenvalues must be strictly descending")
+        if np.any(np.diff(Lambda) > 0):
+            raise ValueError("eigenvalues must be descending")
         if la.norm(Theta.T @ Theta - np.eye(n), "fro") > 1e-12 * n:
             raise ValueError("Theta is not orthogonal")
         object.__setattr__(self, "Theta", Theta)
@@ -107,15 +112,19 @@ class Spectrum:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if la.norm(A - A.T, "fro") > 1e-10 * (1.0 + la.norm(A, "fro")):
             raise ValueError("spectral analysis requires a symmetric matrix")
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (A + A.T))
-        order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order]
-        eigvecs = eigvecs[:, order]
-        for j in range(eigvecs.shape[1]):
-            col = eigvecs[:, j]
-            lead = np.argmax(np.abs(col))
-            if col[lead] < 0:
-                eigvecs[:, j] = -col
+        return cls.of(Plant(0.5 * (A + A.T), 0.0, 0.0))
+
+    @classmethod
+    def of(cls, plant: Plant) -> "Spectrum":
+        """A plant not exactly symmetric goes through ``from_matrix``, which
+        takes A symmetric within 1e-10 relative as its symmetric part."""
+        if plant.eigenvectors is None:
+            return cls.from_matrix(plant.A)
+        order = np.argsort(plant.eigenvalues)[::-1]
+        eigvals = plant.eigenvalues[order]
+        eigvecs = plant.eigenvectors[:, order]
+        lead = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(eigvals.size)]
+        eigvecs *= np.where(lead < 0, -1.0, 1.0)
         return cls(Theta=eigvecs, Lambda=eigvals)
 
     def require_negative_distinct(self) -> None:
@@ -552,8 +561,9 @@ def classify_candidates(
     return classified
 
 
-def _top_mode(lam: np.ndarray, epsilon: float, delta: float):
-    """(l1, sqrt(l1^2+eps), sqrt(l1^2+delta)) for the closed forms.
+def top_mode(lam: np.ndarray, epsilon: float, delta: float):
+    """(l1, sqrt(l1^2+eps), sqrt(l1^2+delta)) for the closed forms: the one
+    zero-mode rule, which ``codesign equilibria`` and ``verify`` read too.
 
     l1 is set to exactly 0 when it is roundoff: eigh returns a Laplacian's
     zero eigenvalue as about +-1e-16.
@@ -578,7 +588,7 @@ def analytic_minimum(spectrum: Spectrum, epsilon: float, delta: float) -> float:
     |lambda_1| <= ZERO_EIGENVALUE_TOL counts as lambda_1 = 0.
     """
     lam = spectrum.Lambda
-    lam1, a, b = _top_mode(lam, epsilon, delta)
+    lam1, a, b = top_mode(lam, epsilon, delta)
     head = (a + b) / ((a - lam1) * (b - lam1))
     tail = float(np.sum(1.0 / (2.0 * lam[1:]))) if spectrum.n > 1 else 0.0
     return float(head - tail)
@@ -595,7 +605,7 @@ def analytic_gains_at_v1(
         N   = diag(1/(2 sqrt(l1^2+del) (sqrt(l1^2+eps) - l1)^2), 0, ..., 0)
     """
     lam = spectrum.Lambda
-    lam1, a, b = _top_mode(lam, epsilon, delta)
+    lam1, a, b = top_mode(lam, epsilon, delta)
     K_diag = np.concatenate([[1.0 / (a - lam1)], -1.0 / (2.0 * lam[1:])])
     S_diag = np.concatenate([[1.0 / (b - lam1)], -1.0 / (2.0 * lam[1:])])
     M_diag = np.zeros(spectrum.n)

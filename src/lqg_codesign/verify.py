@@ -1,10 +1,12 @@
 """Self-checks behind ``codesign verify``: each one compares the library with
 an independent route to the same numbers (finite differences, closed forms)
 on PBH-passing placements drawn from a seeded stream, and returns a dict
-with its ``name``, ``passed`` and the worst error seen. A check that cannot
-run on the plant (no draw passes PBH, or the closed forms do not apply)
-returns ``passed`` with a ``skipped`` reason instead of errors it never
-measured.
+with its ``name``, ``passed`` and the worst error seen. A draw whose solve
+has no certified result is skipped and counted, not fatal. A check that
+cannot run on the plant (no draw passes PBH or solves, or the closed forms
+do not apply) returns ``passed`` with a ``skipped`` reason instead of errors
+it never measured. The closed forms read the plant's own spectrum
+(``Spectrum.of``) and zero-mode rule (``equilibria.top_mode``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cost import phi, phi_bar, phi_gain_sensitivity
-from .equilibria import ZERO_EIGENVALUE_TOL, Spectrum, analytic_gains_at_v1
+from .equilibria import Spectrum, analytic_gains_at_v1, top_mode
+from .errors import CodesignError, NonNegativeEigenvalue, PBHViolation
 from .flow import NO_PLACEMENT, gradient, is_zero_gain, pbh_passing_placement
 from .plant import Placement, Plant
 from .riccati import adjoint_pair, gain_pair
@@ -32,6 +35,42 @@ def _skipped(name: str, reason: str) -> dict:
     return {"name": name, "passed": True, "skipped": reason}
 
 
+def _sampled_check(
+    name: str,
+    plant: Plant,
+    rng: np.random.Generator,
+    draws: int,
+    evaluate: Callable[[Placement], object],
+    summarize: Callable[[list], dict],
+) -> dict:
+    """Check ``name`` over ``draws`` PBH-passing placements from ``rng``.
+
+    ``evaluate`` maps a placement to its errors and ``summarize`` the list of
+    them to ``passed`` and the worst errors. A draw whose evaluation raises a
+    ``CodesignError`` (a solve without a certified result) is skipped: the
+    verdict is over the draws evaluated, with ``skipped_draws`` and the
+    ``last_skip_reason``, and a check left with none is skipped for that
+    reason (or NO_PLACEMENT when no draw passed PBH).
+    """
+    results, skipped, reason = [], 0, None
+    for _ in range(draws):
+        placement = pbh_passing_placement(plant, rng)
+        if placement is None:
+            continue
+        try:
+            results.append(evaluate(placement))
+        except CodesignError as exc:
+            skipped, reason = skipped + 1, str(exc)
+    if not results:
+        return _skipped(name, reason or NO_PLACEMENT)
+    return {
+        "name": name,
+        **summarize(results),
+        "skipped_draws": skipped,
+        "last_skip_reason": reason,
+    }
+
+
 def _random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
     W = rng.standard_normal((n, n))
     return 0.5 * (W - W.T)
@@ -43,18 +82,16 @@ def check_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool = False) -> di
     plants a sign error."""
     rng = np.random.default_rng(seed)
     potential = phi_bar if is_zero_gain(plant) else phi
-    worst = 0.0
-    tested = 0
-    for _ in range(3):
-        placement = pbh_passing_placement(plant, rng)
-        if placement is None:
-            continue
-        tested += 1
+
+    def evaluate(placement: Placement) -> float:
+        # Drawn before any solve, so a skipped draw leaves the stream as is.
+        skews = [
+            (_random_skew(plant.n, rng), _random_skew(plant.n, rng)) for _ in range(4)
+        ]
         grad = gradient(plant, placement)
         b, c = placement.b_unit, placement.c_unit
-        for _ in range(4):
-            W_b = _random_skew(plant.n, rng)
-            W_c = _random_skew(plant.n, rng)
+        worst = 0.0
+        for W_b, W_c in skews:
             # The curves below move b along -W_b b and c along -W_c c.
             pairing = -2.0 * (grad.g_b @ W_b @ b + grad.g_c @ W_c @ c)
             if flip_sign:
@@ -69,34 +106,26 @@ def check_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool = False) -> di
             # cost (the derivative scale carries eps*delta), Richardson keeps
             # truncation at O(h^4).
             fd = richardson_derivative(value, 1e-2)
-            err = abs(pairing - fd) / max(abs(pairing), abs(fd), 1e-10)
-            worst = max(worst, err)
-    if not tested:
-        return _skipped("gradient_vs_fd", NO_PLACEMENT)
-    return {
-        "name": "gradient_vs_fd",
-        "passed": bool(worst < 1e-5),
-        "max_relative_error": worst,
-    }
+            worst = max(worst, abs(pairing - fd) / max(abs(pairing), abs(fd), 1e-10))
+        return worst
+
+    def summarize(errors: list) -> dict:
+        worst = max(0.0, *errors)
+        return {"passed": bool(worst < 1e-5), "max_relative_error": worst}
+
+    return _sampled_check("gradient_vs_fd", plant, rng, 3, evaluate, summarize)
 
 
 def check_gain_monotonicity(plant: Plant, seed: int) -> dict:
     """Sign and finite-difference match of dphi/dr, dphi/ds at sampled gains."""
     rng = np.random.default_rng(seed + 1)
-    worst_sign = -np.inf
-    worst_fd = 0.0
     base_eps = max(plant.epsilon, 0.05)
     base_delta = max(plant.delta, 0.05)
-    tested = 0
-    for _ in range(6):
-        placement = pbh_passing_placement(plant, rng)
-        if placement is None:
-            continue
-        tested += 1
+
+    def evaluate(placement: Placement) -> tuple[float, ...]:
         r = base_eps * rng.uniform(0.5, 2.0)
         s = base_delta * rng.uniform(0.5, 2.0)
         dr, ds = phi_gain_sensitivity(Plant(plant.A, r, s), placement)
-        worst_sign = max(worst_sign, dr, ds)
         # Steps sized against noise, capped so the gain stays positive.
         h_r = min(1e-2 * (1.0 + r), 0.4 * r)
         h_s = min(1e-2 * (1.0 + s), 0.4 * s)
@@ -107,55 +136,54 @@ def check_gain_monotonicity(plant: Plant, seed: int) -> dict:
             lambda h: phi(Plant(plant.A, r, s + h), placement), h_s
         )
         scale = max(abs(dr), abs(ds), 1e-10)
-        worst_fd = max(worst_fd, abs(dr - fd_r) / scale, abs(ds - fd_s) / scale)
-    if not tested:
-        return _skipped("gain_monotonicity", NO_PLACEMENT)
-    return {
-        "name": "gain_monotonicity",
-        "passed": bool(worst_sign <= 1e-10 and worst_fd < 1e-6),
-        "max_partial": worst_sign,
-        "max_fd_relative_error": worst_fd,
-    }
+        return dr, ds, abs(dr - fd_r) / scale, abs(ds - fd_s) / scale
+
+    def summarize(errors: list) -> dict:
+        worst_sign = max(-np.inf, *(x for draw in errors for x in draw[:2]))
+        worst_fd = max(0.0, *(x for draw in errors for x in draw[2:]))
+        return {
+            "passed": bool(worst_sign <= 1e-10 and worst_fd < 1e-6),
+            "max_partial": worst_sign,
+            "max_fd_relative_error": worst_fd,
+        }
+
+    return _sampled_check("gain_monotonicity", plant, rng, 6, evaluate, summarize)
 
 
 def check_phi_bar_sign(plant: Plant, seed: int) -> dict:
     """Largest phi_bar over 20 sampled placements must be <= 1e-10."""
+
+    def summarize(values: list) -> dict:
+        worst = max(-np.inf, *values)
+        return {"passed": bool(worst <= 1e-10), "max_phi_bar": worst}
+
     rng = np.random.default_rng(seed + 2)
-    worst = -np.inf
-    tested = 0
-    for _ in range(20):
-        placement = pbh_passing_placement(plant, rng)
-        if placement is None:
-            continue
-        tested += 1
-        worst = max(worst, phi_bar(plant, placement))
-    if not tested:
-        return _skipped("phi_bar_nonpositive", NO_PLACEMENT)
-    return {
-        "name": "phi_bar_nonpositive",
-        "passed": bool(worst <= 1e-10),
-        "max_phi_bar": worst,
-    }
+    return _sampled_check(
+        "phi_bar_nonpositive", plant, rng, 20, lambda p: phi_bar(plant, p), summarize
+    )
 
 
 def check_analytic_gains(plant: Plant) -> dict:
-    """Closed-form gains and adjoints at (v_1, v_1) against the solvers."""
-    A = plant.A
-    if sla.norm(A - A.T, "fro") > 1e-10 * (1.0 + sla.norm(A, "fro")):
-        return _skipped("analytic_gains_match", "A not symmetric")
-    spectrum = Spectrum.from_matrix(A)
-    lam = spectrum.Lambda
-    # |lambda_1| <= ZERO_EIGENVALUE_TOL is the zero mode, whatever the sign
-    # of eigh's roundoff, as in the closed forms.
-    if lam[0] > ZERO_EIGENVALUE_TOL or (lam.size > 1 and np.min(-np.diff(lam)) < 1e-8):
-        return _skipped(
-            "analytic_gains_match", "spectrum not negative with distinct eigenvalues"
-        )
-    if abs(lam[0]) <= ZERO_EIGENVALUE_TOL and (plant.epsilon <= 0 or plant.delta <= 0):
-        return _skipped("analytic_gains_match", "zero mode at zero gain")
+    """Closed-form gains and adjoints at (v_1, v_1) against the solvers. They
+    hold in any eigenbasis that contains v_1, so repeated eigenvalues need no
+    rule here: a repeated zero mode fails PBH at (v_1, v_1) and is skipped."""
+    name = "analytic_gains_match"
+    try:
+        spectrum = Spectrum.of(plant)
+    except ValueError:
+        return _skipped(name, "A not symmetric")
+    try:
+        top_mode(spectrum.Lambda, plant.epsilon, plant.delta)
+    except NonNegativeEigenvalue as exc:
+        return _skipped(name, str(exc))
+    except ValueError:
+        return _skipped(name, "zero mode at zero gain")
     v1 = spectrum.eigenvector(0)
     placement = Placement(v1, v1.copy())
-    gains = gain_pair(plant, placement)
+    try:
+        gains = gain_pair(plant, placement)
+    except PBHViolation as exc:
+        return _skipped(name, str(exc))
     adjoints = adjoint_pair(plant, placement, gains)
     K_d, S_d, M_d, N_d = analytic_gains_at_v1(spectrum, plant.epsilon, plant.delta)
     Theta = spectrum.Theta
@@ -165,11 +193,7 @@ def check_analytic_gains(plant: Plant) -> dict:
         float(np.max(np.abs(Theta.T @ adjoints.M @ Theta - np.diag(M_d)))),
         float(np.max(np.abs(Theta.T @ adjoints.N @ Theta - np.diag(N_d)))),
     )
-    return {
-        "name": "analytic_gains_match",
-        "passed": bool(err < 1e-9),
-        "max_abs_error": err,
-    }
+    return {"name": name, "passed": bool(err < 1e-9), "max_abs_error": err}
 
 
 def run_checks(plant: Plant, seed: int, *, flip_gradient_sign: bool = False) -> dict:

@@ -333,6 +333,63 @@ class TestEquilibriaCommand:
         assert stable["stability"] == "stable"
 
 
+    def test_repeated_eigenvalues_below_the_zero_mode(self, tmp_path):
+        # The unit 4-ring: eigenvalues 0, -2, -2, -4.
+        edges = [[i, (i + 1) % 4, 1.0] for i in range(4)]
+        payload = {
+            "A": {"generator": "laplacian", "n": 4, "edges": edges},
+            "epsilon": 0.5,
+            "delta": 0.5,
+        }
+        problem = write_problem(tmp_path, "ring4.json", payload)
+        out = tmp_path / "out"
+        assert main(["equilibria", "--problem", problem, "--out", str(out)]) == 0
+        report = json.loads((out / "equilibria.json").read_text())
+        assert report["regime"] == "negative_semidefinite_v1_only"
+        assert report["stable_indices"] == [0]
+
+    def test_positive_top_eigenvalue_exits_3_without_report(self, tmp_path, capsys):
+        payload = {
+            "A": {"generator": "diag", "eigenvalues": [0.5, -1.0, -2.0]},
+            "epsilon": 1.0,
+            "delta": 1.0,
+        }
+        problem = write_problem(tmp_path, "unstable.json", payload)
+        out = tmp_path / "out"
+        assert main(["equilibria", "--problem", problem, "--out", str(out)]) == 3
+        assert "lambda_1 = 0.5 must be <= 0" in capsys.readouterr().err
+        assert not (out / "equilibria.json").exists()
+
+    def test_zero_mode_at_zero_gain_exits_3(self, tmp_path):
+        payload = {
+            "A": {"generator": "laplacian", "n": 2, "edges": [[0, 1, 1.0]]},
+            "epsilon": 0.0,
+            "delta": 0.0,
+        }
+        problem = write_problem(tmp_path, "zero_mode.json", payload)
+        assert main(["equilibria", "--problem", problem, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            {"generator": "diag", "eigenvalues": [-1.0, -2.0, -3.0]},
+            {"generator": "laplacian", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 0.5]]},
+        ],
+    )
+    def test_one_eigendecomposition_per_run(self, tmp_path, monkeypatch, A):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        problem = write_problem(tmp_path, "sym.json", {"A": A, "epsilon": 0.1, "delta": 0.1})
+        assert main(["equilibria", "--problem", problem, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+
 class TestSimulateCommand:
     def test_scalar_report(self, tmp_path):
         problem = write_problem(tmp_path, "scalar.json", SCALAR)

@@ -61,6 +61,29 @@ def spectrum_of(lams) -> Spectrum:
     return Spectrum.from_matrix(np.diag(np.asarray(lams, dtype=float)))
 
 
+def eigh_descending_signed(A) -> tuple[np.ndarray, np.ndarray]:
+    """(Theta, Lambda) by the recipe ``Spectrum`` documents, written out:
+    eigh of the symmetric part, columns reordered descending, each column's
+    largest-magnitude entry made positive."""
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (A + A.T))
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    for j in range(eigvecs.shape[1]):
+        col = eigvecs[:, j]
+        if col[np.argmax(np.abs(col))] < 0:
+            eigvecs[:, j] = -col
+    return eigvecs, eigvals
+
+
+def assert_same_bits(spec: Spectrum, Theta: np.ndarray, Lambda: np.ndarray) -> None:
+    """Same bits and the same memory layout (strides, C/F order) as the reference."""
+    for got, want in ((spec.Theta, Theta), (spec.Lambda, Lambda)):
+        assert got.strides == want.strides
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
 def exact_xi(lams, signs) -> list[Fraction]:
     """xi of diag(s) Psi diag(s) xi = lambda^2 by rational Gaussian elimination.
 
@@ -100,6 +123,33 @@ class TestSpectrum:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             Spectrum.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_of_plant_is_from_matrix_bitwise(self, n):
+        A = spaced_in_random_basis(np.random.default_rng(40 + n), n)
+        plant = Plant(A, 0.0, 0.0)
+        assert plant.eigenvectors is not None
+        reference = eigh_descending_signed(A)
+        assert_same_bits(Spectrum.of(plant), *reference)
+        assert_same_bits(Spectrum.from_matrix(plant.A), *reference)
+
+    def test_of_plant_symmetric_only_to_rounding(self):
+        rng = np.random.default_rng(41)
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        A = basis @ np.diag(np.linspace(-0.5, -3.0, 6)) @ basis.T
+        plant = Plant(A, 0.0, 0.0)
+        assert not np.array_equal(A, A.T) and plant.eigenvectors is None
+        reference = eigh_descending_signed(A)
+        assert_same_bits(Spectrum.of(plant), *reference)
+        assert_same_bits(Spectrum.from_matrix(A), *reference)
+
+    def test_repeated_eigenvalues_are_a_spectrum_but_not_enumerable(self):
+        spec = Spectrum.of(Plant(np.diag([-1.0, -2.0, -1.0]), 0.0, 0.0))
+        assert spec.Lambda.tolist() == [-1.0, -1.0, -2.0]
+        with pytest.raises(ValueError, match="distinct"):
+            enumerate_equilibria_zero(spec)
+        with pytest.raises(ValueError, match="descending"):
+            Spectrum(np.eye(2), np.array([-2.0, -1.0]))
 
 
 class TestIsEquilibrium:

@@ -1,8 +1,13 @@
 import numpy as np
 
-from lqg_codesign import Plant, Spectrum, pbh_passing_placement
+from lqg_codesign import NonConvergence, Plant, Spectrum, pbh_passing_placement, verify
 from lqg_codesign.equilibria import ZERO_EIGENVALUE_TOL
-from lqg_codesign.verify import NO_PLACEMENT, check_analytic_gains, run_checks
+from lqg_codesign.verify import (
+    NO_PLACEMENT,
+    check_analytic_gains,
+    check_phi_bar_sign,
+    run_checks,
+)
 
 
 def test_no_pbh_passing_placement_skips_instead_of_passing_vacuously():
@@ -36,3 +41,77 @@ def test_analytic_gains_skip_zero_mode_at_zero_gain():
     A = -np.array([[1.0, -1.0], [-1.0, 1.0]])
     check = check_analytic_gains(Plant(A, 0.0, 0.0))
     assert check["skipped"] == "zero mode at zero gain"
+
+
+def ring_laplacian_plant(n: int, epsilon: float, delta: float) -> Plant:
+    """A = -L of the unit-weight n-ring: a zero mode above repeated eigenvalues."""
+    W = np.zeros((n, n))
+    for i in range(n):
+        W[i, (i + 1) % n] = W[(i + 1) % n, i] = 1.0
+    return Plant(-(np.diag(W.sum(axis=1)) - W), epsilon, delta)
+
+
+def test_analytic_gains_run_on_repeated_eigenvalues_below_the_zero_mode():
+    plant = ring_laplacian_plant(4, 0.5, 0.5)
+    lam = Spectrum.of(plant).Lambda
+    assert abs(lam[0]) <= ZERO_EIGENVALUE_TOL and lam[1] == lam[2]
+    check = check_analytic_gains(plant)
+    assert "skipped" not in check
+    assert check["passed"]
+    assert check["max_abs_error"] < 1e-9
+
+
+def test_analytic_gains_skip_a_repeated_zero_mode_on_pbh():
+    # Two disconnected edges: the zero mode is double, so (v_1, v_1) leaves
+    # the other zero mode unstabilized.
+    A = -np.kron(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    check = check_analytic_gains(Plant(A, 0.5, 0.5))
+    assert check["passed"]
+    assert "PBH" in check["skipped"]
+
+
+def test_analytic_gains_skip_a_positive_top_eigenvalue():
+    check = check_analytic_gains(Plant(np.diag([0.5, -1.0, -2.0]), 1.0, 1.0))
+    assert check["skipped"] == "lambda_1 = 0.5 must be <= 0"
+
+
+def _raise_on_calls(monkeypatch, calls: set):
+    """Patch ``verify.phi_bar`` to raise NonConvergence on the given calls."""
+    count = {"n": 0}
+    original = verify.phi_bar
+
+    def flaky(plant, placement):
+        count["n"] += 1
+        if count["n"] in calls:
+            raise NonConvergence(f"call {count['n']} not certified")
+        return original(plant, placement)
+
+    monkeypatch.setattr(verify, "phi_bar", flaky)
+
+
+def test_a_failed_solve_skips_one_draw_not_the_command(monkeypatch):
+    plant = Plant(np.diag([-1.0, -2.0, -3.0]), 0.5, 0.5)
+    clean = {c["name"]: c for c in run_checks(plant, seed=5)["checks"]}
+    _raise_on_calls(monkeypatch, {3})
+    report = run_checks(plant, seed=5)
+    checks = {c["name"]: c for c in report["checks"]}
+    sign = checks["phi_bar_nonpositive"]
+    assert sign["skipped_draws"] == 1
+    assert sign["last_skip_reason"] == "call 3 not certified"
+    assert sign["passed"]
+    assert sign["max_phi_bar"] <= clean["phi_bar_nonpositive"]["max_phi_bar"]
+    for name in ("gradient_vs_fd", "gain_monotonicity"):
+        assert checks[name] == clean[name]
+        assert checks[name]["skipped_draws"] == 0
+        assert checks[name]["last_skip_reason"] is None
+    assert report["all_passed"]
+
+
+def test_a_check_with_every_draw_failed_is_skipped_with_the_reason(monkeypatch):
+    _raise_on_calls(monkeypatch, set(range(1, 21)))
+    check = check_phi_bar_sign(Plant(np.diag([-1.0, -2.0, -3.0]), 0.5, 0.5), seed=5)
+    assert check == {
+        "name": "phi_bar_nonpositive",
+        "passed": True,
+        "skipped": "call 20 not certified",
+    }
