@@ -8,7 +8,8 @@ generator ({"generator": "diag", "eigenvalues": [...]} or
 {"generator": "laplacian", "n": N, "edges": [[i, j, w], ...]} which builds
 A = -L from nonnegative undirected edge weights), gains "epsilon"/"delta",
 and optional "placement" ({"b": [...], "c": [...]}, normalized on load),
-"flow" options, "sim" config, "seed", and "n_starts".
+"flow" options, "sim" config ("dt", "horizon_T", "n_paths", "burn_in"),
+"seed", and "n_starts". An unknown key in "flow" or "sim" is a parse error.
 
 Reports are JSON with floats printed to 17 significant digits (lossless
 round-trip); flow traces are CSV with the fixed column schema
@@ -151,6 +152,16 @@ def _build_matrix(entry) -> np.ndarray:
     raise ProblemFormatError(f"unknown generator {kind!r}")
 
 
+def _section(raw: dict, name: str, known) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ProblemFormatError(f"'{name}' must be an object")
+    for key in section:
+        if key not in known:
+            raise ProblemFormatError(f"unknown key {key!r} in '{name}'")
+    return section
+
+
 def load_problem(path: Path) -> Problem:
     try:
         raw = json.loads(Path(path).read_text())
@@ -180,13 +191,7 @@ def load_problem(path: Path) -> Problem:
         if placement.n != plant.n:
             raise ProblemFormatError("placement dimension does not match A")
 
-    flow_raw = raw.get("flow", {})
-    if not isinstance(flow_raw, dict):
-        raise ProblemFormatError("'flow' must be an object")
-    known = {field.name for field in dataclasses.fields(FlowOptions)}
-    for key in flow_raw:
-        if key not in known:
-            raise ProblemFormatError(f"unknown key {key!r} in 'flow'")
+    flow_raw = _section(raw, "flow", {f.name for f in dataclasses.fields(FlowOptions)})
     try:
         flow_options = FlowOptions(
             grad_tol=float(flow_raw.get("grad_tol", 1e-9)),
@@ -195,9 +200,7 @@ def load_problem(path: Path) -> Problem:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid flow options: {exc}") from exc
 
-    sim_raw = raw.get("sim", {})
-    if not isinstance(sim_raw, dict):
-        raise ProblemFormatError("'sim' must be an object")
+    sim_raw = _section(raw, "sim", {f.name for f in dataclasses.fields(SimConfig)} - {"seed"})
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
@@ -223,7 +226,7 @@ def _sim_config(problem: Problem) -> SimConfig:
             horizon_T=float(raw.get("horizon_T", 100.0)),
             n_paths=int(raw.get("n_paths", 32)),
             burn_in=float(raw.get("burn_in", 10.0)),
-            seed=int(raw.get("seed", problem.seed)),
+            seed=problem.seed,
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid sim config: {exc}") from exc
@@ -360,7 +363,7 @@ def cmd_flow(problem: Problem, args) -> dict:
 def cmd_equilibria(problem: Problem, args) -> dict:
     plant = problem.plant
     spectrum = Spectrum.of(plant)
-    # top_mode raises for lambda_1 > 0, and for a zero mode at zero gain.
+    # top_mode raises for lambda_1 > 0, a zero mode at zero gain or a repeated one.
     if top_mode(spectrum.Lambda, plant.epsilon, plant.delta)[0] < 0.0:
         candidates = classify_candidates(spectrum, enumerate_equilibria_zero(spectrum))
         regime = "negative_definite_zero_gain"
@@ -545,7 +548,7 @@ def main(argv=None) -> int:
     elif args.command == "verify":
         for check in report["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
-            print(f"[{status}] {check['name']}")
+            print(f"[{'SKIP' if 'skipped' in check else status}] {check['name']}")
         if not report["all_passed"]:
             return EXIT_SOLVER
     return EXIT_OK

@@ -566,13 +566,19 @@ def top_mode(lam: np.ndarray, epsilon: float, delta: float):
     zero-mode rule, which ``codesign equilibria`` and ``verify`` read too.
 
     l1 is set to exactly 0 when it is roundoff: eigh returns a Laplacian's
-    zero eigenvalue as about +-1e-16.
+    zero eigenvalue as about +-1e-16. A repeated zero is refused: no single
+    actuator passes PBH there.
     """
     lam1 = 0.0 if abs(lam[0]) <= ZERO_EIGENVALUE_TOL else lam[0]
     if lam1 > 0.0:
         raise NonNegativeEigenvalue(f"lambda_1 = {lam1:.6g} must be <= 0")
     if lam1 == 0.0 and (epsilon <= 0.0 or delta <= 0.0):
         raise ValueError("lambda_1 = 0 requires positive epsilon and delta")
+    if lam1 == 0.0 and lam.size > 1 and abs(lam[1]) <= ZERO_EIGENVALUE_TOL:
+        raise NonNegativeEigenvalue(
+            f"lambda_2 = {lam[1]:.6g} repeats the zero eigenvalue: no single "
+            "actuator passes PBH at a repeated zero eigenvalue"
+        )
     return lam1, np.sqrt(lam1**2 + epsilon), np.sqrt(lam1**2 + delta)
 
 

@@ -17,7 +17,8 @@ whose solutions drive the placement gradient.
 The CARE is solved once by the Hamiltonian invariant-subspace method
 (ordered real Schur form, stable eigenvalues first; Laub, IEEE TAC 24(6),
 1979) and certified, not refined: its closed loop A - W P must be Hurwitz,
-and then its residual within tolerance, or a typed error says which failed.
+and then its residual within tolerance, or a typed error says which failed;
+a NaN or inf solution fails its residual test, so nothing is pre-screened.
 The Lyapunov solve is Bartels-Stewart (Bartels & Stewart, CACM 15(9), 1972):
 LAPACK ``trsyl`` on the real Schur form of F, the same steps in the same
 order as ``scipy.linalg.solve_continuous_lyapunov``, so its results are
@@ -41,7 +42,7 @@ path only.
 On the Hamiltonian path the real Schur form is the only factorization of
 each Hamiltonian and each Lyapunov coefficient; its diagonal holds the real
 part of every eigenvalue (both entries of a 2x2 block), which is all the
-axis and Hurwitz guards read. A ``ClosedLoop`` keeps the Schur form of F for
+Hurwitz certificates read. A ``ClosedLoop`` keeps the Schur form of F for
 every further solve with F or F^T: the CARE's Hurwitz certificate factors
 A - W P once, and the adjoint solves and the tangent-linear Hessian
 (``equilibria.hessian_matrix``) reuse that form, so a ``cost_report`` on a
@@ -159,11 +160,11 @@ def _modal_lyapunov(W, Winv, p, Q, transpose: bool) -> np.ndarray:
 
 def _certified(F, Q, P, transpose: bool) -> tuple[np.ndarray, float]:
     """Symmetrize a Lyapunov solution and certify its residual against
-    1e-11 * (1 + |P|_F); a non-finite residual fails too."""
+    1e-11 * (1 + |P|_F); a non-finite residual or tolerance fails too."""
     P = 0.5 * (P + P.T)
     res = lyapunov_residual(F.T if transpose else F, Q, P)
-    tol = LYAP_RTOL * (1.0 + float(la.norm(P, "fro")))
-    if not res <= tol:
+    tol = LYAP_RTOL * (1.0 + float(np.linalg.norm(P)))
+    if not res <= tol < np.inf:
         raise NonConvergence(
             f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
         )
@@ -172,10 +173,10 @@ def _certified(F, Q, P, transpose: bool) -> tuple[np.ndarray, float]:
 
 def _certified_care(A, W, Q, P) -> float:
     """CARE residual of a symmetric P, certified against
-    1e-10 * (1 + |P|_F^2); a non-finite residual fails too."""
+    1e-10 * (1 + |P|_F^2); a non-finite residual or tolerance fails too."""
     res = care_residual(A, W, Q, P)
-    tol = CARE_RTOL * (1.0 + float(la.norm(P, "fro")) ** 2)
-    if not res <= tol:
+    tol = CARE_RTOL * (1.0 + float(np.linalg.norm(P)) ** 2)
+    if not res <= tol < np.inf:
         raise NonConvergence(f"CARE residual {res:.3e} exceeds tolerance {tol:.3e}")
     return res
 
@@ -230,12 +231,12 @@ class PBHReport:
 
 def care_residual(A: np.ndarray, W: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     """Frobenius norm of A^T P + P A - P W P + Q."""
-    return float(la.norm(A.T @ P + P @ A - P @ W @ P + Q, "fro"))
+    return float(np.linalg.norm(A.T @ P + P @ A - P @ W @ P + Q))
 
 
 def lyapunov_residual(F: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     """Frobenius norm of F P + P F^T + Q."""
-    return float(la.norm(F @ P + P @ F.T + Q, "fro"))
+    return float(np.linalg.norm(F @ P + P @ F.T + Q))
 
 
 def closed_loop(F) -> ClosedLoop:
@@ -285,7 +286,7 @@ def _bartels_stewart(
 ) -> np.ndarray:
     """Solve a X + X a^T = q (a^T X + X a = q with ``transpose``) for real
     a = u r u^T in real Schur form: ``scipy.linalg.solve_continuous_lyapunov``
-    step for step."""
+    step for step, bar its check for an illegal ``trsyl`` argument."""
     if not np.isfinite(q).all():
         raise ValueError("array must not contain infs or NaNs")
     if r.shape != q.shape:
@@ -296,13 +297,7 @@ def _bartels_stewart(
         y, scale, info = trsyl(r, r, f, trana="T")
     else:
         y, scale, info = trsyl(r, r, f, tranb="T")
-    if info < 0:
-        raise ValueError(
-            "?TRSYL exited with the internal error "
-            f'"illegal value in argument number {-info}.". See '
-            "LAPACK documentation for the ?TRSYL error codes."
-        )
-    elif info == 1:
+    if info == 1:
         warnings.warn(
             'Input "a" has an eigenvalue pair whose sum is '
             "very close to or exactly zero. The solution is "
@@ -334,13 +329,13 @@ def solve_care(A, W, Q) -> np.ndarray:
     Raises
     ------
     NoStabilizingSolution
-        If H has eigenvalues on the imaginary axis (within 1e-12), the
-        ordered Schur form fails, the stable subspace does not have dimension
-        n, the subspace basis is too ill-conditioned to invert, or the closed
-        loop A - W P is not Hurwitz.
+        If the ordered Schur form fails, the stable subspace does not have
+        dimension n (as when H has eigenvalues on the imaginary axis), the
+        subspace basis is too ill-conditioned to invert, or the closed loop
+        A - W P is not Hurwitz (margin at most 1e-12).
     NonConvergence
         If the closed loop is Hurwitz but the residual exceeds its tolerance
-        or is not finite.
+        or is not finite (as for a NaN or inf P).
     """
     return _solve_care(A, W, Q)[0]
 
@@ -352,7 +347,7 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     n = A.shape[0]
 
-    if la.norm(W, "fro") == 0.0:
+    if np.linalg.norm(W) == 0.0:
         # Degenerate CARE: A^T P + P A + Q = 0, solvable iff A is Hurwitz.
         # The closed loop is A itself; its Schur form solves the transposed
         # equation.
@@ -371,15 +366,11 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
     except la.LinAlgError as exc:
         # The reordering fails when eigenvalues sit on or near the axis.
         raise NoStabilizingSolution(f"Hamiltonian Schur form: {exc}") from exc
-    axis_dist = float(np.min(np.abs(np.diag(T))))
-    if axis_dist <= HURWITZ_MARGIN:
-        raise NoStabilizingSolution(
-            "Hamiltonian has eigenvalues on the imaginary axis "
-            f"(min |Re| = {axis_dist:.3e}); configuration is not stabilizable"
-        )
     if sdim != n:
         raise NoStabilizingSolution(
-            f"stable Hamiltonian subspace has dimension {sdim}, expected {n}"
+            f"stable Hamiltonian subspace has dimension {sdim}, expected {n} "
+            f"(min |Re eig| = {np.min(np.abs(np.diag(T))):.3e}); "
+            "configuration is not stabilizable"
         )
     U1 = U[:n, :n]
     U2 = U[n:, :n]
@@ -419,7 +410,7 @@ def pbh_check(A, v, mode: str, *, eigenvalues=None) -> PBHReport:
         raise ValueError("PBH test vector must be nonzero")
     M = A if mode == "stabilizability" else A.T
     n = M.shape[0]
-    threshold = _PBH_RANK_TOL * (1.0 + float(la.norm(M, "fro")))
+    threshold = _PBH_RANK_TOL * (1.0 + float(np.linalg.norm(M)))
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(M)
 
@@ -474,15 +465,16 @@ def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, Modal
     loop kept is A - (gain v v^T) P.
 
     P is certified as the Hamiltonian path certifies it: poles left of
-    -1e-12 and the CARE residual within 1e-10 * (1 + |P|_F^2). Every later
-    solve on the loop carries the Lyapunov certificate.
+    -1e-12 and the CARE residual within 1e-10 * (1 + |P|_F^2), which a
+    non-finite P fails. Every later solve on the loop carries the Lyapunov
+    certificate.
 
     Raises
     ------
     _ModalFallback
         At zero gain, for a decoupled mode with lam_i >= 0, coupled |lam_i|
         not separated by 1e-8 * max |lam| (repeated or +-lam eigenvalues), a
-        nonzero ``dlasd4`` info, a non-finite P or a failed certificate.
+        nonzero ``dlasd4`` info or a failed certificate.
     """
     if gain == 0.0:
         raise _ModalFallback("W = 0")
@@ -526,14 +518,12 @@ def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, Modal
         Winv = np.vstack([Vinv @ Theta[:, idx].T, Theta[:, rest].T])
         g = Theta[:, idx] @ k_a
         P = _modal_lyapunov(W, Winv, p, np.outer(g, g) / gain + eye, transpose=True)
-    if not np.isfinite(P).all():
-        raise _ModalFallback("non-finite modal solution")
-    P = 0.5 * (P + P.T)
-    Wv = gain * np.outer(v, v)
-    try:
-        res = _certified_care(A, Wv, eye, P)
-    except NonConvergence as exc:
-        raise _ModalFallback(str(exc)) from exc
+        P = 0.5 * (P + P.T)
+        Wv = gain * np.outer(v, v)
+        try:
+            res = _certified_care(A, Wv, eye, P)
+        except NonConvergence as exc:
+            raise _ModalFallback(str(exc)) from exc
     return P, res, ModalLoop(A - Wv @ P, W, Winv, p)
 
 

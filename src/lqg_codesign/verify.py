@@ -166,7 +166,7 @@ def check_phi_bar_sign(plant: Plant, seed: int) -> dict:
 def check_analytic_gains(plant: Plant) -> dict:
     """Closed-form gains and adjoints at (v_1, v_1) against the solvers. They
     hold in any eigenbasis that contains v_1, so repeated eigenvalues need no
-    rule here: a repeated zero mode fails PBH at (v_1, v_1) and is skipped."""
+    rule here; ``top_mode`` refuses a repeated zero mode, which is skipped."""
     name = "analytic_gains_match"
     try:
         spectrum = Spectrum.of(plant)
@@ -197,11 +197,13 @@ def check_analytic_gains(plant: Plant) -> dict:
 
 
 def run_checks(plant: Plant, seed: int, *, flip_gradient_sign: bool = False) -> dict:
-    """All four checks; returns {"checks": [...], "all_passed": bool}."""
+    """All four checks; returns {"checks": [...], "all_passed": bool}, where
+    ``all_passed`` needs at least one check that was not skipped."""
     checks = [
         check_gradient_vs_fd(plant, seed, flip_gradient_sign),
         check_gain_monotonicity(plant, seed),
         check_phi_bar_sign(plant, seed),
         check_analytic_gains(plant),
     ]
-    return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+    ran = any("skipped" not in c for c in checks)
+    return {"checks": checks, "all_passed": ran and all(c["passed"] for c in checks)}

@@ -123,6 +123,27 @@ class TestNonFiniteInput:
             ("flow", "flow", "max_iters", INF),
             # an unknown key, such as the retired field switch, is an error
             ("flow", "flow", "rescaled", True),
+            # the seed is the problem's (or --seed), never a sim key
+            ("simulate", "sim", "seed", 0),
+            ("solve", None, "A", 3.0),
+            ("solve", None, "A", {"generator": "circulant", "n": 3}),
+            ("solve", None, "A", {"generator": "diag"}),
+            ("solve", None, "A", {"generator": "diag", "eigenvalues": []}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 0, "edges": []}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 2.5, "edges": []}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": "ring"}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, 1]]}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, 3, 1.0]]}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[1, 1, 1.0]]}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, 1, -1.0]]}),
+            ("solve", None, "placement", {"b": [1.0, 0.0, 0.0]}),
+            ("solve", None, "placement", [1.0, 0.0, 0.0]),
+            ("solve", None, "placement", {"b": [1.0, 0.0], "c": [0.0, 1.0]}),
+            ("flow", None, "flow", [1e-9, 10]),
+            ("simulate", None, "sim", "fine"),
+            ("solve", None, "seed", -1),
+            ("solve", None, "seed", 1.5),
+            ("flow", None, "n_starts", 2.5),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):
@@ -131,6 +152,14 @@ class TestNonFiniteInput:
         # json.dumps writes NaN and Infinity, and json.loads reads them back.
         problem = write_problem(tmp_path, "nonfinite.json", payload)
         assert main([command, "--problem", problem, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("problem error:")
+
+    @pytest.mark.parametrize(
+        "payload", [[NONSYM3], {k: v for k, v in NONSYM3.items() if k != "A"}]
+    )
+    def test_a_list_or_a_file_without_a_exits_2(self, tmp_path, capsys, payload):
+        problem = write_problem(tmp_path, "not_a_problem.json", payload)
+        assert main(["solve", "--problem", problem, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("problem error:")
 
 
@@ -369,6 +398,20 @@ class TestEquilibriaCommand:
         problem = write_problem(tmp_path, "zero_mode.json", payload)
         assert main(["equilibria", "--problem", problem, "--out", str(tmp_path / "o")]) == 3
 
+    def test_repeated_zero_mode_exits_3_without_report(self, tmp_path, capsys):
+        # Two disjoint unit edges: no single actuator stabilizes both zero
+        # modes, so the closed-form minimum does not exist.
+        payload = {
+            "A": {"generator": "laplacian", "n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]},
+            "epsilon": 0.5,
+            "delta": 0.5,
+        }
+        problem = write_problem(tmp_path, "two_edges.json", payload)
+        out = tmp_path / "out"
+        assert main(["equilibria", "--problem", problem, "--out", str(out)]) == 3
+        assert "repeats the zero eigenvalue" in capsys.readouterr().err
+        assert not (out / "equilibria.json").exists()
+
     @pytest.mark.parametrize(
         "A",
         [
@@ -449,6 +492,24 @@ class TestVerifyCommand:
         problem = write_problem(tmp_path, "scalar.json", SCALAR)
         assert main(["verify", "--problem", problem, "--out", str(tmp_path / "o")]) == 0
 
+    def test_a_run_that_measured_nothing_does_not_pass(self, tmp_path, capsys):
+        # The eigenvalue 0.5 has two independent eigenvectors, so no single b
+        # stabilizes A: every sampled check is skipped, and A is not symmetric.
+        payload = {
+            "A": [[0.5, 0.0, 1.0], [0.0, 0.5, 0.0], [0.0, 0.0, -1.0]],
+            "epsilon": 0.1,
+            "delta": 0.1,
+        }
+        problem = write_problem(tmp_path, "unstabilizable.json", payload)
+        out = tmp_path / "out"
+        assert main(["verify", "--problem", problem, "--out", str(out)]) == 3
+        report = json.loads((out / "verify.json").read_text())
+        assert not report["all_passed"]
+        assert all("skipped" in check for check in report["checks"])
+        printed = capsys.readouterr().out
+        for check in report["checks"]:
+            assert f"[SKIP] {check['name']}" in printed
+
 
 class TestUsage:
     def test_unknown_command_is_usage_error(self):
@@ -470,6 +531,22 @@ class TestOverridesAndThreads:
         assert report["seed"] == 11
         assert report["n_starts"] == 2
         assert len(report["starts"]) == 2
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        problem = write_problem(tmp_path, "scalar.json", SCALAR)
+        args = ["solve", "--problem", problem, "--out", str(tmp_path / "o"), "--seed", "-1"]
+        assert main(args) == 1
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+
+    def test_seed_override_reseeds_the_simulation(self, tmp_path):
+        problem = write_problem(tmp_path, "nonsym3.json", NONSYM3)
+        reports = []
+        for seed in ("9", "10", "9"):
+            out = tmp_path / f"seed{len(reports)}"
+            args = ["simulate", "--problem", problem, "--out", str(out), "--seed", seed]
+            assert main(args) == 0
+            reports.append((out / "simulate.json").read_bytes())
+        assert reports[0] != reports[1] and reports[0] == reports[2]
 
     def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
         problem = write_problem(tmp_path, "diag3.json", DIAG3)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -687,6 +688,18 @@ class TestAnalyticFormulas:
             analytic_minimum(spec, 0.0, 0.5)
         value = analytic_minimum(spec, 0.04, 0.04)
         assert value == pytest.approx(2.0 / 0.2 + 1.0 / 4.0)
+
+    def test_repeated_zero_mode_is_refused_without_a_warning(self):
+        # A = -L of two disjoint unit edges: the zero eigenvalue is double,
+        # so (v_1, v_1) leaves the other zero mode unstabilized and the
+        # closed forms would divide by lambda_2 = 0.
+        A = -np.kron(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        spec = Spectrum.of(Plant(A, 0.5, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for closed_form in (analytic_minimum, analytic_gains_at_v1):
+                with pytest.raises(NonNegativeEigenvalue, match="lambda_2 = .*PBH"):
+                    closed_form(spec, 0.5, 0.5)
 
     def test_closed_forms_survive_positive_roundoff_zero_mode(self):
         # A = -L for a weighted 4-node graph; eigh returns its zero

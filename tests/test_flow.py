@@ -24,6 +24,7 @@ from lqg_codesign import (
     pbh_check,
     phi,
     random_placement,
+    riccati,
     run_flow,
 )
 from lqg_codesign.cost import drive_matrices
@@ -377,6 +378,29 @@ class TestCounters:
         assert counters.evaluations == len(calls)
         assert counters.evaluations == len(trace.iterates) + counters.backtracks
         assert counters.backtracks >= 1
+
+    def test_nan_lyapunov_solve_is_a_swallowed_error(self, monkeypatch):
+        # A non-symmetric plant's cost report makes two Bartels-Stewart
+        # solves, so the fifth is an adjoint of the third evaluation. Its NaN
+        # fails the certificate as NonConvergence, and the line search
+        # backtracks from it instead of aborting the descent.
+        calls = []
+        original = riccati._bartels_stewart
+
+        def nan_on_fifth_call(*args, **kwargs):
+            calls.append(None)
+            P = original(*args, **kwargs)
+            return np.full_like(P, np.nan) if len(calls) == 5 else P
+
+        monkeypatch.setattr(riccati, "_bartels_stewart", nan_on_fifth_call)
+        A = np.array([[0.3, 1.0, 0.0], [-0.5, -1.2, 0.4], [0.2, 0.0, -2.0]])
+        plant = Plant(A, 0.5, 0.8)
+        start = pbh_passing_placement(plant, np.random.default_rng(0))
+        trace = run_flow(plant, start, FlowOptions(grad_tol=1e-9, max_iters=3_000))
+        counters = trace.counters
+        assert trace.status == STATUS_CONVERGED
+        assert counters.swallowed_errors == 1
+        assert counters.last_swallowed_error == "Lyapunov residual nan exceeds tolerance nan"
 
     def test_repeated_eigenvalues_report_modal_fallbacks(self):
         # Repeated |lambda| leave the modal path at every evaluation; distinct

@@ -456,6 +456,68 @@ class TestCertificates:
                     plant.A, plant.eigenvalues, plant.eigenvectors, 0.5, placement.b_unit
                 )
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_solution_fails_its_certificate(self, bad, transpose):
+        # The certificates take NaN-safe norms: a NaN in P gives a NaN
+        # residual, which fails like a large one. An inf in P makes the
+        # tolerance inf as well, and an inf residual is not below it.
+        F, P, text = np.array([[-1.0]]), np.array([[bad]]), f"{bad:.3e}"
+        with pytest.raises(NonConvergence, match=f"CARE residual {text} .* {text}"):
+            riccati._certified_care(F, np.eye(1), np.eye(1), P)
+        with pytest.raises(NonConvergence, match=f"Lyapunov residual {text} .* {text}"):
+            riccati._certified(F, np.eye(1), P, transpose)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_modal_care_solution_falls_back(self, monkeypatch, bad, n):
+        # The first modal solve of a gain pair is the regulator's P. A NaN or
+        # inf there fails the CARE certificate (at n = 1 an inf P gives an
+        # inf residual, not a NaN), and that side is solved on the
+        # Hamiltonian path, to the bits of a plant without the modal path.
+        original = riccati._modal_lyapunov
+        calls = []
+
+        def bad_first_call(*args, **kwargs):
+            calls.append(None)
+            P = original(*args, **kwargs)
+            return np.full_like(P, bad) if len(calls) == 1 else P
+
+        monkeypatch.setattr(riccati, "_modal_lyapunov", bad_first_call)
+        plant = Plant(np.diag([-1.0, -2.0, -3.0][:n]), 0.5, 0.5)
+        placement = Placement.normalized(np.ones(n), [1.0, 0.5, 0.25][:n])
+        gains = riccati.gain_pair(plant, placement)
+        assert gains.fallback.startswith("regulator: CARE residual")
+        assert isinstance(gains.loop_K, riccati.ClosedLoop)
+        W = plant.epsilon * np.outer(placement.b_unit, placement.b_unit)
+        assert np.array_equal(gains.K, solve_care(plant.A, W, np.eye(n)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_modal_adjoint_solve_is_solved_on_the_schur_form(
+        self, monkeypatch, bad
+    ):
+        # The third modal solve of a cost report is the first adjoint, M on
+        # the regulator loop. A NaN or inf there fails its certificate, and
+        # the Schur form of the same loop solves it.
+        calls = []
+        original = riccati._modal_lyapunov
+
+        def bad_third_call(*args, **kwargs):
+            calls.append(None)
+            P = original(*args, **kwargs)
+            return np.full_like(P, bad) if len(calls) == 3 else P
+
+        monkeypatch.setattr(riccati, "_modal_lyapunov", bad_third_call)
+        plant = Plant(np.diag([-1.0, -2.0, -3.0]), 0.5, 0.5)
+        placement = Placement.normalized([1.0, 1.0, 1.0], [1.0, 0.5, 0.25])
+        report = cost_report(plant, placement)
+        g = report.gains
+        assert len(calls) == 4 and g.fallback is None
+        assert "_schur" in vars(g.loop_K) and "_schur" not in vars(g.loop_Sigma)
+        M, res_M = closed_loop(g.loop_K.F).solve(g.Sigma @ placement.C @ g.Sigma)
+        assert np.array_equal(report.adjoints.M, M)
+        assert report.adjoints.residual_M == res_M
+
     def test_near_pbh_boundary_returns_certified_or_raises(self):
         # Each cost report either carries residuals and Hurwitz margins
         # inside their certificates, checked here from the returned matrices,
