@@ -12,7 +12,8 @@ and optional "placement" ({"b": [...], "c": [...]}, normalized on load),
 "seed", and "n_starts". An unknown key in "flow" or "sim" is a parse error.
 
 Reports are JSON with floats printed to 17 significant digits (lossless
-round-trip); flow traces are CSV with the fixed column schema
+round-trip); finite float vectors and matrices are written a row at a time,
+with the same bytes. Flow traces are CSV with the fixed column schema
 iter,phi,grad_norm,step,b0..b{n-1},c0..c{n-1}. Exit codes: 0 ok, 1 usage,
 2 parse, 3 solver (or failed verification), 4 all starts failed,
 5 dimension cap, 6 simulation divergence. CODESIGN_THREADS caps multi-start
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -52,7 +54,7 @@ from .errors import (
 )
 from .flow import FlowOptions, FlowTrace, multi_start
 from .plant import Placement, Plant
-from .riccati import pbh_check
+from .riccati import pbh_check  # noqa: F401 - unused, but benchmark/tracer.py wraps it
 from .simulate import SimConfig, estimate_eta
 from .verify import run_checks
 
@@ -69,8 +71,16 @@ EXIT_DIVERGED = 6
 # JSON emission with 17-significant-digit floats
 
 
+def _float_template(shape: tuple, indent: int) -> str:
+    """What ``dumps`` writes for a float array of ``shape``, "%.17g" per entry."""
+    item = _float_template(shape[1:], indent + 2) if shape[1:] else "%.17g"
+    rows = ",\n".join([" " * (indent + 2) + item] * shape[0])
+    return "[\n" + rows + "\n" + " " * indent + "]"
+
+
 def dumps(obj, indent: int = 0) -> str:
-    """Serialize nested dict/list/scalar data with %.17g floats."""
+    """Serialize nested dict/list/scalar data with %.17g floats; a finite float
+    array or list fills its shape's template at once, in the same bytes."""
     if isinstance(obj, (float, np.floating)):
         return "%.17g" % obj if math.isfinite(obj) else "null"
     pad = " " * indent
@@ -84,15 +94,17 @@ def dumps(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and 0 < obj.ndim < 3 and obj.size and np.isfinite(obj).all():
+            return _float_template(obj.shape, indent) % tuple(obj.ravel().tolist())
         return dumps(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float and math.isfinite(v) for v in obj):
+            return _float_template((len(obj),), indent) % tuple(obj)
         items = [f"{inner}{dumps(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     return json.dumps(obj)
 
@@ -242,14 +254,9 @@ def _require_placement(problem: Problem) -> Placement:
 # Commands
 
 
-def _pbh_report_dict(plant: Plant, placement: Placement) -> dict:
-    out = {}
-    for mode, vector in (
-        ("stabilizability", placement.b_unit),
-        ("detectability", placement.c_unit),
-    ):
-        rep = pbh_check(plant.A, vector, mode, eigenvalues=plant.eigenvalues)
-        out[mode] = {
+def _pbh_report_dict(reports) -> dict:
+    return {
+        rep.mode: {
             "ok": rep.ok,
             "min_margin": rep.min_margin,
             "tested": [
@@ -257,7 +264,8 @@ def _pbh_report_dict(plant: Plant, placement: Placement) -> dict:
                 for lam, margin in rep.tested
             ],
         }
-    return out
+        for rep in reports
+    }
 
 
 def cmd_solve(problem: Problem, args) -> dict:
@@ -285,7 +293,7 @@ def cmd_solve(problem: Problem, args) -> dict:
             "regulator": report.gains.loop_K.margin,
             "filter": report.gains.loop_Sigma.margin,
         },
-        "pbh": _pbh_report_dict(plant, placement),
+        "pbh": _pbh_report_dict(report.gains.pbh),
     }
 
 
@@ -448,6 +456,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="codesign", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -476,9 +485,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -190,7 +190,7 @@ class GainPair:
     for a side whose modal solve fell back to the Hamiltonian path;
     ``fallback`` then says why ("regulator: ..." and/or "filter: ..."). It
     is None when nothing fell back, and always for non-symmetric plants,
-    which have the Hamiltonian path only.
+    which have the Hamiltonian path only. ``pbh`` holds the PBH reports passed.
     """
 
     K: np.ndarray
@@ -200,6 +200,7 @@ class GainPair:
     loop_K: ClosedLoop | ModalLoop
     loop_Sigma: ClosedLoop | ModalLoop
     fallback: str | None = None
+    pbh: tuple[PBHReport, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -231,12 +232,14 @@ class PBHReport:
 
 def care_residual(A: np.ndarray, W: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     """Frobenius norm of A^T P + P A - P W P + Q."""
-    return float(np.linalg.norm(A.T @ P + P @ A - P @ W @ P + Q))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.linalg.norm(A.T @ P + P @ A - P @ W @ P + Q))
 
 
 def lyapunov_residual(F: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     """Frobenius norm of F P + P F^T + Q."""
-    return float(np.linalg.norm(F @ P + P @ F.T + Q))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.linalg.norm(F @ P + P @ F.T + Q))
 
 
 def closed_loop(F) -> ClosedLoop:
@@ -428,7 +431,8 @@ def pbh_check(A, v, mode: str, *, eigenvalues=None) -> PBHReport:
     return PBHReport(mode=mode, ok=ok, tested=tuple(tested), min_margin=min_margin)
 
 
-def _require_pbh(plant: Plant, placement: Placement) -> None:
+def _require_pbh(plant: Plant, placement: Placement) -> tuple[PBHReport, ...]:
+    reports = []
     for v, mode, pair in (
         (placement.b_unit, "stabilizability", "(A, b)"),
         (placement.c_unit, "detectability", "(A, c)"),
@@ -440,6 +444,8 @@ def _require_pbh(plant: Plant, placement: Placement) -> None:
                 f"{pair} fails the PBH {mode} test at eigenvalue {lam}",
                 eigenvalue=lam,
             )
+        reports.append(report)
+    return tuple(reports)
 
 
 class _ModalFallback(Exception):
@@ -546,7 +552,7 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     NoStabilizingSolution, NonConvergence
         Propagated from the Hamiltonian CARE solver.
     """
-    _require_pbh(plant, placement)
+    pbh = _require_pbh(plant, placement)
     eye = np.eye(plant.n)
     solved, fallbacks = [], []
     for side, A, gain, v in (
@@ -564,7 +570,7 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
         solved.append(_solve_care(A, gain * np.outer(v, v), eye))
     (K, res_K, loop_K), (Sigma, res_S, loop_S) = solved
     return GainPair(
-        K, Sigma, res_K, res_S, loop_K, loop_S, "; ".join(fallbacks) or None
+        K, Sigma, res_K, res_S, loop_K, loop_S, "; ".join(fallbacks) or None, pbh
     )
 
 

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 from conftest import assert_unique_stable_top_pair, spaced_in_random_basis
+from json_oracle import dumps as oracle_dumps
 
-from lqg_codesign import SimulationDiverged, cli, flow
+from lqg_codesign import SimulationDiverged, cli, flow, riccati
 from lqg_codesign.cli import dumps, load_problem, main
 from lqg_codesign.equilibria import Spectrum
 from lqg_codesign.plant import Placement
@@ -57,6 +58,40 @@ NONSYM3 = {
 }
 
 
+_MAX = 1.7976931348623157e308
+_MATRIX = np.arange(12.0).reshape(3, 4) / 7.0
+# Objects on which ``cli.dumps`` must write the bytes of the element-wise
+# emitter: extreme and integral floats, non-finite entries, empty and
+# degenerate shapes, other dtypes, views, numpy scalars and mixed lists.
+_EMITTER_CASES = {
+    "extreme_floats": np.array([-0.0, 5e-324, _MAX, -_MAX, 2.0, -3.0, 0.1]),
+    "extreme_float_list": [-0.0, 5e-324, _MAX, -_MAX, 2.0, 1e16, 1e17],
+    "extreme_float_tuple": (2.0, -0.0, 0.1),
+    "scalars": [np.float64(-0.0), 2.0, np.float32(0.1), float("nan")],
+    "nan_in_array": np.array([[1.0, np.nan], [2.5, 3.0]]),
+    "inf_in_array": np.array([np.inf, 1.0, -np.inf]),
+    "inf_in_list": [1.0, float("inf"), 2.0],
+    "shape_0": np.zeros(0),
+    "shape_0x3": np.zeros((0, 3)),
+    "shape_3x0": np.zeros((3, 0)),
+    "shape_1xn": np.linspace(-1.0, 1.0, 5)[None, :],
+    "shape_nx1": np.linspace(-1.0, 1.0, 5)[:, None],
+    "shape_1x1": np.array([[-0.0]]),
+    "three_d": np.arange(24.0).reshape(2, 3, 4) / 3.0,
+    "zero_d": np.array(0.25),
+    "float32": (_MATRIX / 3.0).astype(np.float32),
+    "int_array": np.arange(6).reshape(2, 3),
+    "bool_array": np.array([True, False]),
+    "transposed": _MATRIX.T,
+    "strided": _MATRIX[::2, ::-3],
+    "column_view": _MATRIX[:, 1],
+    "float64_in_tuple": (np.float64(0.1), np.float64(2.0)),
+    "mixed_list": [1.5, 2, True, None, np.int64(3), "x"],
+    "bool_and_int_lists": [[True, False], [1, 2], []],
+    "empty": [],
+}
+
+
 class TestJsonEmission:
     def test_floats_round_trip_losslessly(self):
         values = [4.0 / 9.0, 1e-300, -1.2345678901234567e17, 0.1, float("nan")]
@@ -72,6 +107,34 @@ class TestJsonEmission:
         text = dumps({"m": np.eye(2), "list": [1, 2.5], "none": None})
         parsed = json.loads(text)
         assert parsed["m"] == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("obj", _EMITTER_CASES.values(), ids=_EMITTER_CASES.keys())
+    def test_same_bytes_as_the_element_wise_emitter(self, obj):
+        for indent in (0, 2, 6):
+            assert dumps(obj, indent) == oracle_dumps(obj, indent)
+        nested = {"outer": {"inner": [obj, {"again": obj}], "empty": {}}}
+        assert dumps(nested) == oracle_dumps(nested)
+
+    def test_same_bytes_on_random_matrices(self):
+        rng = np.random.default_rng(2023)
+        for _ in range(50):
+            shape = tuple(rng.integers(1, 7, size=rng.integers(1, 3)))
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            report = {"x": x, "rows": x.tolist()}
+            assert dumps(report) == oracle_dumps(report)
+
+    def test_a_finite_matrix_is_one_call(self, monkeypatch):
+        # The float array is written from its template, not entry by entry.
+        calls = []
+        original = cli.dumps
+
+        def counted(obj, indent=0):
+            calls.append(type(obj))
+            return original(obj, indent)
+
+        monkeypatch.setattr(cli, "dumps", counted)
+        original({"K": np.ones((50, 50)), "b": [0.5] * 50})
+        assert calls == [np.ndarray, list]
 
 
 class TestProblemLoading:
@@ -208,6 +271,44 @@ class TestSolveCommand:
         payload = {k: v for k, v in SCALAR.items() if k != "placement"}
         problem = write_problem(tmp_path, "nopl.json", payload)
         assert main(["solve", "--problem", problem, "--out", str(tmp_path / "o")]) == 2
+
+    def test_pbh_section_from_the_gain_pairs_tests(self, tmp_path, monkeypatch):
+        # gain_pair keeps the two PBH reports it required to pass, and the
+        # "pbh" section is written from them: no test runs twice.
+        payload = {
+            "A": [[0.2, 1.0, 0.0], [-1.0, 0.2, 0.0], [0.0, 0.3, -1.0]],
+            "epsilon": 1.0,
+            "delta": 1.0,
+            "placement": {"b": [1.0, 0.5, 0.2], "c": [0.3, 1.0, 1.0]},
+        }
+        problem = write_problem(tmp_path, "unstable.json", payload)
+        modes, original = [], riccati.pbh_check
+
+        def counted(A, v, mode, **kwargs):
+            modes.append(mode)
+            return original(A, v, mode, **kwargs)
+
+        monkeypatch.setattr(riccati, "pbh_check", counted)
+        monkeypatch.setattr(cli, "pbh_check", counted)
+        assert main(["solve", "--problem", problem, "--out", str(tmp_path / "o")]) == 0
+        assert modes == ["stabilizability", "detectability"]
+
+        loaded = load_problem(problem)
+        plant, placement = loaded.plant, loaded.placement
+        expected = {}
+        for mode, v in (
+            ("stabilizability", placement.b_unit),
+            ("detectability", placement.c_unit),
+        ):
+            rep = original(plant.A, v, mode, eigenvalues=plant.eigenvalues)
+            tested = [
+                {"eigenvalue_re": lam.real, "eigenvalue_im": lam.imag, "margin": margin}
+                for lam, margin in rep.tested
+            ]
+            expected[mode] = {"ok": rep.ok, "min_margin": rep.min_margin, "tested": tested}
+        report = json.loads((tmp_path / "o" / "solve.json").read_text())
+        assert len(report["pbh"]["stabilizability"]["tested"]) == 2
+        assert report["pbh"] == json.loads(dumps(expected))
 
     def test_deterministic_bytes(self, tmp_path):
         problem = write_problem(tmp_path, "scalar.json", SCALAR)

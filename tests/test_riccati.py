@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,20 @@ class TestCertificates:
             riccati._certified_care(F, np.eye(1), np.eye(1), P)
         with pytest.raises(NonConvergence, match=f"Lyapunov residual {text} .* {text}"):
             riccati._certified(F, np.eye(1), P, transpose)
+
+    def test_inf_entry_fails_its_certificate_without_a_warning(self):
+        # One inf among finite entries puts inf * 0 = NaN into the residual's
+        # products. That must end in the typed error, not in numpy's
+        # "invalid value encountered in matmul" RuntimeWarning.
+        F, P = -np.eye(3), np.eye(3)
+        P[0, 1] = P[1, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="CARE residual"):
+                riccati._certified_care(F, np.eye(3), np.eye(3), P)
+            for transpose in (False, True):
+                with pytest.raises(NonConvergence, match="Lyapunov residual"):
+                    riccati._certified(F, np.eye(3), P, transpose)
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
