@@ -60,7 +60,6 @@ from .riccati import (
     AdjointPair,
     ClosedLoop,
     GainPair,
-    ModalLoop,
     PBHReport,
     adjoint_pair,
     gain_pair,

@@ -130,6 +130,11 @@ class Problem:
     n_starts: int
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build_matrix(entry) -> np.ndarray:
     if isinstance(entry, list):
         return np.asarray(entry, dtype=float)
@@ -144,7 +149,7 @@ def _build_matrix(entry) -> np.ndarray:
     if kind == "laplacian":
         n = entry.get("n")
         edges = entry.get("edges")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ProblemFormatError("laplacian generator needs an integer 'n' >= 1")
         if not isinstance(edges, list):
             raise ProblemFormatError("laplacian generator needs an 'edges' list")
@@ -152,8 +157,8 @@ def _build_matrix(entry) -> np.ndarray:
         for edge in edges:
             if len(edge) != 3:
                 raise ProblemFormatError(f"edge {edge!r} is not [i, j, w]")
-            i, j, w = int(edge[0]), int(edge[1]), float(edge[2])
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            i, j, w = edge[0], edge[1], float(edge[2])
+            if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n) or i == j:
                 raise ProblemFormatError(f"edge {edge!r} has invalid endpoints")
             if w < 0.0:
                 raise ProblemFormatError(f"edge {edge!r} has a negative weight")
@@ -334,9 +339,9 @@ def cmd_flow(problem: Problem, args) -> dict:
     (out_dir / "flow_trace.csv").write_text(
         "\n".join(_trace_csv_lines(best, plant.n)) + "\n"
     )
-    report = cost_report(plant, best.final)
+    # The descent's own evaluation of its last iterate: nothing is solved again.
     eq_flag, eq_res = is_equilibrium(
-        plant, best.final, 10.0 * opts.grad_tol, report=report
+        plant, best.final, 10.0 * opts.grad_tol, report=best.report
     )
     summary = {
         "seed": problem.seed,
@@ -352,7 +357,7 @@ def cmd_flow(problem: Problem, args) -> dict:
                 "within_10x_grad_tol": eq_flag,
                 "residuals": list(eq_res),
             },
-            **_classify_or_none(plant, best.final, report),
+            **_classify_or_none(plant, best.final, best.report),
         },
         "starts": [
             {

@@ -138,6 +138,8 @@ class FlowTrace:
     #: Why a ``solver_failure`` start stopped; None for every other status.
     error: str | None = None
     counters: FlowCounters = FlowCounters()
+    #: The ``cost_report`` of ``final``; None for a start never evaluated.
+    report: CostReport | None = None
 
     @property
     def phis(self) -> np.ndarray:
@@ -248,7 +250,8 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
       recorded, with the solver's message in ``error``, rather than raised.
 
     ``counters`` tallies the evaluations, backtracks, swallowed errors and
-    modal fallbacks of the run.
+    modal fallbacks of the run, and ``report`` keeps the evaluation of the
+    last accepted iterate.
     """
     use_phi_bar = is_zero_gain(plant)
     tally = asdict(FlowCounters())
@@ -266,9 +269,9 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
 
     def finish(status: str, error: str | None = None) -> FlowTrace:
         counters = FlowCounters(**tally)
-        return FlowTrace(tuple(iterates), status, placement, error, counters)
+        return FlowTrace(tuple(iterates), status, placement, error, counters, report)
 
-    placement = init
+    placement, report = init, None
     iterates: list[FlowIterate] = []
     try:
         report = evaluate(placement)
@@ -314,7 +317,7 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
         sy = s_b @ (cand_grad.g_b - grad.g_b) + s_c @ (cand_grad.g_c - grad.g_c)
         ss = s_b @ s_b + s_c @ s_c
         step = min(ss / sy if sy > 0.0 else 2.0 * step, _STEP_MAX)
-        placement, grad, obj = candidate, cand_grad, cand_obj
+        placement, grad, obj, report = candidate, cand_grad, cand_obj, cand_report
     return finish(STATUS_CONVERGED if grad.norm < opts.grad_tol else STATUS_MAX_ITERS)
 
 

@@ -29,25 +29,25 @@ P = int_0^inf e^{Ft} Q e^{F^T t} dt.
 On a plant whose A is exactly symmetric both CAREs are solved in the
 eigenbasis the plant computed once (``Plant.eigenvectors``): the closed-loop
 poles are the roots of a secular equation (Kalman's return-difference
-identity), which LAPACK ``dlasd4`` solves to high relative accuracy, the
-gain follows from the pole-placement residues, and the closed loop is kept
-as a ``ModalLoop``, F = W diag(p) W^-1, on which every Lyapunov solve is a
-Hadamard product. The Hurwitz margin and then the CARE residual are
-certified as on the Hamiltonian path, the residual by the same test. A side
-that cannot be solved this way (zero gain, |eigenvalues| not separated, a
-decoupled unstable mode, a failed certificate) falls back to the Hamiltonian
-path, and ``GainPair.fallback`` says why; non-symmetric plants take that
-path only.
+identity), which LAPACK ``dlasd4`` solves to high relative accuracy, and the
+gain follows from the pole-placement residues. The Hurwitz margin and then
+the CARE residual are certified as on the Hamiltonian path, the residual by
+the same test. A side that cannot be solved this way (zero gain,
+|eigenvalues| not separated, a decoupled unstable mode, a failed
+certificate) falls back to the Hamiltonian path, and ``GainPair.fallback``
+says why; non-symmetric plants take that path only.
 
-On the Hamiltonian path the real Schur form is the only factorization of
-each Hamiltonian and each Lyapunov coefficient; its diagonal holds the real
-part of every eigenvalue (both entries of a 2x2 block), which is all the
-Hurwitz certificates read. A ``ClosedLoop`` keeps the Schur form of F for
-every further solve with F or F^T: the CARE's Hurwitz certificate factors
-A - W P once, and the adjoint solves and the tangent-linear Hessian
-(``equilibria.hessian_matrix``) reuse that form, so a ``cost_report`` on a
-non-symmetric plant takes four Schur forms (two Hamiltonians, two closed
-loops), and one on a symmetric plant none.
+Either path keeps its closed loop F as a ``ClosedLoop`` for every further
+solve with F or F^T: the adjoint solves and the tangent-linear Hessian
+(``equilibria.hessian_matrix``) factor nothing again. The real Schur form is
+the only factorization of each Hamiltonian and of each loop the Hamiltonian
+path keeps; its diagonal holds the real part of every eigenvalue (both
+entries of a 2x2 block), which is all the Hurwitz certificates read. A
+modal loop also keeps F = W diag(p) W^-1, on which a Lyapunov solve is a
+Hadamard product, and takes its Schur form only for a solve that fails its
+certificate. So a ``cost_report`` on a non-symmetric plant takes four Schur
+forms (two Hamiltonians, two closed loops), and one on a symmetric plant
+none.
 The spectrum of A for the PBH tests is the plant's (``Plant.eigenvalues``),
 computed once per plant. Nothing is kept between calls.
 """
@@ -86,73 +86,60 @@ _MODAL_GAP = 1e-8
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """A Hurwitz matrix F kept with its real Schur form F = u r u^T.
+    """A closed loop F, kept for every Lyapunov equation on F or F^T.
 
-    Every Lyapunov equation on F or F^T is then one ``trsyl`` call; nothing
-    re-factors F.
+    ``modes = (W, W^-1, p)``, which only a symmetric plant's modal Riccati
+    solve sets, keeps F = W diag(p) W^-1 with real simple poles p: a solve is
+    then a Hadamard product with -1/(p_k + p_l) between two W-transforms.
+    Without ``modes``, or when a modal solve fails its certificate (the
+    transforms are as ill-conditioned as W), it is one ``trsyl`` call on the
+    real Schur form F = u r u^T, taken on first need and kept. ``margin`` and
+    ``_schur`` are the loop's only Hurwitz decisions; ``closed_loop`` builds
+    a loop with its Schur form taken, so F is certified Hurwitz.
     """
 
     F: np.ndarray
-    r: np.ndarray
-    u: np.ndarray
+    modes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def margin(self) -> float:
-        """Hurwitz margin -max Re(eig F), read off the Schur diagonal."""
-        return -float(np.max(np.diag(self.r)))
+        """Hurwitz margin: -max p with ``modes``, else -max Re(eig F) read
+        off the Schur diagonal."""
+        top = self.modes[2] if self.modes is not None else np.diag(self._schur[0])
+        return -float(np.max(top))
+
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real Schur form (r, u) of F; raises ``NotHurwitz`` unless every
+        eigenvalue of F has real part below -1e-12 (a NaN fails too)."""
+        r, u = la.schur(self.F, output="real")
+        margin = -float(np.max(np.diag(r)))
+        if not margin > HURWITZ_MARGIN:
+            raise NotHurwitz(f"matrix is not Hurwitz: max Re(eig) = {-margin:.3e}")
+        return r, u
 
     def solve(self, Q, transpose: bool = False) -> tuple[np.ndarray, float]:
         """Solve F P + P F^T + Q = 0 (F^T P + P F + Q = 0 with ``transpose``).
 
-        Returns P and its residual, certified against 1e-11 * (1 + |P|_F);
-        raises ``NonConvergence`` past it.
+        With ``modes``, F^T P + P F + Q = 0 is first solved by
+        P = W^-T [-(W^T Q W) / (p_k + p_l)] W^-1 and F P + P F^T + Q = 0 by
+        P = W [-(W^-1 Q W^-T) / (p_k + p_l)] W^T. Returns P and its residual,
+        certified against 1e-11 * (1 + |P|_F); raises ``NonConvergence`` when
+        the Schur-form solve fails that certificate too.
         """
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        P = _bartels_stewart(self.r, self.u, -Q, transpose)
+        if self.modes is not None:
+            P = _modal_lyapunov(*self.modes, Q, transpose)
+            try:
+                return _certified(self.F, Q, P, transpose)
+            except NonConvergence:
+                pass
+        P = _bartels_stewart(*self._schur, -Q, transpose)
         return _certified(self.F, Q, P, transpose)
 
 
-@dataclass(frozen=True)
-class ModalLoop:
-    """A Hurwitz matrix F with real simple eigenvalues p, kept as
-    F = W diag(p) W^{-1} (``Winv`` holds W^{-1}).
-
-    A symmetric plant's modal Riccati solve builds it; it has the interface
-    of ``ClosedLoop``. A Lyapunov equation on F or F^T is a Hadamard product
-    with -1/(p_k + p_l) between two W-transforms, certified as
-    ``ClosedLoop.solve`` certifies. A solve that fails its certificate (the
-    transforms are as ill-conditioned as W) is solved again on the real
-    Schur form of F, taken on first need and kept.
-    """
-
-    F: np.ndarray
-    W: np.ndarray
-    Winv: np.ndarray
-    p: np.ndarray
-
-    @property
-    def margin(self) -> float:
-        """Hurwitz margin -max p."""
-        return -float(np.max(self.p))
-
-    def solve(self, Q, transpose: bool = False) -> tuple[np.ndarray, float]:
-        """As ``ClosedLoop.solve``: F^T P + P F + Q = 0 is solved by
-        P = W^-T [-(W^T Q W) / (p_k + p_l)] W^-1, F P + P F^T + Q = 0 by
-        P = W [-(W^-1 Q W^-T) / (p_k + p_l)] W^T."""
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        P = _modal_lyapunov(self.W, self.Winv, self.p, Q, transpose)
-        try:
-            return _certified(self.F, Q, P, transpose)
-        except NonConvergence:
-            return self._schur.solve(Q, transpose)
-
-    @cached_property
-    def _schur(self) -> ClosedLoop:
-        return closed_loop(self.F)
-
-
 def _modal_lyapunov(W, Winv, p, Q, transpose: bool) -> np.ndarray:
-    """The uncertified solve of ``ModalLoop.solve``."""
+    """The uncertified modal solve of ``ClosedLoop.solve``."""
     inner, outer = (W.T, Winv.T) if transpose else (Winv, W)
     Y = (inner @ Q @ inner.T) / -(p[:, None] + p)
     return outer @ Y @ outer.T
@@ -186,19 +173,19 @@ class GainPair:
     """Stabilizing ARE solutions: regulator gain K and filter covariance Sigma,
     with their closed loops A - (eps B) K and A^T - (delta C) Sigma.
 
-    On a symmetric plant each loop is a ``ModalLoop``, or a ``ClosedLoop``
-    for a side whose modal solve fell back to the Hamiltonian path;
-    ``fallback`` then says why ("regulator: ..." and/or "filter: ..."). It
-    is None when nothing fell back, and always for non-symmetric plants,
-    which have the Hamiltonian path only. ``pbh`` holds the PBH reports passed.
+    On a symmetric plant each loop keeps its ``modes``, unless its side's
+    modal solve fell back to the Hamiltonian path; ``fallback`` then says why
+    ("regulator: ..." and/or "filter: ..."). It is None when nothing fell
+    back, and always for non-symmetric plants, which have the Hamiltonian
+    path only. ``pbh`` holds the PBH reports passed.
     """
 
     K: np.ndarray
     Sigma: np.ndarray
     residual_K: float
     residual_Sigma: float
-    loop_K: ClosedLoop | ModalLoop
-    loop_Sigma: ClosedLoop | ModalLoop
+    loop_K: ClosedLoop
+    loop_Sigma: ClosedLoop
     fallback: str | None = None
     pbh: tuple[PBHReport, ...] = ()
 
@@ -243,19 +230,15 @@ def lyapunov_residual(F: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
 
 
 def closed_loop(F) -> ClosedLoop:
-    """Real Schur form of F, kept for Lyapunov solves; F must be Hurwitz.
+    """F kept with its real Schur form for Lyapunov solves; F must be Hurwitz.
 
     Raises
     ------
     NotHurwitz
         If any eigenvalue of F has real part >= -1e-12.
     """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    loop = ClosedLoop(F, *la.schur(F, output="real"))
-    if loop.margin <= HURWITZ_MARGIN:
-        raise NotHurwitz(
-            f"matrix is not Hurwitz: max Re(eig) = {-loop.margin:.3e}"
-        )
+    loop = ClosedLoop(np.atleast_2d(np.asarray(F, dtype=float)))
+    loop._schur  # takes the Schur form, which certifies F Hurwitz
     return loop
 
 
@@ -452,7 +435,7 @@ class _ModalFallback(Exception):
     """Why a modal Riccati solve hands over to the Hamiltonian path."""
 
 
-def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, ModalLoop]:
+def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, ClosedLoop]:
     """``_solve_care(A, gain v v^T, I)`` for symmetric A = Theta diag(lam) Theta^T.
 
     With beta = Theta^T v the closed loop in modal coordinates is
@@ -530,7 +513,7 @@ def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, Modal
             res = _certified_care(A, Wv, eye, P)
         except NonConvergence as exc:
             raise _ModalFallback(str(exc)) from exc
-    return P, res, ModalLoop(A - Wv @ P, W, Winv, p)
+    return P, res, ClosedLoop(A - Wv @ P, (W, Winv, p))
 
 
 def gain_pair(plant: Plant, placement: Placement) -> GainPair:

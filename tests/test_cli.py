@@ -6,7 +6,7 @@ import pytest
 from conftest import assert_unique_stable_top_pair, spaced_in_random_basis
 from json_oracle import dumps as oracle_dumps
 
-from lqg_codesign import SimulationDiverged, cli, flow, riccati
+from lqg_codesign import SimulationDiverged, cli, cost, flow, riccati, simulate
 from lqg_codesign.cli import dumps, load_problem, main
 from lqg_codesign.equilibria import Spectrum
 from lqg_codesign.plant import Placement
@@ -207,6 +207,10 @@ class TestNonFiniteInput:
             ("solve", None, "seed", -1),
             ("solve", None, "seed", 1.5),
             ("flow", None, "n_starts", 2.5),
+            # endpoints and n are JSON integers: no float is truncated, no bool read as 0/1
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0.6, 1, 1.0], [1, 2.9, 1.0]]}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, True, 1.0], [1, 2, 1.0]]}),
+            ("solve", None, "A", {"generator": "laplacian", "n": True, "edges": []}),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):
@@ -350,6 +354,35 @@ class TestFlowCommand:
             assert counters["evaluations"] == entry["iterations"] + 1 + counters["backtracks"]
             assert counters["modal_fallbacks"] == 0
             assert counters["last_modal_fallback"] is None
+
+    def test_best_start_is_not_solved_again(self, tmp_path, monkeypatch):
+        # The best start is analysed on the descent's own last evaluation:
+        # every gain pair solved is one of the counted evaluations.
+        real, calls = riccati.gain_pair, []
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(riccati, "gain_pair", counted)
+        monkeypatch.setattr(cost, "gain_pair", counted)
+        problem = write_problem(tmp_path, "diag3.json", DIAG3)
+        out = tmp_path / "out"
+        assert main(["flow", "--problem", problem, "--out", str(out)]) == 0
+        starts = json.loads((out / "flow.json").read_text())["starts"]
+        assert len(calls) == sum(s["counters"]["evaluations"] for s in starts)
+
+    def test_unclassifiable_best_start_gets_a_note(self, tmp_path):
+        # One step does not reach an equilibrium: the run still succeeds,
+        # and the best start says why it has no stability verdict.
+        problem = write_problem(tmp_path, "diag3.json", {**DIAG3, "flow": {"max_iters": 1}})
+        out = tmp_path / "out"
+        assert main(["flow", "--problem", problem, "--out", str(out)]) == 0
+        best = json.loads((out / "flow.json").read_text())["best"]
+        assert best["status"] == "max_iters" and best["stability"] is None
+        assert "hessian_eigs" not in best
+        assert best["note"].startswith("residuals [")
+        assert best["note"].endswith("exceed tolerance 1e-06")
 
     def test_zero_starts_usage_error(self, tmp_path):
         problem = write_problem(tmp_path, "diag3.json", DIAG3)
@@ -565,6 +598,15 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "estimate_eta", diverged)
         problem = write_problem(tmp_path, "coarse.json", COARSE)
         assert main(["simulate", "--problem", problem, "--out", str(tmp_path / "o")]) == 6
+
+    def test_paths_over_the_divergence_budget_exit_6(self, tmp_path, monkeypatch, capsys):
+        values = np.ones(32)
+        values[:4] = np.nan
+        monkeypatch.setattr(simulate, "_run_paths", lambda *args: values.copy())
+        payload = {**SCALAR, "sim": {**SCALAR["sim"], "n_paths": 32}}
+        problem = write_problem(tmp_path, "scalar.json", payload)
+        assert main(["simulate", "--problem", problem, "--out", str(tmp_path / "o")]) == 6
+        assert "4 of 32 paths diverged" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -455,6 +455,24 @@ class TestClassifyStability:
         H = hessian_matrix(plant, Placement(e1, e1))
         assert la.norm(H - H.T, "fro") / la.norm(H, "fro") < 1e-4
 
+    @pytest.mark.parametrize(
+        "low, verdict",
+        [
+            (2.0 * STABILITY_MARGIN, STABLE),
+            (0.5 * STABILITY_MARGIN, DEGENERATE),
+            (0.0, DEGENERATE),
+            (-0.5 * STABILITY_MARGIN, DEGENERATE),
+            (-2.0 * STABILITY_MARGIN, UNSTABLE),
+        ],
+    )
+    def test_verdict_reads_the_smallest_eigenvalue(self, low, verdict):
+        # Within +-1e-7 of zero the smallest Hessian eigenvalue decides nothing.
+        Q = np.linalg.qr(np.random.default_rng(12).standard_normal((3, 3)))[0]
+        H = Q @ np.diag([2.0, 1.0, low]) @ Q.T
+        eigs, got = _verdict(H)
+        assert got == verdict
+        np.testing.assert_allclose(eigs, [2.0, 1.0, low], rtol=0.0, atol=1e-14)
+
     def test_rejects_non_equilibrium(self):
         rng = np.random.default_rng(11)
         plant = Plant(random_symmetric_hurwitz(rng, 3), 0.5, 0.5)

@@ -98,7 +98,7 @@ def _uncontrolled(a):
     are A itself, unstable for a > 0."""
     plant = Plant(np.array([[a]]), 0.0, 0.0)
     placement = Placement(np.array([1.0]), np.array([1.0]))
-    loop = ClosedLoop(plant.A, *la.schur(plant.A))
+    loop = ClosedLoop(plant.A)
     gains = GainPair(
         K=np.zeros((1, 1)),
         Sigma=np.zeros((1, 1)),
@@ -117,6 +117,27 @@ class TestEdgeCases:
         result = estimate_eta(plant, placement, cfg)
         assert np.isnan(result.stderr)
         assert any("stderr" in f for f in result.flags)
+
+    @staticmethod
+    def _with_diverged_paths(monkeypatch, dropped):
+        """Run ``estimate_eta`` on 32 paths of which ``dropped`` diverge."""
+        values = np.linspace(1.0, 2.0, 32)
+        values[dropped] = np.nan
+        monkeypatch.setattr(simulate, "_run_paths", lambda *args: values.copy())
+        plant, placement = scalar_plant(0.5, 0.5)
+        cfg = SimConfig(dt=1e-2, horizon_T=20.0, n_paths=32, burn_in=2.0, seed=3)
+        return values, estimate_eta(plant, placement, cfg)
+
+    def test_diverged_paths_within_budget_are_dropped(self, monkeypatch):
+        # 3 of 32 is within the 10% budget: the mean is over the other 29.
+        values, result = self._with_diverged_paths(monkeypatch, [0, 7, 31])
+        assert result.flags == ("dropped 3 diverged paths",)
+        assert result.eta_hat == np.mean(np.delete(values, [0, 7, 31]))
+        assert np.count_nonzero(np.isnan(result.per_path)) == 3
+
+    def test_diverged_paths_over_budget_raise(self, monkeypatch):
+        with pytest.raises(SimulationDiverged, match="4 of 32 paths diverged"):
+            self._with_diverged_paths(monkeypatch, [0, 7, 20, 31])
 
     def test_diverging_path_raises(self):
         # zero gains on an unstable plant: |x| crosses 1e8 well inside T
