@@ -209,29 +209,28 @@ def load_problem(path: Path) -> Problem:
             raise ProblemFormatError("placement dimension does not match A")
 
     flow_raw = _section(raw, "flow", {f.name for f in dataclasses.fields(FlowOptions)})
+    sim_raw = _section(raw, "sim", {f.name for f in dataclasses.fields(SimConfig)} - {"seed"})
+    counts = ((flow_raw, "max_iters"), (sim_raw, "n_paths"), (raw, "seed"), (raw, "n_starts"))
+    for section, key in counts:  # JSON integers: no float truncated, no bool read as 0/1
+        if not _is_int(section.get(key, 0)):
+            raise ProblemFormatError(f"'{key}' must be an integer")
     try:
         flow_options = FlowOptions(
             grad_tol=float(flow_raw.get("grad_tol", 1e-9)),
-            max_iters=int(flow_raw.get("max_iters", 100_000)),
+            max_iters=flow_raw.get("max_iters", 100_000),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid flow options: {exc}") from exc
 
-    sim_raw = _section(raw, "sim", {f.name for f in dataclasses.fields(SimConfig)} - {"seed"})
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if raw.get("seed", 0) < 0:
         raise ProblemFormatError("'seed' must be a nonnegative integer")
-    n_starts = raw.get("n_starts", 8)
-    if not isinstance(n_starts, int):
-        raise ProblemFormatError("'n_starts' must be an integer")
     return Problem(
         plant=plant,
         placement=placement,
         flow_options=flow_options,
         sim_config_raw=dict(sim_raw),
-        seed=seed,
-        n_starts=n_starts,
+        seed=raw.get("seed", 0),
+        n_starts=raw.get("n_starts", 8),
     )
 
 
@@ -241,7 +240,7 @@ def _sim_config(problem: Problem) -> SimConfig:
         return SimConfig(
             dt=float(raw.get("dt", 1e-3)),
             horizon_T=float(raw.get("horizon_T", 100.0)),
-            n_paths=int(raw.get("n_paths", 32)),
+            n_paths=raw.get("n_paths", 32),
             burn_in=float(raw.get("burn_in", 10.0)),
             seed=problem.seed,
         )
@@ -512,14 +511,9 @@ def main(argv=None) -> int:
     if args.command == "flow" and problem.n_starts < 1:
         print("usage error: need at least one start", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "simulate":
-        try:
-            too_few_paths = int(problem.sim_config_raw.get("n_paths", 32)) < 1
-        except (TypeError, ValueError, OverflowError):
-            too_few_paths = False  # not a count at all: _sim_config reports it
-        if too_few_paths:
-            print("usage error: need at least one simulation path", file=sys.stderr)
-            return EXIT_USAGE
+    if args.command == "simulate" and problem.sim_config_raw.get("n_paths", 32) < 1:
+        print("usage error: need at least one simulation path", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         report = _COMMANDS[args.command](problem, args)

@@ -343,11 +343,11 @@ def pbh_passing_placement(
 
     Returns None when ``max_tries`` draws all fail.
     """
-    A, eigs = plant.A, plant.eigenvalues
+    spectrum = {"eigenvalues": plant.eigenvalues, "eigenvectors": plant.eigenvectors}
     for _ in range(max_tries):
         candidate = random_placement(plant.n, rng)
-        pbh_b = pbh_check(A, candidate.b_unit, "stabilizability", eigenvalues=eigs)
-        pbh_c = pbh_check(A, candidate.c_unit, "detectability", eigenvalues=eigs)
+        pbh_b = pbh_check(plant.A, candidate.b_unit, "stabilizability", **spectrum)
+        pbh_c = pbh_check(plant.A, candidate.c_unit, "detectability", **spectrum)
         if pbh_b.ok and pbh_c.ok:
             return candidate
     return None

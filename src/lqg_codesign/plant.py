@@ -40,6 +40,19 @@ def _unit_vector(v, name: str) -> np.ndarray:
     return v
 
 
+def modal_basis(lam: np.ndarray, Theta: np.ndarray, idx: np.ndarray) -> tuple:
+    """What ``riccati._modal_care`` reads of A = Theta diag(lam) Theta^T alone:
+    the modes ``idx`` by |lam|, lam, |lam| and Theta's columns in that order,
+    lam_i - lam_j (unit diagonal), whether |lam| steps exceed 1e-8 * max |lam|, I."""
+    idx = idx[np.argsort(np.abs(lam[idx]))]
+    lam_a = lam[idx]
+    d = np.abs(lam_a)
+    gaps = lam_a[:, None] - lam_a
+    np.fill_diagonal(gaps, 1.0)
+    separated = not np.any(np.diff(d) <= 1e-8 * d[-1])
+    return idx, lam_a, d, Theta[:, idx], gaps, separated, np.eye(lam.size)
+
+
 @dataclass(frozen=True)
 class Plant:
     """System matrix with actuation gain epsilon and sensor SNR delta.
@@ -48,8 +61,9 @@ class Plant:
     test on the plant (spec(A^T) = spec(A) serves detectability). When A is
     exactly symmetric it comes from one eigendecomposition
     A = eigenvectors diag(eigenvalues) eigenvectors^T (ascending), which
-    ``riccati.gain_pair`` reuses for its modal Riccati solves; otherwise
-    ``eigenvectors`` is None.
+    ``riccati.gain_pair`` reuses for its PBH tests and, with ``modal`` (the
+    ``modal_basis`` of every mode), its modal Riccati solves; otherwise
+    ``eigenvectors`` and ``modal`` are None.
     """
 
     A: np.ndarray
@@ -57,6 +71,7 @@ class Plant:
     delta: float
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
+    modal: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _square_matrix(self.A))
@@ -66,10 +81,12 @@ class Plant:
             raise ValueError("epsilon and delta must be finite and nonnegative")
         if np.array_equal(self.A, self.A.T):
             eigenvalues, eigenvectors = np.linalg.eigh(self.A)
+            modal = modal_basis(eigenvalues, eigenvectors, np.arange(self.n))
         else:
-            eigenvalues, eigenvectors = np.linalg.eigvals(self.A), None
+            eigenvalues, eigenvectors, modal = np.linalg.eigvals(self.A), None, None
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenvectors", eigenvectors)
+        object.__setattr__(self, "modal", modal)
 
     @property
     def n(self) -> int:

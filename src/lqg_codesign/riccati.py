@@ -47,9 +47,8 @@ modal loop also keeps F = W diag(p) W^-1, on which a Lyapunov solve is a
 Hadamard product, and takes its Schur form only for a solve that fails its
 certificate. So a ``cost_report`` on a non-symmetric plant takes four Schur
 forms (two Hamiltonians, two closed loops), and one on a symmetric plant
-none.
-The spectrum of A for the PBH tests is the plant's (``Plant.eigenvalues``),
-computed once per plant. Nothing is kept between calls.
+none, whose PBH margins are secular roots in its eigenbasis too. All that
+is read of A alone is the plant's, taken once; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .errors import (
     NotHurwitz,
     PBHViolation,
 )
-from .plant import Placement, Plant
+from .plant import Placement, Plant, modal_basis
 
 _dlasd4 = la.get_lapack_funcs("lasd4", dtype=np.float64)
 
@@ -77,11 +76,8 @@ LYAP_RTOL = 1e-11
 HURWITZ_MARGIN = 1e-12
 
 _PBH_RANK_TOL = 1e-9
-#: Modal path: a mode with |beta_i| <= 8u (u the float eps) is decoupled
-#: exactly, and the |lambda| of the other modes must be strictly increasing
-#: with gaps above 1e-8 * max |lambda|.
+#: A mode with |beta_i| <= 8u (u the float eps) is decoupled exactly.
 _DEFLATE_TOL = 8.0 * np.finfo(float).eps
-_MODAL_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -378,7 +374,7 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
     return P, _certified_care(A, W, Q, P), loop
 
 
-def pbh_check(A, v, mode: str, *, eigenvalues=None) -> PBHReport:
+def pbh_check(A, v, mode: str, *, eigenvalues=None, eigenvectors=None) -> PBHReport:
     """PBH rank test of (A, v) for stabilizability or detectability.
 
     For every eigenvalue lambda of A with Re(lambda) >= 0 (numerically,
@@ -386,7 +382,12 @@ def pbh_check(A, v, mode: str, *, eigenvalues=None) -> PBHReport:
     included), checks rank [A - lambda*I, v] = n; detectability runs the same
     test on A^T. The reported margin per eigenvalue is the smallest singular
     value of the augmented matrix. ``eigenvalues``, when given, is the
-    spectrum of A (``Plant.eigenvalues``), which both modes share.
+    spectrum of A (``Plant.eigenvalues``), which both modes share. With them,
+    the ``eigenvectors`` Theta of a symmetric A = Theta diag(lam) Theta^T
+    (``Plant.eigenvectors``) give the margin as the smallest root (``dlasd4``)
+    of a secular equation: its square is the least eigenvalue of
+    diag(lam - lambda)^2 + beta beta^T, beta = Theta^T v. An SVD gives it
+    when some |beta_j| <= 8u or the |lam_j - lambda| are not distinct.
     """
     if mode not in ("stabilizability", "detectability"):
         raise ValueError(f"unknown PBH mode {mode!r}")
@@ -395,32 +396,43 @@ def pbh_check(A, v, mode: str, *, eigenvalues=None) -> PBHReport:
     if np.linalg.norm(v) == 0.0:
         raise ValueError("PBH test vector must be nonzero")
     M = A if mode == "stabilizability" else A.T
-    n = M.shape[0]
     threshold = _PBH_RANK_TOL * (1.0 + float(np.linalg.norm(M)))
+    z = None
+    if eigenvalues is not None and eigenvectors is not None:
+        beta = eigenvectors.T @ v
+        if np.all(np.abs(beta) > _DEFLATE_TOL):  # dlasd4 needs every z_j nonzero
+            norm = float(np.linalg.norm(beta))
+            z, rho = beta / norm, norm**2
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(M)
 
     tested = []
-    ok = True
     for lam in eigenvalues:
         if lam.real < -1e-9:
             continue
-        pencil = np.hstack([M - lam * np.eye(n), v[:, None]])
-        margin = float(la.svdvals(pencil)[-1])
-        tested.append((complex(lam), margin))
-        if margin <= threshold:
-            ok = False
+        info = 1  # the SVD, unless dlasd4 gives the root
+        if z is not None:
+            gap = np.abs(eigenvalues - lam)
+            order = np.argsort(gap)
+            if np.all(np.diff(gap[order]) > 0.0):
+                _, margin, _, info = _dlasd4(0, gap[order], z[order], rho)
+        if info != 0:
+            pencil = np.hstack([M - lam * np.eye(M.shape[0]), v[:, None]])
+            margin = la.svdvals(pencil)[-1]
+        tested.append((complex(lam), float(margin)))
+    ok = all(m > threshold for _, m in tested)  # a NaN margin fails too
     min_margin = min((m for _, m in tested), default=float("inf"))
     return PBHReport(mode=mode, ok=ok, tested=tuple(tested), min_margin=min_margin)
 
 
 def _require_pbh(plant: Plant, placement: Placement) -> tuple[PBHReport, ...]:
+    spectrum = {"eigenvalues": plant.eigenvalues, "eigenvectors": plant.eigenvectors}
     reports = []
     for v, mode, pair in (
         (placement.b_unit, "stabilizability", "(A, b)"),
         (placement.c_unit, "detectability", "(A, c)"),
     ):
-        report = pbh_check(plant.A, v, mode, eigenvalues=plant.eigenvalues)
+        report = pbh_check(plant.A, v, mode, **spectrum)
         if not report.ok:
             lam = min(report.tested, key=lambda t: t[1])[0]
             raise PBHViolation(
@@ -435,7 +447,7 @@ class _ModalFallback(Exception):
     """Why a modal Riccati solve hands over to the Hamiltonian path."""
 
 
-def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, ClosedLoop]:
+def _modal_care(A, lam, Theta, gain, v, modal=None) -> tuple[np.ndarray, float, ClosedLoop]:
     """``_solve_care(A, gain v v^T, I)`` for symmetric A = Theta diag(lam) Theta^T.
 
     With beta = Theta^T v the closed loop in modal coordinates is
@@ -451,7 +463,8 @@ def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, Close
     is V^-1. A mode with |beta_i| <= 8u is decoupled exactly: k~_i = 0 and
     its pole is lam_i. With W = Theta V and g = Theta k~, P is the modal
     solve of (A - v g^T)^T P + P (A - v g^T) + g g^T / gain + I = 0, and the
-    loop kept is A - (gain v v^T) P.
+    loop kept is A - (gain v v^T) P. ``modal`` (``Plant.modal``) is read when
+    no mode decouples; else the coupled modes' ``modal_basis`` is taken.
 
     P is certified as the Hamiltonian path certifies it: poles left of
     -1e-12 and the CARE residual within 1e-10 * (1 + |P|_F^2), which a
@@ -472,12 +485,12 @@ def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, Close
     rest = np.flatnonzero(~coupled)
     if np.any(lam[rest] >= 0.0):
         raise _ModalFallback("a decoupled mode has lambda >= 0")
-    idx = np.flatnonzero(coupled)
-    idx = idx[np.argsort(np.abs(lam[idx]))]
-    lam_a, beta_a = lam[idx], beta[idx]
-    d = np.abs(lam_a)
-    if np.any(np.diff(d) <= _MODAL_GAP * d[-1]):
+    if rest.size or modal is None:
+        modal = modal_basis(lam, Theta, np.flatnonzero(coupled))
+    idx, lam_a, d, Theta_a, gaps, separated, eye = modal
+    if not separated:
         raise _ModalFallback("|lambda| not separated by 1e-8 * max |lambda|")
+    beta_a = beta[idx]
     norm = float(np.linalg.norm(beta_a))
     z, rho = beta_a / norm, gain * norm**2
     m = idx.size
@@ -494,18 +507,15 @@ def _modal_care(A, lam, Theta, gain: float, v) -> tuple[np.ndarray, float, Close
     if not -np.max(p) > HURWITZ_MARGIN:
         raise _ModalFallback(f"closed loop not Hurwitz: max pole {np.max(p):.3e}")
     diff = np.where(lam_a[:, None] <= 0.0, -below.T, d[:, None] + sigma)  # lam_i - p_k
-    gaps = lam_a[:, None] - lam_a
-    np.fill_diagonal(gaps, 1.0)
-    eye = np.eye(lam.size)
     with np.errstate(all="ignore"):
         k_a = np.prod(diff / gaps, axis=1) / beta_a
         V = beta_a[:, None] / diff
         V /= np.linalg.norm(V, axis=0)
         U = k_a[:, None] / diff
         Vinv = (U / np.sum(U * V, axis=0)).T
-        W = np.hstack([Theta[:, idx] @ V, Theta[:, rest]])
-        Winv = np.vstack([Vinv @ Theta[:, idx].T, Theta[:, rest].T])
-        g = Theta[:, idx] @ k_a
+        W = np.hstack([Theta_a @ V, Theta[:, rest]])
+        Winv = np.vstack([Vinv @ Theta_a.T, Theta[:, rest].T])
+        g = Theta_a @ k_a
         P = _modal_lyapunov(W, Winv, p, np.outer(g, g) / gain + eye, transpose=True)
         P = 0.5 * (P + P.T)
         Wv = gain * np.outer(v, v)
@@ -536,7 +546,6 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
         Propagated from the Hamiltonian CARE solver.
     """
     pbh = _require_pbh(plant, placement)
-    eye = np.eye(plant.n)
     solved, fallbacks = [], []
     for side, A, gain, v in (
         ("regulator", plant.A, plant.epsilon, placement.b_unit),
@@ -544,13 +553,13 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     ):
         if plant.eigenvectors is not None:
             try:
-                solved.append(
-                    _modal_care(A, plant.eigenvalues, plant.eigenvectors, gain, v)
-                )
+                solved.append(_modal_care(
+                    A, plant.eigenvalues, plant.eigenvectors, gain, v, plant.modal
+                ))
                 continue
             except _ModalFallback as exc:
                 fallbacks.append(f"{side}: {exc}")
-        solved.append(_solve_care(A, gain * np.outer(v, v), eye))
+        solved.append(_solve_care(A, gain * np.outer(v, v), np.eye(plant.n)))
     (K, res_K, loop_K), (Sigma, res_S, loop_S) = solved
     return GainPair(
         K, Sigma, res_K, res_S, loop_K, loop_S, "; ".join(fallbacks) or None, pbh

@@ -211,6 +211,14 @@ class TestNonFiniteInput:
             ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0.6, 1, 1.0], [1, 2.9, 1.0]]}),
             ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, True, 1.0], [1, 2, 1.0]]}),
             ("solve", None, "A", {"generator": "laplacian", "n": True, "edges": []}),
+            # so are the counts; a non-integer n_paths is not "too few paths" (exit 1)
+            ("simulate", "sim", "n_paths", 2.7),
+            ("simulate", "sim", "n_paths", 0.5),
+            ("simulate", "sim", "n_paths", True),
+            ("flow", "flow", "max_iters", 2.9),
+            ("flow", "flow", "max_iters", True),
+            ("solve", None, "seed", True),
+            ("flow", None, "n_starts", True),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):

@@ -809,3 +809,176 @@ class TestPBHCheck:
             pbh_check(np.eye(2), np.zeros(2), "stabilizability")
         with pytest.raises(ValueError):
             pbh_check(np.eye(2), np.ones(2), "observability")
+
+
+def _dlasd4_calls(monkeypatch) -> list:
+    """Record every ``dlasd4`` call ``riccati`` makes from here on."""
+    calls, original = [], riccati._dlasd4
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(riccati, "_dlasd4", recorded)
+    return calls
+
+
+def _top_mode_tilts(rng, plant: Plant, tilt: float) -> list:
+    """Two unit vectors per tilt: the top eigenvector tilted by ``tilt`` in a
+    random direction (a large margin at the top mode), and a random vector
+    orthogonal to it tilted back towards it by ``tilt`` (a margin of about
+    ``tilt``, near the PBH boundary)."""
+    top = plant.eigenvectors[:, np.argmax(plant.eigenvalues)]
+    w = rng.standard_normal(plant.n)
+    w -= (top @ w) * top
+    w /= np.linalg.norm(w)
+    return [v / np.linalg.norm(v) for v in (top + tilt * w, w + tilt * top)]
+
+
+class TestSecularPBH:
+    """On a symmetric plant ``pbh_check`` takes its margins from the secular
+    equation in the plant's eigenbasis; the SVD of the pencil is the oracle."""
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 31, 50])
+    def test_margins_match_the_svd(self, monkeypatch, n):
+        rng = np.random.default_rng(2500 + n)
+        calls = _dlasd4_calls(monkeypatch)
+        plants = [
+            ring_laplacian_plant(rng, n, 0.5),
+            _symmetric_plant(rng, n, (-2.0, 1.5), 0.5, 0.5),  # several tested modes
+        ]
+        secular_roots = 0
+        for plant in plants:
+            tol = 1e-14 * (1.0 + la.norm(plant.A))
+            for tilt in (1.0, 1e-3, 1e-6, 1e-9, 1e-12):
+                for v in _top_mode_tilts(rng, plant, tilt):
+                    for mode in ("stabilizability", "detectability"):
+                        secular = pbh_check(
+                            plant.A, v, mode,
+                            eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors,
+                        )
+                        svd = pbh_check(plant.A, v, mode, eigenvalues=plant.eigenvalues)
+                        assert secular.ok == svd.ok
+                        assert [t[0] for t in secular.tested] == [t[0] for t in svd.tested]
+                        for (_, got), (_, want) in zip(secular.tested, svd.tested):
+                            assert abs(got - want) <= tol
+                        # Every margin is a secular root unless some |beta_j| <= 8u.
+                        beta = plant.eigenvectors.T @ v
+                        if np.all(np.abs(beta) > riccati._DEFLATE_TOL):
+                            secular_roots += len(svd.tested)
+        assert len(calls) == secular_roots > 0
+
+    def test_margin_near_the_boundary_fails(self):
+        # The zero mode of a Laplacian reached only by a tilt of 1e-12: the
+        # margin is about the tilt, and both verdicts fail.
+        rng = np.random.default_rng(2551)
+        plant = ring_laplacian_plant(rng, 16, 0.5)
+        v = _top_mode_tilts(rng, plant, 1e-12)[1]
+        report = pbh_check(
+            plant.A, v, "stabilizability",
+            eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors,
+        )
+        assert not report.ok and 0.0 < report.min_margin < 1e-11
+        with pytest.raises(PBHViolation):
+            gain_pair(plant, Placement(v, v))
+
+    def test_decoupled_tested_mode_fails(self, monkeypatch):
+        # beta_i = 0 at the tested mode: [A - lambda_i I, v] is rank deficient.
+        # dlasd4 needs every z_j nonzero (at n = 2 it returns a NaN root with
+        # info 0 for z_1 = 0), so the SVD decides whenever some |beta_j| <= 8u.
+        path3 = -np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        cases = [
+            (path3, np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)),  # |beta_0| ~ 1e-16
+            (np.diag([0.0, -1.0]), np.array([0.0, 1.0])),  # beta_0 = 0 exactly
+        ]
+        calls = _dlasd4_calls(monkeypatch)
+        for A, v in cases:
+            plant = Plant(A, 0.5, 0.5)
+            for mode in ("stabilizability", "detectability"):
+                report = pbh_check(
+                    A, v, mode, eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors
+                )
+                assert not report.ok and report.min_margin < 1e-15
+                assert report == pbh_check(A, v, mode, eigenvalues=plant.eigenvalues)
+            with pytest.raises(PBHViolation):
+                gain_pair(plant, Placement(v, v))
+        assert calls == []
+
+    def test_ties_keep_the_svd(self, monkeypatch):
+        # The 4-ring's eigenvalues 0, -2, -2, -4 repeat a distance from the
+        # tested zero mode, and diag(1, 0, -1) has lambda_i +- 1 at lambda_i = 0:
+        # there d is not strictly increasing and the SVD gives the margin.
+        ring = np.zeros((4, 4))
+        for i in range(4):
+            ring[i, (i + 1) % 4] = ring[(i + 1) % 4, i] = 1.0
+        rng = np.random.default_rng(2552)
+        calls = _dlasd4_calls(monkeypatch)
+        ring_plant = Plant(ring - np.diag(ring.sum(axis=1)), 0.5, 0.5)
+        v = random_unit(rng, 4)
+        for mode in ("stabilizability", "detectability"):
+            report = pbh_check(
+                ring_plant.A, v, mode,
+                eigenvalues=ring_plant.eigenvalues, eigenvectors=ring_plant.eigenvectors,
+            )
+            assert report == pbh_check(ring_plant.A, v, mode, eigenvalues=ring_plant.eigenvalues)
+        assert calls == []
+        plant = Plant(np.diag([1.0, 0.0, -1.0]), 0.5, 0.5)
+        v = random_unit(rng, 3)
+        report = pbh_check(
+            plant.A, v, "stabilizability",
+            eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors,
+        )
+        svd = pbh_check(plant.A, v, "stabilizability", eigenvalues=plant.eigenvalues)
+        assert [t[0] for t in report.tested] == [0.0, 1.0]
+        assert report.tested[0] == svd.tested[0]  # the tie at 0
+        assert abs(report.tested[1][1] - svd.tested[1][1]) <= 1e-14 * (1.0 + la.norm(plant.A))
+        assert len(calls) == 1  # the secular root at 1
+
+    def test_eigenvectors_without_eigenvalues_take_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(2553)
+        plant = ring_laplacian_plant(rng, 8, 0.5)
+        v = random_unit(rng, 8)
+        calls = _dlasd4_calls(monkeypatch)
+        report = pbh_check(plant.A, v, "stabilizability", eigenvectors=plant.eigenvectors)
+        assert report == pbh_check(plant.A, v, "stabilizability")
+        assert calls == []
+
+    @pytest.mark.parametrize("size", [0.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_plant_constants_keep_the_bits(self, size):
+        # test_deflation_near_the_ones_vector's placements. At size 0 every
+        # mode but the zero mode decouples and the coupled modes' constants
+        # are taken per call; otherwise ``Plant.modal`` serves. Either way the
+        # gains are, to the bit, those of ``_modal_care`` taking every
+        # constant per call.
+        rng = np.random.default_rng(1801)
+        plant = ring_laplacian_plant(rng, 16, 0.5)
+        ones = np.ones(16) / 4.0
+        placement = Placement.normalized(
+            ones + size * rng.standard_normal(16), ones + size * rng.standard_normal(16)
+        )
+        decoupled = np.abs(plant.eigenvectors.T @ placement.b_unit) <= riccati._DEFLATE_TOL
+        assert np.count_nonzero(decoupled) == (15 if size == 0.0 else 0)
+        gains = gain_pair(plant, placement)
+        assert gains.fallback is None
+        lam, Theta = plant.eigenvalues, plant.eigenvectors
+        for A, v, P, res, loop in (
+            (plant.A, placement.b_unit, gains.K, gains.residual_K, gains.loop_K),
+            (plant.A.T, placement.c_unit, gains.Sigma, gains.residual_Sigma, gains.loop_Sigma),
+        ):
+            P_call, res_call, loop_call = riccati._modal_care(A, lam, Theta, 0.5, v)
+            assert np.array_equal(P, P_call) and res == res_call
+            assert np.array_equal(loop.F, loop_call.F)
+            for kept, taken in zip(loop.modes, loop_call.modes):
+                assert np.array_equal(kept, taken)
+
+    def test_plant_keeps_its_modal_constants(self):
+        rng = np.random.default_rng(2554)
+        plant = ring_laplacian_plant(rng, 6, 0.5)
+        idx, lam, d, Theta, gaps, separated, eye = plant.modal
+        assert np.array_equal(np.abs(plant.eigenvalues[idx]), d) and np.all(np.diff(d) > 0.0)
+        assert np.array_equal(lam, plant.eigenvalues[idx])
+        assert np.array_equal(Theta, plant.eigenvectors[:, idx])
+        assert np.array_equal(np.diag(gaps), np.ones(6)) and separated
+        assert np.array_equal(gaps - np.eye(6), lam[:, None] - lam)
+        assert np.array_equal(eye, np.eye(6))
+        assert Plant(np.array([[0.0, 1.0], [0.0, -1.0]]), 0.5, 0.5).modal is None
