@@ -8,13 +8,10 @@ validator.
 
 from .cost import CostReport, cost_report, phi, phi_bar, phi_gain_sensitivity
 from .equilibria import (
-    BetaGamma,
     EquilibriumCandidate,
     Spectrum,
     analytic_gains_at_v1,
     analytic_minimum,
-    beta_gamma_coords,
-    candidate_match_distance,
     cauchy_matrix,
     classify_candidates,
     classify_stability,

@@ -37,6 +37,7 @@ from .plant import Placement, Plant
 from .riccati import (  # noqa: F401
     AdjointPair,
     GainPair,
+    adjoint_forcings,
     adjoint_pair,
     gain_pair,
     solve_lyapunov,
@@ -114,8 +115,8 @@ def phi_gain_sensitivity(plant: Plant, placement: Placement) -> tuple[float, flo
     A = plant.A
     eye = np.eye(plant.n)
 
-    K_prime = -gains.loop_K.solve(K @ placement.B @ K, transpose=True)[0]
-    S_forcing = Sigma @ placement.C @ Sigma
+    S_forcing, K_forcing = adjoint_forcings(gains, placement)
+    K_prime = -gains.loop_K.solve(K_forcing, transpose=True)[0]
     Sigma_prime = -gains.loop_Sigma.solve(S_forcing, transpose=True)[0]
 
     dphi_dr = float(np.trace((A @ Sigma + Sigma @ A.T + eye) @ K_prime))

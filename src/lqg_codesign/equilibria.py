@@ -55,7 +55,6 @@ from .flow import OrbitGradient, gradient
 from .plant import Placement, Plant
 
 ENUMERATION_CAP = 12
-SUPPORT_TOL = 1e-10
 EIGENGAP_TOL = 1e-10
 #: |lambda_1| at or below this is a zero mode (e.g. a Laplacian's), by
 #: ``top_mode``.
@@ -142,18 +141,6 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class BetaGamma:
-    """Zero-gain coordinates of a placement with supports and multipliers."""
-
-    beta: np.ndarray
-    gamma: np.ndarray
-    support_beta: tuple[int, ...]
-    support_gamma: tuple[int, ...]
-    mu_beta: float
-    mu_gamma: float
-
-
-@dataclass(frozen=True)
 class EquilibriumCandidate:
     """One equilibrium candidate of the zero-gain flow.
 
@@ -205,31 +192,6 @@ def cauchy_matrix(lambdas) -> np.ndarray:
             f"Cauchy matrix requires negative eigenvalues, got max {lam.max():.6g}"
         )
     return -1.0 / (lam[:, None] + lam[None, :])
-
-
-def beta_gamma_coords(placement: Placement, spectrum: Spectrum) -> BetaGamma:
-    """Zero-gain coordinates beta = Lambda^{-1} Theta^T b (same for gamma).
-
-    The normalization beta^T Lambda^2 beta = 1 holds automatically for unit
-    b. Supports collect the entries above 1e-10 in magnitude; the
-    multipliers are the Rayleigh quotients of the coupled eigen-equations.
-    """
-    lam = spectrum.Lambda
-    if np.any(lam == 0.0):
-        raise NonNegativeEigenvalue("zero eigenvalue: coordinates undefined")
-    beta = (spectrum.Theta.T @ placement.b_unit) / lam
-    gamma = (spectrum.Theta.T @ placement.c_unit) / lam
-    psi = cauchy_matrix(lam)
-    mu_beta = float(beta @ (np.diag(gamma) @ psi @ np.diag(gamma) @ beta))
-    mu_gamma = float(gamma @ (np.diag(beta) @ psi @ np.diag(beta) @ gamma))
-    return BetaGamma(
-        beta=beta,
-        gamma=gamma,
-        support_beta=tuple(np.flatnonzero(np.abs(beta) > SUPPORT_TOL)),
-        support_gamma=tuple(np.flatnonzero(np.abs(gamma) > SUPPORT_TOL)),
-        mu_beta=mu_beta,
-        mu_gamma=mu_gamma,
-    )
 
 
 def eq19_residual(beta: np.ndarray, gamma: np.ndarray, spectrum: Spectrum) -> float:
@@ -465,6 +427,7 @@ def _hessian(
     b, c = placement.b_unit, placement.c_unit
     B, C = placement.B, placement.C
     U, W = _tangent_basis(b), _tangent_basis(c)
+    Kb, Sc = K @ b, Sigma @ c
     unmoved = np.zeros((plant.n, plant.n))
 
     def sym(X: np.ndarray) -> np.ndarray:
@@ -472,7 +435,8 @@ def _hessian(
 
     def column(d_b: np.ndarray, d_c: np.ndarray) -> np.ndarray:
         dB, dC = sym(np.outer(d_b, b)), sym(np.outer(d_c, c))
-        KdBK, SdCS = K @ dB @ K, Sigma @ dC @ Sigma
+        # Rank two: K dB K = (K d_b)(K b)^T + its transpose, likewise for Sigma.
+        KdBK, SdCS = sym(np.outer(K @ d_b, Kb)), sym(np.outer(Sigma @ d_c, Sc))
         dK = dS = unmoved
         if d_b.any():
             dK = gains.loop_K.solve(-eps * KdBK, transpose=True)[0]
@@ -619,46 +583,3 @@ def analytic_gains_at_v1(
     M_diag[0] = 1.0 / (2.0 * a * (b - lam1) ** 2)
     N_diag[0] = 1.0 / (2.0 * b * (a - lam1) ** 2)
     return K_diag, S_diag, M_diag, N_diag
-
-
-def orbit_canonical_coords(
-    placement: Placement, spectrum: Spectrum
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (beta, gamma) canonicalized by the sign-group action.
-
-    Applies the entrywise sign pattern that makes every beta entry
-    nonnegative; the returned gamma is determined up to a single global sign
-    (the c-vector sign), which callers should quotient when comparing.
-    """
-    coords = beta_gamma_coords(placement, spectrum)
-    signs = np.where(coords.beta < 0.0, -1.0, 1.0)
-    return signs * coords.beta, signs * coords.gamma
-
-
-def candidate_match_distance(
-    placement: Placement, candidate: EquilibriumCandidate, spectrum: Spectrum
-) -> float:
-    """Distance between a placement and a candidate modulo orbit and signs.
-
-    For common-support candidates, compares sign-canonicalized (beta, gamma)
-    coordinates, quotienting the global gamma sign. For disjoint-support
-    representatives, compares the projector pairs directly modulo vector
-    signs.
-    """
-    if candidate.kind == KIND_COMMON:
-        beta, gamma = orbit_canonical_coords(placement, spectrum)
-        beta_c, gamma_c = orbit_canonical_coords(candidate.placement, spectrum)
-        d_beta = np.linalg.norm(beta - beta_c)
-        d_gamma = min(
-            np.linalg.norm(gamma - gamma_c), np.linalg.norm(gamma + gamma_c)
-        )
-        return float(max(d_beta, d_gamma))
-    d_b = min(
-        np.linalg.norm(placement.b_unit - candidate.placement.b_unit),
-        np.linalg.norm(placement.b_unit + candidate.placement.b_unit),
-    )
-    d_c = min(
-        np.linalg.norm(placement.c_unit - candidate.placement.c_unit),
-        np.linalg.norm(placement.c_unit + candidate.placement.c_unit),
-    )
-    return float(max(d_b, d_c))

@@ -181,15 +181,20 @@ def directional_derivative(
     placement: Placement,
     omega_b: np.ndarray,
     omega_c: np.ndarray,
+    *,
+    report: CostReport | None = None,
 ) -> float:
-    """First variation of phi along the orbit tangent (ad_B Omega_b, ad_C Omega_c):
+    """First variation of the potential ``gradient`` descends (phi, or
+    phi_bar at zero gain) along the orbit tangent (ad_B Omega_b, ad_C Omega_c):
 
-        eps*delta (tr([B, S_b] Omega_b) + tr([C, S_c] Omega_c))
-            = 2 eps*delta (r_b . Omega_b b + r_c . Omega_c c).
+        s (tr([B, S_b] Omega_b) + tr([C, S_c] Omega_c))
+            = 2 s (r_b . Omega_b b + r_c . Omega_c c),
 
-    The tangent is realized by the curves b(t) = expm(-t*Omega_b) b_unit and
+    with s the field scale (eps*delta, or 1 at zero gain). The tangent is
+    realized by the curves b(t) = expm(-t*Omega_b) b_unit and
     c(t) = expm(-t*Omega_c) c_unit, whose derivative at t = 0 is
-    ([B, Omega_b], [C, Omega_c]).
+    ([B, Omega_b], [C, Omega_c]). Passing a precomputed ``report`` avoids
+    re-solving the four equations.
 
     Raises
     ------
@@ -201,10 +206,10 @@ def directional_derivative(
     for name, om in (("omega_b", omega_b), ("omega_c", omega_c)):
         if np.linalg.norm(om + om.T, "fro") > SKEW_TOL:
             raise NotSkew(f"{name} is not skew-symmetric")
-    grad = gradient(plant, placement)
+    grad = gradient(plant, placement, report=report)
     b, c = placement.b_unit, placement.c_unit
     pairing = grad.r_b @ omega_b @ b + grad.r_c @ omega_c @ c
-    return float(2.0 * plant.epsilon * plant.delta * pairing)
+    return float(2.0 * grad.scale * pairing)
 
 
 def flow_step(

@@ -30,12 +30,15 @@ On a plant whose A is exactly symmetric both CAREs are solved in the
 eigenbasis the plant computed once (``Plant.eigenvectors``): the closed-loop
 poles are the roots of a secular equation (Kalman's return-difference
 identity), which LAPACK ``dlasd4`` solves to high relative accuracy, and the
-gain follows from the pole-placement residues. The Hurwitz margin and then
-the CARE residual are certified as on the Hamiltonian path, the residual by
-the same test. A side that cannot be solved this way (zero gain,
-|eigenvalues| not separated, a decoupled unstable mode, a failed
-certificate) falls back to the Hamiltonian path, and ``GainPair.fallback``
-says why; non-symmetric plants take that path only.
+gain follows from the pole-placement residues. The poles' Hurwitz margin
+and then the CARE residual are certified as on the Hamiltonian path, the
+residual by the same test, and then the loop F that is returned: a
+Bauer-Fike bound accepts it cheaply, and where it cannot, F's own Schur
+form decides, as on the Hamiltonian path. A side that cannot be solved this
+way (zero gain, |eigenvalues| not separated, a decoupled unstable mode, a
+failed certificate, a formed loop that is not Hurwitz) falls back to the
+Hamiltonian path, and ``GainPair.fallback`` says why; non-symmetric plants
+take that path only.
 
 Either path keeps its closed loop F as a ``ClosedLoop`` for every further
 solve with F or F^T: the adjoint solves and the tangent-linear Hessian
@@ -43,12 +46,13 @@ solve with F or F^T: the adjoint solves and the tangent-linear Hessian
 the only factorization of each Hamiltonian and of each loop the Hamiltonian
 path keeps; its diagonal holds the real part of every eigenvalue (both
 entries of a 2x2 block), which is all the Hurwitz certificates read. A
-modal loop also keeps F = W diag(p) W^-1, on which a Lyapunov solve is a
-Hadamard product, and takes its Schur form only for a solve that fails its
-certificate. So a ``cost_report`` on a non-symmetric plant takes four Schur
-forms (two Hamiltonians, two closed loops), and one on a symmetric plant
-none, whose PBH margins are secular roots in its eigenbasis too. All that
-is read of A alone is the plant's, taken once; nothing is kept between calls.
+modal loop also keeps F ~ W diag(p) W^-1, on which a Lyapunov solve is a
+Hadamard product, and takes its Schur form only where Bauer-Fike cannot
+certify it or a solve fails its certificate. So a ``cost_report`` on a
+non-symmetric plant takes four Schur forms (two Hamiltonians, two closed
+loops), and one on a symmetric plant away from the PBH boundary none, whose
+PBH margins are secular roots in its eigenbasis too. All that is read of A
+alone is the plant's, taken once; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -85,13 +89,14 @@ class ClosedLoop:
     """A closed loop F, kept for every Lyapunov equation on F or F^T.
 
     ``modes = (W, W^-1, p)``, which only a symmetric plant's modal Riccati
-    solve sets, keeps F = W diag(p) W^-1 with real simple poles p: a solve is
+    solve sets, keeps F ~ W diag(p) W^-1 with real simple poles p: a solve is
     then a Hadamard product with -1/(p_k + p_l) between two W-transforms.
     Without ``modes``, or when a modal solve fails its certificate (the
     transforms are as ill-conditioned as W), it is one ``trsyl`` call on the
     real Schur form F = u r u^T, taken on first need and kept. ``margin`` and
     ``_schur`` are the loop's only Hurwitz decisions; ``closed_loop`` builds
-    a loop with its Schur form taken, so F is certified Hurwitz.
+    a loop with its Schur form taken, and the modal solve one that Bauer-Fike
+    or its Schur form certifies, so F is certified Hurwitz either way.
     """
 
     F: np.ndarray
@@ -99,10 +104,11 @@ class ClosedLoop:
 
     @property
     def margin(self) -> float:
-        """Hurwitz margin: -max p with ``modes``, else -max Re(eig F) read
-        off the Schur diagonal."""
-        top = self.modes[2] if self.modes is not None else np.diag(self._schur[0])
-        return -float(np.max(top))
+        """Hurwitz margin: -max Re(eig F) read off the Schur diagonal once the
+        Schur form is taken, else (with ``modes``) -max p."""
+        if self.modes is None or "_schur" in vars(self):
+            return -float(np.max(np.diag(self._schur[0])))
+        return -float(np.max(self.modes[2]))
 
     @cached_property
     def _schur(self) -> tuple[np.ndarray, np.ndarray]:
@@ -468,7 +474,10 @@ def _modal_care(A, lam, Theta, gain, v, modal=None) -> tuple[np.ndarray, float, 
 
     P is certified as the Hamiltonian path certifies it: poles left of
     -1e-12 and the CARE residual within 1e-10 * (1 + |P|_F^2), which a
-    non-finite P fails. Every later solve on the loop carries the Lyapunov
+    non-finite P fails. The formed loop F is then certified Hurwitz: by
+    Bauer-Fike (Numer. Math. 2, 1960), when -max p exceeds 1e-12 by more than
+    |W|_F |W^-1|_F |F - W diag(p) W^-1|_F, else on its Schur form, which the
+    loop keeps. Every later solve on the loop carries the Lyapunov
     certificate.
 
     Raises
@@ -476,7 +485,8 @@ def _modal_care(A, lam, Theta, gain, v, modal=None) -> tuple[np.ndarray, float, 
     _ModalFallback
         At zero gain, for a decoupled mode with lam_i >= 0, coupled |lam_i|
         not separated by 1e-8 * max |lam| (repeated or +-lam eigenvalues), a
-        nonzero ``dlasd4`` info or a failed certificate.
+        nonzero ``dlasd4`` info, a failed certificate or a formed loop that
+        is not Hurwitz.
     """
     if gain == 0.0:
         raise _ModalFallback("W = 0")
@@ -504,8 +514,9 @@ def _modal_care(A, lam, Theta, gain, v, modal=None) -> tuple[np.ndarray, float, 
         below[0, 0] = -rho / (d[0] + sigma[0])
     # Coupled modes first, then the decoupled ones, which keep their pole.
     p = np.concatenate([-sigma, lam[rest]])
-    if not -np.max(p) > HURWITZ_MARGIN:
-        raise _ModalFallback(f"closed loop not Hurwitz: max pole {np.max(p):.3e}")
+    top = float(np.max(p))
+    if not -top > HURWITZ_MARGIN:
+        raise _ModalFallback(f"closed loop not Hurwitz: max pole {top:.3e}")
     diff = np.where(lam_a[:, None] <= 0.0, -below.T, d[:, None] + sigma)  # lam_i - p_k
     with np.errstate(all="ignore"):
         k_a = np.prod(diff / gaps, axis=1) / beta_a
@@ -523,7 +534,15 @@ def _modal_care(A, lam, Theta, gain, v, modal=None) -> tuple[np.ndarray, float, 
             res = _certified_care(A, Wv, eye, P)
         except NonConvergence as exc:
             raise _ModalFallback(str(exc)) from exc
-    return P, res, ClosedLoop(A - Wv @ P, (W, Winv, p))
+        loop = ClosedLoop(A - Wv @ P, (W, Winv, p))
+        E = loop.F - (W * p) @ Winv
+        spread = np.sqrt(np.vdot(W, W) * np.vdot(Winv, Winv) * np.vdot(E, E))
+    if not -top - spread > HURWITZ_MARGIN:
+        try:
+            loop._schur  # the formed F decides, as on the Hamiltonian path
+        except NotHurwitz as exc:
+            raise _ModalFallback(f"formed loop: {exc}") from exc
+    return P, res, loop
 
 
 def gain_pair(plant: Plant, placement: Placement) -> GainPair:
@@ -574,7 +593,14 @@ def adjoint_pair(plant: Plant, placement: Placement, gains: GainPair) -> Adjoint
     (A - delta Sigma C)^T N + N (A - delta Sigma C) + K B K = 0 on
     ``gains.loop_Sigma``, so neither loop is factored again.
     """
-    K, Sigma = gains.K, gains.Sigma
-    M, res_M = gains.loop_K.solve(Sigma @ placement.C @ Sigma)
-    N, res_N = gains.loop_Sigma.solve(K @ placement.B @ K)
+    S_forcing, K_forcing = adjoint_forcings(gains, placement)
+    M, res_M = gains.loop_K.solve(S_forcing)
+    N, res_N = gains.loop_Sigma.solve(K_forcing)
     return AdjointPair(M, N, res_M, res_N)
+
+
+def adjoint_forcings(gains: GainPair, placement: Placement):
+    """(Sigma C Sigma, K B K) as outer products of Sigma c and K b: symmetric
+    to the bit, without the cancellation of two products with a large Sigma."""
+    s, k = gains.Sigma @ placement.c_unit, gains.K @ placement.b_unit
+    return np.outer(s, s), np.outer(k, k)

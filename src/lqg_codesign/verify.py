@@ -16,10 +16,15 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .cost import phi, phi_bar, phi_gain_sensitivity
+from .cost import cost_report, phi, phi_bar, phi_gain_sensitivity
 from .equilibria import Spectrum, analytic_gains_at_v1, top_mode
 from .errors import CodesignError, NonNegativeEigenvalue, PBHViolation
-from .flow import NO_PLACEMENT, gradient, is_zero_gain, pbh_passing_placement
+from .flow import (
+    NO_PLACEMENT,
+    directional_derivative,
+    is_zero_gain,
+    pbh_passing_placement,
+)
 from .plant import Placement, Plant
 from .riccati import adjoint_pair, gain_pair
 
@@ -77,9 +82,9 @@ def _random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool = False) -> dict:
-    """Orbit derivative of ``flow.gradient`` vs finite differences of the
-    potential it descends (phi, or phi_bar at zero gain); ``flip_sign``
-    plants a sign error."""
+    """``flow.directional_derivative`` vs finite differences of the potential
+    it differentiates (phi, or phi_bar at zero gain) along the same orbit
+    curves; ``flip_sign`` plants a sign error."""
     rng = np.random.default_rng(seed)
     potential = phi_bar if is_zero_gain(plant) else phi
 
@@ -88,12 +93,10 @@ def check_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool = False) -> di
         skews = [
             (_random_skew(plant.n, rng), _random_skew(plant.n, rng)) for _ in range(4)
         ]
-        grad = gradient(plant, placement)
-        b, c = placement.b_unit, placement.c_unit
+        report = cost_report(plant, placement)
         worst = 0.0
         for W_b, W_c in skews:
-            # The curves below move b along -W_b b and c along -W_c c.
-            pairing = -2.0 * (grad.g_b @ W_b @ b + grad.g_c @ W_c @ c)
+            pairing = directional_derivative(plant, placement, W_b, W_c, report=report)
             if flip_sign:
                 pairing = -pairing
 

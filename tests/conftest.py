@@ -7,13 +7,9 @@ import scipy.linalg as la
 from scipy.integrate import quad_vec
 
 from lqg_codesign import Placement, Plant, gradient
-from lqg_codesign.equilibria import (
-    STABLE,
-    _tangent_basis,
-    beta_gamma_coords,
-    eq19_residual,
-)
+from lqg_codesign.equilibria import STABLE, _tangent_basis, eq19_residual
 from lqg_codesign.verify import richardson_derivative
+from oracles import beta_gamma_coords
 
 
 def random_symmetric_hurwitz(

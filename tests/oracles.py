@@ -1,0 +1,103 @@
+"""The eq. 19 coordinate layer, an oracle independent of ``zero_gain_field``.
+
+In the zero-gain limit a placement has the coordinates
+
+    beta = Lambda^{-1} Theta^T b,   gamma = Lambda^{-1} Theta^T c,
+
+in which the equilibrium condition is the Cauchy-matrix system of
+``equilibria.eq19_residual``. The library enumerates and classifies in the
+eigenbasis directly; the tests read these coordinates to check its
+candidates, their supports and multipliers, and to match flow limits to
+candidates modulo the sign group.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from lqg_codesign import NonNegativeEigenvalue, Placement, Spectrum, cauchy_matrix
+from lqg_codesign.equilibria import KIND_COMMON, EquilibriumCandidate
+
+SUPPORT_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class BetaGamma:
+    """Zero-gain coordinates of a placement with supports and multipliers."""
+
+    beta: np.ndarray
+    gamma: np.ndarray
+    support_beta: tuple[int, ...]
+    support_gamma: tuple[int, ...]
+    mu_beta: float
+    mu_gamma: float
+
+
+def beta_gamma_coords(placement: Placement, spectrum: Spectrum) -> BetaGamma:
+    """Zero-gain coordinates beta = Lambda^{-1} Theta^T b (same for gamma).
+
+    The normalization beta^T Lambda^2 beta = 1 holds automatically for unit
+    b. Supports collect the entries above 1e-10 in magnitude; the
+    multipliers are the Rayleigh quotients of the coupled eigen-equations.
+    """
+    lam = spectrum.Lambda
+    if np.any(lam == 0.0):
+        raise NonNegativeEigenvalue("zero eigenvalue: coordinates undefined")
+    beta = (spectrum.Theta.T @ placement.b_unit) / lam
+    gamma = (spectrum.Theta.T @ placement.c_unit) / lam
+    psi = cauchy_matrix(lam)
+    mu_beta = float(beta @ (np.diag(gamma) @ psi @ np.diag(gamma) @ beta))
+    mu_gamma = float(gamma @ (np.diag(beta) @ psi @ np.diag(beta) @ gamma))
+    return BetaGamma(
+        beta=beta,
+        gamma=gamma,
+        support_beta=tuple(np.flatnonzero(np.abs(beta) > SUPPORT_TOL)),
+        support_gamma=tuple(np.flatnonzero(np.abs(gamma) > SUPPORT_TOL)),
+        mu_beta=mu_beta,
+        mu_gamma=mu_gamma,
+    )
+
+
+def orbit_canonical_coords(
+    placement: Placement, spectrum: Spectrum
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (beta, gamma) canonicalized by the sign-group action.
+
+    Applies the entrywise sign pattern that makes every beta entry
+    nonnegative; the returned gamma is determined up to a single global sign
+    (the c-vector sign), which callers should quotient when comparing.
+    """
+    coords = beta_gamma_coords(placement, spectrum)
+    signs = np.where(coords.beta < 0.0, -1.0, 1.0)
+    return signs * coords.beta, signs * coords.gamma
+
+
+def candidate_match_distance(
+    placement: Placement, candidate: EquilibriumCandidate, spectrum: Spectrum
+) -> float:
+    """Distance between a placement and a candidate modulo orbit and signs.
+
+    For common-support candidates, compares sign-canonicalized (beta, gamma)
+    coordinates, quotienting the global gamma sign. For disjoint-support
+    representatives, compares the projector pairs directly modulo vector
+    signs.
+    """
+    if candidate.kind == KIND_COMMON:
+        beta, gamma = orbit_canonical_coords(placement, spectrum)
+        beta_c, gamma_c = orbit_canonical_coords(candidate.placement, spectrum)
+        d_beta = np.linalg.norm(beta - beta_c)
+        d_gamma = min(
+            np.linalg.norm(gamma - gamma_c), np.linalg.norm(gamma + gamma_c)
+        )
+        return float(max(d_beta, d_gamma))
+    d_b = min(
+        np.linalg.norm(placement.b_unit - candidate.placement.b_unit),
+        np.linalg.norm(placement.b_unit + candidate.placement.b_unit),
+    )
+    d_c = min(
+        np.linalg.norm(placement.c_unit - candidate.placement.c_unit),
+        np.linalg.norm(placement.c_unit + candidate.placement.c_unit),
+    )
+    return float(max(d_b, d_c))

@@ -17,6 +17,7 @@ from conftest import (
     random_symmetric_hurwitz,
     scalar_plant,
 )
+from oracles import candidate_match_distance
 
 from lqg_codesign import (
     FlowOptions,
@@ -25,7 +26,6 @@ from lqg_codesign import (
     SimConfig,
     Spectrum,
     analytic_minimum,
-    candidate_match_distance,
     classify_candidates,
     cost_report,
     directional_derivative,

@@ -144,6 +144,26 @@ class TestDirectionalDerivative:
         )
         assert abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-10) < 1e-5
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_gain_is_the_first_variation_of_phi_bar(self, seed):
+        # At eps = delta = 0 phi ignores the placement and the descent acts on
+        # phi_bar; the pairing, read off one cost report, is its derivative.
+        rng = np.random.default_rng(820 + seed)
+        plant = Plant(random_symmetric_hurwitz(rng, 3), 0.0, 0.0)
+        placement = random_placement_for(rng, 3)
+        omega_b, omega_c = random_skew(rng, 3), random_skew(rng, 3)
+        report = cost_report(plant, placement)
+        analytic = directional_derivative(
+            plant, placement, omega_b, omega_c, report=report
+        )
+        assert analytic == directional_derivative(plant, placement, omega_b, omega_c)
+        fd = richardson_derivative(
+            lambda t: phi_bar(plant, rotate_placement(placement, omega_b, omega_c, t)),
+            1e-2,
+        )
+        assert abs(fd) > 1e-6
+        assert abs(analytic - fd) / max(abs(analytic), abs(fd)) < 1e-7
+
 
 class TestCovariance:
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.0), (0.4, 0.9)])

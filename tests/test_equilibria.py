@@ -12,6 +12,7 @@ from conftest import (
     ring_laplacian_plant,
     spaced_in_random_basis,
 )
+from oracles import beta_gamma_coords, candidate_match_distance
 
 from lqg_codesign import (
     DimensionTooLarge,
@@ -25,8 +26,6 @@ from lqg_codesign import (
     analytic_gains_at_v1,
     analytic_minimum,
     adjoint_pair,
-    beta_gamma_coords,
-    candidate_match_distance,
     cauchy_matrix,
     classify_candidates,
     classify_stability,
@@ -41,6 +40,7 @@ from lqg_codesign import (
     run_flow,
     xi_vector,
 )
+from lqg_codesign import equilibria
 from lqg_codesign.equilibria import (
     DEGENERATE,
     KIND_COMMON,
@@ -376,6 +376,13 @@ class TestEnumeration:
         with pytest.raises(NonNegativeEigenvalue):
             enumerate_equilibria_zero(Spectrum.from_matrix(A))
 
+    def test_candidate_failing_eq19_is_a_singular_block(self, monkeypatch):
+        # A positive xi certificate whose candidate then misses the coupled
+        # eigen-equations is refused, not emitted.
+        monkeypatch.setattr(equilibria, "eq19_residual", lambda *args: 1.0)
+        with pytest.raises(SingularBlock, match="failed verification"):
+            enumerate_equilibria_zero(spectrum_of([-1.0, -2.0]))
+
 
 class TestEnvelope:
     def test_n12_spaced_spectrum(self):
@@ -507,7 +514,9 @@ def _four_solve_hessian(plant: Plant, placement: Placement, report) -> np.ndarra
     for d_b, d_c in [(d, zero) for d in U.T] + [(zero, d) for d in W.T]:
         dB = np.outer(d_b, b) + np.outer(b, d_b)
         dC = np.outer(d_c, c) + np.outer(c, d_c)
-        KdBK, SdCS = K @ dB @ K, S @ dC @ S
+        # The rank-two forcings as outer products, as the library forms them.
+        XB, XC = np.outer(K @ d_b, K @ b), np.outer(S @ d_c, S @ c)
+        KdBK, SdCS = XB + XB.T, XC + XC.T
         dK = loop_K.solve(-eps * KdBK, transpose=True)[0]
         dS = loop_S.solve(-delta * SdCS, transpose=True)[0]
         dF_K = -eps * (dB @ K + B @ dK)
@@ -766,8 +775,8 @@ class TestSupportDichotomy:
         # Run to the numerical floor of the potential; support entries are
         # thresholded at 1e-8 after orbit canonicalization.
         from lqg_codesign import FlowOptions, run_flow
-        from lqg_codesign.equilibria import orbit_canonical_coords
         from conftest import random_placement_for as rp
+        from oracles import orbit_canonical_coords
 
         rng = np.random.default_rng(1500 + seed)
         spec = spectrum_of([-0.7, -1.6, -3.1])

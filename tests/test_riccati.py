@@ -160,6 +160,14 @@ class TestSolveLyapunov:
         P_int = integral_lyapunov_solve(F, Q)
         assert la.norm(P - P_int, "fro") <= 1e-6 * la.norm(P_int, "fro")
 
+    @pytest.mark.parametrize(
+        "Q, match",
+        [(np.array([[1.0, np.nan], [np.nan, 1.0]]), "infs or NaNs"), (np.eye(3), "same shape")],
+    )
+    def test_bad_forcing_is_refused_before_trsyl(self, Q, match):
+        with pytest.raises(ValueError, match=match):
+            solve_lyapunov(np.diag([-1.0, -2.0]), Q)
+
 
     @pytest.mark.parametrize("seed", range(3))
     def test_closed_loop_solves_both_orientations(self, seed):
@@ -529,7 +537,8 @@ class TestCertificates:
         g = report.gains
         assert len(calls) == 4 and g.fallback is None
         assert "_schur" in vars(g.loop_K) and "_schur" not in vars(g.loop_Sigma)
-        M, res_M = closed_loop(g.loop_K.F).solve(g.Sigma @ placement.C @ g.Sigma)
+        S_forcing = riccati.adjoint_forcings(g, placement)[0]
+        M, res_M = closed_loop(g.loop_K.F).solve(S_forcing)
         assert np.array_equal(report.adjoints.M, M)
         assert report.adjoints.residual_M == res_M
 
@@ -564,6 +573,33 @@ class TestCertificates:
                         assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
         assert outcomes == {"returned", "raised"}
 
+    def test_modal_loops_near_pbh_boundary_are_hurwitz(self):
+        # The sweep above, through gain_pair alone, which ``simulate`` calls:
+        # stable poles p do not make the formed F = A - W P Hurwitz when its
+        # eigenvector matrix is ill-conditioned, so every loop handed on is
+        # Hurwitz by eigvals, or gain_pair raises. A loop whose Schur form
+        # decided reads its margin off that form.
+        modal = schur_decided = 0
+        for n in (3, 6, 10):
+            rng = np.random.default_rng(1860 + n)
+            for margin in 10.0 ** -np.arange(2, 9):
+                for symmetric in (False, True):
+                    plant, placement = _near_pbh_boundary(rng, n, margin, symmetric)
+                    if not symmetric:
+                        continue
+                    try:
+                        g = gain_pair(plant, placement)
+                    except CodesignError:
+                        continue
+                    for loop in (g.loop_K, g.loop_Sigma):
+                        assert np.max(np.linalg.eigvals(loop.F).real) < 0.0
+                        modal += loop.modes is not None
+                        if loop.modes is not None and "_schur" in vars(loop):
+                            schur_decided += 1
+                            top = np.max(np.diag(loop._schur[0]))
+                            assert loop.margin == -top > riccati.HURWITZ_MARGIN
+        assert modal > 0 and schur_decided > 0
+
     def test_failed_modal_lyapunov_certificate_is_solved_on_the_schur_form(self):
         # The sweep above, replayed. On these symmetric placements an adjoint
         # solve in the modal basis fails its certificate; the same closed
@@ -593,9 +629,10 @@ class TestCertificates:
                         assert res <= riccati.CARE_RTOL * (1.0 + la.norm(P) ** 2)
                         assert np.array_equal(loop.F, coeff - W @ P)
                         assert np.max(np.linalg.eigvals(loop.F).real) < 0.0
+                    S_forcing, K_forcing = riccati.adjoint_forcings(g, placement)
                     for P, Q, res, loop in (
-                        (adj.M, g.Sigma @ placement.C @ g.Sigma, adj.residual_M, g.loop_K),
-                        (adj.N, g.K @ placement.B @ g.K, adj.residual_N, g.loop_Sigma),
+                        (adj.M, S_forcing, adj.residual_M, g.loop_K),
+                        (adj.N, K_forcing, adj.residual_N, g.loop_Sigma),
                     ):
                         assert res == lyapunov_residual(loop.F, Q, P)
                         assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
@@ -768,6 +805,29 @@ class TestAdjointPair:
         N_int = integral_lyapunov_solve(F_fil.T, gains.K @ placement.B @ gains.K)
         assert la.norm(adj.M - M_int) <= 1e-6 * (1 + la.norm(M_int))
         assert la.norm(adj.N - N_int) <= 1e-6 * (1 + la.norm(N_int))
+
+    def test_ring_laplacian_forcings_certify(self):
+        # 200 PBH-passing placements of A = -L, a 12-node ring with chords.
+        # On the 29th, |Sigma|_F ~ 3e4, and Sigma @ C @ Sigma cancelled to O(1)
+        # entries with an antisymmetric part no symmetric M can match: its
+        # Lyapunov certificate failed (residual 2.3e-9 against 5.7e-11). The
+        # forcings are outer products, symmetric to the bit, and every draw's
+        # adjoints certify.
+        rng = np.random.default_rng(3)
+        plant = ring_laplacian_plant(rng, 12, 0.5)
+        placements = [random_placement_for(rng, 12) for _ in range(200)]
+        reports = [cost_report(plant, placement) for placement in placements]
+        placement, report = placements[28], reports[28]
+        g, adj = report.gains, report.adjoints
+        assert la.norm(g.Sigma) > 1e4
+        S_forcing, K_forcing = riccati.adjoint_forcings(g, placement)
+        for P, Q, res, loop in (
+            (adj.M, S_forcing, adj.residual_M, g.loop_K),
+            (adj.N, K_forcing, adj.residual_N, g.loop_Sigma),
+        ):
+            assert np.array_equal(Q, Q.T)
+            assert res == lyapunov_residual(loop.F, Q, P)
+            assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
 
 
 class TestPBHCheck:

@@ -75,6 +75,14 @@ def test_analytic_gains_skip_a_positive_top_eigenvalue():
     assert check["skipped"] == "lambda_1 = 0.5 must be <= 0"
 
 
+def test_analytic_gains_skip_a_placement_failing_pbh():
+    # lambda_2 = -5e-10 is not a repeated zero mode (|lambda_2| > 1e-10), but
+    # PBH tests it as marginal (Re >= -1e-9), and (v_1, v_1) misses it.
+    check = check_analytic_gains(Plant(np.diag([0.0, -5e-10, -1.0]), 0.5, 0.5))
+    assert check["passed"]
+    assert check["skipped"].startswith("(A, b) fails the PBH stabilizability test")
+
+
 def _raise_on_calls(monkeypatch, calls: set):
     """Patch ``verify.phi_bar`` to raise NonConvergence on the given calls."""
     count = {"n": 0}
