@@ -135,6 +135,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A JSON number: an ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _build_matrix(entry) -> np.ndarray:
     if isinstance(entry, list):
         return np.asarray(entry, dtype=float)
@@ -157,9 +162,11 @@ def _build_matrix(entry) -> np.ndarray:
         for edge in edges:
             if len(edge) != 3:
                 raise ProblemFormatError(f"edge {edge!r} is not [i, j, w]")
-            i, j, w = edge[0], edge[1], float(edge[2])
+            i, j, w = edge
             if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n) or i == j:
                 raise ProblemFormatError(f"edge {edge!r} has invalid endpoints")
+            if not _is_real(w):
+                raise ProblemFormatError(f"edge {edge!r} has a weight that is not a number")
             if w < 0.0:
                 raise ProblemFormatError(f"edge {edge!r} has a negative weight")
             weights[i, j] += w
@@ -188,6 +195,19 @@ def load_problem(path: Path) -> Problem:
         raise ProblemFormatError("problem file must hold a JSON object")
     if "A" not in raw:
         raise ProblemFormatError("problem file is missing 'A'")
+    flow_raw = _section(raw, "flow", {f.name for f in dataclasses.fields(FlowOptions)})
+    sim_raw = _section(raw, "sim", {f.name for f in dataclasses.fields(SimConfig)} - {"seed"})
+    counts = ((flow_raw, "max_iters"), (sim_raw, "n_paths"), (raw, "seed"), (raw, "n_starts"))
+    for section, key in counts:  # JSON integers: no float truncated, no bool read as 0/1
+        if not _is_int(section.get(key, 0)):
+            raise ProblemFormatError(f"'{key}' must be an integer")
+    reals = (
+        (raw, "epsilon"), (raw, "delta"), (flow_raw, "grad_tol"),
+        (sim_raw, "dt"), (sim_raw, "horizon_T"), (sim_raw, "burn_in"),
+    )
+    for section, key in reals:  # JSON numbers: no bool read as 0/1, no string parsed
+        if not _is_real(section.get(key, 0.0)):
+            raise ProblemFormatError(f"'{key}' must be a number")
     try:
         A = _build_matrix(raw["A"])
         plant = Plant(A, float(raw.get("epsilon", 0.0)), float(raw.get("delta", 0.0)))
@@ -208,12 +228,6 @@ def load_problem(path: Path) -> Problem:
         if placement.n != plant.n:
             raise ProblemFormatError("placement dimension does not match A")
 
-    flow_raw = _section(raw, "flow", {f.name for f in dataclasses.fields(FlowOptions)})
-    sim_raw = _section(raw, "sim", {f.name for f in dataclasses.fields(SimConfig)} - {"seed"})
-    counts = ((flow_raw, "max_iters"), (sim_raw, "n_paths"), (raw, "seed"), (raw, "n_starts"))
-    for section, key in counts:  # JSON integers: no float truncated, no bool read as 0/1
-        if not _is_int(section.get(key, 0)):
-            raise ProblemFormatError(f"'{key}' must be an integer")
     try:
         flow_options = FlowOptions(
             grad_tol=float(flow_raw.get("grad_tol", 1e-9)),

@@ -15,14 +15,20 @@ descent acts on it). The sign is not guaranteed otherwise: phi_bar
 is positive at some placements of Laplacian dynamics (zero mode) and of
 non-symmetric, open-loop-unstable A (1e4 to 1e16 seen at n = 50).
 
+On a symmetric plant every quantity is evaluated in the eigenbasis the gain
+pair is held in (``riccati``), where A = diag(lam): phi = 2 sum_i lam_i
+(K~ Sigma~)_ii + tr K~ + tr Sigma~ and phi_bar = 2 sum_i lam_i (M~ N~)_ii are
+O(n^2) sums, and no A-basis matrix is formed; a non-symmetric plant's pair
+is held in A's coordinates, and the traces are formed as written above.
+
 ``phi_gain_sensitivity`` differentiates phi with respect to the actuation
 gain r and the sensor SNR s at (r, s) = (epsilon, delta); both partials are
 nonpositive, and each is one Lyapunov solve on a closed loop that the gain
 pair kept: in real Schur form, or in modal form on a symmetric plant, whose
-cost report then takes no Schur form at all (``riccati``).
-``drive_matrices`` gives the symmetric matrices (K M K, Sigma N Sigma) from
-which ``flow.gradient`` forms the descent field and every first variation
-of phi along the orbits.
+cost report then takes no Schur form at all. ``drive_matrices`` gives the
+symmetric matrices (K M K, Sigma N Sigma), in the coordinates of the pair,
+from which ``equilibria.hessian_matrix`` differentiates the descent field;
+``flow.gradient`` forms the field itself.
 """
 
 from __future__ import annotations
@@ -54,16 +60,28 @@ class CostReport:
     adjoints: AdjointPair
 
 
-def phi_from_gains(A: np.ndarray, gains: GainPair) -> float:
+def phi_from_gains(plant: Plant, gains: GainPair) -> float:
     """Evaluate tr(A^T K Sigma + Sigma K A + K + Sigma)."""
-    K, S = gains.K, gains.Sigma
-    return float(np.trace(A.T @ K @ S + S @ K @ A + K + S))
+    K, S = gains.K_tilde, gains.Sigma_tilde
+    if plant.modal is None:
+        A = plant.A
+        return float(np.trace(A.T @ K @ S + S @ K @ A + K + S))
+    return _modal_pairing(plant, K, S) + float(K.trace() + S.trace())
 
 
-def phi_bar_from_adjoints(A: np.ndarray, adjoints: AdjointPair) -> float:
+def phi_bar_from_adjoints(plant: Plant, adjoints: AdjointPair) -> float:
     """Evaluate tr(A^T M N + N M A)."""
-    M, N = adjoints.M, adjoints.N
-    return float(np.trace(A.T @ M @ N + N @ M @ A))
+    M, N = adjoints.M_tilde, adjoints.N_tilde
+    if plant.modal is None:
+        A = plant.A
+        return float(np.trace(A.T @ M @ N + N @ M @ A))
+    return _modal_pairing(plant, M, N)
+
+
+def _modal_pairing(plant: Plant, X: np.ndarray, Y: np.ndarray) -> float:
+    """tr(A^T X Y + Y X A) for symmetric X, Y held in the eigenbasis of a
+    symmetric A, where A = diag(lam): 2 sum_i lam_i sum_j X_ij Y_ij, O(n^2)."""
+    return 2.0 * float(np.einsum("i,ij,ij->", plant.modal.lam, X, Y))
 
 
 def cost_report(plant: Plant, placement: Placement) -> CostReport:
@@ -75,8 +93,8 @@ def cost_report(plant: Plant, placement: Placement) -> CostReport:
     gains = gain_pair(plant, placement)
     adjoints = adjoint_pair(plant, placement, gains)
     return CostReport(
-        phi=phi_from_gains(plant.A, gains),
-        phi_bar=phi_bar_from_adjoints(plant.A, adjoints),
+        phi=phi_from_gains(plant, gains),
+        phi_bar=phi_bar_from_adjoints(plant, adjoints),
         gains=gains,
         adjoints=adjoints,
     )
@@ -84,7 +102,7 @@ def cost_report(plant: Plant, placement: Placement) -> CostReport:
 
 def phi(plant: Plant, placement: Placement) -> float:
     """Infinite-horizon time-averaged LQG cost of a placement."""
-    return phi_from_gains(plant.A, gain_pair(plant, placement))
+    return phi_from_gains(plant, gain_pair(plant, placement))
 
 
 def phi_bar(plant: Plant, placement: Placement) -> float:
@@ -93,9 +111,11 @@ def phi_bar(plant: Plant, placement: Placement) -> float:
 
 
 def drive_matrices(gains: GainPair, adjoints: AdjointPair):
-    """The symmetric matrices (K M K, Sigma N Sigma) driving the flow."""
-    S_b = gains.K @ adjoints.M @ gains.K
-    S_c = gains.Sigma @ adjoints.N @ gains.Sigma
+    """The symmetric matrices (K M K, Sigma N Sigma) driving the flow, in the
+    coordinates of the pair (``GainPair.basis``)."""
+    K, S = gains.K_tilde, gains.Sigma_tilde
+    S_b = K @ adjoints.M_tilde @ K
+    S_c = S @ adjoints.N_tilde @ S
     return 0.5 * (S_b + S_b.T), 0.5 * (S_c + S_c.T)
 
 
@@ -111,14 +131,15 @@ def phi_gain_sensitivity(plant: Plant, placement: Placement) -> tuple[float, flo
     derivative is one solve on the closed loop the gain pair kept.
     """
     gains = gain_pair(plant, placement)
-    K, Sigma = gains.K, gains.Sigma
-    A = plant.A
-    eye = np.eye(plant.n)
-
     S_forcing, K_forcing = adjoint_forcings(gains, placement)
     K_prime = -gains.loop_K.solve(K_forcing, transpose=True)[0]
     Sigma_prime = -gains.loop_Sigma.solve(S_forcing, transpose=True)[0]
-
+    K, Sigma = gains.K_tilde, gains.Sigma_tilde
+    if plant.modal is not None:
+        dphi_dr = _modal_pairing(plant, Sigma, K_prime) + float(K_prime.trace())
+        dphi_ds = _modal_pairing(plant, K, Sigma_prime) + float(Sigma_prime.trace())
+        return dphi_dr, dphi_ds
+    A, eye = plant.A, np.eye(plant.n)
     dphi_dr = float(np.trace((A @ Sigma + Sigma @ A.T + eye) @ K_prime))
     dphi_ds = float(np.trace((A.T @ K + K @ A + eye) @ Sigma_prime))
     return dphi_dr, dphi_ds

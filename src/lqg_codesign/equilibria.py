@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as la
 
-from .cost import CostReport, cost_report
+from .cost import CostReport, cost_report, drive_matrices
 from .errors import (
     DimensionTooLarge,
     NonNegativeEigenvalue,
@@ -421,12 +421,17 @@ def _hessian(
     plant: Plant, placement: Placement, report: CostReport, grad: OrbitGradient
 ) -> np.ndarray:
     """``hessian_matrix`` given the report and its ``flow.gradient``."""
+    # Run in the coordinates of the gain pair (a symmetric plant's
+    # eigenbasis Theta): b, c and the tangent bases U, W are taken there, and
+    # U^T dg_b = (Theta^T U)^T (Theta^T dg_b).
     gains, adjoints = report.gains, report.adjoints
-    K, Sigma, M, N = gains.K, gains.Sigma, adjoints.M, adjoints.N
+    K, Sigma, M, N = gains.K_tilde, gains.Sigma_tilde, adjoints.M_tilde, adjoints.N_tilde
+    S_b, S_c = drive_matrices(gains, adjoints)
     eps, delta = plant.epsilon, plant.delta
-    b, c = placement.b_unit, placement.c_unit
-    B, C = placement.B, placement.C
-    U, W = _tangent_basis(b), _tangent_basis(c)
+    U = gains.coords(_tangent_basis(placement.b_unit))
+    W = gains.coords(_tangent_basis(placement.c_unit))
+    b, c = gains.coords(placement.b_unit), gains.coords(placement.c_unit)
+    B, C = np.outer(b, b), np.outer(c, c)
     Kb, Sc = K @ b, Sigma @ c
     unmoved = np.zeros((plant.n, plant.n))
 
@@ -448,8 +453,8 @@ def _hessian(
         dN = gains.loop_Sigma.solve(sym(dF_S @ N) + sym(dK @ B @ K) + KdBK)[0]
         dS_b = 0.5 * sym(dK @ M @ K + K @ dM @ K + K @ M @ dK)
         dS_c = 0.5 * sym(dS @ N @ Sigma + Sigma @ dN @ Sigma + Sigma @ N @ dS)
-        dg_b = dS_b @ b + grad.S_b @ d_b - (b @ grad.S_b @ b) * d_b
-        dg_c = dS_c @ c + grad.S_c @ d_c - (c @ grad.S_c @ c) * d_c
+        dg_b = dS_b @ b + S_b @ d_b - (b @ S_b @ b) * d_b
+        dg_c = dS_c @ c + S_c @ d_c - (c @ S_c @ c) * d_c
         return -grad.scale * np.concatenate([U.T @ dg_b, W.T @ dg_c])
 
     zero = np.zeros(plant.n)

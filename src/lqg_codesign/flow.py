@@ -77,11 +77,10 @@ class OrbitGradient:
     are the sphere-lifted gradient (ascent) vectors -scale * r; ``norm`` is
     the normal-metric norm of the gradient, which vanishes exactly when
     [B, K M K] = 0 and [C, Sigma N Sigma] = 0; ``scale`` records the field
-    scaling in effect (eps*delta, or 1 at zero gain).
+    scaling in effect (eps*delta, or 1 at zero gain). S_b and S_c themselves
+    are ``cost.drive_matrices``.
     """
 
-    S_b: np.ndarray
-    S_c: np.ndarray
     r_b: np.ndarray
     r_c: np.ndarray
     norm: float
@@ -167,13 +166,23 @@ def gradient(
     """
     if report is None:
         report = cost_report(plant, placement)
-    S_b, S_c = drive_matrices(report.gains, report.adjoints)
+    gains, adjoints = report.gains, report.adjoints
     b, c = placement.b_unit, placement.c_unit
-    r_b = S_b @ b - (b @ S_b @ b) * b
-    r_c = S_c @ c - (c @ S_c @ c) * c
+    if gains.basis is None:
+        S_b, S_c = drive_matrices(gains, adjoints)
+        r_b = S_b @ b - (b @ S_b @ b) * b
+        r_c = S_c @ c - (c @ S_c @ c) * c
+    else:
+        # In the eigenbasis Theta: r_b = Theta (S~ beta - (beta . S~ beta) beta),
+        # S~ beta = K~ (M~ (K~ beta)) by three mat-vecs, beta = Theta^T b.
+        beta, gamma = gains.coords(b), gains.coords(c)
+        Sb = gains.K_tilde @ (adjoints.M_tilde @ (gains.K_tilde @ beta))
+        Sc = gains.Sigma_tilde @ (adjoints.N_tilde @ (gains.Sigma_tilde @ gamma))
+        r_b = gains.basis @ (Sb - (beta @ Sb) * beta)
+        r_c = gains.basis @ (Sc - (gamma @ Sc) * gamma)
     scale = 1.0 if is_zero_gain(plant) else plant.epsilon * plant.delta
     norm = scale * np.sqrt(2.0 * (r_b @ r_b + r_c @ r_c))
-    return OrbitGradient(S_b=S_b, S_c=S_c, r_b=r_b, r_c=r_c, norm=float(norm), scale=scale)
+    return OrbitGradient(r_b=r_b, r_c=r_c, norm=float(norm), scale=scale)
 
 
 def directional_derivative(
@@ -348,11 +357,10 @@ def pbh_passing_placement(
 
     Returns None when ``max_tries`` draws all fail.
     """
-    spectrum = {"eigenvalues": plant.eigenvalues, "eigenvectors": plant.eigenvectors}
     for _ in range(max_tries):
         candidate = random_placement(plant.n, rng)
-        pbh_b = pbh_check(plant.A, candidate.b_unit, "stabilizability", **spectrum)
-        pbh_c = pbh_check(plant.A, candidate.c_unit, "detectability", **spectrum)
+        pbh_b = pbh_check(plant.A, candidate.b_unit, "stabilizability", **plant.spectrum)
+        pbh_c = pbh_check(plant.A, candidate.c_unit, "detectability", **plant.spectrum)
         if pbh_b.ok and pbh_c.ok:
             return candidate
     return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,17 +41,61 @@ def _unit_vector(v, name: str) -> np.ndarray:
     return v
 
 
-def modal_basis(lam: np.ndarray, Theta: np.ndarray, idx: np.ndarray) -> tuple:
-    """What ``riccati._modal_care`` reads of A = Theta diag(lam) Theta^T alone:
-    the modes ``idx`` by |lam|, lam, |lam| and Theta's columns in that order,
-    lam_i - lam_j (unit diagonal), whether |lam| steps exceed 1e-8 * max |lam|, I."""
-    idx = idx[np.argsort(np.abs(lam[idx]))]
-    lam_a = lam[idx]
-    d = np.abs(lam_a)
-    gaps = lam_a[:, None] - lam_a
+#: PBH rank threshold, relative to 1 + |A|_F.
+PBH_RANK_TOL = 1e-9
+
+
+class Modal(NamedTuple):
+    """What the modal Riccati solves read of A = Theta diag(lam) Theta^T
+    alone: ``basis``, Theta's columns ordered by |lam| (the coordinates a
+    symmetric plant is evaluated in), ``lam`` and ``d`` = |lam| in that
+    order, ``sums`` lam_i + lam_j, ``gaps`` lam_i - lam_j (unit diagonal),
+    whether the steps of d exceed 1e-8 * max d, and I."""
+
+    basis: np.ndarray
+    lam: np.ndarray
+    d: np.ndarray
+    sums: np.ndarray
+    gaps: np.ndarray
+    separated: bool
+    eye: np.ndarray
+
+
+def separated(d: np.ndarray) -> bool:
+    """Whether ascending d steps by more than 1e-8 * max d everywhere."""
+    return not np.any(np.diff(d) <= 1e-8 * d[-1])
+
+
+def modal_basis(lam: np.ndarray, Theta: np.ndarray) -> Modal:
+    """The ``Modal`` constants of A = Theta diag(lam) Theta^T."""
+    order = np.argsort(np.abs(lam))
+    lam = lam[order]
+    d = np.abs(lam)
+    gaps = lam[:, None] - lam
     np.fill_diagonal(gaps, 1.0)
-    separated = not np.any(np.diff(d) <= 1e-8 * d[-1])
-    return idx, lam_a, d, Theta[:, idx], gaps, separated, np.eye(lam.size)
+    sums = lam[:, None] + lam
+    return Modal(Theta[:, order], lam, d, sums, gaps, separated(d), np.eye(lam.size))
+
+
+def pbh_setup(M: np.ndarray, eigenvalues: np.ndarray, secular: bool) -> tuple:
+    """What a PBH test of M reads of M alone: the threshold
+    1e-9 * (1 + |M|_F) and, per eigenvalue lambda with Re lambda >= -1e-9,
+    (lambda, the sorted gaps |eigenvalues - lambda|, their order, whether
+    they are distinct); the gaps, which only the secular test reads, are
+    None unless ``secular``."""
+    threshold = PBH_RANK_TOL * (1.0 + float(np.linalg.norm(M)))
+    tested = []
+    for lam in eigenvalues:
+        if lam.real < -1e-9:
+            continue
+        gap = order = distinct = None
+        if secular:
+            gap = np.abs(eigenvalues - lam)
+            order = np.argsort(gap)
+            gap = gap[order]
+            distinct = bool(np.all(np.diff(gap) > 0.0))
+        tested.append((lam, gap, order, distinct))
+    return threshold, tuple(tested)
 
 
 @dataclass(frozen=True)
@@ -58,12 +103,13 @@ class Plant:
     """System matrix with actuation gain epsilon and sensor SNR delta.
 
     ``eigenvalues`` is the spectrum of A, computed once here for every PBH
-    test on the plant (spec(A^T) = spec(A) serves detectability). When A is
-    exactly symmetric it comes from one eigendecomposition
-    A = eigenvectors diag(eigenvalues) eigenvectors^T (ascending), which
-    ``riccati.gain_pair`` reuses for its PBH tests and, with ``modal`` (the
-    ``modal_basis`` of every mode), its modal Riccati solves; otherwise
-    ``eigenvectors`` and ``modal`` are None.
+    test on the plant (spec(A^T) = spec(A) serves detectability), and
+    ``pbh`` the ``pbh_setup`` both tests share. When A is exactly symmetric
+    the spectrum comes from one eigendecomposition
+    A = eigenvectors diag(eigenvalues) eigenvectors^T (ascending), which the
+    PBH tests reuse for their secular margins, and ``modal`` (its
+    ``modal_basis``) gives the coordinates ``riccati.gain_pair`` solves and
+    keeps its results in; otherwise ``eigenvectors`` and ``modal`` are None.
     """
 
     A: np.ndarray
@@ -71,7 +117,8 @@ class Plant:
     delta: float
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
-    modal: tuple | None = field(init=False, repr=False, compare=False)
+    modal: Modal | None = field(init=False, repr=False, compare=False)
+    pbh: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _square_matrix(self.A))
@@ -81,12 +128,23 @@ class Plant:
             raise ValueError("epsilon and delta must be finite and nonnegative")
         if np.array_equal(self.A, self.A.T):
             eigenvalues, eigenvectors = np.linalg.eigh(self.A)
-            modal = modal_basis(eigenvalues, eigenvectors, np.arange(self.n))
+            modal = modal_basis(eigenvalues, eigenvectors)
         else:
             eigenvalues, eigenvectors, modal = np.linalg.eigvals(self.A), None, None
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenvectors", eigenvectors)
         object.__setattr__(self, "modal", modal)
+        pbh = pbh_setup(self.A, eigenvalues, eigenvectors is not None)
+        object.__setattr__(self, "pbh", pbh)
+
+    @property
+    def spectrum(self) -> dict:
+        """The plant's keyword arguments to ``riccati.pbh_check``."""
+        return {
+            "eigenvalues": self.eigenvalues,
+            "eigenvectors": self.eigenvectors,
+            "setup": self.pbh,
+        }
 
     @property
     def n(self) -> int:

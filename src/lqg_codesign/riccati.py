@@ -26,19 +26,23 @@ scipy's to the bit. Tests cross-check it against a Kronecker-vectorization
 oracle and against the integral representation
 P = int_0^inf e^{Ft} Q e^{F^T t} dt.
 
-On a plant whose A is exactly symmetric both CAREs are solved in the
-eigenbasis the plant computed once (``Plant.eigenvectors``): the closed-loop
-poles are the roots of a secular equation (Kalman's return-difference
-identity), which LAPACK ``dlasd4`` solves to high relative accuracy, and the
-gain follows from the pole-placement residues. The poles' Hurwitz margin
-and then the CARE residual are certified as on the Hamiltonian path, the
-residual by the same test, and then the loop F that is returned: a
-Bauer-Fike bound accepts it cheaply, and where it cannot, F's own Schur
-form decides, as on the Hamiltonian path. A side that cannot be solved this
-way (zero gain, |eigenvalues| not separated, a decoupled unstable mode, a
-failed certificate, a formed loop that is not Hurwitz) falls back to the
-Hamiltonian path, and ``GainPair.fallback`` says why; non-symmetric plants
-take that path only.
+On a plant whose A is exactly symmetric the gain pair is solved and held in
+the eigenbasis the plant computed once (``Plant.modal``), where A is
+diag(lam) and each gain is rank one: the closed-loop poles are the roots of
+a secular equation (Kalman's return-difference identity), which LAPACK
+``dlasd4`` solves to high relative accuracy, and the gain follows from the
+pole-placement residues. The poles' Hurwitz margin, the CARE residual and
+then the loop F that is returned are certified as on the Hamiltonian path,
+at the same tolerances, each by O(n^2) products: a Bauer-Fike bound accepts
+F cheaply, and where it cannot, F's own Schur form decides. A side that
+cannot be solved this way (zero gain, |eigenvalues| not separated, a
+decoupled unstable mode, a failed certificate, a formed loop that is not
+Hurwitz) falls back to the Hamiltonian path, and ``GainPair.fallback`` says
+why; its solution is carried into the eigenbasis by the congruence with
+the eigenvectors. Non-symmetric plants take the Hamiltonian path only, in
+the coordinates of A. Either way ``GainPair`` and ``AdjointPair`` hold
+their matrices in one basis, and form K, Sigma, M and N in A's on first
+read.
 
 Either path keeps its closed loop F as a ``ClosedLoop`` for every further
 solve with F or F^T: the adjoint solves and the tangent-linear Hessian
@@ -46,17 +50,21 @@ solve with F or F^T: the adjoint solves and the tangent-linear Hessian
 the only factorization of each Hamiltonian and of each loop the Hamiltonian
 path keeps; its diagonal holds the real part of every eigenvalue (both
 entries of a 2x2 block), which is all the Hurwitz certificates read. A
-modal loop also keeps F ~ W diag(p) W^-1, on which a Lyapunov solve is a
-Hadamard product, and takes its Schur form only where Bauer-Fike cannot
-certify it or a solve fails its certificate. So a ``cost_report`` on a
-non-symmetric plant takes four Schur forms (two Hamiltonians, two closed
-loops), and one on a symmetric plant away from the PBH boundary none, whose
-PBH margins are secular roots in its eigenbasis too. All that is read of A
-alone is the plant's, taken once; nothing is kept between calls.
+modal loop keeps F ~ V diag(p) V^-1, on which a Lyapunov solve is a
+Hadamard product, and the rank-one form F = diag(lam) - u w^T, on which its
+certificate takes O(n^2); it takes its Schur form only where Bauer-Fike
+cannot certify it or a solve fails its certificate. So a ``cost_report`` on
+a non-symmetric plant takes four Schur forms (two Hamiltonians, two closed
+loops) and n^3 products throughout, and one on a symmetric plant away from
+the PBH boundary no factorization at all: its PBH margins are secular roots
+in its eigenbasis too, and the n^3 products left are the modal transforms
+of its four solves. All that is read of A alone is the plant's, taken once;
+nothing is kept between calls.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,7 +78,7 @@ from .errors import (
     NotHurwitz,
     PBHViolation,
 )
-from .plant import Placement, Plant, modal_basis
+from .plant import Modal, Placement, Plant, pbh_setup, separated
 
 _dlasd4 = la.get_lapack_funcs("lasd4", dtype=np.float64)
 
@@ -79,7 +87,6 @@ CARE_RTOL = 1e-10
 LYAP_RTOL = 1e-11
 HURWITZ_MARGIN = 1e-12
 
-_PBH_RANK_TOL = 1e-9
 #: A mode with |beta_i| <= 8u (u the float eps) is decoupled exactly.
 _DEFLATE_TOL = 8.0 * np.finfo(float).eps
 
@@ -88,19 +95,24 @@ _DEFLATE_TOL = 8.0 * np.finfo(float).eps
 class ClosedLoop:
     """A closed loop F, kept for every Lyapunov equation on F or F^T.
 
-    ``modes = (W, W^-1, p)``, which only a symmetric plant's modal Riccati
-    solve sets, keeps F ~ W diag(p) W^-1 with real simple poles p: a solve is
-    then a Hadamard product with -1/(p_k + p_l) between two W-transforms.
+    ``modes = (V, V^-1, p)``, which only a symmetric plant's modal Riccati
+    solve sets, keeps F ~ V diag(p) V^-1 with real simple poles p: a solve is
+    then a Hadamard product with -1/(p_k + p_l) between two V-transforms.
     Without ``modes``, or when a modal solve fails its certificate (the
-    transforms are as ill-conditioned as W), it is one ``trsyl`` call on the
+    transforms are as ill-conditioned as V), it is one ``trsyl`` call on the
     real Schur form F = u r u^T, taken on first need and kept. ``margin`` and
     ``_schur`` are the loop's only Hurwitz decisions; ``closed_loop`` builds
     a loop with its Schur form taken, and the modal solve one that Bauer-Fike
     or its Schur form certifies, so F is certified Hurwitz either way.
+    ``update = (S, u, w)``, which every loop of a symmetric plant sets,
+    says F = diag(lam) - u w^T with S_ij = lam_i + lam_j (the plant's
+    eigenbasis, where A is diagonal and the gain rank one), on which a
+    Lyapunov certificate takes O(n^2).
     """
 
     F: np.ndarray
     modes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    update: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def margin(self) -> float:
@@ -124,8 +136,8 @@ class ClosedLoop:
         """Solve F P + P F^T + Q = 0 (F^T P + P F + Q = 0 with ``transpose``).
 
         With ``modes``, F^T P + P F + Q = 0 is first solved by
-        P = W^-T [-(W^T Q W) / (p_k + p_l)] W^-1 and F P + P F^T + Q = 0 by
-        P = W [-(W^-1 Q W^-T) / (p_k + p_l)] W^T. Returns P and its residual,
+        P = V^-T [-(V^T Q V) / (p_k + p_l)] V^-1 and F P + P F^T + Q = 0 by
+        P = V [-(V^-1 Q V^-T) / (p_k + p_l)] V^T. Returns P and its residual,
         certified against 1e-11 * (1 + |P|_F); raises ``NonConvergence`` when
         the Schur-form solve fails that certificate too.
         """
@@ -133,41 +145,57 @@ class ClosedLoop:
         if self.modes is not None:
             P = _modal_lyapunov(*self.modes, Q, transpose)
             try:
-                return _certified(self.F, Q, P, transpose)
+                return _certified(self.F, Q, P, transpose, self.update)
             except NonConvergence:
                 pass
         P = _bartels_stewart(*self._schur, -Q, transpose)
-        return _certified(self.F, Q, P, transpose)
+        return _certified(self.F, Q, P, transpose, self.update)
 
 
-def _modal_lyapunov(W, Winv, p, Q, transpose: bool) -> np.ndarray:
+def _modal_lyapunov(V, Vinv, p, Q, transpose: bool) -> np.ndarray:
     """The uncertified modal solve of ``ClosedLoop.solve``."""
-    inner, outer = (W.T, Winv.T) if transpose else (Winv, W)
+    inner, outer = (V.T, Vinv.T) if transpose else (Vinv, V)
     Y = (inner @ Q @ inner.T) / -(p[:, None] + p)
     return outer @ Y @ outer.T
 
 
-def _certified(F, Q, P, transpose: bool) -> tuple[np.ndarray, float]:
+def _certified(F, Q, P, transpose: bool, update=None) -> tuple[np.ndarray, float]:
     """Symmetrize a Lyapunov solution and certify its residual against
-    1e-11 * (1 + |P|_F); a non-finite residual or tolerance fails too."""
+    1e-11 * (1 + |P|_F); a non-finite residual or tolerance fails too. Given
+    a loop's ``update`` (``ClosedLoop.update``), the residual is taken from
+    F's rank-one form instead of F."""
     P = 0.5 * (P + P.T)
-    res = lyapunov_residual(F.T if transpose else F, Q, P)
-    tol = LYAP_RTOL * (1.0 + float(np.linalg.norm(P)))
-    if not res <= tol < np.inf:
-        raise NonConvergence(
-            f"Lyapunov residual {res:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return P, res
+    if update is None:
+        res = lyapunov_residual(F.T if transpose else F, Q, P)
+    else:
+        S, u, w = update
+        res = update_residual(S, *((w, u) if transpose else (u, w)), Q, P)
+    return P, _certify("Lyapunov", res, LYAP_RTOL * (1.0 + math.sqrt(np.vdot(P, P))))
 
 
 def _certified_care(A, W, Q, P) -> float:
     """CARE residual of a symmetric P, certified against
     1e-10 * (1 + |P|_F^2); a non-finite residual or tolerance fails too."""
-    res = care_residual(A, W, Q, P)
-    tol = CARE_RTOL * (1.0 + float(np.linalg.norm(P)) ** 2)
+    return _certify("CARE", care_residual(A, W, Q, P), _care_tol(P))
+
+
+def _care_tol(P) -> float:
+    return CARE_RTOL * (1.0 + float(np.vdot(P, P)))
+
+
+def _certify(kind: str, res: float, tol: float) -> float:
     if not res <= tol < np.inf:
-        raise NonConvergence(f"CARE residual {res:.3e} exceeds tolerance {tol:.3e}")
+        raise NonConvergence(f"{kind} residual {res:.3e} exceeds tolerance {tol:.3e}")
     return res
+
+
+def _to_plant(basis: np.ndarray | None, X: np.ndarray) -> np.ndarray:
+    """A symmetric X held in ``basis`` coordinates, in the plant's:
+    basis X basis^T, symmetrized; X itself when ``basis`` is None."""
+    if basis is None:
+        return X
+    Y = basis @ X @ basis.T
+    return 0.5 * (Y + Y.T)
 
 
 @dataclass(frozen=True)
@@ -175,32 +203,59 @@ class GainPair:
     """Stabilizing ARE solutions: regulator gain K and filter covariance Sigma,
     with their closed loops A - (eps B) K and A^T - (delta C) Sigma.
 
-    On a symmetric plant each loop keeps its ``modes``, unless its side's
-    modal solve fell back to the Hamiltonian path; ``fallback`` then says why
-    ("regulator: ..." and/or "filter: ..."). It is None when nothing fell
-    back, and always for non-symmetric plants, which have the Hamiltonian
-    path only. ``pbh`` holds the PBH reports passed.
+    Everything is held in the coordinates of ``basis``: on a symmetric plant
+    its eigenbasis (``Plant.modal.basis``, Theta), so ``K_tilde`` is
+    Theta^T K Theta and the loops Theta^T F Theta; otherwise ``basis`` is
+    None and they are K and F themselves. ``K`` and ``Sigma`` are formed on
+    first read. On a symmetric plant each loop keeps its ``modes``, unless
+    its side's modal solve fell back to the Hamiltonian path; ``fallback``
+    then says why ("regulator: ..." and/or "filter: ..."). It is None when
+    nothing fell back, and always for non-symmetric plants, which have the
+    Hamiltonian path only. ``pbh`` holds the PBH reports passed.
     """
 
-    K: np.ndarray
-    Sigma: np.ndarray
+    K_tilde: np.ndarray
+    Sigma_tilde: np.ndarray
     residual_K: float
     residual_Sigma: float
     loop_K: ClosedLoop
     loop_Sigma: ClosedLoop
     fallback: str | None = None
     pbh: tuple[PBHReport, ...] = ()
+    basis: np.ndarray | None = None
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return _to_plant(self.basis, self.K_tilde)
+
+    @cached_property
+    def Sigma(self) -> np.ndarray:
+        return _to_plant(self.basis, self.Sigma_tilde)
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """A vector (or the columns of a matrix) in the pair's coordinates."""
+        return v if self.basis is None else self.basis.T @ v
 
 
 @dataclass(frozen=True)
 class AdjointPair:
     """Closed-loop Lyapunov solutions M (state covariance side) and N (dual),
-    with their certified residuals."""
+    with their certified residuals, held like ``GainPair`` in the
+    coordinates of ``basis``; ``M`` and ``N`` are formed on first read."""
 
-    M: np.ndarray
-    N: np.ndarray
+    M_tilde: np.ndarray
+    N_tilde: np.ndarray
     residual_M: float
     residual_N: float
+    basis: np.ndarray | None = None
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return _to_plant(self.basis, self.M_tilde)
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        return _to_plant(self.basis, self.N_tilde)
 
 
 @dataclass(frozen=True)
@@ -229,6 +284,19 @@ def lyapunov_residual(F: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     """Frobenius norm of F P + P F^T + Q."""
     with np.errstate(invalid="ignore", over="ignore"):
         return float(np.linalg.norm(F @ P + P @ F.T + Q))
+
+
+def update_residual(S, u, w, Q, P) -> float:
+    """Frobenius norm of F P + P F^T + Q for F = diag(lam) - u w^T and a
+    symmetric P, in O(n^2) from S_ij = lam_i + lam_j:
+    S * P - u (P w)^T - (P w) u^T + Q."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        up = u[:, None] * (P @ w)
+        R = S * P
+        R -= up
+        R -= up.T
+        R += Q
+        return math.sqrt(np.vdot(R, R))
 
 
 def closed_loop(F) -> ClosedLoop:
@@ -380,7 +448,9 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
     return P, _certified_care(A, W, Q, P), loop
 
 
-def pbh_check(A, v, mode: str, *, eigenvalues=None, eigenvectors=None) -> PBHReport:
+def pbh_check(
+    A, v, mode: str, *, eigenvalues=None, eigenvectors=None, setup=None
+) -> PBHReport:
     """PBH rank test of (A, v) for stabilizability or detectability.
 
     For every eigenvalue lambda of A with Re(lambda) >= 0 (numerically,
@@ -394,34 +464,35 @@ def pbh_check(A, v, mode: str, *, eigenvalues=None, eigenvectors=None) -> PBHRep
     of a secular equation: its square is the least eigenvalue of
     diag(lam - lambda)^2 + beta beta^T, beta = Theta^T v. An SVD gives it
     when some |beta_j| <= 8u or the |lam_j - lambda| are not distinct.
+    ``setup``, the ``plant.pbh_setup`` of A and the same ``eigenvalues``
+    (``Plant.pbh``), saves taking it per call; ``Plant.spectrum`` passes all
+    three.
     """
     if mode not in ("stabilizability", "detectability"):
         raise ValueError(f"unknown PBH mode {mode!r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     v = np.asarray(v, dtype=float).reshape(-1)
-    if np.linalg.norm(v) == 0.0:
+    if v @ v == 0.0:
         raise ValueError("PBH test vector must be nonzero")
     M = A if mode == "stabilizability" else A.T
-    threshold = _PBH_RANK_TOL * (1.0 + float(np.linalg.norm(M)))
+    secular = eigenvalues is not None and eigenvectors is not None
     z = None
-    if eigenvalues is not None and eigenvectors is not None:
+    if secular:
         beta = eigenvectors.T @ v
-        if np.all(np.abs(beta) > _DEFLATE_TOL):  # dlasd4 needs every z_j nonzero
-            norm = float(np.linalg.norm(beta))
+        if np.abs(beta).min() > _DEFLATE_TOL:  # dlasd4 needs every z_j nonzero
+            norm = math.sqrt(beta @ beta)
             z, rho = beta / norm, norm**2
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(M)
+    if setup is None:
+        setup = pbh_setup(M, eigenvalues, secular)
+    threshold, modes = setup
 
     tested = []
-    for lam in eigenvalues:
-        if lam.real < -1e-9:
-            continue
+    for lam, gap, order, distinct in modes:
         info = 1  # the SVD, unless dlasd4 gives the root
-        if z is not None:
-            gap = np.abs(eigenvalues - lam)
-            order = np.argsort(gap)
-            if np.all(np.diff(gap[order]) > 0.0):
-                _, margin, _, info = _dlasd4(0, gap[order], z[order], rho)
+        if z is not None and distinct:
+            _, margin, _, info = _dlasd4(0, gap, z[order], rho)
         if info != 0:
             pencil = np.hstack([M - lam * np.eye(M.shape[0]), v[:, None]])
             margin = la.svdvals(pencil)[-1]
@@ -432,13 +503,12 @@ def pbh_check(A, v, mode: str, *, eigenvalues=None, eigenvectors=None) -> PBHRep
 
 
 def _require_pbh(plant: Plant, placement: Placement) -> tuple[PBHReport, ...]:
-    spectrum = {"eigenvalues": plant.eigenvalues, "eigenvectors": plant.eigenvectors}
     reports = []
     for v, mode, pair in (
         (placement.b_unit, "stabilizability", "(A, b)"),
         (placement.c_unit, "detectability", "(A, c)"),
     ):
-        report = pbh_check(plant.A, v, mode, **spectrum)
+        report = pbh_check(plant.A, v, mode, **plant.spectrum)
         if not report.ok:
             lam = min(report.tested, key=lambda t: t[1])[0]
             raise PBHViolation(
@@ -453,30 +523,33 @@ class _ModalFallback(Exception):
     """Why a modal Riccati solve hands over to the Hamiltonian path."""
 
 
-def _modal_care(A, lam, Theta, gain, v, modal=None) -> tuple[np.ndarray, float, ClosedLoop]:
-    """``_solve_care(A, gain v v^T, I)`` for symmetric A = Theta diag(lam) Theta^T.
+def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, ClosedLoop]:
+    """``_solve_care(A, gain v v^T, I)`` for symmetric A in the coordinates of
+    its eigenbasis ``modal.basis`` (Theta), where A is diag(lam); beta is
+    Theta^T v. Returns (P~, residual, loop) with P~ = Theta^T P Theta and the
+    loop F~ = diag(lam) - gain beta (P~ beta)^T = Theta^T (A - gain v v^T P) Theta.
 
-    With beta = Theta^T v the closed loop in modal coordinates is
-    diag(lam) - beta k~^T, k~ = gain Theta^T P v. Its poles p_k = -sigma_k
-    follow from Kalman's return-difference identity: sigma_k^2 are the
-    eigenvalues of diag(lam)^2 + gain beta beta^T, a secular equation that
-    LAPACK ``dlasd4`` solves together with every difference |lam_i| - sigma_k
-    to high relative accuracy (Gu and Eisenstat, SIMAX 16(1), 1995), so
-    lam_i - p_k is exact to a few ulps. Pole placement gives the residues
-    k~_i beta_i = prod_k (lam_i - p_k) / prod_{j != i} (lam_i - lam_j), the
-    right eigenvectors V_ik = beta_i / (lam_i - p_k) (columns scaled to unit
-    norm) and the left ones k~_i / (lam_i - p_k), whose rescaled transpose
-    is V^-1. A mode with |beta_i| <= 8u is decoupled exactly: k~_i = 0 and
-    its pole is lam_i. With W = Theta V and g = Theta k~, P is the modal
-    solve of (A - v g^T)^T P + P (A - v g^T) + g g^T / gain + I = 0, and the
-    loop kept is A - (gain v v^T) P. ``modal`` (``Plant.modal``) is read when
-    no mode decouples; else the coupled modes' ``modal_basis`` is taken.
+    With k~ = gain P~ beta the loop is diag(lam) - beta k~^T. Its poles
+    p_k = -sigma_k follow from Kalman's return-difference identity: sigma_k^2
+    are the eigenvalues of diag(lam)^2 + gain beta beta^T, a secular equation
+    that LAPACK ``dlasd4`` solves together with every difference
+    |lam_i| - sigma_k to high relative accuracy (Gu and Eisenstat, SIMAX
+    16(1), 1995), so lam_i - p_k is exact to a few ulps. Pole placement gives
+    the residues k~_i beta_i = prod_k (lam_i - p_k) / prod_{j != i} (lam_i - lam_j),
+    the right eigenvectors V_ik = beta_i / (lam_i - p_k) (columns scaled to
+    unit norm) and the left ones k~_i / (lam_i - p_k), whose rescaled
+    transpose is V^-1. A mode with |beta_i| <= 8u is decoupled exactly:
+    k~_i = 0, its pole is lam_i and its column of V is e_i. P~ is the modal
+    solve of F~^T P~ + P~ F~ + k~ k~^T / gain + I = 0.
 
-    P is certified as the Hamiltonian path certifies it: poles left of
-    -1e-12 and the CARE residual within 1e-10 * (1 + |P|_F^2), which a
-    non-finite P fails. The formed loop F is then certified Hurwitz: by
-    Bauer-Fike (Numer. Math. 2, 1960), when -max p exceeds 1e-12 by more than
-    |W|_F |W^-1|_F |F - W diag(p) W^-1|_F, else on its Schur form, which the
+    Every certificate is the Hamiltonian path's, taken in O(n^2) from lam
+    and the rank-one term; the Frobenius norm does not see Theta. The poles
+    must lie left of -1e-12, the CARE residual
+    diag(lam) P~ + P~ diag(lam) - gain (P~ beta)(P~ beta)^T + I within
+    1e-10 * (1 + |P~|_F^2) (a non-finite P~ fails it), and the formed loop F~
+    is certified Hurwitz: by Bauer-Fike (Numer. Math. 2, 1960) applied to
+    V^-1 F~ V = diag(p) + V^-1 R, R = F~ V - V diag(p), when -max p exceeds
+    1e-12 by more than |V^-1|_F |R|_F, else on its Schur form, which the
     loop keeps. Every later solve on the loop carries the Lyapunov
     certificate.
 
@@ -490,20 +563,24 @@ def _modal_care(A, lam, Theta, gain, v, modal=None) -> tuple[np.ndarray, float, 
     """
     if gain == 0.0:
         raise _ModalFallback("W = 0")
-    beta = Theta.T @ v
-    coupled = np.abs(beta) > _DEFLATE_TOL
-    rest = np.flatnonzero(~coupled)
-    if np.any(lam[rest] >= 0.0):
-        raise _ModalFallback("a decoupled mode has lambda >= 0")
-    if rest.size or modal is None:
-        modal = modal_basis(lam, Theta, np.flatnonzero(coupled))
-    idx, lam_a, d, Theta_a, gaps, separated, eye = modal
-    if not separated:
+    lam, n = modal.lam, modal.lam.size
+    if np.abs(beta).min() > _DEFLATE_TOL:
+        idx, block = slice(None), (slice(None), slice(None))
+        d, gaps, split = modal.d, modal.gaps, modal.separated
+    else:
+        coupled = np.abs(beta) > _DEFLATE_TOL
+        if np.any(lam[~coupled] >= 0.0):
+            raise _ModalFallback("a decoupled mode has lambda >= 0")
+        idx = np.flatnonzero(coupled)
+        block = np.ix_(idx, idx)
+        d, gaps = modal.d[idx], modal.gaps[block]
+        split = separated(d)
+    if not split:
         raise _ModalFallback("|lambda| not separated by 1e-8 * max |lambda|")
-    beta_a = beta[idx]
-    norm = float(np.linalg.norm(beta_a))
+    lam_a, beta_a = lam[idx], beta[idx]
+    norm = math.sqrt(beta_a @ beta_a)
     z, rho = beta_a / norm, gain * norm**2
-    m = idx.size
+    m = beta_a.size
     sigma = np.empty(m)
     below = np.empty((m, m))  # below[k, i] = d_i - sigma_k
     for k in range(m):
@@ -512,37 +589,70 @@ def _modal_care(A, lam, Theta, gain, v, modal=None) -> tuple[np.ndarray, float, 
             raise _ModalFallback(f"dlasd4 info = {info}")
     if m == 1:  # dlasd4 returns DELTA = 1, an eigenvector entry, for one mode
         below[0, 0] = -rho / (d[0] + sigma[0])
-    # Coupled modes first, then the decoupled ones, which keep their pole.
-    p = np.concatenate([-sigma, lam[rest]])
-    top = float(np.max(p))
+    if m == n:
+        p = -sigma
+    else:  # a decoupled mode keeps its pole
+        p = lam.copy()
+        p[idx] = -sigma
+    top = float(p.max())
     if not -top > HURWITZ_MARGIN:
         raise _ModalFallback(f"closed loop not Hurwitz: max pole {top:.3e}")
-    diff = np.where(lam_a[:, None] <= 0.0, -below.T, d[:, None] + sigma)  # lam_i - p_k
+    diff = -below.T  # lam_i - p_k, read off d_i + sigma_k where lam_i > 0
+    up = lam_a > 0.0
+    if up.any():
+        diff[up] = d[up, None] + sigma
+    eye = modal.eye
     with np.errstate(all="ignore"):
-        k_a = np.prod(diff / gaps, axis=1) / beta_a
-        V = beta_a[:, None] / diff
-        V /= np.linalg.norm(V, axis=0)
+        k_a = (diff / gaps).prod(axis=1) / beta_a
+        V_a = beta_a[:, None] / diff
+        V_a /= np.sqrt(np.einsum("ij,ij->j", V_a, V_a))
         U = k_a[:, None] / diff
-        Vinv = (U / np.sum(U * V, axis=0)).T
-        W = np.hstack([Theta_a @ V, Theta[:, rest]])
-        Winv = np.vstack([Vinv @ Theta_a.T, Theta[:, rest].T])
-        g = Theta_a @ k_a
-        P = _modal_lyapunov(W, Winv, p, np.outer(g, g) / gain + eye, transpose=True)
+        Vinv_a = (U / np.einsum("ij,ij->j", U, V_a)).T
+        V, Vinv, k = V_a, Vinv_a, k_a
+        if m < n:
+            V, Vinv, k = eye.copy(), eye.copy(), np.zeros(n)
+            V[block], Vinv[block], k[idx] = V_a, Vinv_a, k_a
+        P = _modal_lyapunov(V, Vinv, p, k[:, None] * (k / gain) + eye, transpose=True)
         P = 0.5 * (P + P.T)
-        Wv = gain * np.outer(v, v)
-        try:
-            res = _certified_care(A, Wv, eye, P)
-        except NonConvergence as exc:
-            raise _ModalFallback(str(exc)) from exc
-        loop = ClosedLoop(A - Wv @ P, (W, Winv, p))
-        E = loop.F - (W * p) @ Winv
-        spread = np.sqrt(np.vdot(W, W) * np.vdot(Winv, Winv) * np.vdot(E, E))
+    res = update_residual(modal.sums, 0.5 * gain * (P @ beta), beta, eye, P)
+    try:
+        _certify("CARE", res, _care_tol(P))
+    except NonConvergence as exc:
+        raise _ModalFallback(str(exc)) from exc
+    # P~ is finite from here on.
+    loop = _rank_one_loop(modal, gain, beta, P, (V, Vinv, p))
+    _, u, w = loop.update
+    R = u[:, None] * -(w @ V)
+    R[block] += diff * V_a
+    spread = math.sqrt(np.vdot(Vinv, Vinv) * np.vdot(R, R))
     if not -top - spread > HURWITZ_MARGIN:
         try:
             loop._schur  # the formed F decides, as on the Hamiltonian path
         except NotHurwitz as exc:
             raise _ModalFallback(f"formed loop: {exc}") from exc
     return P, res, loop
+
+
+def _rank_one_loop(modal: Modal, gain: float, beta, P, modes=None) -> ClosedLoop:
+    """The loop diag(lam) - u w^T, u = gain beta, w = P~ beta, in the
+    eigenbasis, kept with that rank-one form as its ``update``."""
+    u, w = gain * beta, P @ beta
+    F = u[:, None] * -w
+    F.flat[:: F.shape[0] + 1] += modal.lam
+    return ClosedLoop(F, modes, (modal.sums, u, w))
+
+
+def _into_eigenbasis(modal: Modal, gain: float, beta, P, loop: ClosedLoop):
+    """A Hamiltonian-path solution (P, loop) carried into ``_modal_care``'s
+    coordinates by the congruence with Theta: P~ = Theta^T P Theta, the loop
+    diag(lam) - gain beta (P~ beta)^T, and its Schur vectors Theta^T u."""
+    Theta = modal.basis
+    P = Theta.T @ P @ Theta
+    P = 0.5 * (P + P.T)
+    r, q = loop._schur
+    moved = _rank_one_loop(modal, gain, beta, P)
+    vars(moved)["_schur"] = (r, Theta.T @ q)
+    return P, moved
 
 
 def gain_pair(plant: Plant, placement: Placement) -> GainPair:
@@ -555,7 +665,8 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     of the filter loop A - delta Sigma C. On a symmetric plant each side is
     solved in the plant's eigenbasis (``_modal_care``), and a side whose
     modal solve fails takes the Hamiltonian path, with the reason in
-    ``GainPair.fallback``; a non-symmetric plant takes the Hamiltonian path.
+    ``GainPair.fallback``, and is carried into the eigenbasis; the pair is
+    held there. A non-symmetric plant takes the Hamiltonian path.
 
     Raises
     ------
@@ -565,24 +676,27 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
         Propagated from the Hamiltonian CARE solver.
     """
     pbh = _require_pbh(plant, placement)
+    modal = plant.modal
     solved, fallbacks = [], []
     for side, A, gain, v in (
         ("regulator", plant.A, plant.epsilon, placement.b_unit),
         ("filter", plant.A.T, plant.delta, placement.c_unit),
     ):
-        if plant.eigenvectors is not None:
+        if modal is not None:
+            beta = modal.basis.T @ v
             try:
-                solved.append(_modal_care(
-                    A, plant.eigenvalues, plant.eigenvectors, gain, v, plant.modal
-                ))
+                solved.append(_modal_care(modal, gain, beta))
                 continue
             except _ModalFallback as exc:
                 fallbacks.append(f"{side}: {exc}")
-        solved.append(_solve_care(A, gain * np.outer(v, v), np.eye(plant.n)))
+        P, res, loop = _solve_care(A, gain * np.outer(v, v), np.eye(plant.n))
+        if modal is not None:
+            P, loop = _into_eigenbasis(modal, gain, beta, P, loop)
+        solved.append((P, res, loop))
     (K, res_K, loop_K), (Sigma, res_S, loop_S) = solved
-    return GainPair(
-        K, Sigma, res_K, res_S, loop_K, loop_S, "; ".join(fallbacks) or None, pbh
-    )
+    basis = None if modal is None else modal.basis
+    fallback = "; ".join(fallbacks) or None
+    return GainPair(K, Sigma, res_K, res_S, loop_K, loop_S, fallback, pbh, basis)
 
 
 def adjoint_pair(plant: Plant, placement: Placement, gains: GainPair) -> AdjointPair:
@@ -591,16 +705,19 @@ def adjoint_pair(plant: Plant, placement: Placement, gains: GainPair) -> Adjoint
     M solves (A - eps B K) M + M (A - eps B K)^T + Sigma C Sigma = 0 on
     ``gains.loop_K`` and N solves
     (A - delta Sigma C)^T N + N (A - delta Sigma C) + K B K = 0 on
-    ``gains.loop_Sigma``, so neither loop is factored again.
+    ``gains.loop_Sigma``, so neither loop is factored again; both are solved
+    and held in the coordinates of the gain pair.
     """
     S_forcing, K_forcing = adjoint_forcings(gains, placement)
     M, res_M = gains.loop_K.solve(S_forcing)
     N, res_N = gains.loop_Sigma.solve(K_forcing)
-    return AdjointPair(M, N, res_M, res_N)
+    return AdjointPair(M, N, res_M, res_N, gains.basis)
 
 
 def adjoint_forcings(gains: GainPair, placement: Placement):
-    """(Sigma C Sigma, K B K) as outer products of Sigma c and K b: symmetric
-    to the bit, without the cancellation of two products with a large Sigma."""
-    s, k = gains.Sigma @ placement.c_unit, gains.K @ placement.b_unit
-    return np.outer(s, s), np.outer(k, k)
+    """(Sigma C Sigma, K B K) in the pair's coordinates, as outer products of
+    Sigma c and K b: symmetric to the bit, without the cancellation of two
+    products with a large Sigma."""
+    s = gains.Sigma_tilde @ gains.coords(placement.c_unit)
+    k = gains.K_tilde @ gains.coords(placement.b_unit)
+    return s[:, None] * s, k[:, None] * k

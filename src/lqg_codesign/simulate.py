@@ -281,6 +281,6 @@ def estimate_eta(plant: Plant, placement: Placement, cfg: SimConfig) -> SimResul
         eta_hat=eta_hat,
         stderr=stderr,
         per_path=per_path,
-        phi_reference=phi_from_gains(plant.A, gains),
+        phi_reference=phi_from_gains(plant, gains),
         flags=tuple(flags),
     )

@@ -219,6 +219,15 @@ class TestNonFiniteInput:
             ("flow", "flow", "max_iters", True),
             ("solve", None, "seed", True),
             ("flow", None, "n_starts", True),
+            # and the reals are JSON numbers: no bool read as 0/1, no string parsed
+            ("solve", None, "epsilon", True),
+            ("solve", None, "delta", "0.5"),
+            ("flow", "flow", "grad_tol", True),
+            ("simulate", "sim", "dt", "0.01"),
+            ("simulate", "sim", "horizon_T", "20.0"),
+            ("simulate", "sim", "burn_in", "1"),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, 1, True], [1, 2, 1.0]]}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, 1, "1.5"], [1, 2, 1.0]]}),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):

@@ -55,6 +55,7 @@ from lqg_codesign.equilibria import (
     eq19_residual,
     zero_gain_field,
 )
+from lqg_codesign.cost import drive_matrices
 from lqg_codesign.riccati import ClosedLoop
 
 
@@ -503,6 +504,7 @@ def _four_solve_hessian(plant: Plant, placement: Placement, report) -> np.ndarra
     """``hessian_matrix`` with all four solves per direction, the identically
     zero ones included: the formula that skipping them must keep bit for bit."""
     grad = gradient(plant, placement, report=report)
+    S_b, S_c = drive_matrices(report.gains, report.adjoints)
     K, S = report.gains.K, report.gains.Sigma
     M, N = report.adjoints.M, report.adjoints.N
     loop_K, loop_S = report.gains.loop_K, report.gains.loop_Sigma
@@ -527,8 +529,8 @@ def _four_solve_hessian(plant: Plant, placement: Placement, report) -> np.ndarra
         X_b = dK @ M @ K + K @ dM @ K + K @ M @ dK
         X_c = dS @ N @ S + S @ dN @ S + S @ N @ dS
         dS_b, dS_c = 0.5 * (X_b + X_b.T), 0.5 * (X_c + X_c.T)
-        dg_b = dS_b @ b + grad.S_b @ d_b - (b @ grad.S_b @ b) * d_b
-        dg_c = dS_c @ c + grad.S_c @ d_c - (c @ grad.S_c @ c) * d_c
+        dg_b = dS_b @ b + S_b @ d_b - (b @ S_b @ b) * d_b
+        dg_c = dS_c @ c + S_c @ d_c - (c @ S_c @ c) * d_c
         columns.append(-grad.scale * np.concatenate([U.T @ dg_b, W.T @ dg_c]))
     dim = 2 * (plant.n - 1)
     return np.reshape(columns, (dim, dim)).T

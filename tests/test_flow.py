@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 from conftest import (
     random_placement_for,
     random_symmetric_hurwitz,
@@ -27,7 +28,6 @@ from lqg_codesign import (
     riccati,
     run_flow,
 )
-from lqg_codesign.cost import drive_matrices
 from lqg_codesign.flow import (
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
@@ -42,8 +42,7 @@ _U = np.finfo(float).eps
 
 
 def _zero_gradient(n: int) -> OrbitGradient:
-    Z = np.zeros((n, n))
-    return OrbitGradient(S_b=Z, S_c=Z, r_b=np.zeros(n), r_c=np.zeros(n), norm=0.0, scale=1.0)
+    return OrbitGradient(r_b=np.zeros(n), r_c=np.zeros(n), norm=0.0, scale=1.0)
 
 
 class TestGradient:
@@ -116,8 +115,6 @@ class TestFlowStep:
         plant = Plant(np.diag([-1.0, -2.0]), 0.5, 0.5)
         placement = Placement(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         grad = OrbitGradient(
-            S_b=np.zeros((2, 2)),
-            S_c=np.zeros((2, 2)),
             r_b=np.array([0.0, -0.1]),
             r_c=np.zeros(2),
             norm=1.0,
@@ -132,8 +129,6 @@ class TestFlowStep:
         plant = Plant(np.diag([-1.0, -2.0]), 0.5, 0.5)
         placement = Placement(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         grad = OrbitGradient(
-            S_b=np.zeros((2, 2)),
-            S_c=np.zeros((2, 2)),
             r_b=np.array([-1.0, 0.0]),
             r_c=np.zeros(2),
             norm=1.0,
@@ -553,8 +548,13 @@ def test_gradient_reuses_report():
     g1 = gradient(plant, placement, report=report)
     g2 = gradient(plant, placement)
     assert np.array_equal(g1.g_b, g2.g_b)
-    S_b, S_c = drive_matrices(report.gains, report.adjoints)
-    assert np.array_equal(g1.S_b, S_b)
+    # The residuals are taken in the eigenbasis; the oracle is the field
+    # (I - b b^T) K M K b formed from the A-basis K and M.
+    K, M = report.gains.K, report.adjoints.M
+    S_b = 0.5 * (K @ M @ K + (K @ M @ K).T)
+    b = placement.b_unit
+    r_b = S_b @ b - (b @ S_b @ b) * b
+    assert la.norm(g1.r_b - r_b) <= 1e-12 * la.norm(r_b)
 
 
 def test_multi_start_threaded_matches_sequential(monkeypatch):

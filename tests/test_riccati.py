@@ -16,6 +16,7 @@ from conftest import (
 
 from lqg_codesign import (
     CodesignError,
+    GainPair,
     NoStabilizingSolution,
     NonConvergence,
     NotHurwitz,
@@ -25,6 +26,7 @@ from lqg_codesign import (
     adjoint_pair,
     cost_report,
     gain_pair,
+    gradient,
     pbh_check,
     solve_care,
     solve_lyapunov,
@@ -32,7 +34,13 @@ from lqg_codesign import (
 from lqg_codesign import riccati
 from lqg_codesign.cli import main
 from lqg_codesign.equilibria import hessian_matrix
-from lqg_codesign.riccati import care_residual, closed_loop, lyapunov_residual
+from lqg_codesign.plant import modal_basis, pbh_setup
+from lqg_codesign.riccati import (
+    ClosedLoop,
+    care_residual,
+    closed_loop,
+    lyapunov_residual,
+)
 
 
 class TestSolveCare:
@@ -446,24 +454,44 @@ def _near_pbh_boundary(rng: np.random.Generator, n: int, margin: float, symmetri
     return Plant(A, 0.5, 0.5), placement
 
 
+def _check_care_and_loop(gains, coeff, W, P, res, loop) -> None:
+    """A side of a gain pair against the A-basis certificates: P (in the
+    plant's coordinates) has a CARE residual within 1e-10 * (1 + |P|_F^2),
+    which ``res`` certifies too, and the loop is coeff - W P. Without a
+    basis the residual and the loop are those of the A-basis products to
+    the bit; in the eigenbasis Theta, Theta F Theta^T matches them within
+    1e-15 * (|A|_F + |W|_F |P|_F)."""
+    eye = np.eye(P.shape[0])
+    tol = riccati.CARE_RTOL * (1.0 + la.norm(P) ** 2)
+    assert res <= tol and care_residual(coeff, W, eye, P) <= tol
+    if gains.basis is None:
+        assert res == care_residual(coeff, W, eye, P)
+        assert np.array_equal(loop.F, coeff - W @ P)
+    else:
+        F = gains.basis @ loop.F @ gains.basis.T
+        scale = la.norm(coeff) + la.norm(W) * la.norm(P)
+        assert la.norm(F - (coeff - W @ P)) <= 1e-15 * scale
+
+
 class TestCertificates:
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_nan_care_residual_is_non_convergence(self, monkeypatch, symmetric):
         # A residual that is not finite fails the certificate on both paths:
-        # the modal solve falls back and the Hamiltonian solve raises.
+        # the modal solve (whose residual is ``update_residual`` in the
+        # eigenbasis) falls back and the Hamiltonian solve raises.
         rng = np.random.default_rng(1850)
         A = random_symmetric_hurwitz(rng, 4) if symmetric else _hurwitz(rng, 4)
         plant = Plant(A, 0.5, 0.5)
         placement = random_placement_for(rng, 4)
         assert (plant.eigenvectors is not None) == symmetric
         monkeypatch.setattr(riccati, "care_residual", lambda *args: float("nan"))
+        monkeypatch.setattr(riccati, "update_residual", lambda *args: float("nan"))
         with pytest.raises(NonConvergence, match="CARE residual nan exceeds"):
             cost_report(plant, placement)
         if symmetric:
+            beta = plant.modal.basis.T @ placement.b_unit
             with pytest.raises(riccati._ModalFallback, match="CARE residual nan exceeds"):
-                riccati._modal_care(
-                    plant.A, plant.eigenvalues, plant.eigenvectors, 0.5, placement.b_unit
-                )
+                riccati._modal_care(plant.modal, 0.5, beta)
 
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -538,8 +566,9 @@ class TestCertificates:
         assert len(calls) == 4 and g.fallback is None
         assert "_schur" in vars(g.loop_K) and "_schur" not in vars(g.loop_Sigma)
         S_forcing = riccati.adjoint_forcings(g, placement)[0]
-        M, res_M = closed_loop(g.loop_K.F).solve(S_forcing)
-        assert np.array_equal(report.adjoints.M, M)
+        schur_only = ClosedLoop(g.loop_K.F, update=g.loop_K.update)
+        M, res_M = schur_only.solve(S_forcing)
+        assert np.array_equal(report.adjoints.M_tilde, M)
         assert report.adjoints.residual_M == res_M
 
     def test_near_pbh_boundary_returns_certified_or_raises(self):
@@ -564,9 +593,7 @@ class TestCertificates:
                         (A, 0.5 * placement.B, g.K, g.residual_K, g.loop_K),
                         (A.T, 0.5 * placement.C, g.Sigma, g.residual_Sigma, g.loop_Sigma),
                     ):
-                        assert res == care_residual(coeff, W, eye, P)
-                        assert res <= riccati.CARE_RTOL * (1.0 + la.norm(P) ** 2)
-                        assert np.array_equal(loop.F, coeff - W @ P)
+                        _check_care_and_loop(g, coeff, W, P, res, loop)
                         assert loop.margin > riccati.HURWITZ_MARGIN
                         assert np.max(np.linalg.eigvals(loop.F).real) < 0.0
                     for P, res in ((adj.M, adj.residual_M), (adj.N, adj.residual_N)):
@@ -575,13 +602,15 @@ class TestCertificates:
 
     def test_modal_loops_near_pbh_boundary_are_hurwitz(self):
         # The sweep above, through gain_pair alone, which ``simulate`` calls:
-        # stable poles p do not make the formed F = A - W P Hurwitz when its
+        # stable poles p do not make the formed F Hurwitz when its
         # eigenvector matrix is ill-conditioned, so every loop handed on is
         # Hurwitz by eigvals, or gain_pair raises. A loop whose Schur form
-        # decided reads its margin off that form.
+        # decided reads its margin off that form. In the eigenbasis the
+        # Bauer-Fike bound accepts every modal loop of the sweep above; the
+        # n = 6 sweep of default_rng(1901) has one (margin 1e-4) it cannot.
         modal = schur_decided = 0
-        for n in (3, 6, 10):
-            rng = np.random.default_rng(1860 + n)
+        for seed, n in ((1863, 3), (1866, 6), (1870, 10), (1901, 6)):
+            rng = np.random.default_rng(seed)
             for margin in 10.0 ** -np.arange(2, 9):
                 for symmetric in (False, True):
                     plant, placement = _near_pbh_boundary(rng, n, margin, symmetric)
@@ -601,10 +630,10 @@ class TestCertificates:
         assert modal > 0 and schur_decided > 0
 
     def test_failed_modal_lyapunov_certificate_is_solved_on_the_schur_form(self):
-        # The sweep above, replayed. On these symmetric placements an adjoint
+        # The sweep above, replayed. On this symmetric placement an adjoint
         # solve in the modal basis fails its certificate; the same closed
         # loop's Schur form then solves it, and the report is certified.
-        rescued = {(3, 2), (3, 3), (3, 4), (6, 3), (10, 3), (10, 4)}
+        rescued = {(3, 3)}
         seen = set()
         for n in (3, 6, 10):
             rng = np.random.default_rng(1860 + n)
@@ -620,22 +649,23 @@ class TestCertificates:
                     assert g.loop_K.modes is not None
                     assert g.loop_Sigma.modes is not None
                     assert "_schur" in vars(g.loop_K) or "_schur" in vars(g.loop_Sigma)
-                    A, eye = plant.A, np.eye(n)
+                    A = plant.A
                     for coeff, W, P, res, loop in (
                         (A, 0.5 * placement.B, g.K, g.residual_K, g.loop_K),
                         (A.T, 0.5 * placement.C, g.Sigma, g.residual_Sigma, g.loop_Sigma),
                     ):
-                        assert res == care_residual(coeff, W, eye, P)
-                        assert res <= riccati.CARE_RTOL * (1.0 + la.norm(P) ** 2)
-                        assert np.array_equal(loop.F, coeff - W @ P)
+                        _check_care_and_loop(g, coeff, W, P, res, loop)
                         assert np.max(np.linalg.eigvals(loop.F).real) < 0.0
                     S_forcing, K_forcing = riccati.adjoint_forcings(g, placement)
                     for P, Q, res, loop in (
-                        (adj.M, S_forcing, adj.residual_M, g.loop_K),
-                        (adj.N, K_forcing, adj.residual_N, g.loop_Sigma),
+                        (adj.M_tilde, S_forcing, adj.residual_M, g.loop_K),
+                        (adj.N_tilde, K_forcing, adj.residual_N, g.loop_Sigma),
                     ):
-                        assert res == lyapunov_residual(loop.F, Q, P)
+                        assert res == riccati.update_residual(*loop.update, Q, P)
                         assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
+                        assert lyapunov_residual(loop.F, Q, P) <= riccati.LYAP_RTOL * (
+                            1.0 + la.norm(P)
+                        )
         assert seen == rescued
 
 
@@ -724,8 +754,9 @@ class TestModalPath:
         assert gains.fallback.startswith("regulator: |lambda| not separated")
         assert "; filter: |lambda| not separated" in gains.fallback
         assert gains.loop_K.modes is None
+        # The Hamiltonian K, carried into the eigenbasis and back.
         K = riccati._solve_care(plant.A, 0.5 * placement.B, np.eye(4))[0]
-        assert np.array_equal(gains.K, K)
+        assert la.norm(gains.K - K) <= 1e-14 * la.norm(K)
 
     def test_zero_gain_side_falls_back(self):
         # eps = 0 < delta: the regulator's W = 0 takes the Hamiltonian
@@ -742,9 +773,10 @@ class TestModalPath:
             gain_pair(unstable, Placement.normalized([1.0, 1.0], [1.0, 1.0]))
 
     def test_decoupled_unstable_mode_falls_back(self):
-        lam = np.array([-2.0, 0.5])
+        modal = modal_basis(np.array([-2.0, 0.5]), np.eye(2))
+        beta = modal.basis.T @ np.array([1.0, 0.0])
         with pytest.raises(riccati._ModalFallback, match="decoupled"):
-            riccati._modal_care(np.diag(lam), lam, np.eye(2), 1.0, np.array([1.0, 0.0]))
+            riccati._modal_care(modal, 1.0, beta)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_modal_loop_solve_matches_kronecker_oracle(self, transpose):
@@ -757,8 +789,105 @@ class TestModalPath:
         F = loop.F.T if transpose else loop.F
         expected = kron_lyapunov_solve(F, Q)
         assert la.norm(P - expected) <= 1e-12 * la.norm(expected)
-        assert res == lyapunov_residual(F, Q, P)
+        tol = riccati.LYAP_RTOL * (1.0 + la.norm(P))
+        assert res <= tol and lyapunov_residual(F, Q, P) <= tol
         assert loop.margin == pytest.approx(-np.max(np.linalg.eigvals(loop.F).real))
+
+
+def _hamiltonian_report(plant: Plant, placement: Placement) -> dict:
+    """Oracle: ``_hamiltonian_values`` plus the tangent residuals r_b, r_c of
+    the A-basis drive matrices K M K and Sigma N Sigma."""
+    values = _hamiltonian_values(plant, placement)
+    K, S, M, N = (values[key] for key in ("K", "Sigma", "M", "N"))
+    for name, X, Y, v in (("r_b", K, M, placement.b_unit), ("r_c", S, N, placement.c_unit)):
+        D = X @ Y @ X
+        D = 0.5 * (D + D.T)
+        values[name] = D @ v - (v @ D @ v) * v
+    return values
+
+
+class TestEigenbasisEvaluation:
+    """A symmetric plant is evaluated in its eigenbasis: phi, phi_bar, the
+    gradient residuals and the A-basis K, Sigma, M and N formed on demand
+    agree with the Hamiltonian path (``_solve_care`` and the Schur forms of
+    its closed loops) to 1e-9 relative."""
+
+    @staticmethod
+    def _agree(plant: Plant, placement: Placement) -> GainPair:
+        report = cost_report(plant, placement)
+        grad = gradient(plant, placement, report=report)
+        oracle = _hamiltonian_report(plant, placement)
+        got = {
+            "K": report.gains.K, "Sigma": report.gains.Sigma,
+            "M": report.adjoints.M, "N": report.adjoints.N,
+            "phi": report.phi, "r_b": grad.r_b, "r_c": grad.r_c,
+        }
+        for name, value in got.items():
+            err = la.norm(np.atleast_1d(value - oracle[name]))
+            assert err <= 1e-9 * la.norm(np.atleast_1d(oracle[name])), name
+        # phi_bar is a difference of terms of size |A| |M| |N|.
+        scale = la.norm(plant.A) * la.norm(oracle["M"]) * la.norm(oracle["N"])
+        assert abs(report.phi_bar - oracle["phi_bar"]) <= 1e-9 * scale
+        assert report.gains.basis is plant.modal.basis
+        return report.gains
+
+    @pytest.mark.parametrize("case", ["laplacian16", "random3", "random10", "random30"])
+    def test_matches_the_hamiltonian_path(self, case):
+        rng = np.random.default_rng(2600)
+        if case == "laplacian16":
+            plant = ring_laplacian_plant(rng, 16, 0.5)
+        else:
+            n = int(case[len("random"):])
+            plant = _symmetric_plant(rng, n, (-3.0, -0.3), 0.5, 0.7)
+        for _ in range(5):
+            gains = self._agree(plant, random_placement_for(rng, plant.n))
+            assert gains.fallback is None
+
+    def test_exactly_decoupled_mode(self):
+        # b is orthogonal to one eigenvector to the rounding: |beta_i| <= 8u,
+        # so that mode keeps its pole and the side stays modal.
+        rng = np.random.default_rng(2601)
+        plant = _symmetric_plant(rng, 10, (-3.0, -0.3), 0.5, 0.7)
+        theta = plant.eigenvectors[:, 4]
+        b = random_unit(rng, 10)
+        b -= (theta @ b) * theta
+        placement = Placement.normalized(b, random_unit(rng, 10))
+        beta = plant.modal.basis.T @ placement.b_unit
+        assert np.count_nonzero(np.abs(beta) <= riccati._DEFLATE_TOL) == 1
+        gains = self._agree(plant, placement)
+        assert gains.fallback is None
+        assert np.count_nonzero(np.isin(gains.loop_K.modes[2], plant.eigenvalues)) == 1
+
+    def test_one_side_falls_back(self):
+        # eps = 0 < delta: the regulator takes the Hamiltonian path (W = 0)
+        # and is carried into the eigenbasis; the filter stays modal.
+        rng = np.random.default_rng(2602)
+        plant = _symmetric_plant(rng, 10, (-3.0, -0.3), 0.0, 0.7)
+        gains = self._agree(plant, random_placement_for(rng, 10))
+        assert gains.fallback == "regulator: W = 0"
+        assert gains.loop_K.modes is None and gains.loop_Sigma.modes is not None
+
+    def test_takes_no_schur_form_and_no_svd(self, monkeypatch):
+        # A cost report and its gradient on a separated symmetric plant away
+        # from the PBH boundary: secular PBH margins, modal solves certified
+        # in O(n^2), and no factorization at all.
+        rng = np.random.default_rng(2603)
+        plant = ring_laplacian_plant(rng, 16, 0.5)
+        placement = random_placement_for(rng, 16)
+        counts = {"schur": 0, "svdvals": 0}
+        for name in counts:
+            original = getattr(la, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(la, name, counted)
+        report = cost_report(plant, placement)
+        gradient(plant, placement, report=report)
+        assert counts == {"schur": 0, "svdvals": 0}
+        assert report.gains.fallback is None
+        assert min(r.min_margin for r in report.gains.pbh) > 1e-3
 
 
 class TestAdjointPair:
@@ -822,12 +951,13 @@ class TestAdjointPair:
         assert la.norm(g.Sigma) > 1e4
         S_forcing, K_forcing = riccati.adjoint_forcings(g, placement)
         for P, Q, res, loop in (
-            (adj.M, S_forcing, adj.residual_M, g.loop_K),
-            (adj.N, K_forcing, adj.residual_N, g.loop_Sigma),
+            (adj.M_tilde, S_forcing, adj.residual_M, g.loop_K),
+            (adj.N_tilde, K_forcing, adj.residual_N, g.loop_Sigma),
         ):
             assert np.array_equal(Q, Q.T)
-            assert res == lyapunov_residual(loop.F, Q, P)
+            assert res == riccati.update_residual(*loop.update, Q, P)
             assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
+            assert lyapunov_residual(loop.F, Q, P) <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
 
 
 class TestPBHCheck:
@@ -1007,9 +1137,9 @@ class TestSecularPBH:
     def test_plant_constants_keep_the_bits(self, size):
         # test_deflation_near_the_ones_vector's placements. At size 0 every
         # mode but the zero mode decouples and the coupled modes' constants
-        # are taken per call; otherwise ``Plant.modal`` serves. Either way the
-        # gains are, to the bit, those of ``_modal_care`` taking every
-        # constant per call.
+        # are sliced from ``Plant.modal``; otherwise it serves whole. Either
+        # way the gains are, to the bit, those of ``_modal_care`` on
+        # constants taken afresh from the plant's spectrum.
         rng = np.random.default_rng(1801)
         plant = ring_laplacian_plant(rng, 16, 0.5)
         ones = np.ones(16) / 4.0
@@ -1020,25 +1150,55 @@ class TestSecularPBH:
         assert np.count_nonzero(decoupled) == (15 if size == 0.0 else 0)
         gains = gain_pair(plant, placement)
         assert gains.fallback is None
-        lam, Theta = plant.eigenvalues, plant.eigenvectors
-        for A, v, P, res, loop in (
-            (plant.A, placement.b_unit, gains.K, gains.residual_K, gains.loop_K),
-            (plant.A.T, placement.c_unit, gains.Sigma, gains.residual_Sigma, gains.loop_Sigma),
+        fresh = modal_basis(plant.eigenvalues, plant.eigenvectors)
+        for v, P, res, loop in (
+            (placement.b_unit, gains.K_tilde, gains.residual_K, gains.loop_K),
+            (placement.c_unit, gains.Sigma_tilde, gains.residual_Sigma, gains.loop_Sigma),
         ):
-            P_call, res_call, loop_call = riccati._modal_care(A, lam, Theta, 0.5, v)
+            P_call, res_call, loop_call = riccati._modal_care(fresh, 0.5, fresh.basis.T @ v)
             assert np.array_equal(P, P_call) and res == res_call
             assert np.array_equal(loop.F, loop_call.F)
-            for kept, taken in zip(loop.modes, loop_call.modes):
+            for kept, taken in zip(loop.modes + loop.update, loop_call.modes + loop_call.update):
                 assert np.array_equal(kept, taken)
 
     def test_plant_keeps_its_modal_constants(self):
         rng = np.random.default_rng(2554)
         plant = ring_laplacian_plant(rng, 6, 0.5)
-        idx, lam, d, Theta, gaps, separated, eye = plant.modal
+        basis, lam, d, sums, gaps, separated, eye = plant.modal
+        idx = np.argsort(np.abs(plant.eigenvalues))
         assert np.array_equal(np.abs(plant.eigenvalues[idx]), d) and np.all(np.diff(d) > 0.0)
         assert np.array_equal(lam, plant.eigenvalues[idx])
-        assert np.array_equal(Theta, plant.eigenvectors[:, idx])
+        assert np.array_equal(basis, plant.eigenvectors[:, idx])
         assert np.array_equal(np.diag(gaps), np.ones(6)) and separated
         assert np.array_equal(gaps - np.eye(6), lam[:, None] - lam)
+        assert np.array_equal(sums, lam[:, None] + lam)
         assert np.array_equal(eye, np.eye(6))
         assert Plant(np.array([[0.0, 1.0], [0.0, -1.0]]), 0.5, 0.5).modal is None
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_plant_pbh_setup_keeps_the_report(self, monkeypatch, symmetric):
+        # ``Plant.pbh`` is what each PBH test of the plant read of A alone:
+        # with it a test takes only beta = Theta^T v and one dlasd4 root (or
+        # SVD) per tested mode, and its report is the one taken without it,
+        # to the bit.
+        rng = np.random.default_rng(2555)
+        if symmetric:
+            plant = _symmetric_plant(rng, 12, (-2.0, 1.5), 0.5, 0.5)
+        else:
+            plant = Plant(_shifted_with_pair(rng, 12, 0.5), 0.5, 0.5)
+        threshold, tested = plant.pbh
+        assert threshold == 1e-9 * (1.0 + la.norm(plant.A))
+        assert [t[0] for t in tested] == [x for x in plant.eigenvalues if x.real >= -1e-9]
+        calls = []
+        monkeypatch.setattr(riccati, "pbh_setup", lambda *a: calls.append(a) or pbh_setup(*a))
+        for v in (random_unit(rng, 12) for _ in range(5)):
+            for mode in ("stabilizability", "detectability"):
+                taken = len(calls)
+                kept = pbh_check(plant.A, v, mode, **plant.spectrum)
+                assert len(calls) == taken
+                fresh = pbh_check(
+                    plant.A, v, mode,
+                    eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors,
+                )
+                assert kept == fresh and len(tested) > 0
+        assert len(calls) == 10

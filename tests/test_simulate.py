@@ -100,8 +100,8 @@ def _uncontrolled(a):
     placement = Placement(np.array([1.0]), np.array([1.0]))
     loop = ClosedLoop(plant.A)
     gains = GainPair(
-        K=np.zeros((1, 1)),
-        Sigma=np.zeros((1, 1)),
+        K_tilde=np.zeros((1, 1)),
+        Sigma_tilde=np.zeros((1, 1)),
         residual_K=0.0,
         residual_Sigma=0.0,
         loop_K=loop,
