@@ -15,11 +15,13 @@ descent acts on it). The sign is not guaranteed otherwise: phi_bar
 is positive at some placements of Laplacian dynamics (zero mode) and of
 non-symmetric, open-loop-unstable A (1e4 to 1e16 seen at n = 50).
 
-On a symmetric plant every quantity is evaluated in the eigenbasis the gain
-pair is held in (``riccati``), where A = diag(lam): phi = 2 sum_i lam_i
-(K~ Sigma~)_ii + tr K~ + tr Sigma~ and phi_bar = 2 sum_i lam_i (M~ N~)_ii are
-O(n^2) sums, and no A-basis matrix is formed; a non-symmetric plant's pair
-is held in A's coordinates, and the traces are formed as written above.
+On a symmetric plant (one with ``Plant.modal``) every quantity is evaluated
+in the eigenbasis the gain pair is held in (``riccati``), where
+A = diag(lam): phi = 2 sum_i lam_i (K~ Sigma~)_ii + tr K~ + tr Sigma~ and
+phi_bar = 2 sum_i lam_i (M~ N~)_ii are O(n^2) sums, and no A-basis matrix is
+formed; any other plant's pair is held in A's coordinates (``basis`` None,
+the one test of which coordinates a pair is in), and the traces are formed
+as written above.
 
 ``phi_gain_sensitivity`` differentiates phi with respect to the actuation
 gain r and the sensor SNR s at (r, s) = (epsilon, delta); both partials are
@@ -63,7 +65,7 @@ class CostReport:
 def phi_from_gains(plant: Plant, gains: GainPair) -> float:
     """Evaluate tr(A^T K Sigma + Sigma K A + K + Sigma)."""
     K, S = gains.K_tilde, gains.Sigma_tilde
-    if plant.modal is None:
+    if gains.basis is None:
         A = plant.A
         return float(np.trace(A.T @ K @ S + S @ K @ A + K + S))
     return _modal_pairing(plant, K, S) + float(K.trace() + S.trace())
@@ -72,7 +74,7 @@ def phi_from_gains(plant: Plant, gains: GainPair) -> float:
 def phi_bar_from_adjoints(plant: Plant, adjoints: AdjointPair) -> float:
     """Evaluate tr(A^T M N + N M A)."""
     M, N = adjoints.M_tilde, adjoints.N_tilde
-    if plant.modal is None:
+    if adjoints.basis is None:
         A = plant.A
         return float(np.trace(A.T @ M @ N + N @ M @ A))
     return _modal_pairing(plant, M, N)
@@ -135,7 +137,7 @@ def phi_gain_sensitivity(plant: Plant, placement: Placement) -> tuple[float, flo
     K_prime = -gains.loop_K.solve(K_forcing, transpose=True)[0]
     Sigma_prime = -gains.loop_Sigma.solve(S_forcing, transpose=True)[0]
     K, Sigma = gains.K_tilde, gains.Sigma_tilde
-    if plant.modal is not None:
+    if gains.basis is not None:
         dphi_dr = _modal_pairing(plant, Sigma, K_prime) + float(K_prime.trace())
         dphi_ds = _modal_pairing(plant, K, Sigma_prime) + float(Sigma_prime.trace())
         return dphi_dr, dphi_ds

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cost import CostReport, cost_report, drive_matrices
+from .cost import CostReport, cost_report
 from .errors import AllStartsFailed, CodesignError, DegenerateStep, NotSkew
 from .plant import Placement, Plant
 from .riccati import pbh_check
@@ -167,22 +167,20 @@ def gradient(
     if report is None:
         report = cost_report(plant, placement)
     gains, adjoints = report.gains, report.adjoints
-    b, c = placement.b_unit, placement.c_unit
-    if gains.basis is None:
-        S_b, S_c = drive_matrices(gains, adjoints)
-        r_b = S_b @ b - (b @ S_b @ b) * b
-        r_c = S_c @ c - (c @ S_c @ c) * c
-    else:
-        # In the eigenbasis Theta: r_b = Theta (S~ beta - (beta . S~ beta) beta),
-        # S~ beta = K~ (M~ (K~ beta)) by three mat-vecs, beta = Theta^T b.
-        beta, gamma = gains.coords(b), gains.coords(c)
-        Sb = gains.K_tilde @ (adjoints.M_tilde @ (gains.K_tilde @ beta))
-        Sc = gains.Sigma_tilde @ (adjoints.N_tilde @ (gains.Sigma_tilde @ gamma))
-        r_b = gains.basis @ (Sb - (beta @ Sb) * beta)
-        r_c = gains.basis @ (Sc - (gamma @ Sc) * gamma)
+    r_b = _residual(gains, gains.K_tilde, adjoints.M_tilde, placement.b_unit)
+    r_c = _residual(gains, gains.Sigma_tilde, adjoints.N_tilde, placement.c_unit)
     scale = 1.0 if is_zero_gain(plant) else plant.epsilon * plant.delta
     norm = scale * np.sqrt(2.0 * (r_b @ r_b + r_c @ r_c))
     return OrbitGradient(r_b=r_b, r_c=r_c, norm=float(norm), scale=scale)
+
+
+def _residual(gains, X: np.ndarray, Y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(I - v v^T) X Y X v for X, Y held in the coordinates of ``gains``,
+    in the plant's: with beta = v in those coordinates, s = X (Y (X beta)) by
+    three mat-vecs and s - (beta . s) beta mapped back."""
+    beta = gains.coords(v)
+    s = X @ (Y @ (X @ beta))
+    return gains.to_plant(s - (beta @ s) * beta)
 
 
 def directional_derivative(
@@ -359,8 +357,8 @@ def pbh_passing_placement(
     """
     for _ in range(max_tries):
         candidate = random_placement(plant.n, rng)
-        pbh_b = pbh_check(plant.A, candidate.b_unit, "stabilizability", **plant.spectrum)
-        pbh_c = pbh_check(plant.A, candidate.c_unit, "detectability", **plant.spectrum)
+        pbh_b = pbh_check(plant.A, candidate.b_unit, "stabilizability", setup=plant.pbh)
+        pbh_c = pbh_check(plant.A, candidate.c_unit, "detectability", setup=plant.pbh)
         if pbh_b.ok and pbh_c.ok:
             return candidate
     return None

@@ -43,6 +43,9 @@ def _unit_vector(v, name: str) -> np.ndarray:
 
 #: PBH rank threshold, relative to 1 + |A|_F.
 PBH_RANK_TOL = 1e-9
+#: Per dimension, the eigendecomposition error a symmetric plant's
+#: eigenbasis may carry (``_reproduces``).
+EIGH_RTOL = 32.0 * np.finfo(float).eps
 
 
 class Modal(NamedTuple):
@@ -77,13 +80,29 @@ def modal_basis(lam: np.ndarray, Theta: np.ndarray) -> Modal:
     return Modal(Theta[:, order], lam, d, sums, gaps, separated(d), np.eye(lam.size))
 
 
-def pbh_setup(M: np.ndarray, eigenvalues: np.ndarray, secular: bool) -> tuple:
-    """What a PBH test of M reads of M alone: the threshold
-    1e-9 * (1 + |M|_F) and, per eigenvalue lambda with Re lambda >= -1e-9,
-    (lambda, the sorted gaps |eigenvalues - lambda|, their order, whether
-    they are distinct); the gaps, which only the secular test reads, are
-    None unless ``secular``."""
-    threshold = PBH_RANK_TOL * (1.0 + float(np.linalg.norm(M)))
+class PBHSetup(NamedTuple):
+    """What a PBH test of A reads of A alone (``pbh_setup``): the rank
+    threshold, one (lambda, sorted gaps |eigenvalues - lambda|, their order,
+    whether they are distinct) per tested eigenvalue, and the eigenvectors
+    the secular margins read; the gaps and eigenvectors are None without
+    them."""
+
+    threshold: float
+    modes: tuple
+    eigenvectors: np.ndarray | None
+
+
+def pbh_setup(A, eigenvalues=None, eigenvectors=None) -> PBHSetup:
+    """The ``PBHSetup`` of A: the threshold 1e-9 * (1 + |A|_F) and every
+    eigenvalue lambda with Re lambda >= -1e-9. ``eigenvalues`` is the
+    spectrum of A, by default ``eigvals(A)``; given with it, the orthonormal
+    ``eigenvectors`` Theta of a symmetric A = Theta diag(eigenvalues) Theta^T
+    are kept for the secular margins, with the gaps those read."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    secular = eigenvalues is not None and eigenvectors is not None
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(A)
+    threshold = PBH_RANK_TOL * (1.0 + float(np.linalg.norm(A)))
     tested = []
     for lam in eigenvalues:
         if lam.real < -1e-9:
@@ -95,7 +114,18 @@ def pbh_setup(M: np.ndarray, eigenvalues: np.ndarray, secular: bool) -> tuple:
             gap = gap[order]
             distinct = bool(np.all(np.diff(gap) > 0.0))
         tested.append((lam, gap, order, distinct))
-    return threshold, tuple(tested)
+    return PBHSetup(threshold, tuple(tested), eigenvectors if secular else None)
+
+
+def _reproduces(A: np.ndarray, lam: np.ndarray, Theta: np.ndarray) -> bool:
+    """Whether ``eigh``'s A = Theta diag(lam) Theta^T holds to rounding:
+    |A Theta - Theta diag(lam)|_F <= 32 n u |A|_F and
+    |Theta^T Theta - I|_F <= 32 n u (u the float eps; LAPACK reaches about
+    2 n u on both)."""
+    tol = EIGH_RTOL * A.shape[0]
+    residual = np.linalg.norm(A @ Theta - Theta * lam)
+    drift = np.linalg.norm(Theta.T @ Theta - np.eye(A.shape[0]))
+    return bool(residual <= tol * np.linalg.norm(A) and drift <= tol)
 
 
 @dataclass(frozen=True)
@@ -106,10 +136,14 @@ class Plant:
     test on the plant (spec(A^T) = spec(A) serves detectability), and
     ``pbh`` the ``pbh_setup`` both tests share. When A is exactly symmetric
     the spectrum comes from one eigendecomposition
-    A = eigenvectors diag(eigenvalues) eigenvectors^T (ascending), which the
-    PBH tests reuse for their secular margins, and ``modal`` (its
-    ``modal_basis``) gives the coordinates ``riccati.gain_pair`` solves and
-    keeps its results in; otherwise ``eigenvectors`` and ``modal`` are None.
+    A = eigenvectors diag(eigenvalues) eigenvectors^T (ascending); otherwise
+    ``eigenvectors`` and ``modal`` are None. When that decomposition also
+    reproduces A to rounding (``_reproduces``, one n^3 check here), the PBH
+    tests reuse it for their secular margins, and ``modal`` (its
+    ``modal_basis``) gives the coordinates ``riccati.gain_pair`` solves,
+    certifies and keeps its results in: the certificates taken there are
+    then those of A's up to that rounding. Otherwise ``modal`` is None and
+    the plant takes the Hamiltonian path and the SVD margins.
     """
 
     A: np.ndarray
@@ -118,7 +152,7 @@ class Plant:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
     modal: Modal | None = field(init=False, repr=False, compare=False)
-    pbh: tuple = field(init=False, repr=False, compare=False)
+    pbh: PBHSetup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _square_matrix(self.A))
@@ -126,25 +160,18 @@ class Plant:
         object.__setattr__(self, "delta", float(self.delta))
         if not (0.0 <= self.epsilon < math.inf and 0.0 <= self.delta < math.inf):
             raise ValueError("epsilon and delta must be finite and nonnegative")
+        modal = None
         if np.array_equal(self.A, self.A.T):
             eigenvalues, eigenvectors = np.linalg.eigh(self.A)
-            modal = modal_basis(eigenvalues, eigenvectors)
+            if _reproduces(self.A, eigenvalues, eigenvectors):
+                modal = modal_basis(eigenvalues, eigenvectors)
         else:
-            eigenvalues, eigenvectors, modal = np.linalg.eigvals(self.A), None, None
+            eigenvalues, eigenvectors = np.linalg.eigvals(self.A), None
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenvectors", eigenvectors)
         object.__setattr__(self, "modal", modal)
-        pbh = pbh_setup(self.A, eigenvalues, eigenvectors is not None)
-        object.__setattr__(self, "pbh", pbh)
-
-    @property
-    def spectrum(self) -> dict:
-        """The plant's keyword arguments to ``riccati.pbh_check``."""
-        return {
-            "eigenvalues": self.eigenvalues,
-            "eigenvectors": self.eigenvectors,
-            "setup": self.pbh,
-        }
+        secular = None if modal is None else eigenvectors
+        object.__setattr__(self, "pbh", pbh_setup(self.A, eigenvalues, secular))
 
     @property
     def n(self) -> int:

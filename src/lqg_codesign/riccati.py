@@ -26,8 +26,9 @@ scipy's to the bit. Tests cross-check it against a Kronecker-vectorization
 oracle and against the integral representation
 P = int_0^inf e^{Ft} Q e^{F^T t} dt.
 
-On a plant whose A is exactly symmetric the gain pair is solved and held in
-the eigenbasis the plant computed once (``Plant.modal``), where A is
+On a plant whose A is exactly symmetric, and whose eigendecomposition
+reproduces A to rounding, the gain pair is solved and held in the
+eigenbasis the plant computed once (``Plant.modal``), where A is
 diag(lam) and each gain is rank one: the closed-loop poles are the roots of
 a secular equation (Kalman's return-difference identity), which LAPACK
 ``dlasd4`` solves to high relative accuracy, and the gain follows from the
@@ -39,10 +40,10 @@ cannot be solved this way (zero gain, |eigenvalues| not separated, a
 decoupled unstable mode, a failed certificate, a formed loop that is not
 Hurwitz) falls back to the Hamiltonian path, and ``GainPair.fallback`` says
 why; its solution is carried into the eigenbasis by the congruence with
-the eigenvectors. Non-symmetric plants take the Hamiltonian path only, in
-the coordinates of A. Either way ``GainPair`` and ``AdjointPair`` hold
-their matrices in one basis, and form K, Sigma, M and N in A's on first
-read.
+the eigenvectors, and read as itself in A's. Every other plant takes the
+Hamiltonian path only, in the coordinates of A. Either way ``GainPair`` and
+``AdjointPair`` hold their matrices in one basis, and form K, Sigma, M and
+N in A's on first read.
 
 Either path keeps its closed loop F as a ``ClosedLoop`` for every further
 solve with F or F^T: the adjoint solves and the tangent-linear Hessian
@@ -78,7 +79,7 @@ from .errors import (
     NotHurwitz,
     PBHViolation,
 )
-from .plant import Modal, Placement, Plant, pbh_setup, separated
+from .plant import Modal, PBHSetup, Placement, Plant, pbh_setup, separated
 
 _dlasd4 = la.get_lapack_funcs("lasd4", dtype=np.float64)
 
@@ -207,11 +208,13 @@ class GainPair:
     its eigenbasis (``Plant.modal.basis``, Theta), so ``K_tilde`` is
     Theta^T K Theta and the loops Theta^T F Theta; otherwise ``basis`` is
     None and they are K and F themselves. ``K`` and ``Sigma`` are formed on
-    first read. On a symmetric plant each loop keeps its ``modes``, unless
-    its side's modal solve fell back to the Hamiltonian path; ``fallback``
-    then says why ("regulator: ..." and/or "filter: ..."). It is None when
-    nothing fell back, and always for non-symmetric plants, which have the
-    Hamiltonian path only. ``pbh`` holds the PBH reports passed.
+    first read, except on a side that fell back to the Hamiltonian path,
+    which keeps the P it solved (``gain_pair``). On a symmetric plant each
+    loop keeps its ``modes``, unless its side's modal solve fell back to the
+    Hamiltonian path; ``fallback`` then says why ("regulator: ..." and/or
+    "filter: ..."). It is None when nothing fell back, and always for a
+    plant without ``modal``, which has the Hamiltonian path only. ``pbh``
+    holds the PBH reports passed.
     """
 
     K_tilde: np.ndarray
@@ -235,6 +238,10 @@ class GainPair:
     def coords(self, v: np.ndarray) -> np.ndarray:
         """A vector (or the columns of a matrix) in the pair's coordinates."""
         return v if self.basis is None else self.basis.T @ v
+
+    def to_plant(self, x: np.ndarray) -> np.ndarray:
+        """A vector in the pair's coordinates, in the plant's."""
+        return x if self.basis is None else self.basis @ x
 
 
 @dataclass(frozen=True)
@@ -448,25 +455,22 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
     return P, _certified_care(A, W, Q, P), loop
 
 
-def pbh_check(
-    A, v, mode: str, *, eigenvalues=None, eigenvectors=None, setup=None
-) -> PBHReport:
+def pbh_check(A, v, mode: str, *, setup: PBHSetup | None = None) -> PBHReport:
     """PBH rank test of (A, v) for stabilizability or detectability.
 
     For every eigenvalue lambda of A with Re(lambda) >= 0 (numerically,
     >= -1e-9 so that marginal modes such as a Laplacian zero eigenvalue are
     included), checks rank [A - lambda*I, v] = n; detectability runs the same
     test on A^T. The reported margin per eigenvalue is the smallest singular
-    value of the augmented matrix. ``eigenvalues``, when given, is the
-    spectrum of A (``Plant.eigenvalues``), which both modes share. With them,
-    the ``eigenvectors`` Theta of a symmetric A = Theta diag(lam) Theta^T
-    (``Plant.eigenvectors``) give the margin as the smallest root (``dlasd4``)
-    of a secular equation: its square is the least eigenvalue of
-    diag(lam - lambda)^2 + beta beta^T, beta = Theta^T v. An SVD gives it
-    when some |beta_j| <= 8u or the |lam_j - lambda| are not distinct.
-    ``setup``, the ``plant.pbh_setup`` of A and the same ``eigenvalues``
-    (``Plant.pbh``), saves taking it per call; ``Plant.spectrum`` passes all
-    three.
+    value of the augmented matrix. ``setup`` is what the test reads of A
+    alone (``plant.pbh_setup``; ``Plant.pbh`` for a plant, which both modes
+    share, as spec(A^T) = spec(A)); without it the test takes
+    ``pbh_setup`` of A (of A^T for detectability) itself. When the setup
+    holds the eigenvectors Theta of a symmetric A = Theta diag(lam) Theta^T,
+    the margin is the smallest root (``dlasd4``) of a secular equation: its
+    square is the least eigenvalue of diag(lam - lambda)^2 + beta beta^T,
+    beta = Theta^T v. An SVD gives it when some |beta_j| <= 8u or the
+    |lam_j - lambda| are not distinct.
     """
     if mode not in ("stabilizability", "detectability"):
         raise ValueError(f"unknown PBH mode {mode!r}")
@@ -475,18 +479,15 @@ def pbh_check(
     if v @ v == 0.0:
         raise ValueError("PBH test vector must be nonzero")
     M = A if mode == "stabilizability" else A.T
-    secular = eigenvalues is not None and eigenvectors is not None
+    if setup is None:
+        setup = pbh_setup(M)
+    threshold, modes, eigenvectors = setup
     z = None
-    if secular:
+    if eigenvectors is not None:
         beta = eigenvectors.T @ v
         if np.abs(beta).min() > _DEFLATE_TOL:  # dlasd4 needs every z_j nonzero
             norm = math.sqrt(beta @ beta)
             z, rho = beta / norm, norm**2
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(M)
-    if setup is None:
-        setup = pbh_setup(M, eigenvalues, secular)
-    threshold, modes = setup
 
     tested = []
     for lam, gap, order, distinct in modes:
@@ -508,7 +509,7 @@ def _require_pbh(plant: Plant, placement: Placement) -> tuple[PBHReport, ...]:
         (placement.b_unit, "stabilizability", "(A, b)"),
         (placement.c_unit, "detectability", "(A, c)"),
     ):
-        report = pbh_check(plant.A, v, mode, **plant.spectrum)
+        report = pbh_check(plant.A, v, mode, setup=plant.pbh)
         if not report.ok:
             lam = min(report.tested, key=lambda t: t[1])[0]
             raise PBHViolation(
@@ -666,7 +667,8 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     solved in the plant's eigenbasis (``_modal_care``), and a side whose
     modal solve fails takes the Hamiltonian path, with the reason in
     ``GainPair.fallback``, and is carried into the eigenbasis; the pair is
-    held there. A non-symmetric plant takes the Hamiltonian path.
+    held there, and that side's ``K`` (or ``Sigma``) is the Hamiltonian
+    solution itself. A plant without ``modal`` takes the Hamiltonian path.
 
     Raises
     ------
@@ -677,10 +679,10 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     """
     pbh = _require_pbh(plant, placement)
     modal = plant.modal
-    solved, fallbacks = [], []
-    for side, A, gain, v in (
-        ("regulator", plant.A, plant.epsilon, placement.b_unit),
-        ("filter", plant.A.T, plant.delta, placement.c_unit),
+    solved, fallbacks, hamiltonian = [], [], {}
+    for side, name, A, gain, v in (
+        ("regulator", "K", plant.A, plant.epsilon, placement.b_unit),
+        ("filter", "Sigma", plant.A.T, plant.delta, placement.c_unit),
     ):
         if modal is not None:
             beta = modal.basis.T @ v
@@ -691,12 +693,15 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
                 fallbacks.append(f"{side}: {exc}")
         P, res, loop = _solve_care(A, gain * np.outer(v, v), np.eye(plant.n))
         if modal is not None:
+            hamiltonian[name] = P
             P, loop = _into_eigenbasis(modal, gain, beta, P, loop)
         solved.append((P, res, loop))
     (K, res_K, loop_K), (Sigma, res_S, loop_S) = solved
     basis = None if modal is None else modal.basis
     fallback = "; ".join(fallbacks) or None
-    return GainPair(K, Sigma, res_K, res_S, loop_K, loop_S, fallback, pbh, basis)
+    pair = GainPair(K, Sigma, res_K, res_S, loop_K, loop_S, fallback, pbh, basis)
+    vars(pair).update(hamiltonian)  # a side that fell back reads its own P
+    return pair
 
 
 def adjoint_pair(plant: Plant, placement: Placement, gains: GainPair) -> AdjointPair:

@@ -321,7 +321,7 @@ class TestSolveCommand:
             ("stabilizability", placement.b_unit),
             ("detectability", placement.c_unit),
         ):
-            rep = original(plant.A, v, mode, eigenvalues=plant.eigenvalues)
+            rep = original(plant.A, v, mode, setup=plant.pbh)
             tested = [
                 {"eigenvalue_re": lam.real, "eigenvalue_im": lam.imag, "margin": margin}
                 for lam, margin in rep.tested

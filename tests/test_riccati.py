@@ -754,9 +754,11 @@ class TestModalPath:
         assert gains.fallback.startswith("regulator: |lambda| not separated")
         assert "; filter: |lambda| not separated" in gains.fallback
         assert gains.loop_K.modes is None
-        # The Hamiltonian K, carried into the eigenbasis and back.
+        # A side that fell back reads the Hamiltonian solution itself.
         K = riccati._solve_care(plant.A, 0.5 * placement.B, np.eye(4))[0]
-        assert la.norm(gains.K - K) <= 1e-14 * la.norm(K)
+        assert np.array_equal(gains.K, K)
+        Sigma = riccati._solve_care(plant.A.T, 0.5 * placement.C, np.eye(4))[0]
+        assert np.array_equal(gains.Sigma, Sigma)
 
     def test_zero_gain_side_falls_back(self):
         # eps = 0 < delta: the regulator's W = 0 takes the Hamiltonian
@@ -789,6 +791,10 @@ class TestModalPath:
         F = loop.F.T if transpose else loop.F
         expected = kron_lyapunov_solve(F, Q)
         assert la.norm(P - expected) <= 1e-12 * la.norm(expected)
+        # The returned residual is the rank-one form's, to the bit; the dense
+        # residual of F is within the same tolerance.
+        S, u, w = loop.update
+        assert res == riccati.update_residual(S, *((w, u) if transpose else (u, w)), Q, P)
         tol = riccati.LYAP_RTOL * (1.0 + la.norm(P))
         assert res <= tol and lyapunov_residual(F, Q, P) <= tol
         assert loop.margin == pytest.approx(-np.max(np.linalg.eigvals(loop.F).real))
@@ -888,6 +894,33 @@ class TestEigenbasisEvaluation:
         assert counts == {"schur": 0, "svdvals": 0}
         assert report.gains.fallback is None
         assert min(r.min_margin for r in report.gains.pbh) > 1e-3
+
+    @pytest.mark.parametrize("skew", [1e-16, 1e-12])
+    def test_eigenbasis_must_reproduce_the_plant(self, monkeypatch, skew):
+        # The eigenbasis certificates stand for A's only when eigh's
+        # A = Theta diag(lam) Theta^T holds to rounding (32 n u). A Theta
+        # skewed by 1e-12 misses that: the plant then takes no modal basis
+        # and no secular margins, and is evaluated in A's coordinates.
+        rng = np.random.default_rng(2604)
+        A = _symmetric_plant(rng, 6, (-3.0, -0.3), 0.5, 0.7).A
+        placement = random_placement_for(rng, 6)
+        eigh = np.linalg.eigh
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                np.linalg, "eigh", lambda M: (eigh(M)[0], eigh(M)[1] + skew * np.eye(6))
+            )
+            plant = Plant(A, 0.5, 0.7)
+        assert plant.eigenvectors is not None
+        if skew < 1e-13:
+            assert plant.modal is not None
+            assert plant.pbh.eigenvectors is plant.eigenvectors
+            return
+        assert plant.modal is None and plant.pbh.eigenvectors is None
+        report = cost_report(plant, placement)
+        assert report.gains.basis is None and report.gains.fallback is None
+        exact = cost_report(Plant(A, 0.5, 0.7), placement)
+        assert exact.gains.basis is not None
+        assert abs(report.phi - exact.phi) <= 1e-12 * abs(exact.phi)
 
 
 class TestAdjointPair:
@@ -1039,15 +1072,13 @@ class TestSecularPBH:
         ]
         secular_roots = 0
         for plant in plants:
+            svd_setup = pbh_setup(plant.A, plant.eigenvalues)
             tol = 1e-14 * (1.0 + la.norm(plant.A))
             for tilt in (1.0, 1e-3, 1e-6, 1e-9, 1e-12):
                 for v in _top_mode_tilts(rng, plant, tilt):
                     for mode in ("stabilizability", "detectability"):
-                        secular = pbh_check(
-                            plant.A, v, mode,
-                            eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors,
-                        )
-                        svd = pbh_check(plant.A, v, mode, eigenvalues=plant.eigenvalues)
+                        secular = pbh_check(plant.A, v, mode, setup=plant.pbh)
+                        svd = pbh_check(plant.A, v, mode, setup=svd_setup)
                         assert secular.ok == svd.ok
                         assert [t[0] for t in secular.tested] == [t[0] for t in svd.tested]
                         for (_, got), (_, want) in zip(secular.tested, svd.tested):
@@ -1064,10 +1095,7 @@ class TestSecularPBH:
         rng = np.random.default_rng(2551)
         plant = ring_laplacian_plant(rng, 16, 0.5)
         v = _top_mode_tilts(rng, plant, 1e-12)[1]
-        report = pbh_check(
-            plant.A, v, "stabilizability",
-            eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors,
-        )
+        report = pbh_check(plant.A, v, "stabilizability", setup=plant.pbh)
         assert not report.ok and 0.0 < report.min_margin < 1e-11
         with pytest.raises(PBHViolation):
             gain_pair(plant, Placement(v, v))
@@ -1085,11 +1113,9 @@ class TestSecularPBH:
         for A, v in cases:
             plant = Plant(A, 0.5, 0.5)
             for mode in ("stabilizability", "detectability"):
-                report = pbh_check(
-                    A, v, mode, eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors
-                )
+                report = pbh_check(A, v, mode, setup=plant.pbh)
                 assert not report.ok and report.min_margin < 1e-15
-                assert report == pbh_check(A, v, mode, eigenvalues=plant.eigenvalues)
+                assert report == pbh_check(A, v, mode, setup=pbh_setup(A, plant.eigenvalues))
             with pytest.raises(PBHViolation):
                 gain_pair(plant, Placement(v, v))
         assert calls == []
@@ -1106,19 +1132,15 @@ class TestSecularPBH:
         ring_plant = Plant(ring - np.diag(ring.sum(axis=1)), 0.5, 0.5)
         v = random_unit(rng, 4)
         for mode in ("stabilizability", "detectability"):
-            report = pbh_check(
-                ring_plant.A, v, mode,
-                eigenvalues=ring_plant.eigenvalues, eigenvectors=ring_plant.eigenvectors,
-            )
-            assert report == pbh_check(ring_plant.A, v, mode, eigenvalues=ring_plant.eigenvalues)
+            report = pbh_check(ring_plant.A, v, mode, setup=ring_plant.pbh)
+            svd_setup = pbh_setup(ring_plant.A, ring_plant.eigenvalues)
+            assert report == pbh_check(ring_plant.A, v, mode, setup=svd_setup)
         assert calls == []
         plant = Plant(np.diag([1.0, 0.0, -1.0]), 0.5, 0.5)
         v = random_unit(rng, 3)
-        report = pbh_check(
-            plant.A, v, "stabilizability",
-            eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors,
-        )
-        svd = pbh_check(plant.A, v, "stabilizability", eigenvalues=plant.eigenvalues)
+        report = pbh_check(plant.A, v, "stabilizability", setup=plant.pbh)
+        svd_setup = pbh_setup(plant.A, plant.eigenvalues)
+        svd = pbh_check(plant.A, v, "stabilizability", setup=svd_setup)
         assert [t[0] for t in report.tested] == [0.0, 1.0]
         assert report.tested[0] == svd.tested[0]  # the tie at 0
         assert abs(report.tested[1][1] - svd.tested[1][1]) <= 1e-14 * (1.0 + la.norm(plant.A))
@@ -1129,7 +1151,9 @@ class TestSecularPBH:
         plant = ring_laplacian_plant(rng, 8, 0.5)
         v = random_unit(rng, 8)
         calls = _dlasd4_calls(monkeypatch)
-        report = pbh_check(plant.A, v, "stabilizability", eigenvectors=plant.eigenvectors)
+        setup = pbh_setup(plant.A, eigenvectors=plant.eigenvectors)
+        assert setup.eigenvectors is None
+        report = pbh_check(plant.A, v, "stabilizability", setup=setup)
         assert report == pbh_check(plant.A, v, "stabilizability")
         assert calls == []
 
@@ -1186,19 +1210,18 @@ class TestSecularPBH:
             plant = _symmetric_plant(rng, 12, (-2.0, 1.5), 0.5, 0.5)
         else:
             plant = Plant(_shifted_with_pair(rng, 12, 0.5), 0.5, 0.5)
-        threshold, tested = plant.pbh
+        threshold, tested, eigenvectors = plant.pbh
         assert threshold == 1e-9 * (1.0 + la.norm(plant.A))
         assert [t[0] for t in tested] == [x for x in plant.eigenvalues if x.real >= -1e-9]
+        assert eigenvectors is plant.eigenvectors
         calls = []
         monkeypatch.setattr(riccati, "pbh_setup", lambda *a: calls.append(a) or pbh_setup(*a))
         for v in (random_unit(rng, 12) for _ in range(5)):
             for mode in ("stabilizability", "detectability"):
-                taken = len(calls)
-                kept = pbh_check(plant.A, v, mode, **plant.spectrum)
-                assert len(calls) == taken
-                fresh = pbh_check(
-                    plant.A, v, mode,
-                    eigenvalues=plant.eigenvalues, eigenvectors=plant.eigenvectors,
-                )
+                kept = pbh_check(plant.A, v, mode, setup=plant.pbh)
+                setup = pbh_setup(plant.A, plant.eigenvalues, plant.eigenvectors)
+                fresh = pbh_check(plant.A, v, mode, setup=setup)
                 assert kept == fresh and len(tested) > 0
-        assert len(calls) == 10
+        assert calls == []
+        pbh_check(plant.A, v, "stabilizability")  # without a setup it takes one
+        assert len(calls) == 1
