@@ -15,13 +15,14 @@ descent acts on it). The sign is not guaranteed otherwise: phi_bar
 is positive at some placements of Laplacian dynamics (zero mode) and of
 non-symmetric, open-loop-unstable A (1e4 to 1e16 seen at n = 50).
 
-On a symmetric plant (one with ``Plant.modal``) every quantity is evaluated
-in the eigenbasis the gain pair is held in (``riccati``), where
-A = diag(lam): phi = 2 sum_i lam_i (K~ Sigma~)_ii + tr K~ + tr Sigma~ and
-phi_bar = 2 sum_i lam_i (M~ N~)_ii are O(n^2) sums, and no A-basis matrix is
-formed; any other plant's pair is held in A's coordinates (``basis`` None,
-the one test of which coordinates a pair is in), and the traces are formed
-as written above.
+For symmetric X and Y, tr(A^T X Y + Y X A) = 2 tr(A^T X Y), and every
+trace here is that one pairing, plus tr X, tr Y or both: phi pairs K with
+Sigma, phi_bar M with N, dphi/dr K' with Sigma and dphi/ds K with Sigma'.
+The pairing is taken in the coordinates the pair is held in
+(``riccati``): in A's (``basis`` None, the one test of which coordinates a
+pair is in) as 2 <A, X Y>, and in a symmetric plant's eigenbasis, where
+A = diag(lam), as the O(n^2) sum 2 sum_ij lam_i X_ij Y_ij, with no A-basis
+matrix formed.
 
 ``phi_gain_sensitivity`` differentiates phi with respect to the actuation
 gain r and the sensor SNR s at (r, s) = (epsilon, delta); both partials are
@@ -65,24 +66,21 @@ class CostReport:
 def phi_from_gains(plant: Plant, gains: GainPair) -> float:
     """Evaluate tr(A^T K Sigma + Sigma K A + K + Sigma)."""
     K, S = gains.K_tilde, gains.Sigma_tilde
-    if gains.basis is None:
-        A = plant.A
-        return float(np.trace(A.T @ K @ S + S @ K @ A + K + S))
-    return _modal_pairing(plant, K, S) + float(K.trace() + S.trace())
+    return _pairing(plant, gains.basis, K, S) + float(K.trace() + S.trace())
 
 
 def phi_bar_from_adjoints(plant: Plant, adjoints: AdjointPair) -> float:
     """Evaluate tr(A^T M N + N M A)."""
-    M, N = adjoints.M_tilde, adjoints.N_tilde
-    if adjoints.basis is None:
-        A = plant.A
-        return float(np.trace(A.T @ M @ N + N @ M @ A))
-    return _modal_pairing(plant, M, N)
+    return _pairing(plant, adjoints.basis, adjoints.M_tilde, adjoints.N_tilde)
 
 
-def _modal_pairing(plant: Plant, X: np.ndarray, Y: np.ndarray) -> float:
-    """tr(A^T X Y + Y X A) for symmetric X, Y held in the eigenbasis of a
-    symmetric A, where A = diag(lam): 2 sum_i lam_i sum_j X_ij Y_ij, O(n^2)."""
+def _pairing(plant: Plant, basis: np.ndarray | None, X: np.ndarray, Y: np.ndarray) -> float:
+    """2 tr(A^T X Y) = tr(A^T X Y + Y X A) for symmetric X, Y held in the
+    coordinates of ``basis``: 2 <A, X Y> in A's (``basis`` None), and in the
+    eigenbasis of a symmetric A, where A = diag(lam),
+    2 sum_i lam_i sum_j X_ij Y_ij, O(n^2)."""
+    if basis is None:
+        return 2.0 * float(np.vdot(plant.A, X @ Y))
     return 2.0 * float(np.einsum("i,ij,ij->", plant.modal.lam, X, Y))
 
 
@@ -128,20 +126,16 @@ def phi_gain_sensitivity(plant: Plant, placement: Placement) -> tuple[float, flo
 
         (A - r B K)^T K' + K' (A - r B K) = K B K,
 
-    so K' <= 0, and dphi/dr = tr((A Sigma + Sigma A^T + I) K'); symmetrically
-    for Sigma' and dphi/ds. Both returned values are nonpositive. Each
-    derivative is one solve on the closed loop the gain pair kept.
+    so K' <= 0, and dphi/dr = tr((A Sigma + Sigma A^T + I) K')
+    = 2 tr(A^T K' Sigma) + tr K'; symmetrically for Sigma' and dphi/ds.
+    Both returned values are nonpositive. Each derivative is one solve on
+    the closed loop the gain pair kept.
     """
     gains = gain_pair(plant, placement)
     S_forcing, K_forcing = adjoint_forcings(gains, placement)
     K_prime = -gains.loop_K.solve(K_forcing, transpose=True)[0]
     Sigma_prime = -gains.loop_Sigma.solve(S_forcing, transpose=True)[0]
-    K, Sigma = gains.K_tilde, gains.Sigma_tilde
-    if gains.basis is not None:
-        dphi_dr = _modal_pairing(plant, Sigma, K_prime) + float(K_prime.trace())
-        dphi_ds = _modal_pairing(plant, K, Sigma_prime) + float(Sigma_prime.trace())
-        return dphi_dr, dphi_ds
-    A, eye = plant.A, np.eye(plant.n)
-    dphi_dr = float(np.trace((A @ Sigma + Sigma @ A.T + eye) @ K_prime))
-    dphi_ds = float(np.trace((A.T @ K + K @ A + eye) @ Sigma_prime))
+    K, Sigma, basis = gains.K_tilde, gains.Sigma_tilde, gains.basis
+    dphi_dr = _pairing(plant, basis, K_prime, Sigma) + float(K_prime.trace())
+    dphi_ds = _pairing(plant, basis, K, Sigma_prime) + float(Sigma_prime.trace())
     return dphi_dr, dphi_ds

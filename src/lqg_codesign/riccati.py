@@ -38,12 +38,11 @@ at the same tolerances, each by O(n^2) products: a Bauer-Fike bound accepts
 F cheaply, and where it cannot, F's own Schur form decides. A side that
 cannot be solved this way (zero gain, |eigenvalues| not separated, a
 decoupled unstable mode, a failed certificate, a formed loop that is not
-Hurwitz) falls back to the Hamiltonian path, and ``GainPair.fallback`` says
-why; its solution is carried into the eigenbasis by the congruence with
-the eigenvectors, and read as itself in A's. Every other plant takes the
-Hamiltonian path only, in the coordinates of A. Either way ``GainPair`` and
-``AdjointPair`` hold their matrices in one basis, and form K, Sigma, M and
-N in A's on first read.
+Hurwitz) sends the whole pair to the Hamiltonian path, in the coordinates
+of A, and ``GainPair.fallback`` says why. Every other plant takes the
+Hamiltonian path only. Either way ``GainPair`` and ``AdjointPair`` hold
+their matrices in one basis, and form K, Sigma, M and N in A's on first
+read.
 
 Either path keeps its closed loop F as a ``ClosedLoop`` for every further
 solve with F or F^T: the adjoint solves and the tangent-linear Hessian
@@ -66,7 +65,6 @@ nothing is kept between calls.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,13 +206,13 @@ class GainPair:
     its eigenbasis (``Plant.modal.basis``, Theta), so ``K_tilde`` is
     Theta^T K Theta and the loops Theta^T F Theta; otherwise ``basis`` is
     None and they are K and F themselves. ``K`` and ``Sigma`` are formed on
-    first read, except on a side that fell back to the Hamiltonian path,
-    which keeps the P it solved (``gain_pair``). On a symmetric plant each
-    loop keeps its ``modes``, unless its side's modal solve fell back to the
-    Hamiltonian path; ``fallback`` then says why ("regulator: ..." and/or
-    "filter: ..."). It is None when nothing fell back, and always for a
-    plant without ``modal``, which has the Hamiltonian path only. ``pbh``
-    holds the PBH reports passed.
+    first read. A symmetric plant's pair is held in its eigenbasis only when
+    both sides' modal solves succeed, and then both loops keep their
+    ``modes``; otherwise both sides are solved on the Hamiltonian path, with
+    ``basis`` None, and ``fallback`` says which sides failed and why
+    ("regulator: ..." and/or "filter: ..."). It is None when nothing fell
+    back, and always for a plant without ``modal``, which has the
+    Hamiltonian path only. ``pbh`` holds the PBH reports passed.
     """
 
     K_tilde: np.ndarray
@@ -349,7 +347,9 @@ def _bartels_stewart(
 ) -> np.ndarray:
     """Solve a X + X a^T = q (a^T X + X a = q with ``transpose``) for real
     a = u r u^T in real Schur form: ``scipy.linalg.solve_continuous_lyapunov``
-    step for step, bar its check for an illegal ``trsyl`` argument."""
+    step for step, bar its check for an illegal ``trsyl`` argument and its
+    warning when ``trsyl`` perturbs a near-singular equation (info = 1): the
+    Lyapunov certificate that follows every solve judges the result."""
     if not np.isfinite(q).all():
         raise ValueError("array must not contain infs or NaNs")
     if r.shape != q.shape:
@@ -357,17 +357,9 @@ def _bartels_stewart(
     f = u.conj().T.dot(q.dot(u))
     trsyl = la.get_lapack_funcs("trsyl", (r, f))
     if transpose:
-        y, scale, info = trsyl(r, r, f, trana="T")
+        y, scale, _ = trsyl(r, r, f, trana="T")
     else:
-        y, scale, info = trsyl(r, r, f, tranb="T")
-    if info == 1:
-        warnings.warn(
-            'Input "a" has an eigenvalue pair whose sum is '
-            "very close to or exactly zero. The solution is "
-            "obtained via perturbing the coefficients.",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        y, scale, _ = trsyl(r, r, f, tranb="T")
     y *= scale
     return u.dot(y).dot(u.conj().T)
 
@@ -621,8 +613,10 @@ def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, Clo
     except NonConvergence as exc:
         raise _ModalFallback(str(exc)) from exc
     # P~ is finite from here on.
-    loop = _rank_one_loop(modal, gain, beta, P, (V, Vinv, p))
-    _, u, w = loop.update
+    u, w = gain * beta, P @ beta
+    F = u[:, None] * -w
+    F.flat[:: n + 1] += lam
+    loop = ClosedLoop(F, (V, Vinv, p), (modal.sums, u, w))
     R = u[:, None] * -(w @ V)
     R[block] += diff * V_a
     spread = math.sqrt(np.vdot(Vinv, Vinv) * np.vdot(R, R))
@@ -634,28 +628,6 @@ def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, Clo
     return P, res, loop
 
 
-def _rank_one_loop(modal: Modal, gain: float, beta, P, modes=None) -> ClosedLoop:
-    """The loop diag(lam) - u w^T, u = gain beta, w = P~ beta, in the
-    eigenbasis, kept with that rank-one form as its ``update``."""
-    u, w = gain * beta, P @ beta
-    F = u[:, None] * -w
-    F.flat[:: F.shape[0] + 1] += modal.lam
-    return ClosedLoop(F, modes, (modal.sums, u, w))
-
-
-def _into_eigenbasis(modal: Modal, gain: float, beta, P, loop: ClosedLoop):
-    """A Hamiltonian-path solution (P, loop) carried into ``_modal_care``'s
-    coordinates by the congruence with Theta: P~ = Theta^T P Theta, the loop
-    diag(lam) - gain beta (P~ beta)^T, and its Schur vectors Theta^T u."""
-    Theta = modal.basis
-    P = Theta.T @ P @ Theta
-    P = 0.5 * (P + P.T)
-    r, q = loop._schur
-    moved = _rank_one_loop(modal, gain, beta, P)
-    vars(moved)["_schur"] = (r, Theta.T @ q)
-    return P, moved
-
-
 def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     """Solve the two LQG Riccati equations for a placement.
 
@@ -663,12 +635,12 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     A Sigma + Sigma A^T - delta Sigma C Sigma + I = 0, with B, C the
     normalized projectors of the placement. The closed loops are kept for
     further solves: A - (eps B) K, and A^T - (delta C) Sigma, the transpose
-    of the filter loop A - delta Sigma C. On a symmetric plant each side is
-    solved in the plant's eigenbasis (``_modal_care``), and a side whose
-    modal solve fails takes the Hamiltonian path, with the reason in
-    ``GainPair.fallback``, and is carried into the eigenbasis; the pair is
-    held there, and that side's ``K`` (or ``Sigma``) is the Hamiltonian
-    solution itself. A plant without ``modal`` takes the Hamiltonian path.
+    of the filter loop A - delta Sigma C. On a symmetric plant both sides
+    are solved in the plant's eigenbasis (``_modal_care``), and the pair is
+    held there. If either side's modal solve fails, both sides take the
+    Hamiltonian path in A's coordinates (``basis`` None), and
+    ``GainPair.fallback`` says which sides failed and why. A plant without
+    ``modal`` takes the Hamiltonian path.
 
     Raises
     ------
@@ -678,30 +650,26 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
         Propagated from the Hamiltonian CARE solver.
     """
     pbh = _require_pbh(plant, placement)
-    modal = plant.modal
-    solved, fallbacks, hamiltonian = [], [], {}
-    for side, name, A, gain, v in (
-        ("regulator", "K", plant.A, plant.epsilon, placement.b_unit),
-        ("filter", "Sigma", plant.A.T, plant.delta, placement.c_unit),
-    ):
-        if modal is not None:
-            beta = modal.basis.T @ v
+    sides = (
+        ("regulator", plant.A, plant.epsilon, placement.b_unit),
+        ("filter", plant.A.T, plant.delta, placement.c_unit),
+    )
+    modal, fallbacks = plant.modal, []
+    if modal is not None:
+        solved = []
+        for side, _, gain, v in sides:
             try:
-                solved.append(_modal_care(modal, gain, beta))
-                continue
+                solved.append(_modal_care(modal, gain, modal.basis.T @ v))
             except _ModalFallback as exc:
                 fallbacks.append(f"{side}: {exc}")
-        P, res, loop = _solve_care(A, gain * np.outer(v, v), np.eye(plant.n))
-        if modal is not None:
-            hamiltonian[name] = P
-            P, loop = _into_eigenbasis(modal, gain, beta, P, loop)
-        solved.append((P, res, loop))
-    (K, res_K, loop_K), (Sigma, res_S, loop_S) = solved
-    basis = None if modal is None else modal.basis
+        if not fallbacks:
+            (K, res_K, loop_K), (Sigma, res_S, loop_S) = solved
+            return GainPair(K, Sigma, res_K, res_S, loop_K, loop_S, None, pbh, modal.basis)
+    (K, res_K, loop_K), (Sigma, res_S, loop_S) = (
+        _solve_care(A, gain * np.outer(v, v), np.eye(plant.n)) for _, A, gain, v in sides
+    )
     fallback = "; ".join(fallbacks) or None
-    pair = GainPair(K, Sigma, res_K, res_S, loop_K, loop_S, fallback, pbh, basis)
-    vars(pair).update(hamiltonian)  # a side that fell back reads its own P
-    return pair
+    return GainPair(K, Sigma, res_K, res_S, loop_K, loop_S, fallback, pbh)
 
 
 def adjoint_pair(plant: Plant, placement: Placement, gains: GainPair) -> AdjointPair:

@@ -22,6 +22,7 @@ from lqg_codesign import (
     phi_gain_sensitivity,
     pbh_check,
 )
+from lqg_codesign import riccati
 from lqg_codesign.verify import richardson_derivative
 
 
@@ -113,6 +114,47 @@ class TestGainSensitivity:
         scale = max(abs(dr), abs(ds), 1e-10)
         assert abs(dr - fd_r) / scale < 1e-6
         assert abs(ds - fd_s) / scale < 1e-6
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_one_pairing_matches_the_dense_traces(self, symmetric):
+        # phi, phi_bar and both sensitivities are one pairing 2 tr(A^T X Y),
+        # taken in the pair's coordinates: A's on a non-symmetric plant (here
+        # open-loop unstable), the eigenbasis on a symmetric one. Each must
+        # match its dense trace formula on the A-basis matrices, with K' and
+        # Sigma' from the loops the pair kept. phi_bar and the sensitivities
+        # are differences of terms, so they are judged on those terms' size.
+        rng = np.random.default_rng(2)
+        n = 8
+        if symmetric:
+            A = random_symmetric_hurwitz(rng, n)
+        else:
+            A = rng.standard_normal((n, n)) / np.sqrt(n) - 0.8 * np.eye(n)
+            assert np.max(np.linalg.eigvals(A).real) > 0.0
+        plant, placement = Plant(A, 0.6, 0.9), random_placement_for(rng, n)
+        report = cost_report(plant, placement)
+        g, adj, eye = report.gains, report.adjoints, np.eye(n)
+        assert (g.basis is None) != symmetric and g.fallback is None
+        K, S, M, N = g.K, g.Sigma, adj.M, adj.N
+        S_forcing, K_forcing = riccati.adjoint_forcings(g, placement)
+        K_prime = riccati._to_plant(g.basis, -g.loop_K.solve(K_forcing, transpose=True)[0])
+        S_prime = riccati._to_plant(g.basis, -g.loop_Sigma.solve(S_forcing, transpose=True)[0])
+        dr, ds = phi_gain_sensitivity(plant, placement)
+        a = la.norm(A)
+        for got, dense, scale in (
+            (report.phi, np.trace(A.T @ K @ S + S @ K @ A + K + S), report.phi),
+            (report.phi_bar, np.trace(A.T @ M @ N + N @ M @ A), 2 * a * la.norm(M) * la.norm(N)),
+            (
+                dr,
+                np.trace((A @ S + S @ A.T + eye) @ K_prime),
+                2 * a * la.norm(S) * la.norm(K_prime) + abs(np.trace(K_prime)),
+            ),
+            (
+                ds,
+                np.trace((A.T @ K + K @ A + eye) @ S_prime),
+                2 * a * la.norm(K) * la.norm(S_prime) + abs(np.trace(S_prime)),
+            ),
+        ):
+            assert abs(got - dense) <= 1e-13 * scale
 
 
 class TestDirectionalDerivative:

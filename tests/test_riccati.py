@@ -473,6 +473,29 @@ def _check_care_and_loop(gains, coeff, W, P, res, loop) -> None:
         assert la.norm(F - (coeff - W @ P)) <= 1e-15 * scale
 
 
+def _check_hamiltonian_pair(plant: Plant, placement: Placement, gains, fallback: str) -> None:
+    """A symmetric plant's pair with a failed modal side: both sides are the
+    Hamiltonian path's, in A's coordinates, to the bit."""
+    assert gains.fallback == fallback and gains.basis is None
+    assert gains.loop_K.modes is None and gains.loop_Sigma.modes is None
+    eye = np.eye(plant.n)
+    K = riccati._solve_care(plant.A, plant.epsilon * placement.B, eye)[0]
+    Sigma = riccati._solve_care(plant.A.T, plant.delta * placement.C, eye)[0]
+    assert np.array_equal(gains.K, K) and np.array_equal(gains.Sigma, Sigma)
+
+
+def _plus_minus_pair(seed: int):
+    """A symmetric n = 4 plant whose top eigenvalues are +-lambda, so |lambda|
+    is not separated and neither side can stay modal, with a random placement."""
+    rng = np.random.default_rng(seed)
+    lam = -np.sort(rng.uniform(0.2, 3.0, 4))
+    lam[0] = -lam[1]
+    basis = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    A = basis @ np.diag(lam) @ basis.T
+    placement = Placement.normalized(rng.standard_normal(4), rng.standard_normal(4))
+    return Plant(0.5 * (A + A.T), 0.5, 0.5), placement
+
+
 class TestCertificates:
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_nan_care_residual_is_non_convergence(self, monkeypatch, symmetric):
@@ -599,6 +622,24 @@ class TestCertificates:
                     for P, res in ((adj.M, adj.residual_M), (adj.N, adj.residual_N)):
                         assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
         assert outcomes == {"returned", "raised"}
+
+    def test_trsyl_perturbation_ends_in_a_typed_error(self):
+        # The 7th near-PBH draw of default_rng(1872) at n = 3 (margin 1e-5,
+        # non-symmetric) has a loop on which trsyl perturbs a near-singular
+        # Lyapunov equation. No warning escapes: the solve fails its
+        # certificate instead.
+        rng = np.random.default_rng(1872)
+        draws = [
+            _near_pbh_boundary(rng, 3, margin, symmetric)
+            for margin in 10.0 ** -np.arange(2, 6)
+            for symmetric in (False, True)
+        ]
+        plant, placement = draws[6]
+        assert plant.modal is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="Lyapunov residual"):
+                cost_report(plant, placement)
 
     def test_modal_loops_near_pbh_boundary_are_hurwitz(self):
         # The sweep above, through gain_pair alone, which ``simulate`` calls:
@@ -761,18 +802,31 @@ class TestModalPath:
         assert np.array_equal(gains.Sigma, Sigma)
 
     def test_zero_gain_side_falls_back(self):
-        # eps = 0 < delta: the regulator's W = 0 takes the Hamiltonian
-        # path's Lyapunov branch, and the filter side stays modal.
+        # eps = 0 < delta: the regulator's W = 0 cannot stay modal, so the
+        # whole pair takes the Hamiltonian path (the regulator its Lyapunov
+        # branch), although the filter's modal solve succeeds.
         rng = np.random.default_rng(1803)
         plant = Plant(spaced_in_random_basis(rng, 5), 0.0, 0.8)
-        gains = gain_pair(plant, random_placement_for(rng, 5))
-        assert gains.fallback == "regulator: W = 0"
-        assert gains.loop_K.modes is None
-        assert gains.loop_Sigma.modes is not None
+        placement = random_placement_for(rng, 5)
+        _check_hamiltonian_pair(plant, placement, gain_pair(plant, placement), "regulator: W = 0")
         # Unstable A at eps = 0 still has no stabilizing solution.
         unstable = Plant(np.diag([0.5, -1.0]), 0.0, 0.8)
         with pytest.raises(NoStabilizingSolution):
             gain_pair(unstable, Placement.normalized([1.0, 1.0], [1.0, 1.0]))
+
+    def test_plus_minus_lambda_pair_is_solved_whole(self):
+        # Both sides fall back (|lambda| not separated), and the pair is
+        # solved whole on the Hamiltonian path in A's coordinates, where this
+        # placement certifies.
+        plant, placement = _plus_minus_pair(151)
+        report = cost_report(plant, placement)
+        reason = "|lambda| not separated by 1e-8 * max |lambda|"
+        _check_hamiltonian_pair(
+            plant, placement, report.gains, f"regulator: {reason}; filter: {reason}"
+        )
+        adj = report.adjoints
+        for P, res in ((adj.M, adj.residual_M), (adj.N, adj.residual_N)):
+            assert res <= riccati.LYAP_RTOL * (1.0 + la.norm(P))
 
     def test_decoupled_unstable_mode_falls_back(self):
         modal = modal_basis(np.array([-2.0, 0.5]), np.eye(2))
@@ -834,7 +888,8 @@ class TestEigenbasisEvaluation:
         # phi_bar is a difference of terms of size |A| |M| |N|.
         scale = la.norm(plant.A) * la.norm(oracle["M"]) * la.norm(oracle["N"])
         assert abs(report.phi_bar - oracle["phi_bar"]) <= 1e-9 * scale
-        assert report.gains.basis is plant.modal.basis
+        held = None if report.gains.fallback else plant.modal.basis
+        assert report.gains.basis is held
         return report.gains
 
     @pytest.mark.parametrize("case", ["laplacian16", "random3", "random10", "random30"])
@@ -865,13 +920,14 @@ class TestEigenbasisEvaluation:
         assert np.count_nonzero(np.isin(gains.loop_K.modes[2], plant.eigenvalues)) == 1
 
     def test_one_side_falls_back(self):
-        # eps = 0 < delta: the regulator takes the Hamiltonian path (W = 0)
-        # and is carried into the eigenbasis; the filter stays modal.
+        # eps = 0 < delta: the regulator cannot stay modal (W = 0), so both
+        # sides take the Hamiltonian path and the pair is held in A's
+        # coordinates, where phi, phi_bar and the gradient are evaluated.
         rng = np.random.default_rng(2602)
         plant = _symmetric_plant(rng, 10, (-3.0, -0.3), 0.0, 0.7)
-        gains = self._agree(plant, random_placement_for(rng, 10))
-        assert gains.fallback == "regulator: W = 0"
-        assert gains.loop_K.modes is None and gains.loop_Sigma.modes is not None
+        placement = random_placement_for(rng, 10)
+        gains = self._agree(plant, placement)
+        _check_hamiltonian_pair(plant, placement, gains, "regulator: W = 0")
 
     def test_takes_no_schur_form_and_no_svd(self, monkeypatch):
         # A cost report and its gradient on a separated symmetric plant away
