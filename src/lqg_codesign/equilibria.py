@@ -23,13 +23,18 @@ and sign pattern s, the candidate exists iff the solution xi of
     diag(s) Psi' diag(s) xi = (lambda_i^2)_support
 
 is entrywise positive, and then beta*beta = gamma*gamma is proportional to
-xi, which the closed-form Cauchy inverse gives for every pattern of a
-support at once. Stability is read from the Hessian of the potential on the
-tangent space of the sphere pair: in closed form for enumerated candidates
-(``zero_gain_field``), and in ``classify_stability`` (phi, or phi_bar in the
-zero-gain limit) by ``hessian_matrix``, which differentiates
-``flow.gradient`` exactly: three tangent-linear Lyapunov solves per tangent
-direction on the closed loops the cost evaluation kept.
+xi, which the closed-form Cauchy inverse gives for every pattern of every
+support of one size at once. Stability is read from the Hessian of the
+potential on the tangent space of the sphere pair: in closed form for
+enumerated candidates (``zero_gain_field``), and in ``classify_stability``
+(phi, or phi_bar in the zero-gain limit) by ``hessian_matrix``, which
+differentiates ``flow.gradient`` exactly: three tangent-linear Lyapunov
+solves per tangent direction on the closed loops the cost evaluation kept.
+
+The zero-gain path runs in stacked array passes, one per support size to
+enumerate and one per ``_CLASSIFY_BLOCK`` candidates (a memory bound) to
+classify. Dot and matrix-vector products stay per row (``_dot``), so each
+candidate keeps the bits it has alone, whatever the block.
 
 The spectrum is the plant's own ``eigh`` (``Spectrum.of``). The closed forms
 at (v_1, v_1) also hold for negative semidefinite A, with any repeated
@@ -61,6 +66,8 @@ EIGENGAP_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-10
 EQ19_RESIDUAL_TOL = 1e-8
 STABILITY_MARGIN = 1e-7
+#: Candidates per stacked pass of ``classify_candidates``.
+_CLASSIFY_BLOCK = 256
 
 KIND_COMMON = "common_support"
 KIND_DISJOINT = "disjoint_support"
@@ -194,28 +201,29 @@ def cauchy_matrix(lambdas) -> np.ndarray:
     return -1.0 / (lam[:, None] + lam[None, :])
 
 
-def eq19_residual(beta: np.ndarray, gamma: np.ndarray, spectrum: Spectrum) -> float:
-    """Residual of the coupled eigen-equations at (beta, gamma)."""
-    lam = spectrum.Lambda
-    psi = cauchy_matrix(lam)
-    lam2 = lam**2
-    lhs_b = np.diag(gamma) @ psi @ np.diag(gamma) @ beta
-    lhs_c = np.diag(beta) @ psi @ np.diag(beta) @ gamma
-    mu_b = float(beta @ lhs_b)  # beta^T Lambda^2 beta = 1
-    mu_c = float(gamma @ lhs_c)
-    return float(
-        max(
-            np.linalg.norm(lhs_b - mu_b * lam2 * beta),
-            np.linalg.norm(lhs_c - mu_c * lam2 * gamma),
-        )
+def eq19_residual(beta: np.ndarray, gamma: np.ndarray, spectrum: Spectrum):
+    """Residual of the coupled eigen-equations at (beta, gamma): a float, or
+    one per row for stacked rows."""
+    lam2 = spectrum.Lambda**2
+    x = (beta * gamma) @ cauchy_matrix(spectrum.Lambda)  # Psi is symmetric
+    lhs_b, lhs_c = gamma * x, beta * x
+    # beta^T Lambda^2 beta = 1
+    mu_b = np.sum(beta * lhs_b, axis=-1, keepdims=True)
+    mu_c = np.sum(gamma * lhs_c, axis=-1, keepdims=True)
+    residual = np.maximum(
+        np.linalg.norm(lhs_b - mu_b * lam2 * beta, axis=-1),
+        np.linalg.norm(lhs_c - mu_c * lam2 * gamma, axis=-1),
     )
+    return residual if residual.ndim else float(residual)
 
 
 def xi_vector(lambdas, support, signs) -> tuple[np.ndarray, bool | np.ndarray]:
     """Solve diag(s) Psi' diag(s) xi = (lambda_i^2) on a support block.
 
-    ``signs`` is one +/-1 pattern or one per column; xi and the existence
-    flag (all entries positive) follow that layout. With a = -lambda on the
+    ``signs`` is one +/-1 pattern or one per column; ``support`` is one
+    support or one per row, all of one size, each solved for every pattern.
+    xi and the existence flag (all entries positive) follow that layout,
+    with a leading support axis for stacked supports. With a = -lambda on the
     support, Psi'^-1 = diag(P) Psi' diag(P), P_i = prod_k (a_i + a_k) /
     prod_{k != i} (a_i - a_k) (Boros, Kailath and Olshevsky, LAA 302-303,
     1999), so xi = s * P * (T s) with T_ij = P_j a_j^2 / (a_i + a_j). T_ij
@@ -225,63 +233,65 @@ def xi_vector(lambdas, support, signs) -> tuple[np.ndarray, bool | np.ndarray]:
     surely negative, and raises ``SingularBlock`` otherwise.
     """
     lam = np.asarray(lambdas, dtype=float).reshape(-1)
-    idx = np.array(support, dtype=int).reshape(-1)
+    idx = np.atleast_1d(np.array(support, dtype=int))
     signs = np.atleast_1d(np.asarray(signs, dtype=float))
-    if idx.size == 0:
-        raise ValueError("support must be nonempty")
-    if signs.ndim > 2 or signs.shape[0] != idx.size or np.any(np.abs(signs) != 1.0):
+    if idx.size == 0 or idx.ndim > 2:
+        raise ValueError("support must be nonempty, one or a stack of one size")
+    supports, size = idx.reshape(-1, idx.shape[-1]), idx.shape[-1]
+    if signs.ndim > 2 or signs.shape[0] != size or np.any(np.abs(signs) != 1.0):
         raise ValueError("signs must be +/-1 patterns over the support")
-    a = -lam[idx]
+    a = -lam[supports]
     if np.any(a <= 0.0):
         raise NonNegativeEigenvalue("the Cauchy block needs negative eigenvalues")
-    sums = a[:, None] + a[None, :]
-    diffs = a[:, None] - a[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    P = np.prod(sums, axis=1) / np.prod(diffs, axis=1)
-    T = (P * a**2) / sums
-    cols = signs.reshape(idx.size, -1)
-    Ts = np.zeros(cols.shape)
-    for j in range(idx.size):  # a fixed order: no column depends on the batch
-        Ts += T[:, j, None] * cols[j]
-    bound = (5.0 * idx.size * np.finfo(float).eps / 2 * np.abs(T).sum(axis=1))[:, None]
-    sign_xi = cols * np.sign(P)[:, None] * Ts
-    exists = np.all(sign_xi > bound, axis=0)
-    undecided = ~exists & ~np.any(sign_xi < -bound, axis=0)
+    sums = a[:, :, None] + a[:, None, :]
+    diffs = a[:, :, None] - a[:, None, :]
+    diffs[:, range(size), range(size)] = 1.0
+    P = np.prod(sums, axis=2) / np.prod(diffs, axis=2)
+    T = (P * a**2)[:, None, :] / sums
+    cols = signs.reshape(size, -1)
+    Ts = np.zeros((a.shape[0],) + cols.shape)
+    for j in range(size):  # a fixed order: no column depends on the batch
+        Ts += T[:, :, j, None] * cols[j]
+    bound = (5.0 * size * np.finfo(float).eps / 2 * np.abs(T).sum(axis=2))[:, :, None]
+    sign_xi = cols * np.sign(P)[:, :, None] * Ts
+    exists = np.all(sign_xi > bound, axis=1)
+    undecided = ~exists & ~np.any(sign_xi < -bound, axis=1)
     if np.any(undecided):
-        k = int(np.argmax(undecided))
+        s, k = np.unravel_index(np.argmax(undecided), undecided.shape)
         raise SingularBlock(
-            f"sign of xi undecided on support {tuple(idx.tolist())}, pattern "
-            f"{cols[:, k]}: T s = {Ts[:, k]} against rounding bound {bound[:, 0]}"
+            f"sign of xi undecided on support {tuple(supports[s].tolist())}, pattern "
+            f"{cols[:, k]}: T s = {Ts[s, :, k]} against rounding bound {bound[s, :, 0]}"
         )
-    xi = (cols * P[:, None] * Ts).reshape(signs.shape)
-    return xi, (exists if signs.ndim == 2 else bool(exists[0]))
+    xi = (cols * P[:, :, None] * Ts).reshape(idx.shape[:-1] + signs.shape)
+    exists = exists.reshape(idx.shape[:-1] + signs.shape[1:])
+    return xi, (exists if exists.ndim else bool(exists))
 
 
-def _common_support_placement(
-    spectrum: Spectrum, support: tuple[int, ...], signs: np.ndarray, xi: np.ndarray
-) -> tuple[Placement, np.ndarray, np.ndarray]:
-    """Build (beta, gamma) = (sqrt(xi), s*sqrt(xi)) / |Lambda sqrt(xi)|."""
-    n = spectrum.n
-    beta = np.zeros(n)
-    gamma = np.zeros(n)
-    root = np.sqrt(xi)
-    idx = np.array(support)
-    scale = np.linalg.norm(spectrum.Lambda[idx] * root)
-    beta[idx] = root / scale
-    gamma[idx] = signs * root / scale
-    b_unit = spectrum.Theta @ (spectrum.Lambda * beta)
-    c_unit = spectrum.Theta @ (spectrum.Lambda * gamma)
-    return Placement.normalized(b_unit, c_unit), beta, gamma
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v per row, kept on a trailing axis of length one. The stacked
+    ``matmul`` takes each row's ``dot`` (and M @ v[..., None] each row's
+    ``gemv``), so a row keeps the bits it has alone."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0]
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """``Placement.normalized``'s normalization, per row."""
+    norm = np.sqrt(_dot(v, v))
+    if not np.all((0.0 < norm) & (norm < np.inf)):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    return v / norm
 
 
 def enumerate_equilibria_zero(spectrum: Spectrum) -> list[EquilibriumCandidate]:
     """Enumerate zero-gain equilibrium candidates for a negative spectrum.
 
     Emits one common-support candidate per (support, sign pattern with
-    leading +1) whose xi-certificate is positive (all patterns of a support
-    are certified by one ``xi_vector`` call), each verified against the
+    leading +1) whose xi-certificate is positive, each verified against the
     coupled eigen-equations to residual 1e-8, plus one representative
-    disjoint-support candidate (v_i, v_j) per ordered pair i != j. The sign
+    disjoint-support candidate (v_i, v_j) per ordered pair i != j. Every
+    support of one size is certified by one ``xi_vector`` call, and the
+    placements (beta, gamma) = (sqrt(xi), s*sqrt(xi)) / |Lambda sqrt(xi)| of
+    the patterns that exist are formed and verified together. The sign
     patterns fix the first support entry to +1 because flipping all of gamma
     yields the same projector pair.
 
@@ -294,35 +304,40 @@ def enumerate_equilibria_zero(spectrum: Spectrum) -> list[EquilibriumCandidate]:
     if n > ENUMERATION_CAP:
         raise DimensionTooLarge(f"enumeration supports n <= {ENUMERATION_CAP}, got {n}")
     spectrum.require_negative_distinct()
+    Theta, lam = spectrum.Theta, spectrum.Lambda
 
     candidates: list[EquilibriumCandidate] = []
     for size in range(1, n + 1):
         patterns = np.array(
             [(1.0,) + tail for tail in itertools.product((1.0, -1.0), repeat=size - 1)]
-        ).T
-        for support in itertools.combinations(range(n), size):
-            xis, exists = xi_vector(spectrum.Lambda, support, patterns)
-            for signs, xi in zip(patterns.T[exists], xis.T[exists]):
-                placement, beta, gamma = _common_support_placement(
-                    spectrum, support, signs, xi
-                )
-                residual = eq19_residual(beta, gamma, spectrum)
-                if residual >= EQ19_RESIDUAL_TOL:
-                    raise SingularBlock(
-                        f"candidate on support {support} failed verification "
-                        f"(residual {residual:.3e})"
-                    )
-                sign_s = np.zeros(n, dtype=int)
-                sign_s[np.array(support)] = signs.astype(int)
-                candidates.append(
-                    EquilibriumCandidate(
-                        placement=placement,
-                        kind=KIND_COMMON,
-                        support=support,
-                        sign_s=tuple(int(s) for s in sign_s),
-                        xi=tuple(float(x) for x in xi),
-                    )
-                )
+        )
+        supports = np.array(list(itertools.combinations(range(n), size)))
+        xis, exists = xi_vector(lam, supports, patterns.T)
+        which, pattern = np.nonzero(exists)
+        support, signs, xi = supports[which], patterns[pattern], xis[which, :, pattern]
+        root = np.sqrt(xi)
+        scaled = lam[support] * root
+        scale = np.sqrt(_dot(scaled, scaled))
+        rows = np.arange(which.size)[:, None]
+        beta, gamma = np.zeros((2, which.size, n))
+        beta[rows, support] = root / scale
+        gamma[rows, support] = signs * root / scale
+        residual = np.broadcast_to(eq19_residual(beta, gamma, spectrum), which.shape)
+        failed = np.flatnonzero(~(residual < EQ19_RESIDUAL_TOL))
+        if failed.size:
+            raise SingularBlock(
+                f"candidate on support {tuple(support[failed[0]].tolist())} failed "
+                f"verification (residual {residual[failed[0]]:.3e})"
+            )
+        b_units = _unit((Theta @ (lam * beta)[..., None])[..., 0])
+        c_units = _unit((Theta @ (lam * gamma)[..., None])[..., 0])
+        sign_s = np.zeros((which.size, n), dtype=int)
+        sign_s[rows, support] = signs
+        tuples = (map(tuple, values.tolist()) for values in (support, sign_s, xi))
+        candidates += [
+            EquilibriumCandidate(Placement(b, c), KIND_COMMON, t, s, x)
+            for b, c, t, s, x in zip(b_units, c_units, *tuples)
+        ]
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -341,8 +356,10 @@ def enumerate_equilibria_zero(spectrum: Spectrum) -> list[EquilibriumCandidate]:
 
 
 def _tangent_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to the unit vector v."""
-    return la.null_space(v[None, :])
+    """Orthonormal basis of the hyperplane orthogonal to the unit vector v,
+    one per row for stacked rows: the right singular vectors after the
+    first (``null_space``'s, bitwise)."""
+    return np.swapaxes(np.linalg.svd(v[..., None, :])[2][..., 1:, :], -1, -2)
 
 
 def zero_gain_field(spectrum: Spectrum):
@@ -358,28 +375,34 @@ def zero_gain_field(spectrum: Spectrum):
     rank-one terms such as b~ (2 p y)^T vanish: H = [U^T H_bb U, U^T H_bc W;
     W^T H_bc^T U, W^T H_cc W] with H_bb = mu I - diag(p) Psi diag(p),
     H_bc = -diag(k^2 y) - diag(p) Psi diag(q) and H_cc likewise in q.
+    ``b`` and ``c`` are one placement or stacked rows (C, n), and so are the
+    results, each row with the bits it has alone.
     """
     Theta = spectrum.Theta
     psi = cauchy_matrix(spectrum.Lambda)
     k2 = 0.25 / spectrum.Lambda**2
     eye = np.eye(spectrum.n)
+    diagonal = np.arange(spectrum.n)
 
     def field(b: np.ndarray, c: np.ndarray):
-        placement = Placement.normalized(b, c)
-        bt = Theta.T @ placement.b_unit
-        ct = Theta.T @ placement.c_unit
+        b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+        bt = (Theta.T @ _unit(b)[..., None])[..., 0]
+        ct = (Theta.T @ _unit(c)[..., None])[..., 0]
         p, q = k2 * ct, k2 * bt
         x = p * bt
-        y = psi @ x
-        mu = float(x @ y)
-        H_bb = mu * eye - p[:, None] * psi * p
-        H_bc = -np.diag(k2 * y) - p[:, None] * psi * q
-        H_cc = mu * eye - q[:, None] * psi * q
+        y = (psi @ x[..., None])[..., 0]
+        mu = _dot(x, y)
+        H_bb = mu[..., None] * eye - p[..., :, None] * psi * p[..., None, :]
+        H_bc = np.zeros(y.shape + (spectrum.n,))
+        H_bc[..., diagonal, diagonal] = k2 * y
+        H_bc = -H_bc - p[..., :, None] * psi * q[..., None, :]
+        H_cc = mu[..., None] * eye - q[..., :, None] * psi * q[..., None, :]
         U, W = _tangent_basis(bt), _tangent_basis(ct)
-        H = np.block(
-            [[U.T @ H_bb @ U, U.T @ H_bc @ W], [W.T @ H_bc.T @ U, W.T @ H_cc @ W]]
-        )
-        return Theta @ (mu * bt - p * y), Theta @ (mu * ct - q * y), -mu, H
+        Ut, Wt, H_cb = (np.swapaxes(X, -1, -2) for X in (U, W, H_bc))
+        H = np.block([[Ut @ H_bb @ U, Ut @ H_bc @ W], [Wt @ H_cb @ U, Wt @ H_cc @ W]])
+        g_b = (Theta @ (mu * bt - p * y)[..., None])[..., 0]
+        g_c = (Theta @ (mu * ct - q * y)[..., None])[..., 0]
+        return g_b, g_c, -mu[..., 0], H
 
     return field
 
@@ -464,23 +487,25 @@ def _hessian(
 
 
 def _require_equilibrium(residuals: np.ndarray, eq_tol: float) -> None:
-    if not np.all(residuals <= eq_tol):
-        raise NotAnEquilibrium(f"residuals {residuals} exceed tolerance {eq_tol:g}")
+    """Raise for the first row of [res_b, res_c] residuals above ``eq_tol``."""
+    failed = ~np.all(residuals <= eq_tol, axis=-1)
+    if np.any(failed):
+        raise NotAnEquilibrium(
+            f"residuals {residuals[failed][0]} exceed tolerance {eq_tol:g}"
+        )
 
 
-def _verdict(H: np.ndarray) -> tuple[np.ndarray, str]:
-    """(eigenvalues descending, verdict) of the symmetric part of a Hessian:
-    stable if the smallest eigenvalue exceeds 1e-7, unstable if it is below
-    -1e-7, degenerate otherwise. An empty Hessian (n = 1) is stable."""
-    eigs = np.sort(np.linalg.eigvalsh(0.5 * (H + H.T)))[::-1]
-    min_eig = np.min(eigs, initial=np.inf)
-    if min_eig > STABILITY_MARGIN:
-        verdict = STABLE
-    elif min_eig < -STABILITY_MARGIN:
-        verdict = UNSTABLE
-    else:
-        verdict = DEGENERATE
-    return eigs, verdict
+def _verdict(H: np.ndarray) -> tuple[np.ndarray, str | list[str]]:
+    """(eigenvalues descending, verdict) of the symmetric part of a Hessian,
+    or of each of a stack of them: stable if the smallest eigenvalue exceeds
+    1e-7, unstable if it is below -1e-7, degenerate otherwise. An empty
+    Hessian (n = 1) is stable."""
+    sym = 0.5 * (H + np.swapaxes(H, -1, -2))
+    eigs = np.sort(np.linalg.eigvalsh(sym), axis=-1)[..., ::-1]
+    min_eig = np.min(eigs, axis=-1, initial=np.inf)
+    decided = [min_eig > STABILITY_MARGIN, min_eig < -STABILITY_MARGIN]
+    verdict = np.select(decided, [STABLE, UNSTABLE], DEGENERATE)
+    return eigs, verdict.tolist()
 
 
 def classify_stability(
@@ -516,17 +541,24 @@ def classify_candidates(
     spectrum: Spectrum, candidates: list[EquilibriumCandidate]
 ) -> list[EquilibriumCandidate]:
     """Classify enumerated zero-gain candidates in place of their None fields
-    by ``_verdict`` on the closed-form Hessian of ``zero_gain_field``. Raises
-    ``NotAnEquilibrium`` if |g_b| or |g_c| exceeds 1e-8."""
+    by ``_verdict`` on the closed-form Hessian of ``zero_gain_field``, taken
+    for ``_CLASSIFY_BLOCK`` candidates at a time. Raises ``NotAnEquilibrium``
+    for the first candidate where |g_b| or |g_c| exceeds 1e-8."""
     field = zero_gain_field(spectrum)
     classified = []
-    for cand in candidates:
-        g_b, g_c, _, H = field(cand.placement.b_unit, cand.placement.c_unit)
-        _require_equilibrium(np.array([la.norm(g_b), la.norm(g_c)]), 1e-8)
-        eigs, verdict = _verdict(H)
-        classified.append(
-            replace(cand, hessian_eigs=tuple(eigs.tolist()), stability=verdict)
+    for start in range(0, len(candidates), _CLASSIFY_BLOCK):
+        block = candidates[start : start + _CLASSIFY_BLOCK]
+        g_b, g_c, _, H = field(
+            np.array([cand.placement.b_unit for cand in block]),
+            np.array([cand.placement.c_unit for cand in block]),
         )
+        residuals = np.stack([la.norm(g_b, axis=-1), la.norm(g_c, axis=-1)], axis=-1)
+        _require_equilibrium(residuals, 1e-8)
+        eigs, verdicts = _verdict(H)
+        classified += [
+            replace(cand, hessian_eigs=tuple(row), stability=verdict)
+            for cand, row, verdict in zip(block, eigs.tolist(), verdicts)
+        ]
     return classified
 
 

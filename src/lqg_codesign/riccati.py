@@ -482,13 +482,17 @@ def pbh_check(A, v, mode: str, *, setup: PBHSetup | None = None) -> PBHReport:
             z, rho = beta / norm, norm**2
 
     tested = []
+    svd_margins = {}
     for lam, gap, order, distinct in modes:
         info = 1  # the SVD, unless dlasd4 gives the root
         if z is not None and distinct:
             _, margin, _, info = _dlasd4(0, gap, z[order], rho)
         if info != 0:
-            pencil = np.hstack([M - lam * np.eye(M.shape[0]), v[:, None]])
-            margin = la.svdvals(pencil)[-1]
+            # conj(lam)'s pencil is the entrywise conjugate of lam's: same SVD.
+            margin = svd_margins.get(np.conj(lam))
+            if margin is None:
+                pencil = np.hstack([M - lam * np.eye(M.shape[0]), v[:, None]])
+                margin = svd_margins[lam] = la.svdvals(pencil)[-1]
         tested.append((complex(lam), float(margin)))
     ok = all(m > threshold for _, m in tested)  # a NaN margin fails too
     min_margin = min((m for _, m in tested), default=float("inf"))

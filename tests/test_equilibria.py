@@ -1,4 +1,6 @@
+import itertools
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from conftest import (
     assert_unique_stable_top_pair,
     random_placement_for,
     random_symmetric_hurwitz,
+    random_unit,
     richardson_hessian,
     ring_laplacian_plant,
     spaced_in_random_basis,
@@ -84,6 +87,13 @@ def assert_same_bits(spec: Spectrum, Theta: np.ndarray, Lambda: np.ndarray) -> N
         assert got.flags.f_contiguous == want.flags.f_contiguous
         assert got.flags.c_contiguous == want.flags.c_contiguous
         assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def leading_plus_patterns(size: int) -> np.ndarray:
+    """Every +/-1 pattern over a support of ``size`` with first entry +1, one
+    per column, in the order ``enumerate_equilibria_zero`` takes them."""
+    tails = itertools.product((1.0, -1.0), repeat=size - 1)
+    return np.array([(1.0,) + tail for tail in tails]).T
 
 
 def exact_xi(lams, signs) -> list[Fraction]:
@@ -295,6 +305,45 @@ class TestXiVector:
         for k in range(patterns.shape[1]):
             xi, flag = xi_vector(lam, support, patterns[:, k])
             assert np.array_equal(xi, xis[:, k]) and flag == exists[k]
+
+    def test_stacked_supports_equal_single_support_calls(self):
+        # Every support of one size in one call: each support's xi and flags
+        # keep the bits of its own call, for a stack of patterns and for one.
+        A = spaced_in_random_basis(np.random.default_rng(2901), 9)
+        lam = Spectrum.from_matrix(A).Lambda
+        supports = np.array(list(itertools.combinations(range(9), 5)))
+        patterns = leading_plus_patterns(5)
+        xis, exists = xi_vector(lam, supports, patterns)
+        assert xis.shape == (len(supports),) + patterns.shape
+        assert exists.shape == (len(supports), patterns.shape[1])
+        assert 0 < exists.sum() < exists.size
+        one_xi, one_flag = xi_vector(lam, supports, patterns[:, 3])
+        assert one_xi.shape == (len(supports), 5) and one_flag.shape == (len(supports),)
+        for s, support in enumerate(supports):
+            xi, flags = xi_vector(lam, tuple(support), patterns)
+            assert np.array_equal(xi, xis[s]) and np.array_equal(flags, exists[s])
+            assert np.array_equal(one_xi[s], xis[s, :, 3]) and one_flag[s] == exists[s, 3]
+
+    def test_undecided_sign_in_a_stack_names_its_support_and_pattern(self):
+        # Entry 1 of xi on (v, -2, -3), s = (1, -1, -1), changes sign between
+        # two adjacent floats near v = -1.44; the triple sits at indices
+        # (1, 2, 3) of a spectrum whose other triples decide every sign.
+        signs = (1.0, -1.0, -1.0)
+        lo, hi = -1.44, -1.448
+
+        def exact_sign(v):
+            return exact_xi([v, -2.0, -3.0], signs)[1] > 0
+
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if exact_sign(mid) == exact_sign(lo) else (lo, mid)
+        lam = [-0.2, lo, -2.0, -3.0]
+        supports = np.array(list(itertools.combinations(range(4), 3)))
+        named = r"support \(1, 2, 3\), pattern \[ 1\. -1\. -1\.\]"
+        with pytest.raises(SingularBlock, match=named):
+            xi_vector(lam, supports, leading_plus_patterns(3))
+        with pytest.raises(SingularBlock, match=named):
+            enumerate_equilibria_zero(Spectrum(np.eye(4), np.array(lam)))
 
     def test_entry_within_its_bound_does_not_block_an_absent_pattern(self):
         # xi_3 is exactly 0 on this support, so no rounding bound decides its
@@ -655,6 +704,60 @@ class TestZeroGainField:
             # error is measured against each Hessian's largest eigenvalue.
             diff = np.max(np.abs(np.array(cand.hessian_eigs) - eigs))
             assert diff <= 1e-8 * np.max(np.abs(eigs))
+
+    def test_stacked_rows_equal_one_placement_calls(self):
+        # Off the sphere and at candidates: each row of a stacked call keeps
+        # the bits of its own call, in g_b, g_c, phi_bar and H.
+        rng = np.random.default_rng(2902)
+        spec = Spectrum.from_matrix(spaced_in_random_basis(rng, 7))
+        field = zero_gain_field(spec)
+        b = [rng.uniform(0.5, 2.0) * random_unit(rng, 7) for _ in range(6)]
+        c = [rng.uniform(0.5, 2.0) * random_unit(rng, 7) for _ in range(6)]
+        for cand in enumerate_equilibria_zero(spec)[::9]:
+            b.append(cand.placement.b_unit)
+            c.append(cand.placement.c_unit)
+        g_b, g_c, phi_bars, H = field(np.array(b), np.array(c))
+        assert g_b.shape == g_c.shape == (len(b), 7)
+        assert phi_bars.shape == (len(b),) and H.shape == (len(b), 12, 12)
+        for k in range(len(b)):
+            one = field(b[k], c[k])
+            assert np.array_equal(one[0], g_b[k]) and np.array_equal(one[1], g_c[k])
+            assert one[2] == phi_bars[k] and np.array_equal(one[3], H[k])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_classification_does_not_depend_on_the_block(self, monkeypatch, block):
+        spec = Spectrum.from_matrix(spaced_in_random_basis(np.random.default_rng(2903), 6))
+        candidates = enumerate_equilibria_zero(spec)
+        whole = classify_candidates(spec, candidates)
+        assert len(whole) == 93 <= equilibria._CLASSIFY_BLOCK
+        monkeypatch.setattr(equilibria, "_CLASSIFY_BLOCK", block)
+        blocked = classify_candidates(spec, candidates)
+        for got, want in zip(blocked, whole, strict=True):
+            got_bits, want_bits = (np.array(c.hessian_eigs).tobytes() for c in (got, want))
+            assert got_bits == want_bits
+            assert got.stability == want.stability and got.placement is want.placement
+
+    def test_scalar_spectrum_has_an_empty_stable_hessian(self):
+        spec = spectrum_of([-1.5])
+        (cand,) = classify_candidates(spec, enumerate_equilibria_zero(spec))
+        assert cand.hessian_eigs == () and cand.stability == STABLE
+
+    def test_first_failing_candidate_is_refused(self, monkeypatch):
+        # Two placements off equilibrium in the second block of 7: the error
+        # names the first one's residuals.
+        rng = np.random.default_rng(2904)
+        spec = Spectrum.from_matrix(spaced_in_random_basis(rng, 4))
+        field = zero_gain_field(spec)
+        candidates = enumerate_equilibria_zero(spec)
+        bad = [random_placement_for(rng, 4) for _ in range(2)]
+        for k, placement in zip((9, 11), bad):
+            candidates[k] = replace(candidates[k], placement=placement)
+        monkeypatch.setattr(equilibria, "_CLASSIFY_BLOCK", 7)
+        with pytest.raises(NotAnEquilibrium) as excinfo:
+            classify_candidates(spec, candidates)
+        g_b = field(bad[0].b_unit, bad[0].c_unit)[0]
+        reported = float(str(excinfo.value).split("[")[1].split()[0])
+        assert reported == pytest.approx(la.norm(g_b), rel=1e-6)
 
     def test_rejects_non_equilibrium(self):
         rng = np.random.default_rng(1701)

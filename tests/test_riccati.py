@@ -1083,6 +1083,37 @@ class TestPBHCheck:
         A = np.array([[1.0, 1.0], [0.0, -1.0]])  # unstable mode observable via e1 only
         assert pbh_check(A, np.array([1.0, 0.0]), "detectability").ok
 
+    def test_conjugate_pair_shares_one_svd(self, monkeypatch):
+        # Dense open-loop-unstable plants with complex unstable pairs: the
+        # pencil at conj(lambda) is the entrywise conjugate of the one at
+        # lambda, so a pair takes one SVD, and the margin it shares is each
+        # pencil's own smallest singular value to the CI step's tolerance.
+        svdvals, calls = la.svdvals, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svdvals(*args, **kwargs)
+
+        monkeypatch.setattr(la, "svdvals", counted)
+        rng = np.random.default_rng(2905)
+        pairs = 0
+        for _ in range(12):
+            n = 20
+            A = rng.standard_normal((n, n)) / np.sqrt(n) - 0.7 * np.eye(n)
+            tol = 1e-14 * (1.0 + np.linalg.norm(A))
+            for mode in ("stabilizability", "detectability"):
+                M = A if mode == "stabilizability" else A.T
+                v = random_unit(rng, n)
+                calls.clear()
+                report = pbh_check(A, v, mode)
+                complex_pairs = sum(lam.imag > 0 for lam, _ in report.tested)
+                assert len(calls) == len(report.tested) - complex_pairs
+                pairs += complex_pairs
+                for lam, margin in report.tested:
+                    pencil = np.hstack([M - lam * np.eye(n), v[:, None]])
+                    assert abs(margin - svdvals(pencil)[-1]) <= tol
+        assert pairs > 0
+
     def test_rejects_zero_vector_and_bad_mode(self):
         with pytest.raises(ValueError):
             pbh_check(np.eye(2), np.zeros(2), "stabilizability")
