@@ -140,9 +140,17 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _real_array(values: list, what: str) -> np.ndarray:
+    """A list of JSON numbers, or a list of rows of them, as a float array."""
+    rows = values if all(isinstance(row, list) for row in values) else [values]
+    if not all(all(map(_is_real, row)) for row in rows):
+        raise ProblemFormatError(f"{what} must hold only numbers")
+    return np.asarray(values, dtype=float)
+
+
 def _build_matrix(entry) -> np.ndarray:
     if isinstance(entry, list):
-        return np.asarray(entry, dtype=float)
+        return _real_array(entry, "'A'")
     if not isinstance(entry, dict):
         raise ProblemFormatError("'A' must be a matrix or a generator object")
     kind = entry.get("generator")
@@ -150,7 +158,7 @@ def _build_matrix(entry) -> np.ndarray:
         eigenvalues = entry.get("eigenvalues")
         if not isinstance(eigenvalues, list) or not eigenvalues:
             raise ProblemFormatError("diag generator needs a nonempty 'eigenvalues' list")
-        return np.diag(np.asarray(eigenvalues, dtype=float))
+        return np.diag(_real_array(eigenvalues, "'eigenvalues'"))
     if kind == "laplacian":
         n = entry.get("n")
         edges = entry.get("edges")
@@ -184,6 +192,10 @@ def _section(raw: dict, name: str, known) -> dict:
         if key not in known:
             raise ProblemFormatError(f"unknown key {key!r} in '{name}'")
     return section
+
+
+#: The "sim" section of a problem file, where the file leaves a key out.
+SIM_DEFAULTS = {"dt": 1e-3, "horizon_T": 100.0, "n_paths": 32, "burn_in": 10.0}
 
 
 def load_problem(path: Path) -> Problem:
@@ -221,7 +233,7 @@ def load_problem(path: Path) -> Problem:
             raise ProblemFormatError("'placement' must hold vectors 'b' and 'c'")
         try:
             placement = Placement.normalized(
-                np.asarray(spot["b"], dtype=float), np.asarray(spot["c"], dtype=float)
+                _real_array(spot["b"], "'b'"), _real_array(spot["c"], "'c'")
             )
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError(f"invalid placement: {exc}") from exc
@@ -229,10 +241,7 @@ def load_problem(path: Path) -> Problem:
             raise ProblemFormatError("placement dimension does not match A")
 
     try:
-        flow_options = FlowOptions(
-            grad_tol=float(flow_raw.get("grad_tol", 1e-9)),
-            max_iters=flow_raw.get("max_iters", 100_000),
-        )
+        flow_options = FlowOptions(**flow_raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid flow options: {exc}") from exc
 
@@ -242,7 +251,7 @@ def load_problem(path: Path) -> Problem:
         plant=plant,
         placement=placement,
         flow_options=flow_options,
-        sim_config_raw=dict(sim_raw),
+        sim_config_raw={**SIM_DEFAULTS, **sim_raw},
         seed=raw.get("seed", 0),
         n_starts=raw.get("n_starts", 8),
     )
@@ -252,10 +261,10 @@ def _sim_config(problem: Problem) -> SimConfig:
     raw = problem.sim_config_raw
     try:
         return SimConfig(
-            dt=float(raw.get("dt", 1e-3)),
-            horizon_T=float(raw.get("horizon_T", 100.0)),
-            n_paths=raw.get("n_paths", 32),
-            burn_in=float(raw.get("burn_in", 10.0)),
+            dt=float(raw["dt"]),
+            horizon_T=float(raw["horizon_T"]),
+            n_paths=raw["n_paths"],
+            burn_in=float(raw["burn_in"]),
             seed=problem.seed,
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -332,10 +341,10 @@ def _trace_csv_lines(trace: FlowTrace, n: int) -> list[str]:
     return lines
 
 
-def _classify_or_none(plant: Plant, placement: Placement, report: CostReport) -> dict:
+def _classify_or_none(report: CostReport) -> dict:
     try:
         eigs, verdict = classify_stability(
-            plant, placement, eq_tol=1e-6, report=report
+            report.plant, report.placement, eq_tol=1e-6, report=report
         )
     except CodesignError as exc:
         return {"stability": None, "note": str(exc)}
@@ -353,9 +362,7 @@ def cmd_flow(problem: Problem, args) -> dict:
         "\n".join(_trace_csv_lines(best, plant.n)) + "\n"
     )
     # The descent's own evaluation of its last iterate: nothing is solved again.
-    eq_flag, eq_res = is_equilibrium(
-        plant, best.final, 10.0 * opts.grad_tol, report=best.report
-    )
+    eq_flag, eq_res = is_equilibrium(best.report, 10.0 * opts.grad_tol)
     summary = {
         "seed": problem.seed,
         "n_starts": problem.n_starts,
@@ -370,7 +377,7 @@ def cmd_flow(problem: Problem, args) -> dict:
                 "within_10x_grad_tol": eq_flag,
                 "residuals": list(eq_res),
             },
-            **_classify_or_none(plant, best.final, best.report),
+            **_classify_or_none(best.report),
         },
         "starts": [
             {
@@ -525,7 +532,7 @@ def main(argv=None) -> int:
     if args.command == "flow" and problem.n_starts < 1:
         print("usage error: need at least one start", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "simulate" and problem.sim_config_raw.get("n_paths", 32) < 1:
+    if args.command == "simulate" and problem.sim_config_raw["n_paths"] < 1:
         print("usage error: need at least one simulation path", file=sys.stderr)
         return EXIT_USAGE
 

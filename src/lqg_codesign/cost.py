@@ -31,7 +31,8 @@ pair kept: in real Schur form, or in modal form on a symmetric plant, whose
 cost report then takes no Schur form at all. ``drive_matrices`` gives the
 symmetric matrices (K M K, Sigma N Sigma), in the coordinates of the pair,
 from which ``equilibria.hessian_matrix`` differentiates the descent field;
-``flow.gradient`` forms the field itself.
+``flow.gradient`` forms the field itself. Both, like every derivative, read
+one ``CostReport``, which carries the plant and placement it was solved at.
 """
 
 from __future__ import annotations
@@ -55,23 +56,21 @@ from .riccati import (  # noqa: F401
 
 @dataclass(frozen=True)
 class CostReport:
-    """Cost phi, potential phi_bar, and the solves they came from."""
+    """Cost phi, potential phi_bar, the solves they came from, and the plant
+    and placement they were solved at: everything the derivatives read."""
 
     phi: float
     phi_bar: float
     gains: GainPair
     adjoints: AdjointPair
+    plant: Plant
+    placement: Placement
 
 
 def phi_from_gains(plant: Plant, gains: GainPair) -> float:
     """Evaluate tr(A^T K Sigma + Sigma K A + K + Sigma)."""
     K, S = gains.K_tilde, gains.Sigma_tilde
     return _pairing(plant, gains.basis, K, S) + float(K.trace() + S.trace())
-
-
-def phi_bar_from_adjoints(plant: Plant, adjoints: AdjointPair) -> float:
-    """Evaluate tr(A^T M N + N M A)."""
-    return _pairing(plant, adjoints.basis, adjoints.M_tilde, adjoints.N_tilde)
 
 
 def _pairing(plant: Plant, basis: np.ndarray | None, X: np.ndarray, Y: np.ndarray) -> float:
@@ -94,9 +93,11 @@ def cost_report(plant: Plant, placement: Placement) -> CostReport:
     adjoints = adjoint_pair(plant, placement, gains)
     return CostReport(
         phi=phi_from_gains(plant, gains),
-        phi_bar=phi_bar_from_adjoints(plant, adjoints),
+        phi_bar=_pairing(plant, adjoints.basis, adjoints.M_tilde, adjoints.N_tilde),
         gains=gains,
         adjoints=adjoints,
+        plant=plant,
+        placement=placement,
     )
 
 

@@ -30,6 +30,8 @@ enumerated candidates (``zero_gain_field``), and in ``classify_stability``
 (phi, or phi_bar in the zero-gain limit) by ``hessian_matrix``, which
 differentiates ``flow.gradient`` exactly: three tangent-linear Lyapunov
 solves per tangent direction on the closed loops the cost evaluation kept.
+``is_equilibrium`` and ``hessian_matrix`` read one ``cost.CostReport`` and
+solve nothing; ``classify_stability`` solves one unless it is handed it.
 
 The zero-gain path runs in stacked array passes, one per support size to
 enumerate and one per ``_CLASSIFY_BLOCK`` candidates (a memory bound) to
@@ -56,7 +58,7 @@ from .errors import (
     NotAnEquilibrium,
     SingularBlock,
 )
-from .flow import OrbitGradient, gradient
+from .flow import field_scale, gradient
 from .plant import Placement, Plant
 
 ENUMERATION_CAP = 12
@@ -166,24 +168,15 @@ class EquilibriumCandidate:
     stability: str | None = None
 
 
-def is_equilibrium(
-    plant: Plant,
-    placement: Placement,
-    tol: float,
-    *,
-    report: CostReport | None = None,
-) -> tuple[bool, np.ndarray]:
-    """Test the equilibrium condition; returns (flag, [res_b, res_c]).
+def is_equilibrium(report: CostReport, tol: float) -> tuple[bool, np.ndarray]:
+    """Test the equilibrium condition at the report's placement; returns
+    (flag, [res_b, res_c]).
 
     The residuals are the norms of the tangent residuals r_b and r_c of
     ``flow.gradient``, which vanish exactly when b and c are eigenvectors of
-    the drive matrices. Passing a precomputed ``report`` avoids re-solving
-    the placement.
+    the drive matrices.
     """
-    return _equilibrium_residuals(gradient(plant, placement, report=report), tol)
-
-
-def _equilibrium_residuals(grad: OrbitGradient, tol: float) -> tuple[bool, np.ndarray]:
+    grad = gradient(report)
     residuals = np.array([np.linalg.norm(grad.r_b), np.linalg.norm(grad.r_c)])
     return bool(np.all(residuals <= tol)), residuals
 
@@ -338,20 +331,13 @@ def enumerate_equilibria_zero(spectrum: Spectrum) -> list[EquilibriumCandidate]:
             EquilibriumCandidate(Placement(b, c), KIND_COMMON, t, s, x)
             for b, c, t, s, x in zip(b_units, c_units, *tuples)
         ]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            placement = Placement(spectrum.eigenvector(i), spectrum.eigenvector(j))
-            candidates.append(
-                EquilibriumCandidate(
-                    placement=placement,
-                    kind=KIND_DISJOINT,
-                    support=(i, j),
-                    sign_s=(0,) * n,
-                    xi=None,
-                )
-            )
+    candidates += [
+        EquilibriumCandidate(
+            Placement(spectrum.eigenvector(i), spectrum.eigenvector(j)),
+            KIND_DISJOINT, (i, j), (0,) * n, None,
+        )
+        for i, j in itertools.permutations(range(n), 2)
+    ]
     return candidates
 
 
@@ -407,10 +393,9 @@ def zero_gain_field(spectrum: Spectrum):
     return field
 
 
-def hessian_matrix(
-    plant: Plant, placement: Placement, *, report: CostReport | None = None
-) -> np.ndarray:
-    """Exact Hessian of the potential at a placement, by tangent linearization.
+def hessian_matrix(report: CostReport) -> np.ndarray:
+    """Exact Hessian of the potential at the report's placement, by tangent
+    linearization.
 
     Column j is the derivative of the gradient coordinates
     (U^T g_b, W^T g_c) of ``flow.gradient`` along the j-th direction
@@ -432,25 +417,15 @@ def hessian_matrix(
     identically zero solves are skipped. At a critical point the result is
     the Riemannian Hessian (Absil, Mahony and Trumpf, GSI 2013), symmetric
     up to rounding; elsewhere it is the Jacobian of the projected field.
-    Passing a precomputed ``report`` avoids re-solving the placement.
     """
-    if report is None:
-        report = cost_report(plant, placement)
-    grad = gradient(plant, placement, report=report)
-    return _hessian(plant, placement, report, grad)
-
-
-def _hessian(
-    plant: Plant, placement: Placement, report: CostReport, grad: OrbitGradient
-) -> np.ndarray:
-    """``hessian_matrix`` given the report and its ``flow.gradient``."""
     # Run in the coordinates of the gain pair (a symmetric plant's
     # eigenbasis Theta): b, c and the tangent bases U, W are taken there, and
     # U^T dg_b = (Theta^T U)^T (Theta^T dg_b).
+    plant, placement = report.plant, report.placement
     gains, adjoints = report.gains, report.adjoints
     K, Sigma, M, N = gains.K_tilde, gains.Sigma_tilde, adjoints.M_tilde, adjoints.N_tilde
     S_b, S_c = drive_matrices(gains, adjoints)
-    eps, delta = plant.epsilon, plant.delta
+    eps, delta, scale = plant.epsilon, plant.delta, field_scale(plant)
     U = gains.coords(_tangent_basis(placement.b_unit))
     W = gains.coords(_tangent_basis(placement.c_unit))
     b, c = gains.coords(placement.b_unit), gains.coords(placement.c_unit)
@@ -478,7 +453,7 @@ def _hessian(
         dS_c = 0.5 * sym(dS @ N @ Sigma + Sigma @ dN @ Sigma + Sigma @ N @ dS)
         dg_b = dS_b @ b + S_b @ d_b - (b @ S_b @ b) * d_b
         dg_c = dS_c @ c + S_c @ d_c - (c @ S_c @ c) * d_c
-        return -grad.scale * np.concatenate([U.T @ dg_b, W.T @ dg_c])
+        return -scale * np.concatenate([U.T @ dg_b, W.T @ dg_c])
 
     zero = np.zeros(plant.n)
     columns = [column(d, zero) for d in U.T] + [column(zero, d) for d in W.T]
@@ -517,11 +492,11 @@ def classify_stability(
 ) -> tuple[np.ndarray, str]:
     """Exact Hessian classification at an equilibrium.
 
-    Classifies the ``hessian_matrix`` of ``flow.gradient`` with ``_verdict``,
-    solving the placement once (or not at all, given its ``report``) and
-    forming its gradient once for both the equilibrium test and the Hessian.
-    In the zero-gain regime (eps*delta < 1e-12) the gradient is that of
-    phi_bar, so the Hessian is too; otherwise it is that of phi.
+    Classifies the ``hessian_matrix`` of ``flow.gradient`` with ``_verdict``
+    after ``is_equilibrium``, both read from one ``cost_report``: ``report``,
+    which must have been solved at this ``plant`` and ``placement``, or else
+    the one solved here. In the zero-gain regime (eps*delta < 1e-12) the
+    gradient is that of phi_bar, so the Hessian is too; otherwise of phi.
 
     Returns (eigenvalues descending, classification).
 
@@ -529,12 +504,15 @@ def classify_stability(
     ------
     NotAnEquilibrium
         If the equilibrium residual exceeds ``eq_tol``.
+    ValueError
+        If ``report`` was solved at another plant or placement.
     """
     if report is None:
         report = cost_report(plant, placement)
-    grad = gradient(plant, placement, report=report)
-    _require_equilibrium(_equilibrium_residuals(grad, eq_tol)[1], eq_tol)
-    return _verdict(_hessian(plant, placement, report, grad))
+    elif report.plant is not plant or report.placement is not placement:
+        raise ValueError("report was solved at another plant or placement")
+    _require_equilibrium(is_equilibrium(report, eq_tol)[1], eq_tol)
+    return _verdict(hessian_matrix(report))
 
 
 def classify_candidates(

@@ -12,11 +12,11 @@ which lifts exactly to the unit-sphere pair through B = b b^T:
 Euler with secant (Barzilai-Borwein) trial steps, backtracking and
 renormalization, so the orbit constraint holds exactly at every iterate.
 
-``gradient`` is the one place that forms this field. ``OrbitGradient``
-keeps the tangent residual r_b = (I - b b^T) S_b b (and r_c), which
-vanishes exactly at an equilibrium, and the gradient (ascent) direction
-g_b = -scale * r_b, so a step moves along ``b - step * g_b``. The scale is
-eps*delta, or 1 when eps*delta is numerically zero: the eps*delta field
+``gradient`` is the one place that forms this field, from a ``CostReport``
+alone. ``OrbitGradient`` keeps the tangent residual r_b = (I - b b^T) S_b b
+(and r_c), which vanishes exactly at an equilibrium, and the gradient
+(ascent) direction g_b = -scale * r_b, so a step moves along
+``b - step * g_b``. The scale (``field_scale``) is eps*delta, or 1 when eps*delta is numerically zero: the eps*delta field
 vanishes identically there, and the descent acts on the potential phi_bar
 instead of phi. Every first-order quantity reads the residuals: the
 equilibrium test, the Armijo slope -norm^2 and ``directional_derivative``.
@@ -133,12 +133,16 @@ class FlowTrace:
 
     iterates: tuple[FlowIterate, ...]
     status: str
-    final: Placement
     #: Why a ``solver_failure`` start stopped; None for every other status.
     error: str | None = None
     counters: FlowCounters = FlowCounters()
     #: The ``cost_report`` of ``final``; None for a start never evaluated.
     report: CostReport | None = None
+
+    @property
+    def final(self) -> Placement | None:
+        """The last iterate's placement; None for a start never evaluated."""
+        return self.iterates[-1].placement if self.iterates else None
 
     @property
     def phis(self) -> np.ndarray:
@@ -156,20 +160,18 @@ def is_zero_gain(plant: Plant) -> bool:
     return plant.epsilon * plant.delta < SCALE_TINY
 
 
-def gradient(
-    plant: Plant, placement: Placement, *, report: CostReport | None = None
-) -> OrbitGradient:
-    """Normal-metric gradient of the cost at a placement: of phi, or of
-    phi_bar at zero gain.
+def field_scale(plant: Plant) -> float:
+    """The scale of the descent field: eps*delta, or 1 at zero gain."""
+    return 1.0 if is_zero_gain(plant) else plant.epsilon * plant.delta
 
-    Passing a precomputed ``report`` avoids re-solving the four equations.
-    """
-    if report is None:
-        report = cost_report(plant, placement)
-    gains, adjoints = report.gains, report.adjoints
+
+def gradient(report: CostReport) -> OrbitGradient:
+    """Normal-metric gradient of the cost at the report's placement: of phi,
+    or of phi_bar at zero gain."""
+    gains, adjoints, placement = report.gains, report.adjoints, report.placement
     r_b = _residual(gains, gains.K_tilde, adjoints.M_tilde, placement.b_unit)
     r_c = _residual(gains, gains.Sigma_tilde, adjoints.N_tilde, placement.c_unit)
-    scale = 1.0 if is_zero_gain(plant) else plant.epsilon * plant.delta
+    scale = field_scale(report.plant)
     norm = scale * np.sqrt(2.0 * (r_b @ r_b + r_c @ r_c))
     return OrbitGradient(r_b=r_b, r_c=r_c, norm=float(norm), scale=scale)
 
@@ -184,15 +186,11 @@ def _residual(gains, X: np.ndarray, Y: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def directional_derivative(
-    plant: Plant,
-    placement: Placement,
-    omega_b: np.ndarray,
-    omega_c: np.ndarray,
-    *,
-    report: CostReport | None = None,
+    report: CostReport, omega_b: np.ndarray, omega_c: np.ndarray
 ) -> float:
     """First variation of the potential ``gradient`` descends (phi, or
-    phi_bar at zero gain) along the orbit tangent (ad_B Omega_b, ad_C Omega_c):
+    phi_bar at zero gain) at the report's placement along the orbit tangent
+    (ad_B Omega_b, ad_C Omega_c):
 
         s (tr([B, S_b] Omega_b) + tr([C, S_c] Omega_c))
             = 2 s (r_b . Omega_b b + r_c . Omega_c c),
@@ -200,8 +198,7 @@ def directional_derivative(
     with s the field scale (eps*delta, or 1 at zero gain). The tangent is
     realized by the curves b(t) = expm(-t*Omega_b) b_unit and
     c(t) = expm(-t*Omega_c) c_unit, whose derivative at t = 0 is
-    ([B, Omega_b], [C, Omega_c]). Passing a precomputed ``report`` avoids
-    re-solving the four equations.
+    ([B, Omega_b], [C, Omega_c]).
 
     Raises
     ------
@@ -213,8 +210,8 @@ def directional_derivative(
     for name, om in (("omega_b", omega_b), ("omega_c", omega_c)):
         if np.linalg.norm(om + om.T, "fro") > SKEW_TOL:
             raise NotSkew(f"{name} is not skew-symmetric")
-    grad = gradient(plant, placement, report=report)
-    b, c = placement.b_unit, placement.c_unit
+    grad = gradient(report)
+    b, c = report.placement.b_unit, report.placement.c_unit
     pairing = grad.r_b @ omega_b @ b + grad.r_c @ omega_c @ c
     return float(2.0 * grad.scale * pairing)
 
@@ -281,13 +278,13 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
 
     def finish(status: str, error: str | None = None) -> FlowTrace:
         counters = FlowCounters(**tally)
-        return FlowTrace(tuple(iterates), status, placement, error, counters, report)
+        return FlowTrace(tuple(iterates), status, error, counters, report)
 
     placement, report = init, None
     iterates: list[FlowIterate] = []
     try:
         report = evaluate(placement)
-        grad = gradient(plant, placement, report=report)
+        grad = gradient(report)
     except CodesignError as exc:
         return finish(STATUS_SOLVER_FAILURE, str(exc))
 
@@ -310,7 +307,7 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
                 tally["last_swallowed_error"] = str(exc)
             else:
                 cand_obj = objective_of(cand_report)
-                cand_grad = gradient(plant, candidate, report=cand_report)
+                cand_grad = gradient(cand_report)
                 if cand_obj <= obj - _ARMIJO_C1 * step * grad.norm**2 or (
                     abs(cand_obj - obj) <= 4.0 * resolution * abs(obj)
                     and cand_grad.norm < grad.norm
@@ -366,14 +363,10 @@ def pbh_passing_placement(
 
 def default_workers() -> int:
     """Worker count from CODESIGN_THREADS (0 or unset means sequential auto)."""
-    raw = os.environ.get("CODESIGN_THREADS", "0")
     try:
-        value = int(raw)
+        return max(int(os.environ.get("CODESIGN_THREADS", "0")), 1)
     except ValueError:
         return 1
-    if value <= 0:
-        return 1
-    return value
 
 
 def multi_start(
@@ -404,9 +397,7 @@ def multi_start(
 
     def run_one(start: Placement | None) -> FlowTrace:
         if start is None:
-            return FlowTrace(
-                (), STATUS_SOLVER_FAILURE, _fallback_placement(plant.n), NO_PLACEMENT
-            )
+            return FlowTrace((), STATUS_SOLVER_FAILURE, NO_PLACEMENT)
         return run_flow(plant, start, opts)
 
     workers = default_workers()
@@ -429,9 +420,3 @@ def multi_start(
         tie = 8.0 * np.finfo(float).eps * abs(low)
         usable = [t for t in usable if value(t) <= low + tie]
     return MultiStartResult(best=usable[0], all=tuple(traces))
-
-
-def _fallback_placement(n: int) -> Placement:
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    return Placement(e1, e1.copy())

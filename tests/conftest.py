@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import quad_vec
 
-from lqg_codesign import Placement, Plant, gradient
+from lqg_codesign import Placement, Plant, cost_report, gradient
 from lqg_codesign.equilibria import STABLE, _tangent_basis, eq19_residual
 from lqg_codesign.verify import richardson_derivative
 from oracles import beta_gamma_coords
@@ -72,7 +72,7 @@ def richardson_hessian(plant: Plant, placement: Placement) -> np.ndarray:
     b0, c0 = placement.b_unit, placement.c_unit
 
     def coords(b, c):
-        g = gradient(plant, Placement.normalized(b, c))
+        g = gradient(cost_report(plant, Placement.normalized(b, c)))
         return np.concatenate([U.T @ g.g_b, W.T @ g.g_c])
 
     columns = []

@@ -126,7 +126,9 @@ def test_criterion_3_gradient_correctness():
         placement = random_placement_for(rng, n)
         for _ in range(10):
             omega_b, omega_c = random_skew(rng, n), random_skew(rng, n)
-            analytic = directional_derivative(plant, placement, omega_b, omega_c)
+            analytic = directional_derivative(
+                cost_report(plant, placement), omega_b, omega_c
+            )
             fd = _fd_derivative(
                 lambda t: phi(plant, _rotate(placement, omega_b, omega_c, t)), 2e-2
             )

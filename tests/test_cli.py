@@ -228,6 +228,11 @@ class TestNonFiniteInput:
             ("simulate", "sim", "burn_in", "1"),
             ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, 1, True], [1, 2, 1.0]]}),
             ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [[0, 1, "1.5"], [1, 2, 1.0]]}),
+            # and so is every entry of an array
+            ("solve", None, "A", [[True, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]]),
+            ("solve", None, "A", {"generator": "diag", "eigenvalues": ["-1.5", -2.0, -3.0]}),
+            ("solve", "placement", "b", [True, "0.5", 0.0]),
+            ("solve", "placement", "c", [0.0, "1", 1.0]),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):
@@ -416,9 +421,18 @@ class TestFlowCommand:
             return None if len(calls) == 1 else real(*args)
 
         monkeypatch.setattr(flow, "pbh_passing_placement", first_fails)
+        results = []
+
+        def recorded(*args):
+            results.append(flow.multi_start(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "multi_start", recorded)
         problem = write_problem(tmp_path, "diag3.json", DIAG3)
         out = tmp_path / "out"
         assert main(["flow", "--problem", problem, "--out", str(out)]) == 0
+        # A start that never had a placement has no final one either.
+        assert results[0].all[0].final is None
         starts = json.loads((out / "flow.json").read_text())["starts"]
         assert starts[0] == {
             "status": "solver_failure",

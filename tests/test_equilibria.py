@@ -168,13 +168,14 @@ class TestIsEquilibrium:
     def test_top_pair_is_equilibrium_at_small_gains(self):
         plant = Plant(np.diag([-1.0, -2.0]), 0.01, 0.01)
         e1 = np.array([1.0, 0.0])
-        flag, residuals = is_equilibrium(plant, Placement(e1, e1), 1e-8)
+        flag, residuals = is_equilibrium(cost_report(plant, Placement(e1, e1)), 1e-8)
         assert flag and np.all(residuals < 1e-12)
 
     def test_random_placement_is_not(self):
         rng = np.random.default_rng(3)
         plant = Plant(random_symmetric_hurwitz(rng, 3), 0.5, 0.5)
-        flag, residuals = is_equilibrium(plant, random_placement_for(rng, 3), 1e-8)
+        report = cost_report(plant, random_placement_for(rng, 3))
+        flag, residuals = is_equilibrium(report, 1e-8)
         assert not flag and np.max(residuals) > 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
@@ -193,15 +194,14 @@ class TestIsEquilibrium:
         ):
             Sv = 0.5 * (S + S.T) @ v
             expected.append(np.linalg.norm(Sv - (v @ Sv) * v))
-        residuals = is_equilibrium(plant, placement, 1e-8)[1]
+        residuals = is_equilibrium(report, 1e-8)[1]
         assert residuals == pytest.approx(expected, rel=1e-12)
         assert min(expected) > 1e-8
 
     def test_scalar_always(self):
         plant = Plant(np.array([[-1.0]]), 2.0, 1.0)
-        flag, residuals = is_equilibrium(
-            plant, Placement(np.array([1.0]), np.array([-1.0])), 1e-12
-        )
+        placement = Placement(np.array([1.0]), np.array([-1.0]))
+        flag, residuals = is_equilibrium(cost_report(plant, placement), 1e-12)
         assert flag and np.all(residuals == 0.0)
 
 
@@ -403,7 +403,7 @@ class TestEnumeration:
         spec = spectrum_of([-1.0, -2.0, -4.0])
         plant = Plant(spec.A, 0.0, 0.0)
         for cand in enumerate_equilibria_zero(spec):
-            flag, residuals = is_equilibrium(plant, cand.placement, 1e-8)
+            flag, residuals = is_equilibrium(cost_report(plant, cand.placement), 1e-8)
             assert flag, (cand.kind, cand.support, residuals)
 
     def test_singleton_candidate_is_top_eigenvector_pair(self):
@@ -504,12 +504,12 @@ class TestClassifyStability:
         placement = Placement(np.array([1.0]), np.array([1.0]))
         eigs, verdict = classify_stability(plant, placement)
         assert verdict == STABLE and eigs.size == 0
-        assert hessian_matrix(plant, placement).shape == (0, 0)
+        assert hessian_matrix(cost_report(plant, placement)).shape == (0, 0)
 
     def test_raw_hessian_is_nearly_symmetric(self):
         plant = Plant(np.diag([-1.0, -2.0, -3.0]), 0.0, 0.0)
         e1 = np.array([1.0, 0.0, 0.0])
-        H = hessian_matrix(plant, Placement(e1, e1))
+        H = hessian_matrix(cost_report(plant, Placement(e1, e1)))
         assert la.norm(H - H.T, "fro") / la.norm(H, "fro") < 1e-4
 
     @pytest.mark.parametrize(
@@ -552,7 +552,7 @@ class TestClassifyStability:
 def _four_solve_hessian(plant: Plant, placement: Placement, report) -> np.ndarray:
     """``hessian_matrix`` with all four solves per direction, the identically
     zero ones included: the formula that skipping them must keep bit for bit."""
-    grad = gradient(plant, placement, report=report)
+    grad = gradient(report)
     S_b, S_c = drive_matrices(report.gains, report.adjoints)
     K, S = report.gains.K, report.gains.Sigma
     M, N = report.adjoints.M, report.adjoints.N
@@ -597,11 +597,12 @@ class TestExactHessian:
         else:  # eps = 0 < delta: the regulator loop is A itself
             plant = Plant(spaced_in_random_basis(rng, 5), 0.0, 0.8)
         placement = random_placement_for(rng, plant.n)
-        H = hessian_matrix(plant, placement)
+        report = cost_report(plant, placement)
+        H = hessian_matrix(report)
         H_fd = richardson_hessian(plant, placement)
         # Off critical: there the Jacobian of the projected field is not
         # symmetric, so every term of it is checked.
-        assert gradient(plant, placement).norm > 0.05 * la.norm(H_fd)
+        assert gradient(report).norm > 0.05 * la.norm(H_fd)
         assert la.norm(H - H_fd) <= 1e-8 * la.norm(H_fd)
 
     def test_zero_gain_matches_closed_form_on_every_candidate(self):
@@ -612,7 +613,7 @@ class TestExactHessian:
         assert len(candidates) == 93
         for cand in candidates:
             b, c = cand.placement.b_unit, cand.placement.c_unit
-            eigs, verdict = _verdict(hessian_matrix(plant, cand.placement))
+            eigs, verdict = _verdict(hessian_matrix(cost_report(plant, cand.placement)))
             eigs_cf, verdict_cf = _verdict(field(b, c)[3])
             assert np.max(np.abs(eigs - eigs_cf)) <= 1e-12 * np.max(np.abs(eigs_cf))
             assert verdict == verdict_cf
@@ -634,7 +635,7 @@ class TestExactHessian:
             return original(self, Q, transpose)
 
         monkeypatch.setattr(ClosedLoop, "solve", counted)
-        H = hessian_matrix(plant, placement, report=report)
+        H = hessian_matrix(report)
         assert len(calls) == 3 * 2 * (plant.n - 1)
         assert np.array_equal(H, expected)
 
@@ -643,7 +644,7 @@ class TestExactHessian:
         plant = ring_laplacian_plant(rng, 16, 0.5)
         trace = run_flow(plant, random_placement_for(rng, 16), FlowOptions())
         assert trace.status == "converged"
-        H = hessian_matrix(plant, trace.final)
+        H = hessian_matrix(trace.report)
         assert la.norm(H - H.T) <= 1e-12 * la.norm(H)
         assert _verdict(H)[1] == STABLE
 
@@ -652,8 +653,8 @@ class TestExactHessian:
         plant = Plant(random_symmetric_hurwitz(rng, 4), 0.3, 0.6)
         placement = random_placement_for(rng, 4)
         report = cost_report(plant, placement)
-        H = hessian_matrix(plant, placement, report=report)
-        assert np.array_equal(H, hessian_matrix(plant, placement))
+        H = hessian_matrix(report)
+        assert np.array_equal(H, hessian_matrix(cost_report(plant, placement)))
 
 
 class TestZeroGainField:
@@ -668,7 +669,7 @@ class TestZeroGainField:
             b = rng.uniform(0.5, 2.0) * random_placement_for(rng, n).b_unit
             c = rng.uniform(0.5, 2.0) * random_placement_for(rng, n).c_unit
             placement = Placement.normalized(b, c)
-            ref = gradient(plant, placement)
+            ref = gradient(cost_report(plant, placement))
             ref_phi_bar = phi_bar(plant, placement)
             g_b, g_c, field_phi_bar, H = field(b, c)
             scale = max(la.norm(ref.g_b), la.norm(ref.g_c), abs(ref_phi_bar))

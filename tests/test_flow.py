@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 from conftest import (
     random_placement_for,
+    random_skew,
     random_symmetric_hurwitz,
     random_unit,
     scalar_plant,
@@ -16,11 +17,16 @@ from lqg_codesign import (
     OrbitGradient,
     Placement,
     Plant,
+    classify_stability,
+    cost,
     cost_report,
     directional_derivative,
+    equilibria,
     flow,
     flow_step,
     gradient,
+    hessian_matrix,
+    is_equilibrium,
     multi_start,
     pbh_check,
     phi,
@@ -48,14 +54,14 @@ def _zero_gradient(n: int) -> OrbitGradient:
 class TestGradient:
     def test_scalar_dimension_always_zero(self):
         plant, placement = scalar_plant(3.0, 3.0)
-        grad = gradient(plant, placement)
+        grad = gradient(cost_report(plant, placement))
         assert grad.norm == 0.0
         assert np.all(grad.g_b == 0.0) and np.all(grad.g_c == 0.0)
 
     def test_top_eigenvector_pair_is_critical_at_zero_gain(self):
         plant = Plant(np.diag([-1.0, -2.0]), 0.0, 0.0)
         e1 = np.array([1.0, 0.0])
-        grad = gradient(plant, Placement(e1, e1))
+        grad = gradient(cost_report(plant, Placement(e1, e1)))
         assert grad.norm < 1e-14
 
     @pytest.mark.parametrize("seed", range(4))
@@ -63,7 +69,7 @@ class TestGradient:
         rng = np.random.default_rng(900 + seed)
         plant = Plant(random_symmetric_hurwitz(rng, 4), 0.3, 0.8)
         placement = random_placement_for(rng, 4)
-        grad = gradient(plant, placement)
+        grad = gradient(cost_report(plant, placement))
         assert abs(grad.g_b @ placement.b_unit) < 1e-12
         assert abs(grad.g_c @ placement.c_unit) < 1e-12
 
@@ -86,20 +92,21 @@ class TestGradient:
         rng = np.random.default_rng(1000 + seed)
         plant = Plant(random_symmetric_hurwitz(rng, 3), 0.5, 0.7)
         placement = random_placement_for(rng, 3)
-        grad = gradient(plant, placement)
+        report = cost_report(plant, placement)
+        grad = gradient(report)
         if grad.norm < 1e-12:
             pytest.skip("sampled a critical point")
         b, c = placement.b_unit, placement.c_unit
         d_b, d_c = -grad.g_b, -grad.g_c
         omega_b = np.outer(b, d_b) - np.outer(d_b, b)
         omega_c = np.outer(c, d_c) - np.outer(d_c, c)
-        assert directional_derivative(plant, placement, omega_b, omega_c) < 0.0
+        assert directional_derivative(report, omega_b, omega_c) < 0.0
 
     def test_norm_scaling_between_fields(self):
         rng = np.random.default_rng(77)
         plant = Plant(random_symmetric_hurwitz(rng, 3), 0.2, 0.4)
         placement = random_placement_for(rng, 3)
-        plain = gradient(plant, placement)
+        plain = gradient(cost_report(plant, placement))
         assert plain.scale == pytest.approx(0.08)
 
 
@@ -146,7 +153,7 @@ class TestFlowStep:
         rng = np.random.default_rng(1100 + seed)
         plant = Plant(random_symmetric_hurwitz(rng, 3), 1.2, 1.5)
         placement = random_placement_for(rng, 3)
-        grad = gradient(plant, placement)
+        grad = gradient(cost_report(plant, placement))
         base = phi(plant, placement)
         slopes = []
         for step in (2e-4, 1e-4):
@@ -217,6 +224,7 @@ class TestRunFlow:
         trace = run_flow(plant, init, FlowOptions())
         assert trace.status == "solver_failure"
         assert "PBH" in trace.error
+        assert trace.final is None and trace.report is None
 
 
 class TestStopRule:
@@ -324,7 +332,8 @@ class TestLineSearch:
         trace = run_flow(plant, start, FlowOptions(grad_tol=grad_tol, max_iters=3_000))
         assert len(trace.iterates) > 1
         for prev, it in zip(trace.iterates, trace.iterates[1:]):
-            moved = flow_step(plant, prev.placement, gradient(plant, prev.placement), it.step)
+            grad = gradient(cost_report(plant, prev.placement))
+            moved = flow_step(plant, prev.placement, grad, it.step)
             assert np.array_equal(moved.b_unit, it.placement.b_unit)
             assert np.array_equal(moved.c_unit, it.placement.c_unit)
 
@@ -462,7 +471,6 @@ class TestMultiStart:
             FlowTrace(
                 (FlowIterate(Placement(e1, e1), value, obj, 0.0, 0.0),),
                 STATUS_CONVERGED,
-                Placement(e1, e1),
             )
             for value, obj in zip(finals, objectives)
         )
@@ -509,7 +517,7 @@ class TestGradientVsFiniteDifference:
         rng = np.random.default_rng(1300 + seed)
         plant = Plant(random_symmetric_hurwitz(rng, 3), 0.5, 0.8)
         placement = random_placement_for(rng, 3)
-        grad = gradient(plant, placement)
+        grad = gradient(cost_report(plant, placement))
         d = random_unit(rng, 3)
         d = d - (d @ placement.b_unit) * placement.b_unit
         d /= np.linalg.norm(d)
@@ -529,32 +537,62 @@ class TestGradientVsFiniteDifference:
 def test_converged_flow_satisfies_equilibrium_tolerance():
     # zero gain, where the field has scale 1: the commutator residual is
     # bounded by the gradient norm
-    from lqg_codesign import is_equilibrium
-
     plant = Plant(np.diag([-1.0, -2.0]), 0.0, 0.0)
     rng = np.random.default_rng(31)
     opts = FlowOptions(grad_tol=1e-9, max_iters=5_000)
     trace = run_flow(plant, random_placement_for(rng, 2), opts)
     assert trace.status == STATUS_CONVERGED
-    flag, residuals = is_equilibrium(plant, trace.final, 10.0 * opts.grad_tol)
+    flag, residuals = is_equilibrium(trace.report, 10.0 * opts.grad_tol)
     assert flag, residuals
 
 
-def test_gradient_reuses_report():
+def test_gradient_reuses_report(monkeypatch):
+    # Given a ready cost report, no derivative solves again: with every route
+    # to a solve patched to raise, each returns the bits it returned before.
+    # A symmetric plant is held in its eigenbasis, a non-symmetric one in A's.
     rng = np.random.default_rng(55)
-    plant = Plant(random_symmetric_hurwitz(rng, 3), 0.3, 0.3)
-    placement = random_placement_for(rng, 3)
-    report = cost_report(plant, placement)
-    g1 = gradient(plant, placement, report=report)
-    g2 = gradient(plant, placement)
-    assert np.array_equal(g1.g_b, g2.g_b)
-    # The residuals are taken in the eigenbasis; the oracle is the field
-    # (I - b b^T) K M K b formed from the A-basis K and M.
-    K, M = report.gains.K, report.adjoints.M
-    S_b = 0.5 * (K @ M @ K + (K @ M @ K).T)
-    b = placement.b_unit
-    r_b = S_b @ b - (b @ S_b @ b) * b
-    assert la.norm(g1.r_b - r_b) <= 1e-12 * la.norm(r_b)
+    nonsymmetric = np.array([[-1.0, 0.2, 0.0], [0.0, -2.0, 0.4], [0.3, 0.0, -3.0]])
+    reports = [
+        cost_report(Plant(A, 0.3, 0.3), random_placement_for(rng, 3))
+        for A in (random_symmetric_hurwitz(rng, 3), nonsymmetric)
+    ]
+    assert reports[0].gains.basis is not None and reports[1].gains.basis is None
+    omega_b, omega_c = random_skew(rng, 3), random_skew(rng, 3)
+
+    def derivatives(report):
+        grad = gradient(report)
+        # eq_tol = inf: the placement need not be an equilibrium.
+        eigs, verdict = classify_stability(
+            report.plant, report.placement, eq_tol=np.inf, report=report
+        )
+        return [
+            grad.r_b, grad.r_c, grad.norm, *is_equilibrium(report, 1e-8),
+            directional_derivative(report, omega_b, omega_c),
+            hessian_matrix(report), eigs, verdict,
+        ]
+
+    before = [derivatives(report) for report in reports]
+    # A report is read only at the plant and placement it was solved at.
+    with pytest.raises(ValueError):
+        classify_stability(reports[0].plant, reports[1].placement, report=reports[0])
+
+    def solved_again(*args, **kwargs):
+        raise AssertionError("a ready report was solved again")
+
+    for module in (cost, flow, equilibria, riccati):
+        for name in ("cost_report", "gain_pair", "adjoint_pair"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, solved_again)
+    for report, expected in zip(reports, before):
+        for got, value in zip(derivatives(report), expected):
+            assert np.array_equal(got, value)
+        # The residuals are taken in the pair's coordinates; the oracle is the
+        # field (I - b b^T) K M K b formed from the A-basis K and M.
+        K, M = report.gains.K, report.adjoints.M
+        S_b = 0.5 * (K @ M @ K + (K @ M @ K).T)
+        b = report.placement.b_unit
+        r_b = S_b @ b - (b @ S_b @ b) * b
+        assert la.norm(gradient(report).r_b - r_b) <= 1e-12 * la.norm(r_b)
 
 
 def test_multi_start_threaded_matches_sequential(monkeypatch):

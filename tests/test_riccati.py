@@ -264,7 +264,7 @@ class TestOneFactorizationPerMatrix:
             for module, name in ((la, "schur"), (np.linalg, "eigvals"), (np.linalg, "eigh")):
                 patch.setattr(module, name, recording(getattr(module, name)))
             report = cost_report(plant, placement)
-            hessian_matrix(plant, placement, report=report)
+            hessian_matrix(report)
         assert seen == []
         assert report.gains.fallback is None
 
@@ -875,7 +875,7 @@ class TestEigenbasisEvaluation:
     @staticmethod
     def _agree(plant: Plant, placement: Placement) -> GainPair:
         report = cost_report(plant, placement)
-        grad = gradient(plant, placement, report=report)
+        grad = gradient(report)
         oracle = _hamiltonian_report(plant, placement)
         got = {
             "K": report.gains.K, "Sigma": report.gains.Sigma,
@@ -946,7 +946,7 @@ class TestEigenbasisEvaluation:
 
             monkeypatch.setattr(la, name, counted)
         report = cost_report(plant, placement)
-        gradient(plant, placement, report=report)
+        gradient(report)
         assert counts == {"schur": 0, "svdvals": 0}
         assert report.gains.fallback is None
         assert min(r.min_margin for r in report.gains.pbh) > 1e-3
