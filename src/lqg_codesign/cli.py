@@ -12,8 +12,10 @@ and optional "placement" ({"b": [...], "c": [...]}, normalized on load),
 "seed", and "n_starts". An unknown key in "flow" or "sim" is a parse error.
 
 Reports are JSON with floats printed to 17 significant digits (lossless
-round-trip); finite float vectors and matrices are written a row at a time,
-with the same bytes. Flow traces are CSV with the fixed column schema
+round-trip). Finite float vectors and matrices, and int lists, are written
+a row at a time, and each row of a list of objects fills one template per
+row shape, all in the bytes of writing each value on its own. Flow traces
+are CSV with the fixed column schema
 iter,phi,grad_norm,step,b0..b{n-1},c0..c{n-1}. Exit codes: 0 ok, 1 usage,
 2 parse, 3 solver (or failed verification), 4 all starts failed,
 5 dimension cap, 6 simulation divergence. CODESIGN_THREADS caps multi-start
@@ -71,16 +73,100 @@ EXIT_DIVERGED = 6
 # JSON emission with 17-significant-digit floats
 
 
-def _float_template(shape: tuple, indent: int) -> str:
-    """What ``dumps`` writes for a float array of ``shape``, "%.17g" per entry."""
-    item = _float_template(shape[1:], indent + 2) if shape[1:] else "%.17g"
-    rows = ",\n".join([" " * (indent + 2) + item] * shape[0])
+#: The format of one slot of a template, by the shape of the value it holds.
+_SLOTS = {"f": "%.17g", "d": "%d", "s": "%s"}
+
+
+def _array_template(shape: tuple, indent: int, item: str = "%.17g") -> str:
+    """What ``dumps`` writes for an array of ``shape``, ``item`` per entry."""
+    inner = _array_template(shape[1:], indent + 2, item) if shape[1:] else item
+    rows = ",\n".join([" " * (indent + 2) + inner] * shape[0])
     return "[\n" + rows + "\n" + " " * indent + "]"
 
 
+def _shape(obj, slots: list):
+    """The shape of ``obj``, with the values of its slots appended to ``slots``.
+
+    A shape is "f", "d" or "s" for one finite float, int or string slot;
+    "null", "true", "false", "[]" or "{}" for that literal; ("f", L) or
+    ("d", L) for a list of L finite floats or ints; ("[", s1, ...) for any
+    other list; and ("{", (key, s1), ...) for a dict. It is None for a value
+    that only ``dumps`` writes: another type, or a subclass of dict or list.
+    """
+    kind = type(obj)
+    if kind is np.ndarray:
+        obj = obj.tolist()
+        kind = type(obj)
+    if kind is dict:
+        fields = ["{"]
+        for key, value in obj.items():
+            sub = _shape(value, slots)
+            if sub is None:
+                return None
+            fields.append((str(key), sub))
+        return tuple(fields) if obj else "{}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {float} and math.isfinite(sum(obj)):  # a sum is finite only if every term is
+            slots.extend(obj)
+            return ("f", len(obj))
+        if kinds == {int}:
+            slots.extend(obj)
+            return ("d", len(obj))
+        items = ["["]
+        for value in obj:
+            sub = _shape(value, slots)
+            if sub is None:
+                return None
+            items.append(sub)
+        return tuple(items)
+    if kind is str:
+        slots.append(json.dumps(obj))
+        return "s"
+    if obj is None or kind is bool:
+        return json.dumps(obj)
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            return "null"
+        slots.append(obj)
+        return "f"
+    if isinstance(obj, (int, np.integer)):
+        slots.append(int(obj))
+        return "d"
+    return None
+
+
+def _template(shape, indent: int) -> str:
+    """What ``dumps`` writes for a value of ``shape``, a slot per value."""
+    if isinstance(shape, str):
+        return _SLOTS.get(shape, shape)
+    head = shape[0]
+    if head in _SLOTS:
+        return _array_template(shape[1:], indent, _SLOTS[head])
+    inner = " " * (indent + 2)
+    if head == "{":
+        items = [
+            f"{inner}{json.dumps(key).replace('%', '%%')}: {_template(sub, indent + 2)}"
+            for key, sub in shape[1:]
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+    items = [inner + _template(sub, indent + 2) for sub in shape[1:]]
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_template(shape, indent: int) -> str:
+    """``_template``, built once per row shape and indent."""
+    return _template(shape, indent)
+
+
 def dumps(obj, indent: int = 0) -> str:
-    """Serialize nested dict/list/scalar data with %.17g floats; a finite float
-    array or list fills its shape's template at once, in the same bytes."""
+    """Serialize nested dict/list/scalar data with %.17g floats, in the bytes
+    of writing each value on its own. A finite float array or list, or an int
+    list, fills its shape's template at once; so does each row of a list of
+    dicts, one template per row shape."""
     if isinstance(obj, (float, np.floating)):
         return "%.17g" % obj if math.isfinite(obj) else "null"
     pad = " " * indent
@@ -95,15 +181,26 @@ def dumps(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and 0 < obj.ndim < 3 and obj.size and np.isfinite(obj).all():
-            return _float_template(obj.shape, indent) % tuple(obj.ravel().tolist())
+            return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
         return dumps(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(v) is float and math.isfinite(v) for v in obj):
-            return _float_template((len(obj),), indent) % tuple(obj)
-        items = [f"{inner}{dumps(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        kinds = set(map(type, obj))
+        if kinds == {float} and math.isfinite(sum(obj)):
+            return _array_template((len(obj),), indent) % tuple(obj)
+        if kinds == {int}:
+            return _array_template((len(obj),), indent, "%d") % tuple(obj)
+        rows = kinds == {dict}
+        items = []
+        for v in obj:
+            slots = []
+            shape = _shape(v, slots) if rows else None
+            if shape is None:
+                items.append(dumps(v, indent + 2))
+            else:
+                items.append(_row_template(shape, indent + 2) % tuple(slots))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     return json.dumps(obj)
@@ -143,7 +240,8 @@ def _is_real(value) -> bool:
 def _real_array(values: list, what: str) -> np.ndarray:
     """A list of JSON numbers, or a list of rows of them, as a float array."""
     rows = values if all(isinstance(row, list) for row in values) else [values]
-    if not all(all(map(_is_real, row)) for row in rows):
+    # One pass over the entry types: JSON numbers parse as int or float only.
+    if not {type(x) for row in rows for x in row} <= {int, float}:
         raise ProblemFormatError(f"{what} must hold only numbers")
     return np.asarray(values, dtype=float)
 

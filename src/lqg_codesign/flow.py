@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -372,8 +372,10 @@ def default_workers() -> int:
 def multi_start(
     plant: Plant, n_starts: int, seed: int, opts: FlowOptions
 ) -> MultiStartResult:
-    """Run the descent from ``n_starts`` seeded uniform placements, on
-    ``default_workers()`` threads.
+    """Run the descent from ``n_starts`` seeded uniform placements. With
+    w = min(``default_workers()``, n_starts) > 1, worker k runs starts k,
+    k + w, ... on a thread of its own, and the first error a start raised,
+    in start order, is raised once every worker is done.
 
     Start points are drawn from independent per-start RNG streams (spawned
     from ``seed``), rejection-checked against the PBH tests, so the result is
@@ -400,10 +402,33 @@ def multi_start(
             return FlowTrace((), STATUS_SOLVER_FAILURE, NO_PLACEMENT)
         return run_flow(plant, start, opts)
 
-    workers = default_workers()
-    if workers > 1 and n_starts > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            traces = list(pool.map(run_one, placements))
+    workers = min(default_workers(), n_starts)
+    if workers > 1:
+        traces: list = [None] * n_starts
+        # No worker starts before all are alive, so no two share a thread,
+        # however short the starts are.
+        ready = threading.Barrier(workers)
+
+        def run_group(k: int) -> None:
+            ready.wait()
+            for i in range(k, n_starts, workers):
+                try:
+                    traces[i] = run_one(placements[i])
+                except BaseException as exc:  # raised below, in start order
+                    traces[i] = exc
+
+        threads = [threading.Thread(target=run_group, args=(k,)) for k in range(workers)]
+        try:
+            for thread in threads:
+                thread.start()
+        except BaseException:
+            ready.abort()  # release the workers that did start
+            raise
+        for thread in threads:
+            thread.join()
+        for trace in traces:
+            if isinstance(trace, BaseException):
+                raise trace
     else:
         traces = [run_one(p) for p in placements]
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 
 import numpy as np
@@ -60,6 +61,21 @@ NONSYM3 = {
 
 _MAX = 1.7976931348623157e308
 _MATRIX = np.arange(12.0).reshape(3, 4) / 7.0
+
+
+def _row(i: int) -> dict:
+    """A row shaped like an equilibrium candidate of the equilibria report."""
+    return {
+        "kind": "common_support",
+        "support": (0, 1),
+        "sign_s": (1, -1, 0),
+        "xi": (0.5 / (i + 1), 0.25),
+        "placement": {"b": np.array([0.5, 0.75, i / 7.0]), "c": np.array([-0.0, 1.0, 0.1])},
+        "stability": "saddle",
+        "hessian_eigs": (i / 3.0, -1e-300, 2.0),
+    }
+
+
 # Objects on which ``cli.dumps`` must write the bytes of the element-wise
 # emitter: extreme and integral floats, non-finite entries, empty and
 # degenerate shapes, other dtypes, views, numpy scalars and mixed lists.
@@ -88,7 +104,30 @@ _EMITTER_CASES = {
     "float64_in_tuple": (np.float64(0.1), np.float64(2.0)),
     "mixed_list": [1.5, 2, True, None, np.int64(3), "x"],
     "bool_and_int_lists": [[True, False], [1, 2], []],
+    "big_int_list": [10**17, -(10**20), 3],
     "empty": [],
+    # Lists of dicts: each row fills its shape's template.
+    "rows_2": [_row(0), _row(1)],
+    "rows_300": [_row(i) for i in range(300)],
+    # Rows that differ from their neighbours in one leaf.
+    "rows_xi_none": [_row(0), {**_row(1), "xi": None}, _row(2)],
+    "rows_nan_in_one_array": [
+        _row(0),
+        {**_row(1), "placement": {"b": np.array([0.5, np.nan, 0.25]), "c": np.ones(3)}},
+        _row(2),
+    ],
+    "rows_int_for_float": [{"v": 1.5, "w": 0.5}, {"v": 2, "w": 0.5}, {"v": 1.5, "w": 0.5}],
+    "rows_bool_for_int": [{"v": 1, "n": 3}, {"v": True, "n": 3}, {"v": 1, "n": 3}],
+    "rows_big_ints_and_bools": [
+        {"n": 10**17, "ids": (10**18, -3), "flags": (1, 0)},
+        {"n": 2, "ids": (1, 2), "flags": (True, 0)},
+    ],
+    "rows_tuple_one_longer": [_row(0), {**_row(1), "support": (0, 1, 2)}, _row(2)],
+    "rows_escapes": [
+        {"100% \"done\"": "50% \"half\" é 東", "ü%s": 0.5, "%d": "%%"},
+        {"100% \"done\"": "%s%d", "ü%s": -0.0, "%d": "ok"},
+    ],
+    "rows_nested": [{"k": 1, "rows": [_row(0), _row(1)]}, {"k": 2, "rows": [_row(2)]}],
 }
 
 
@@ -135,6 +174,27 @@ class TestJsonEmission:
         monkeypatch.setattr(cli, "dumps", counted)
         original({"K": np.ones((50, 50)), "b": [0.5] * 50})
         assert calls == [np.ndarray, list]
+
+    def test_one_template_per_row_shape(self, monkeypatch):
+        # 300 rows of two shapes, interleaved: two templates, not 300.
+        built = functools.lru_cache(maxsize=1024)(cli._template)
+        monkeypatch.setattr(cli, "_row_template", built)
+        rows = [_row(i) if i % 3 else {**_row(i), "xi": None} for i in range(300)]
+        text = dumps({"candidates": rows})
+        assert (built.cache_info().misses, built.cache_info().hits) == (2, 298)
+        assert text == oracle_dumps({"candidates": rows})
+
+    def test_equilibria_report_has_the_element_wise_bytes(self, tmp_path):
+        A = spaced_in_random_basis(np.random.default_rng(8), 8)
+        problem = write_problem(
+            tmp_path, "spaced8.json", {"A": A.tolist(), "epsilon": 0.0, "delta": 0.0}
+        )
+        out = tmp_path / "out"
+        assert main(["equilibria", "--problem", problem, "--out", str(out)]) == 0
+        report = cli.cmd_equilibria(load_problem(problem), None)
+        assert report["n_candidates"] == 315
+        text = oracle_dumps(report) + "\n"
+        assert (out / "equilibria.json").read_text() == text
 
 
 class TestProblemLoading:
@@ -242,6 +302,15 @@ class TestNonFiniteInput:
         problem = write_problem(tmp_path, "nonfinite.json", payload)
         assert main([command, "--problem", problem, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("problem error:")
+
+    def test_a_bool_deep_inside_a_large_matrix_exits_2(self, tmp_path, capsys):
+        A = (np.eye(50) - 2.0 * np.ones((50, 50)) / 50).tolist()
+        A[37][41] = True
+        placement = {"b": [1.0] * 50, "c": [0.5] * 50}
+        payload = {"A": A, "epsilon": 1.0, "delta": 1.0, "placement": placement}
+        problem = write_problem(tmp_path, "bool50.json", payload)
+        assert main(["solve", "--problem", problem, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "problem error: 'A' must hold only numbers\n"
 
     @pytest.mark.parametrize(
         "payload", [[NONSYM3], {k: v for k, v in NONSYM3.items() if k != "A"}]

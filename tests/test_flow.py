@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -593,6 +596,67 @@ def test_gradient_reuses_report(monkeypatch):
         b = report.placement.b_unit
         r_b = S_b @ b - (b @ S_b @ b) * b
         assert la.norm(gradient(report).r_b - r_b) <= 1e-12 * la.norm(r_b)
+
+
+def test_two_starts_run_on_two_threads(monkeypatch):
+    # Starts far shorter than the interpreter's switch interval still each
+    # get a thread of their own.
+    plant = Plant(np.diag([-1.0, -2.0]), 0.05, 0.05)
+    opts = FlowOptions(grad_tol=1e-9, max_iters=2)
+    threads = []
+    real_run_flow = flow.run_flow
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return real_run_flow(*args)
+
+    monkeypatch.setattr(flow, "run_flow", recorded)
+    monkeypatch.setenv("CODESIGN_THREADS", "2")
+    for _ in range(30):
+        threads.clear()
+        multi_start(plant, 2, seed=5, opts=opts)
+        assert len(threads) == 2 and len(set(threads)) == 2
+
+
+def test_more_workers_than_cores_put_every_start_in_its_place(monkeypatch):
+    # Each worker writes only its own starts' slots: with five workers on
+    # short starts and a 1 us switch interval, no start is lost or moved.
+    plant = Plant(np.diag([-1.0, -2.0, -3.0]), 0.05, 0.05)
+    opts = FlowOptions(grad_tol=1e-9, max_iters=3)
+    monkeypatch.setenv("CODESIGN_THREADS", "0")
+    seq = multi_start(plant, 11, seed=2, opts=opts)
+    monkeypatch.setenv("CODESIGN_THREADS", "5")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = multi_start(plant, 11, seed=2, opts=opts)
+    finally:
+        sys.setswitchinterval(interval)
+    for t1, t2 in zip(seq.all, par.all, strict=True):
+        assert np.array_equal(t1.phis, t2.phis)
+        assert np.array_equal(t1.final.b_unit, t2.final.b_unit)
+
+
+def test_the_first_start_error_is_raised_after_every_start_ran(monkeypatch):
+    plant = Plant(np.diag([-1.0, -2.0]), 0.05, 0.05)
+    ran = []
+
+    def fail(plant, init, opts):
+        ran.append(init)
+        raise KeyError(init.b_unit.tolist())
+
+    monkeypatch.setattr(flow, "run_flow", fail)
+    errors, counts = [], []
+    for threads in ("0", "3"):
+        monkeypatch.setenv("CODESIGN_THREADS", threads)
+        ran.clear()
+        with pytest.raises(KeyError) as excinfo:
+            multi_start(plant, 5, seed=5, opts=FlowOptions())
+        errors.append(excinfo.value.args[0])
+        counts.append(len(ran))
+    # Sequentially start 0 raises at once; on threads every start runs, and
+    # start 0's error is the one raised.
+    assert errors[0] == errors[1] and counts == [1, 5]
 
 
 def test_multi_start_threaded_matches_sequential(monkeypatch):
