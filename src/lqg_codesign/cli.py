@@ -12,14 +12,13 @@ and optional "placement" ({"b": [...], "c": [...]}, normalized on load),
 "seed", and "n_starts". An unknown key in "flow" or "sim" is a parse error.
 
 Reports are JSON with floats printed to 17 significant digits (lossless
-round-trip). Finite float vectors and matrices, and int lists, are written
-a row at a time, and each row of a list of objects fills one template per
-row shape, all in the bytes of writing each value on its own. Flow traces
-are CSV with the fixed column schema
-iter,phi,grad_norm,step,b0..b{n-1},c0..c{n-1}. Exit codes: 0 ok, 1 usage,
-2 parse, 3 solver (or failed verification), 4 all starts failed,
-5 dimension cap, 6 simulation divergence. CODESIGN_THREADS caps multi-start
-parallelism (0 = sequential).
+round-trip). Every report is read once into a shape and its values, and
+filled from one template per shape, in the bytes of writing each value on
+its own. Flow traces are CSV with the fixed column schema
+iter,phi,grad_norm,step,b0..b{n-1},c0..c{n-1}, each row filled from one
+template. Exit codes: 0 ok, 1 usage, 2 parse, 3 solver (or failed
+verification), 4 all starts failed, 5 dimension cap, 6 simulation
+divergence. CODESIGN_THREADS caps multi-start parallelism (0 = sequential).
 """
 
 from __future__ import annotations
@@ -77,133 +76,86 @@ EXIT_DIVERGED = 6
 _SLOTS = {"f": "%.17g", "d": "%d", "s": "%s"}
 
 
-def _array_template(shape: tuple, indent: int, item: str = "%.17g") -> str:
-    """What ``dumps`` writes for an array of ``shape``, ``item`` per entry."""
-    inner = _array_template(shape[1:], indent + 2, item) if shape[1:] else item
-    rows = ",\n".join([" " * (indent + 2) + inner] * shape[0])
-    return "[\n" + rows + "\n" + " " * indent + "]"
-
-
 def _shape(obj, slots: list):
     """The shape of ``obj``, with the values of its slots appended to ``slots``.
 
     A shape is "f", "d" or "s" for one finite float, int or string slot;
     "null", "true", "false", "[]" or "{}" for that literal; ("f", L) or
     ("d", L) for a list of L finite floats or ints; ("[", s1, ...) for any
-    other list; and ("{", (key, s1), ...) for a dict. It is None for a value
-    that only ``dumps`` writes: another type, or a subclass of dict or list.
+    other list, tuple or array; and ("{", (key, s1), ...) for a dict. A value
+    that JSON cannot hold raises ``json.dumps``'s TypeError.
     """
     kind = type(obj)
-    if kind is np.ndarray:
-        obj = obj.tolist()
-        kind = type(obj)
-    if kind is dict:
-        fields = ["{"]
-        for key, value in obj.items():
-            sub = _shape(value, slots)
-            if sub is None:
-                return None
-            fields.append((str(key), sub))
-        return tuple(fields) if obj else "{}"
-    if kind is list or kind is tuple:
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(obj, np.ndarray):
+            return _shape(obj.tolist(), slots)
+        if kind is str:
+            slots.append(json.dumps(obj))
+            return "s"
+        if isinstance(obj, (float, np.floating)):
+            if not math.isfinite(obj):
+                return "null"
+            slots.append(obj)
+            return "f"
+        if obj is None or kind is bool:
+            return json.dumps(obj)
+        if isinstance(obj, (int, np.integer)):
+            slots.append(int(obj))
+            return "d"
+        if not isinstance(obj, (dict, list, tuple)):
+            slots.append(json.dumps(obj))  # a str subclass; another type raises TypeError
+            return "s"
+    if isinstance(obj, dict):
         if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {float} and math.isfinite(sum(obj)):  # a sum is finite only if every term is
-            slots.extend(obj)
-            return ("f", len(obj))
-        if kinds == {int}:
-            slots.extend(obj)
-            return ("d", len(obj))
-        items = ["["]
-        for value in obj:
-            sub = _shape(value, slots)
-            if sub is None:
-                return None
-            items.append(sub)
-        return tuple(items)
-    if kind is str:
-        slots.append(json.dumps(obj))
-        return "s"
-    if obj is None or kind is bool:
-        return json.dumps(obj)
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            return "null"
-        slots.append(obj)
-        return "f"
-    if isinstance(obj, (int, np.integer)):
-        slots.append(int(obj))
-        return "d"
-    return None
+            return "{}"
+        return _canonical(("{", *[(str(key), _shape(value, slots)) for key, value in obj.items()]))
+    if not obj:
+        return "[]"
+    kinds = set(map(type, obj))
+    if kinds == {float} and math.isfinite(sum(obj)):  # a sum is finite only if every term is
+        slots.extend(obj)
+        return ("f", len(obj))
+    if kinds == {int}:
+        slots.extend(obj)
+        return ("d", len(obj))
+    return ("[", *[_shape(value, slots) for value in obj])
 
 
 def _template(shape, indent: int) -> str:
-    """What ``dumps`` writes for a value of ``shape``, a slot per value."""
+    """What ``dumps`` writes for a value of ``shape``, a slot per value. A
+    list's items, the rows that repeat, take theirs from ``_item_template``,
+    so that no kept template holds a whole report."""
     if isinstance(shape, str):
         return _SLOTS.get(shape, shape)
     head = shape[0]
     if head in _SLOTS:
-        return _array_template(shape[1:], indent, _SLOTS[head])
-    inner = " " * (indent + 2)
-    if head == "{":
+        items = [_SLOTS[head]] * shape[1]
+    elif head == "{":
         items = [
-            f"{inner}{json.dumps(key).replace('%', '%%')}: {_template(sub, indent + 2)}"
+            f"{json.dumps(key).replace('%', '%%')}: {_template(sub, indent + 2)}"
             for key, sub in shape[1:]
         ]
-        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
-    items = [inner + _template(sub, indent + 2) for sub in shape[1:]]
-    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+    else:
+        items = [_item_template(sub, indent + 2) for sub in shape[1:]]
+    brackets = "{}" if head == "{" else "[]"
+    inner = "\n" + " " * (indent + 2)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{' ' * indent}{brackets[1]}"
 
 
-@functools.lru_cache(maxsize=1024)
-def _row_template(shape, indent: int) -> str:
-    """``_template``, built once per row shape and indent."""
-    return _template(shape, indent)
+#: ``_template`` of a list item, built once per shape and indent.
+_item_template = functools.lru_cache(maxsize=1024)(_template)
+#: The first instance read of each dict shape: the rows of a long report share
+#: one shape each, so reading them leaves no tuples for the garbage collector.
+_canonical = functools.lru_cache(maxsize=1024)(lambda shape: shape)
 
 
 def dumps(obj, indent: int = 0) -> str:
     """Serialize nested dict/list/scalar data with %.17g floats, in the bytes
-    of writing each value on its own. A finite float array or list, or an int
-    list, fills its shape's template at once; so does each row of a list of
-    dicts, one template per row shape."""
-    if isinstance(obj, (float, np.floating)):
-        return "%.17g" % obj if math.isfinite(obj) else "null"
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 2)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and 0 < obj.ndim < 3 and obj.size and np.isfinite(obj).all():
-            return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
-        return dumps(obj.tolist(), indent)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {float} and math.isfinite(sum(obj)):
-            return _array_template((len(obj),), indent) % tuple(obj)
-        if kinds == {int}:
-            return _array_template((len(obj),), indent, "%d") % tuple(obj)
-        rows = kinds == {dict}
-        items = []
-        for v in obj:
-            slots = []
-            shape = _shape(v, slots) if rows else None
-            if shape is None:
-                items.append(dumps(v, indent + 2))
-            else:
-                items.append(_row_template(shape, indent + 2) % tuple(slots))
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    return json.dumps(obj)
+    of writing each value on its own: ``obj`` is read once into its shape and
+    its values, and the values fill the one template of that shape."""
+    slots = []
+    shape = _shape(obj, slots)
+    return _template(shape, indent) % tuple(slots)
 
 
 def _write_report(out_dir: Path, name: str, report: dict) -> Path:
@@ -237,18 +189,23 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _real_array(values: list, what: str) -> np.ndarray:
-    """A list of JSON numbers, or a list of rows of them, as a float array."""
-    rows = values if all(isinstance(row, list) for row in values) else [values]
+def _real_array(values, what: str, matrix: bool = False) -> np.ndarray:
+    """A vector (a flat list of JSON numbers) or, with ``matrix``, a list of
+    rows of them, as a float array."""
+    rows = values if matrix and isinstance(values, list) else [values]
     # One pass over the entry types: JSON numbers parse as int or float only.
-    if not {type(x) for row in rows for x in row} <= {int, float}:
+    # A row that is not a list, or an entry that is one, is of the wrong rank.
+    kinds = {type(x) for row in rows for x in row} if all(type(r) is list for r in rows) else {list}
+    if list in kinds:
+        raise ProblemFormatError(f"{what} must be a list of {'rows of ' * matrix}numbers")
+    if not kinds <= {int, float}:
         raise ProblemFormatError(f"{what} must hold only numbers")
     return np.asarray(values, dtype=float)
 
 
 def _build_matrix(entry) -> np.ndarray:
     if isinstance(entry, list):
-        return _real_array(entry, "'A'")
+        return _real_array(entry, "'A'", matrix=True)
     if not isinstance(entry, dict):
         raise ProblemFormatError("'A' must be a matrix or a generator object")
     kind = entry.get("generator")
@@ -423,20 +380,12 @@ def cmd_solve(problem: Problem, args) -> dict:
 
 
 def _trace_csv_lines(trace: FlowTrace, n: int) -> list[str]:
-    header = (
-        ["iter", "phi", "grad_norm", "step"]
-        + [f"b{i}" for i in range(n)]
-        + [f"c{i}" for i in range(n)]
-    )
-    lines = [",".join(header)]
-    for k, it in enumerate(trace.iterates):
-        row = (
-            [str(k), "%.17g" % it.phi, "%.17g" % it.grad_norm, "%.17g" % it.step]
-            + ["%.17g" % x for x in it.placement.b_unit]
-            + ["%.17g" % x for x in it.placement.c_unit]
-        )
-        lines.append(",".join(row))
-    return lines
+    header = ["iter", "phi", "grad_norm", "step"] + [f"{v}{i}" for v in "bc" for i in range(n)]
+    row = "%d" + ",%.17g" * (3 + 2 * n)
+    return [",".join(header)] + [
+        row % (k, it.phi, it.grad_norm, it.step, *it.placement.b_unit, *it.placement.c_unit)
+        for k, it in enumerate(trace.iterates)
+    ]
 
 
 def _classify_or_none(report: CostReport) -> dict:
@@ -607,6 +556,17 @@ _COMMANDS = {
 }
 
 
+#: A command's error, by the first row whose type it is: exit code and stderr
+#: prefix. The last row holds every type above it.
+_ERRORS = (
+    (ProblemFormatError, EXIT_PARSE, "problem"),
+    (AllStartsFailed, EXIT_ALL_STARTS_FAILED, "flow"),
+    (DimensionTooLarge, EXIT_DIMENSION, "dimension"),
+    (SimulationDiverged, EXIT_DIVERGED, "simulation"),
+    ((CodesignError, ValueError), EXIT_SOLVER, "solver"),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -636,21 +596,10 @@ def main(argv=None) -> int:
 
     try:
         report = _COMMANDS[args.command](problem, args)
-    except ProblemFormatError as exc:
-        print(f"problem error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AllStartsFailed as exc:
-        print(f"flow error: {exc}", file=sys.stderr)
-        return EXIT_ALL_STARTS_FAILED
-    except DimensionTooLarge as exc:
-        print(f"dimension error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except SimulationDiverged as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (CodesignError, ValueError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except _ERRORS[-1][0] as exc:
+        code, prefix = next((c, p) for kind, c, p in _ERRORS if isinstance(exc, kind))
+        print(f"{prefix} error: {exc}", file=sys.stderr)
+        return code
 
     path = _write_report(Path(args.out), f"{args.command}.json", report)
     print(f"wrote {path}")

@@ -1,9 +1,9 @@
 """The element-wise JSON emitter that ``lqg_codesign.cli.dumps`` must match.
 
 Every value goes through its own call, floats as "%.17g" and non-finite
-floats as null. ``cli.dumps`` writes arrays, int lists and the rows of a
-list of objects from templates instead; the tests compare it with this
-writer byte for byte, and CI re-emits every report kind through it:
+floats as null. ``cli.dumps`` instead reads every report once into a shape
+and its values and fills one template per shape; the tests compare it with
+this writer byte for byte, and CI re-emits every report kind through it:
 
     PYTHONPATH=tests python -c "import json, sys; from json_oracle import dumps; \
         print(dumps(json.load(open(sys.argv[1]), parse_int=float)))" report.json

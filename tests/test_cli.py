@@ -1,6 +1,8 @@
+import collections
 import copy
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +63,13 @@ NONSYM3 = {
 
 _MAX = 1.7976931348623157e308
 _MATRIX = np.arange(12.0).reshape(3, 4) / 7.0
+
+
+_Pair = collections.namedtuple("_Pair", "first second")
+
+
+class _Text(str):
+    pass
 
 
 def _row(i: int) -> dict:
@@ -128,6 +137,14 @@ _EMITTER_CASES = {
         {"100% \"done\"": "%s%d", "ü%s": -0.0, "%d": "ok"},
     ],
     "rows_nested": [{"k": 1, "rows": [_row(0), _row(1)]}, {"k": 2, "rows": [_row(2)]}],
+    # Subclasses of dict, tuple and str, read as their base type.
+    "rows_ordered_dict": [
+        collections.OrderedDict([("z", 0.5), ("a", (1, 2))]),
+        {"z": 0.5, "a": (1, 2)},
+    ],
+    "rows_namedtuple": [_Pair(0.5, "x"), _Pair(2, (0.25, None))],
+    "str_subclass": [_Text('50% "half" \u00e9'), {"k": _Text("v")}],
+    "dicts_and_scalars": [{"a": 1.5}, 2.0, "s", None, {"a": 2.5}, [{"b": float("nan")}], True],
 }
 
 
@@ -162,8 +179,16 @@ class TestJsonEmission:
             report = {"x": x, "rows": x.tolist()}
             assert dumps(report) == oracle_dumps(report)
 
-    def test_a_finite_matrix_is_one_call(self, monkeypatch):
-        # The float array is written from its template, not entry by entry.
+    @pytest.mark.parametrize("value", [np.bool_(True), object()], ids=["numpy_bool", "object"])
+    def test_a_value_json_cannot_hold_raises_the_oracles_error(self, value):
+        obj = {"rows": [{"v": 1.0}, {"v": [value]}]}
+        with pytest.raises(TypeError) as expected:
+            oracle_dumps(obj)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+            dumps(obj)
+
+    def test_a_finite_matrix_is_one_call(self, tmp_path, monkeypatch):
+        # dumps is entered once per report: nothing in it calls it again.
         calls = []
         original = cli.dumps
 
@@ -172,16 +197,23 @@ class TestJsonEmission:
             return original(obj, indent)
 
         monkeypatch.setattr(cli, "dumps", counted)
-        original({"K": np.ones((50, 50)), "b": [0.5] * 50})
-        assert calls == [np.ndarray, list]
+        for command, payload in (("solve", NONSYM3), ("equilibria", DIAG3)):
+            problem = write_problem(tmp_path, f"{command}.json", payload)
+            assert main([command, "--problem", problem, "--out", str(tmp_path / command)]) == 0
+        assert calls == [dict, dict]
 
     def test_one_template_per_row_shape(self, monkeypatch):
-        # 300 rows of two shapes, interleaved: two templates, not 300.
-        built = functools.lru_cache(maxsize=1024)(cli._template)
-        monkeypatch.setattr(cli, "_row_template", built)
+        # 300 rows of two shapes, interleaved: two row templates, not 300.
+        template, built = cli._template, []
+
+        def counted(shape, indent):
+            built.append(shape)
+            return template(shape, indent)
+
+        monkeypatch.setattr(cli, "_item_template", functools.lru_cache(maxsize=1024)(counted))
         rows = [_row(i) if i % 3 else {**_row(i), "xi": None} for i in range(300)]
         text = dumps({"candidates": rows})
-        assert (built.cache_info().misses, built.cache_info().hits) == (2, 298)
+        assert len(built) == 2 and all(shape[1] == ("kind", "s") for shape in built)
         assert text == oracle_dumps({"candidates": rows})
 
     def test_equilibria_report_has_the_element_wise_bytes(self, tmp_path):
@@ -293,6 +325,13 @@ class TestNonFiniteInput:
             ("solve", None, "A", {"generator": "diag", "eigenvalues": ["-1.5", -2.0, -3.0]}),
             ("solve", "placement", "b", [True, "0.5", 0.0]),
             ("solve", "placement", "c", [0.0, "1", 1.0]),
+            # a vector is a flat list, and A a list of rows
+            ("solve", None, "A", {"generator": "diag", "eigenvalues": [[-1.0, -2.0]]}),
+            ("solve", "placement", "b", [[1, 0], [0, 1]]),
+            ("solve", "placement", "b", [[1.0, 1.0, 0.0]]),
+            ("solve", "placement", "c", 1.0),
+            ("solve", None, "A", [-1.0, -2.0, -3.0]),
+            ("solve", None, "A", [[[-1.0]]]),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):
@@ -302,6 +341,30 @@ class TestNonFiniteInput:
         problem = write_problem(tmp_path, "nonfinite.json", payload)
         assert main([command, "--problem", problem, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("problem error:")
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"A": {"generator": "diag", "eigenvalues": [[-1.0, -2.0]]}},
+                "'eigenvalues' must be a list of numbers",
+            ),
+            (
+                {"A": {"generator": "diag", "eigenvalues": [-1.0, -2.0, -3.0, -4.0]},
+                 "placement": {"b": [[1, 0], [0, 1]], "c": [1, 0, 0, 0]}},
+                "'b' must be a list of numbers",
+            ),
+            ({"A": [[-1.0, 0.0], -2.0]}, "'A' must be a list of rows of numbers"),
+        ],
+        ids=["diag_row", "b_matrix", "A_row_and_number"],
+    )
+    def test_an_array_of_the_wrong_rank_exits_2(self, tmp_path, capsys, payload, message):
+        # np.diag of a 1x2 array takes its diagonal, and a 2x2 b flattens to a
+        # 4-vector: both used to solve as some other problem.
+        problem = write_problem(tmp_path, "rank.json", {**payload, "epsilon": 1.0, "delta": 1.0})
+        command = "solve" if "placement" in payload else "equilibria"
+        assert main([command, "--problem", problem, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"problem error: {message}\n"
 
     def test_a_bool_deep_inside_a_large_matrix_exits_2(self, tmp_path, capsys):
         A = (np.eye(50) - 2.0 * np.ones((50, 50)) / 50).tolist()
@@ -426,6 +489,22 @@ class TestFlowCommand:
         csv_lines = (out / "flow_trace.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "iter,phi,grad_norm,step,b0,b1,b2,c0,c1,c2"
         assert len(csv_lines) == report["best"]["iterations"] + 2
+
+    def test_trace_rows_hold_the_iterates(self, tmp_path):
+        # Row k is k and "%.17g" of each value of the best start's iterate k.
+        problem = write_problem(tmp_path, "nonsym3.json", NONSYM3)
+        out = tmp_path / "out"
+        assert main(["flow", "--problem", problem, "--out", str(out)]) == 0
+        loaded = load_problem(problem)
+        best = flow.multi_start(
+            loaded.plant, loaded.n_starts, loaded.seed, loaded.flow_options
+        ).best
+        rows = []
+        for k, it in enumerate(best.iterates):
+            values = (it.phi, it.grad_norm, it.step, *it.placement.b_unit, *it.placement.c_unit)
+            rows.append(",".join([str(k)] + ["%.17g" % x for x in values]))
+        assert len(rows) > 2
+        assert (out / "flow_trace.csv").read_text().splitlines()[1:] == rows
 
     def test_identical_seed_identical_csv(self, tmp_path):
         problem = write_problem(tmp_path, "diag3.json", DIAG3)
