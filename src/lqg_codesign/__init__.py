@@ -19,6 +19,7 @@ from .equilibria import (
     hessian_matrix,
     is_equilibrium,
     top_mode,
+    top_pair_candidate,
     xi_vector,
 )
 from .errors import (

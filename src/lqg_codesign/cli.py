@@ -35,9 +35,7 @@ import numpy as np
 
 from .cost import CostReport, cost_report
 from .equilibria import (
-    KIND_COMMON,
     STABLE,
-    EquilibriumCandidate,
     Spectrum,
     analytic_minimum,
     classify_candidates,
@@ -45,6 +43,7 @@ from .equilibria import (
     enumerate_equilibria_zero,
     is_equilibrium,
     top_mode,
+    top_pair_candidate,
 )
 from .errors import (
     AllStartsFailed,
@@ -290,7 +289,7 @@ def load_problem(path: Path) -> Problem:
             placement = Placement.normalized(
                 _real_array(spot["b"], "'b'"), _real_array(spot["c"], "'c'")
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProblemFormatError(f"invalid placement: {exc}") from exc
         if placement.n != plant.n:
             raise ProblemFormatError("placement dimension does not match A")
@@ -390,9 +389,7 @@ def _trace_csv_lines(trace: FlowTrace, n: int) -> list[str]:
 
 def _classify_or_none(report: CostReport) -> dict:
     try:
-        eigs, verdict = classify_stability(
-            report.plant, report.placement, eq_tol=1e-6, report=report
-        )
+        eigs, verdict = classify_stability(report, eq_tol=1e-6)
     except CodesignError as exc:
         return {"stability": None, "note": str(exc)}
     return {"stability": verdict, "hessian_eigs": list(eigs)}
@@ -448,23 +445,8 @@ def cmd_equilibria(problem: Problem, args) -> dict:
         candidates = classify_candidates(spectrum, enumerate_equilibria_zero(spectrum))
         regime = "negative_definite_zero_gain"
     else:
-        # Negative semidefinite spectrum (e.g. Laplacian): the zero-gain
-        # enumeration is unavailable, but the cost-minimizing placement is
-        # still the top-eigenvector pair; classify it at the problem's gains.
-        v1 = spectrum.eigenvector(0)
-        placement = Placement(v1, v1.copy())
-        eigs, verdict = classify_stability(plant, placement)
-        candidates = [
-            EquilibriumCandidate(
-                placement=placement,
-                kind=KIND_COMMON,
-                support=(0,),
-                sign_s=(1,) + (0,) * (plant.n - 1),
-                xi=None,
-                hessian_eigs=tuple(float(e) for e in eigs),
-                stability=verdict,
-            )
-        ]
+        # Negative semidefinite spectrum (e.g. Laplacian): only (v_1, v_1).
+        candidates = [top_pair_candidate(plant, spectrum)]
         regime = "negative_semidefinite_v1_only"
     candidates_out = [
         {

@@ -30,8 +30,9 @@ enumerated candidates (``zero_gain_field``), and in ``classify_stability``
 (phi, or phi_bar in the zero-gain limit) by ``hessian_matrix``, which
 differentiates ``flow.gradient`` exactly: three tangent-linear Lyapunov
 solves per tangent direction on the closed loops the cost evaluation kept.
-``is_equilibrium`` and ``hessian_matrix`` read one ``cost.CostReport`` and
-solve nothing; ``classify_stability`` solves one unless it is handed it.
+``is_equilibrium``, ``hessian_matrix`` and ``classify_stability`` read one
+``cost.CostReport`` and solve nothing; ``top_pair_candidate`` solves the one
+report of (v_1, v_1) it classifies.
 
 The zero-gain path runs in stacked array passes, one per support size to
 enumerate and one per ``_CLASSIFY_BLOCK`` candidates (a memory bound) to
@@ -483,20 +484,13 @@ def _verdict(H: np.ndarray) -> tuple[np.ndarray, str | list[str]]:
     return eigs, verdict.tolist()
 
 
-def classify_stability(
-    plant: Plant,
-    placement: Placement,
-    *,
-    eq_tol: float = 1e-8,
-    report: CostReport | None = None,
-) -> tuple[np.ndarray, str]:
-    """Exact Hessian classification at an equilibrium.
+def classify_stability(report: CostReport, *, eq_tol: float = 1e-8) -> tuple[np.ndarray, str]:
+    """Exact Hessian classification at the report's placement, an equilibrium.
 
     Classifies the ``hessian_matrix`` of ``flow.gradient`` with ``_verdict``
-    after ``is_equilibrium``, both read from one ``cost_report``: ``report``,
-    which must have been solved at this ``plant`` and ``placement``, or else
-    the one solved here. In the zero-gain regime (eps*delta < 1e-12) the
-    gradient is that of phi_bar, so the Hessian is too; otherwise of phi.
+    after ``is_equilibrium``, both read from ``report``; nothing is solved.
+    In the zero-gain regime (eps*delta < 1e-12) the gradient is that of
+    phi_bar, so the Hessian is too; otherwise of phi.
 
     Returns (eigenvalues descending, classification).
 
@@ -504,13 +498,7 @@ def classify_stability(
     ------
     NotAnEquilibrium
         If the equilibrium residual exceeds ``eq_tol``.
-    ValueError
-        If ``report`` was solved at another plant or placement.
     """
-    if report is None:
-        report = cost_report(plant, placement)
-    elif report.plant is not plant or report.placement is not placement:
-        raise ValueError("report was solved at another plant or placement")
     _require_equilibrium(is_equilibrium(report, eq_tol)[1], eq_tol)
     return _verdict(hessian_matrix(report))
 
@@ -538,6 +526,21 @@ def classify_candidates(
             for cand, row, verdict in zip(block, eigs.tolist(), verdicts)
         ]
     return classified
+
+
+def top_pair_candidate(plant: Plant, spectrum: Spectrum) -> EquilibriumCandidate:
+    """The top-eigenvector pair (v_1, v_1) of the plant's ``spectrum`` as a
+    common-support candidate, classified by ``classify_stability`` from its
+    one ``cost_report`` at the plant's gains. On a negative semidefinite
+    spectrum (e.g. a Laplacian's) the zero-gain enumeration is unavailable,
+    but this pair still minimizes the cost."""
+    v1 = spectrum.eigenvector(0)
+    placement = Placement(v1, v1.copy())
+    eigs, verdict = classify_stability(cost_report(plant, placement))
+    sign_s = (1,) + (0,) * (plant.n - 1)
+    return EquilibriumCandidate(
+        placement, KIND_COMMON, (0,), sign_s, None, tuple(eigs.tolist()), verdict
+    )
 
 
 def top_mode(lam: np.ndarray, epsilon: float, delta: float):

@@ -52,6 +52,8 @@ STATUS_NO_DECREASE = "no_decrease"
 STATUS_SOLVER_FAILURE = "solver_failure"
 #: Why a start, or a ``verify`` check, has no placement to run on.
 NO_PLACEMENT = "no placement passes both PBH tests"
+#: Draws ``pbh_passing_placement`` makes before it gives up.
+PBH_DRAWS = 128
 
 
 @dataclass(frozen=True)
@@ -345,14 +347,12 @@ def random_placement(n: int, rng: np.random.Generator) -> Placement:
     return Placement(vecs[0], vecs[1])
 
 
-def pbh_passing_placement(
-    plant: Plant, rng: np.random.Generator, max_tries: int = 128
-) -> Placement | None:
+def pbh_passing_placement(plant: Plant, rng: np.random.Generator) -> Placement | None:
     """First ``random_placement`` draw from ``rng`` passing both PBH tests.
 
-    Returns None when ``max_tries`` draws all fail.
+    Returns None when ``PBH_DRAWS`` draws all fail.
     """
-    for _ in range(max_tries):
+    for _ in range(PBH_DRAWS):
         candidate = random_placement(plant.n, rng)
         pbh_b = pbh_check(plant.A, candidate.b_unit, "stabilizability", setup=plant.pbh)
         pbh_c = pbh_check(plant.A, candidate.c_unit, "detectability", setup=plant.pbh)

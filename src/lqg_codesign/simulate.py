@@ -60,6 +60,8 @@ class SimConfig:
             raise ValueError("dt, horizon_T and burn_in must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.horizon_T / self.dt):
+            raise ValueError("horizon_T / dt, the step count, must be finite")
         if self.burn_in < 0.0 or self.horizon_T < 10.0 * self.burn_in:
             raise ValueError("need horizon_T >= 10 * burn_in >= 0")
         if self.horizon_T <= self.dt:

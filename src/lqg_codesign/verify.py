@@ -26,7 +26,6 @@ from .flow import (
     pbh_passing_placement,
 )
 from .plant import Placement, Plant
-from .riccati import adjoint_pair, gain_pair
 
 
 def richardson_derivative(f: Callable[[float], float], h: float) -> float:
@@ -184,10 +183,10 @@ def check_analytic_gains(plant: Plant) -> dict:
     v1 = spectrum.eigenvector(0)
     placement = Placement(v1, v1.copy())
     try:
-        gains = gain_pair(plant, placement)
+        report = cost_report(plant, placement)
     except PBHViolation as exc:
         return _skipped(name, str(exc))
-    adjoints = adjoint_pair(plant, placement, gains)
+    gains, adjoints = report.gains, report.adjoints
     K_d, S_d, M_d, N_d = analytic_gains_at_v1(spectrum, plant.epsilon, plant.delta)
     Theta = spectrum.Theta
     err = max(

@@ -332,6 +332,9 @@ class TestNonFiniteInput:
             ("solve", "placement", "c", 1.0),
             ("solve", None, "A", [-1.0, -2.0, -3.0]),
             ("solve", None, "A", [[[-1.0]]]),
+            # an integer too large for a float, and a step count that overflows
+            ("solve", "placement", "b", [10**400, 1.0, 0.0]),
+            ("simulate", "sim", "dt", 1e-320),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):

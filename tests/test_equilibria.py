@@ -487,7 +487,7 @@ class TestClassifyStability:
     def test_top_pair_stable_at_small_gains(self):
         plant = Plant(np.diag([-1.0, -2.0]), 0.01, 0.01)
         e1 = np.array([1.0, 0.0])
-        eigs, verdict = classify_stability(plant, Placement(e1, e1))
+        eigs, verdict = classify_stability(cost_report(plant, Placement(e1, e1)))
         assert verdict == STABLE
         assert np.all(np.diff(eigs) <= 0)
 
@@ -495,14 +495,14 @@ class TestClassifyStability:
         spec = spectrum_of([-1.0, -2.0])
         plant = Plant(spec.A, 0.0, 0.0)
         placement = Placement(spec.eigenvector(0), spec.eigenvector(1))
-        eigs, verdict = classify_stability(plant, placement)
+        eigs, verdict = classify_stability(cost_report(plant, placement))
         assert verdict in (UNSTABLE, DEGENERATE)
         assert abs(phi_bar(plant, placement)) < 1e-10
 
     def test_scalar_dimension_is_stable(self):
         plant = Plant(np.array([[-1.0]]), 0.5, 0.5)
         placement = Placement(np.array([1.0]), np.array([1.0]))
-        eigs, verdict = classify_stability(plant, placement)
+        eigs, verdict = classify_stability(cost_report(plant, placement))
         assert verdict == STABLE and eigs.size == 0
         assert hessian_matrix(cost_report(plant, placement)).shape == (0, 0)
 
@@ -534,7 +534,31 @@ class TestClassifyStability:
         rng = np.random.default_rng(11)
         plant = Plant(random_symmetric_hurwitz(rng, 3), 0.5, 0.5)
         with pytest.raises(NotAnEquilibrium):
-            classify_stability(plant, random_placement_for(rng, 3))
+            classify_stability(cost_report(plant, random_placement_for(rng, 3)))
+
+    def test_top_pair_candidate_solves_one_report(self, monkeypatch):
+        # The unit 4-ring Laplacian (eigenvalues 0, -2, -2, -4): no zero-gain
+        # enumeration, so (v_1, v_1) is classified at the plant's gains.
+        ring = np.roll(np.eye(4), 1, axis=1)
+        plant = Plant(ring + ring.T - 2.0 * np.eye(4), 0.5, 0.5)
+        spec = Spectrum.of(plant)
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return cost_report(*args)
+
+        monkeypatch.setattr(equilibria, "cost_report", counted)
+        cand = equilibria.top_pair_candidate(plant, spec)
+        assert len(solves) == 1
+        v1 = spec.eigenvector(0)
+        eigs, verdict = classify_stability(cost_report(plant, Placement(v1, v1)))
+        assert cand.hessian_eigs == tuple(eigs.tolist()) and cand.stability == verdict
+        assert verdict == STABLE
+        assert np.array_equal(cand.placement.b_unit, v1)
+        assert np.array_equal(cand.placement.c_unit, v1)
+        assert cand.support == (0,) and cand.sign_s == (1, 0, 0, 0)
+        assert cand.xi is None and cand.kind == KIND_COMMON
 
     @pytest.mark.parametrize("lams", [(-0.6, -1.7), (-0.4, -1.2, -2.5), (-0.5, -1.1, -2.0, -3.2)])
     def test_unique_stable_candidate_is_top_pair(self, lams):
@@ -697,7 +721,7 @@ class TestZeroGainField:
         candidates = classify_candidates(spec, enumerate_equilibria_zero(spec))
         assert len(candidates) == 27
         for cand in candidates:
-            _, verdict = classify_stability(plant, cand.placement)
+            _, verdict = classify_stability(cost_report(plant, cand.placement))
             assert cand.stability == verdict
             H = richardson_hessian(plant, cand.placement)
             eigs = np.sort(la.eigvalsh(0.5 * (H + H.T)))[::-1]

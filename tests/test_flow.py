@@ -565,9 +565,7 @@ def test_gradient_reuses_report(monkeypatch):
     def derivatives(report):
         grad = gradient(report)
         # eq_tol = inf: the placement need not be an equilibrium.
-        eigs, verdict = classify_stability(
-            report.plant, report.placement, eq_tol=np.inf, report=report
-        )
+        eigs, verdict = classify_stability(report, eq_tol=np.inf)
         return [
             grad.r_b, grad.r_c, grad.norm, *is_equilibrium(report, 1e-8),
             directional_derivative(report, omega_b, omega_c),
@@ -575,9 +573,6 @@ def test_gradient_reuses_report(monkeypatch):
         ]
 
     before = [derivatives(report) for report in reports]
-    # A report is read only at the plant and placement it was solved at.
-    with pytest.raises(ValueError):
-        classify_stability(reports[0].plant, reports[1].placement, report=reports[0])
 
     def solved_again(*args, **kwargs):
         raise AssertionError("a ready report was solved again")
