@@ -81,12 +81,17 @@ def _shape(obj, slots: list):
     A shape is "f", "d" or "s" for one finite float, int or string slot;
     "null", "true", "false", "[]" or "{}" for that literal; ("f", L) or
     ("d", L) for a list of L finite floats or ints; ("[", s1, ...) for any
-    other list, tuple or array; and ("{", (key, s1), ...) for a dict. A value
-    that JSON cannot hold raises ``json.dumps``'s TypeError.
+    other list, tuple or array; and ("{", (key, s1), ...) for a dict. A
+    finite nonempty float64 matrix is read whole, its rows all ("f", ncols);
+    any other array is read as its ``tolist()``. A value that JSON cannot
+    hold raises ``json.dumps``'s TypeError.
     """
     kind = type(obj)
     if kind is not dict and kind is not list and kind is not tuple:
         if isinstance(obj, np.ndarray):
+            if obj.dtype == np.float64 and obj.ndim == 2 and obj.size and np.isfinite(obj).all():
+                slots.extend(obj.ravel().tolist())
+                return ("[", *[("f", obj.shape[1])] * obj.shape[0])
             return _shape(obj.tolist(), slots)
         if kind is str:
             slots.append(json.dumps(obj))

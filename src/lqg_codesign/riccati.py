@@ -14,11 +14,16 @@ Sigma), and ``adjoint_pair`` solves the closed-loop Lyapunov equations
 
 whose solutions drive the placement gradient.
 
-The CARE is solved once by the Hamiltonian invariant-subspace method
-(ordered real Schur form, stable eigenvalues first; Laub, IEEE TAC 24(6),
-1979) and certified, not refined: its closed loop A - W P must be Hurwitz,
-and then its residual within tolerance, or a typed error says which failed;
-a NaN or inf solution fails its residual test, so nothing is pre-screened.
+The CARE is solved by the Hamiltonian invariant-subspace method (ordered
+real Schur form, stable eigenvalues first; Laub, IEEE TAC 24(6), 1979) and
+certified, not refined: its closed loop A - W P must be Hurwitz, and then
+its residual within tolerance, or a typed error says which failed; a NaN or
+inf solution fails its residual test, so nothing is pre-screened. From
+order n = 12 on, where the 2n x 2n Schur form costs more, the
+structure-preserving doubling algorithm (Chu, Fan and Lin, Linear Algebra
+Appl. 396, 2005) is tried first: n x n products and solves only, under the
+same two certificates; a doubling solve that fails to converge or to
+certify hands the side to the Schur form.
 The Lyapunov solve is Bartels-Stewart (Bartels & Stewart, CACM 15(9), 1972):
 LAPACK ``trsyl`` on the real Schur form of F, the same steps in the same
 order as ``scipy.linalg.solve_continuous_lyapunov``, so its results are
@@ -55,11 +60,12 @@ Hadamard product, and the rank-one form F = diag(lam) - u w^T, on which its
 certificate takes O(n^2); it takes its Schur form only where Bauer-Fike
 cannot certify it or a solve fails its certificate. So a ``cost_report`` on
 a non-symmetric plant takes four Schur forms (two Hamiltonians, two closed
-loops) and n^3 products throughout, and one on a symmetric plant away from
-the PBH boundary no factorization at all: its PBH margins are secular roots
-in its eigenbasis too, and the n^3 products left are the modal transforms
-of its four solves. All that is read of A alone is the plant's, taken once;
-nothing is kept between calls.
+loops) below n = 12, two from there on (the closed loops; a side doubling
+hands over adds its Hamiltonian's), and n^3 products throughout, and one on
+a symmetric plant away from the PBH boundary no factorization at all: its
+PBH margins are secular roots in its eigenbasis too, and the n^3 products
+left are the modal transforms of its four solves. All that is read of A
+alone is the plant's, taken once; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -88,6 +94,14 @@ HURWITZ_MARGIN = 1e-12
 
 #: A mode with |beta_i| <= 8u (u the float eps) is decoupled exactly.
 _DEFLATE_TOL = 8.0 * np.finfo(float).eps
+
+#: From this order on a CARE is solved by doubling first: the measured
+#: crossover with the ordered Schur form of the 2n x 2n Hamiltonian.
+DOUBLING_MIN_N = 12
+#: Doubling steps before the Schur path takes over. The error falls like
+#: r^(2^k), r = 1 - 2 m / gamma for a loop margin m, so 50 steps reach u for
+#: every margin the Hurwitz certificate accepts while gamma <= 60.
+_DOUBLING_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -367,27 +381,33 @@ def _bartels_stewart(
 def solve_care(A, W, Q) -> np.ndarray:
     """Solve A^T P + P A - P W P + Q = 0 for the stabilizing PSD solution.
 
-    Uses the ordered real Schur form of the Hamiltonian
+    When W = 0 the equation degenerates to a Lyapunov equation and is
+    dispatched to ``solve_lyapunov`` directly. Otherwise, from order
+    n = 12 (``DOUBLING_MIN_N``) on, the structure-preserving doubling
+    algorithm solves it with n x n products and solves alone
+    (``_doubling_care``); below that order, and wherever doubling stalls,
+    meets a singular solve or a non-finite value, or its result fails a
+    certificate, the ordered real Schur form of the Hamiltonian
 
         H = [[ A, -W ],
-             [ -Q, -A^T ]],
+             [ -Q, -A^T ]]
 
-    selecting the n stable eigenvalues. The solution is certified, not
-    refined: the closed loop A - W P must be Hurwitz, and then the residual
-    must satisfy
+    does, selecting its n stable eigenvalues. Either solution is certified,
+    not refined: the closed loop A - W P must be Hurwitz, and then the
+    residual must satisfy
 
         |A^T P + P A - P W P + Q|_F <= 1e-10 * (1 + |P|_F^2).
 
-    When W = 0 the equation degenerates to a Lyapunov equation and is
-    dispatched to ``solve_lyapunov`` directly.
+    Only the Schur path raises: a doubling solve that fails is handed over.
 
     Raises
     ------
     NoStabilizingSolution
-        If the ordered Schur form fails, the stable subspace does not have
-        dimension n (as when H has eigenvalues on the imaginary axis), the
-        subspace basis is too ill-conditioned to invert, or the closed loop
-        A - W P is not Hurwitz (margin at most 1e-12).
+        If W = 0 and A is not Hurwitz, or, on the Schur path, the ordered
+        Schur form fails, the stable subspace does not have dimension n (as
+        when H has eigenvalues on the imaginary axis), the subspace basis is
+        too ill-conditioned to invert, or the closed loop A - W P is not
+        Hurwitz (margin at most 1e-12).
     NonConvergence
         If the closed loop is Hurwitz but the residual exceeds its tolerance
         or is not finite (as for a NaN or inf P).
@@ -400,7 +420,6 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    n = A.shape[0]
 
     if np.linalg.norm(W) == 0.0:
         # Degenerate CARE: A^T P + P A + Q = 0, solvable iff A is Hurwitz.
@@ -414,7 +433,76 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
             ) from exc
         P, res = loop.solve(Q, transpose=True)
         return P, res, loop
+    if A.shape[0] >= DOUBLING_MIN_N:
+        try:
+            return _doubling_care(A, W, Q)
+        except _DoublingRefused:
+            pass
+    return _schur_care(A, W, Q)
 
+
+class _DoublingRefused(Exception):
+    """Why a doubling CARE solve hands over to the ordered Schur form."""
+
+
+def _doubling_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
+    """``_solve_care`` for W != 0 by the structure-preserving doubling
+    algorithm (Chu, Fan and Lin, Linear Algebra Appl. 396, 2005).
+
+    With gamma = |A|_1 + 1, above the spectral radius of A, so that
+    A_g = A - gamma I is nonsingular, and W_g = A_g^T + Q A_g^-1 W, it starts
+    from E_0 = I + 2 gamma W_g^-T, G_0 = 2 gamma A_g^-1 W W_g^-1 and
+    H_0 = 2 gamma W_g^-1 Q A_g^-1, and doubles: with
+    [Z_E, Z_G] = (I + G_k H_k)^-1 [E_k, G_k],
+
+        E_k+1 = E_k Z_E,  G_k+1 = G_k + E_k Z_G E_k^T,  H_k+1 = H_k + E_k^T H_k Z_E.
+
+    H_k converges quadratically to the stabilizing P; it stops once
+    |H_k+1 - H_k|_F <= u |H_k+1|_F. P is symmetrized and certified as on the
+    Schur path: the loop A - W P (Schur form kept) must be Hurwitz, and then
+    the CARE residual within tolerance.
+
+    Raises
+    ------
+    _DoublingRefused
+        After ``_DOUBLING_STEPS`` steps, on a singular solve, a non-finite
+        iterate or a failed certificate.
+    """
+    n = A.shape[0]
+    eye = np.eye(n)
+    gamma = float(np.abs(A).sum(axis=0).max()) + 1.0
+    u = np.finfo(float).eps
+    try:
+        with np.errstate(all="ignore"):
+            Ag_inv = np.linalg.inv(A - gamma * eye)
+            Wg_inv = np.linalg.inv(A.T - gamma * eye + Q @ Ag_inv @ W)
+            E = eye + 2.0 * gamma * Wg_inv.T
+            G = (2.0 * gamma) * (Ag_inv @ W @ Wg_inv)
+            H = (2.0 * gamma) * (Wg_inv @ Q @ Ag_inv)
+            for _ in range(_DOUBLING_STEPS):
+                Z = np.linalg.solve(eye + G @ H, np.hstack((E, G)))
+                step = E.T @ (H @ Z[:, :n])
+                H = H + step
+                size = math.sqrt(np.vdot(H, H))
+                if not math.isfinite(size):
+                    raise _DoublingRefused("non-finite iterate")
+                if math.sqrt(np.vdot(step, step)) <= u * size:
+                    break
+                G = G + E @ Z[:, n:] @ E.T
+                E = E @ Z[:, :n]
+            else:
+                raise _DoublingRefused(f"no convergence in {_DOUBLING_STEPS} steps")
+        P = 0.5 * (H + H.T)
+        loop = closed_loop(A - W @ P)
+        return P, _certified_care(A, W, Q, P), loop
+    except (np.linalg.LinAlgError, NotHurwitz, NonConvergence) as exc:
+        raise _DoublingRefused(str(exc)) from exc
+
+
+def _schur_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
+    """``_solve_care`` for W != 0 on the ordered real Schur form of the
+    Hamiltonian; raises as ``solve_care`` says."""
+    n = A.shape[0]
     H = np.block([[A, -W], [-Q, -A.T]])
     try:
         T, U, sdim = la.schur(H, output="real", sort="lhp")

@@ -38,6 +38,8 @@ from .plant import Placement, Plant
 from .riccati import GainPair, gain_pair
 
 DIVERGENCE_LIMIT = 1e8
+#: Most steps one path may take: 1e4 times the 1e5 of T = 100 at dt = 1e-3.
+MAX_STEPS = 10**9
 _CHUNK_STEPS = 1024  # peak memory: a few (steps, paths, 2n) arrays
 
 
@@ -60,8 +62,8 @@ class SimConfig:
             raise ValueError("dt, horizon_T and burn_in must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if not math.isfinite(self.horizon_T / self.dt):
-            raise ValueError("horizon_T / dt, the step count, must be finite")
+        if not self.horizon_T / self.dt <= MAX_STEPS:  # an overflow to inf fails too
+            raise ValueError(f"horizon_T / dt, the step count, must be at most {MAX_STEPS:.0e}")
         if self.burn_in < 0.0 or self.horizon_T < 10.0 * self.burn_in:
             raise ValueError("need horizon_T >= 10 * burn_in >= 0")
         if self.horizon_T <= self.dt:

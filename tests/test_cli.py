@@ -94,6 +94,8 @@ _EMITTER_CASES = {
     "extreme_float_tuple": (2.0, -0.0, 0.1),
     "scalars": [np.float64(-0.0), 2.0, np.float32(0.1), float("nan")],
     "nan_in_array": np.array([[1.0, np.nan], [2.5, 3.0]]),
+    "finite_3x4": _MATRIX,
+    "nan_in_one_row": np.where(np.arange(12).reshape(3, 4) == 6, np.nan, _MATRIX),
     "inf_in_array": np.array([np.inf, 1.0, -np.inf]),
     "inf_in_list": [1.0, float("inf"), 2.0],
     "shape_0": np.zeros(0),
@@ -332,9 +334,11 @@ class TestNonFiniteInput:
             ("solve", "placement", "c", 1.0),
             ("solve", None, "A", [-1.0, -2.0, -3.0]),
             ("solve", None, "A", [[[-1.0]]]),
-            # an integer too large for a float, and a step count that overflows
+            # an integer too large for a float, a step count that overflows,
+            # and one above simulate.MAX_STEPS
             ("solve", "placement", "b", [10**400, 1.0, 0.0]),
             ("simulate", "sim", "dt", 1e-320),
+            ("simulate", "sim", "horizon_T", 1e300),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):

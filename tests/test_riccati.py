@@ -286,6 +286,128 @@ class TestOneFactorizationPerMatrix:
                 closed_loop(F)
 
 
+def _unstable_side(rng: np.random.Generator, n: int):
+    """(A, W, v): a dense non-symmetric A = G / sqrt(n) - 0.8 I with an
+    eigenvalue in the right half plane, W = w v v^T for a random v."""
+    while True:
+        A = rng.standard_normal((n, n)) / np.sqrt(n) - 0.8 * np.eye(n)
+        if np.max(np.linalg.eigvals(A).real) > 0.0:
+            break
+    v = rng.standard_normal(n)
+    return A, np.outer(v, v) * rng.uniform(0.1, 2.0), v
+
+
+def _schur_shapes(monkeypatch) -> list:
+    """Record the shape of every matrix ``la.schur`` factors from here on."""
+    shapes, schur = [], la.schur
+
+    def recorded(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return schur(M, *args, **kwargs)
+
+    monkeypatch.setattr(la, "schur", recorded)
+    return shapes
+
+
+class TestDoubling:
+    @pytest.mark.parametrize("n", [16, 24, 50])
+    def test_matches_scipy_without_a_hamiltonian_schur_form(self, monkeypatch, n):
+        # From DOUBLING_MIN_N on, an open-loop-unstable non-symmetric CARE is
+        # solved by doubling: the one Schur form taken is the n x n loop's.
+        assert n >= riccati.DOUBLING_MIN_N
+        rng = np.random.default_rng(3400 + n)
+        A, W, v = _unstable_side(rng, n)
+        Q = np.eye(n)
+        shapes = _schur_shapes(monkeypatch)
+        P, res, loop = riccati._solve_care(A, W, Q)
+        assert shapes == [(n, n)]
+        assert la.norm(P - P.T) == 0.0
+        assert res == care_residual(A, W, Q, P) <= 1e-10 * (1 + la.norm(P) ** 2)
+        assert np.array_equal(loop.F, A - W @ P)
+        assert loop.margin == pytest.approx(-np.max(np.linalg.eigvals(loop.F).real), rel=1e-8)
+        P_ref = la.solve_continuous_are(
+            A, v[:, None], Q, np.array([[1.0 / _outer_weight(W, v)]])
+        )
+        assert la.norm(P - P_ref) <= 1e-8 * (1 + la.norm(P_ref))
+
+    def test_a_refused_doubling_solve_is_the_schur_paths(self, monkeypatch):
+        rng = np.random.default_rng(3412)
+        A, W, _ = _unstable_side(rng, riccati.DOUBLING_MIN_N)
+        Q = np.eye(A.shape[0])
+        refused = []
+
+        def refusing(*args):
+            refused.append(args)
+            raise riccati._DoublingRefused("refused")
+
+        monkeypatch.setattr(riccati, "_doubling_care", refusing)
+        P, res, loop = riccati._solve_care(A, W, Q)
+        P_ref, res_ref, loop_ref = riccati._schur_care(A, W, Q)
+        assert len(refused) == 1
+        assert np.array_equal(P, P_ref) and res == res_ref
+        assert np.array_equal(loop.F, loop_ref.F)
+        assert np.array_equal(loop._schur[0], loop_ref._schur[0])
+
+    def test_non_stabilizable_sides_are_refused_and_raise(self):
+        # The unactuated skew block of test_non_stabilizable_probe_never_returns
+        # at n = 12-16: no doubling solve is certified, and the Schur path
+        # raises.
+        rng = np.random.default_rng(3416)
+        for _ in range(10):
+            n = int(rng.integers(riccati.DOUBLING_MIN_N, 17))
+            m = int(rng.integers(1, n))
+            G = rng.standard_normal((m, m))
+            A = np.zeros((n, n))
+            A[:m, :m] = G - G.T
+            A[m:, m:] = -rng.uniform(0.5, 2.0) * np.eye(n - m)
+            W = np.diag([0.0] * m + [1.0] * (n - m))
+            with pytest.raises(riccati._DoublingRefused):
+                riccati._doubling_care(A, W, np.eye(n))
+            with pytest.raises(NoStabilizingSolution):
+                solve_care(A, W, np.eye(n))
+
+    def test_cold_cost_report_takes_two_loop_schur_forms(self, monkeypatch):
+        # test_no_matrix_is_factored_twice at n = 16: the two Hamiltonian
+        # Schur forms are gone, each loop's n x n one stays, and nothing is
+        # factored twice.
+        n = 16
+        rng = np.random.default_rng(3417)
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        assert np.max(np.linalg.eigvals(A).real) > 0.0
+        plant, placement = Plant(A, 0.7, 1.3), random_placement_for(rng, n)
+        shapes = _schur_shapes(monkeypatch)
+        eigvals = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *args: eigvals.append(args))
+        report = cost_report(plant, placement)
+        assert shapes == [(n, n), (n, n)] and eigvals == []
+        assert report.gains.loop_K.F.tobytes() != report.gains.loop_Sigma.F.tobytes()
+
+    def test_near_pbh_sides_the_schur_path_certifies_stay_certified(self):
+        # Every CARE side of these n = 16 near-PBH draws that the Schur path
+        # certifies, _solve_care certifies too: by doubling, or, where the
+        # doubling solve's loop is not Hurwitz (|P| near 1e12), by the Schur
+        # path it hands over to.
+        n, taken = 16, {"doubling": 0, "schur": 0}
+        for seed in (1864, 1876):
+            rng = np.random.default_rng(seed)
+            for margin in 10.0 ** -np.arange(2, 9):
+                for symmetric in (False, True):
+                    plant, placement = _near_pbh_boundary(rng, n, margin, symmetric)
+                    for A, W in ((plant.A, 0.5 * placement.B), (plant.A.T, 0.5 * placement.C)):
+                        try:
+                            P_ref = riccati._schur_care(A, W, np.eye(n))[0]
+                        except CodesignError:
+                            continue
+                        P, res, loop = riccati._solve_care(A, W, np.eye(n))
+                        assert res <= riccati._care_tol(P)
+                        assert np.max(np.linalg.eigvals(loop.F).real) < 0.0
+                        path = "schur" if np.array_equal(P, P_ref) else "doubling"
+                        if path == "doubling":
+                            assert np.array_equal(P, riccati._doubling_care(A, W, np.eye(n))[0])
+                        taken[path] += 1
+        assert taken["doubling"] > 0 and taken["schur"] > 0, taken
+
+
 class TestRepeatedSolves:
     @pytest.mark.parametrize("n", [1, 3, 8, 50])
     def test_bitwise_scipy_on_repeat(self, n):
