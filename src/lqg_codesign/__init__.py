@@ -39,6 +39,7 @@ from .errors import (
     SingularBlock,
 )
 from .flow import (
+    Direction,
     FlowCounters,
     FlowIterate,
     FlowOptions,

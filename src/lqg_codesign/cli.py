@@ -83,15 +83,24 @@ def _shape(obj, slots: list):
     ("d", L) for a list of L finite floats or ints; ("[", s1, ...) for any
     other list, tuple or array; and ("{", (key, s1), ...) for a dict. A
     finite nonempty float64 matrix is read whole, its rows all ("f", ncols);
-    any other array is read as its ``tolist()``. A value that JSON cannot
-    hold raises ``json.dumps``'s TypeError.
+    if it is square and bitwise symmetric (-0.0 facing 0.0 across the
+    diagonal is not), each value of its upper triangle is formatted once,
+    and its rows are all ("s", n) of those strings. Any other array is read as its ``tolist()``.
+    A value that JSON cannot hold raises ``json.dumps``'s TypeError.
     """
     kind = type(obj)
     if kind is not dict and kind is not list and kind is not tuple:
         if isinstance(obj, np.ndarray):
             if obj.dtype == np.float64 and obj.ndim == 2 and obj.size and np.isfinite(obj).all():
+                rows, cols = obj.shape
+                bits = obj.view(np.int64)
+                if rows == cols and np.array_equal(bits, bits.T):
+                    upper, mirror = _triangle(rows)
+                    text = ["%.17g" % value for value in obj[upper].tolist()]
+                    slots.extend(map(text.__getitem__, mirror))
+                    return ("[", *[("s", cols)] * rows)
                 slots.extend(obj.ravel().tolist())
-                return ("[", *[("f", obj.shape[1])] * obj.shape[0])
+                return ("[", *[("f", cols)] * rows)
             return _shape(obj.tolist(), slots)
         if kind is str:
             slots.append(json.dumps(obj))
@@ -144,6 +153,16 @@ def _template(shape, indent: int) -> str:
     brackets = "{}" if head == "{" else "[]"
     inner = "\n" + " " * (indent + 2)
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{' ' * indent}{brackets[1]}"
+
+
+@functools.lru_cache(maxsize=64)
+def _triangle(n: int) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
+    """The upper triangle of an n x n matrix, as row-major indices, and for
+    each entry (i, j) in row-major order the position of (min, max) in it."""
+    upper = np.triu_indices(n)
+    position = np.empty((n, n), dtype=np.intp)
+    position[upper] = position.T[upper] = np.arange(upper[0].size)
+    return upper, position.ravel().tolist()
 
 
 #: ``_template`` of a list item, built once per shape and indent.

@@ -8,18 +8,21 @@ which lifts exactly to the unit-sphere pair through B = b b^T:
 
     db/dt = eps*delta (I - b b^T) S_b b,      S_b = K M K,
 
-(and the same for c with S_c = Sigma N Sigma). The iteration is explicit
-Euler with secant (Barzilai-Borwein) trial steps, backtracking and
-renormalization, so the orbit constraint holds exactly at every iterate.
+(and the same for c with S_c = Sigma N Sigma). Each iteration steps
+against a limited-memory secant (L-BFGS) direction H g, built from the
+last few moves in R^{2n}, with backtracking and renormalization, so the
+orbit constraint holds exactly at every iterate.
 
 ``gradient`` is the one place that forms this field, from a ``CostReport``
 alone. ``OrbitGradient`` keeps the tangent residual r_b = (I - b b^T) S_b b
 (and r_c), which vanishes exactly at an equilibrium, and the gradient
-(ascent) direction g_b = -scale * r_b, so a step moves along
-``b - step * g_b``. The scale (``field_scale``) is eps*delta, or 1 when eps*delta is numerically zero: the eps*delta field
+(ascent) direction g_b = -scale * r_b. The scale (``field_scale``) is
+eps*delta, or 1 when eps*delta is numerically zero: the eps*delta field
 vanishes identically there, and the descent acts on the potential phi_bar
-instead of phi. Every first-order quantity reads the residuals: the
-equilibrium test, the Armijo slope -norm^2 and ``directional_derivative``.
+instead of phi. A ``Direction`` is any ascent pair (g_b, g_c), the gradient
+among them, and a step moves along ``b - step * g_b``. Every first-order
+quantity reads the residuals: the equilibrium test, the Armijo slope
+2 g . d and ``directional_derivative``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +49,8 @@ _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
 _STEP_MAX = 1e15
 _DEGENERATE_NORM = 1e-14
+#: Secant pairs (s, y) the descent keeps for its direction.
+_MEMORY = 10
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -98,8 +104,20 @@ class OrbitGradient:
 
 
 @dataclass(frozen=True)
+class Direction:
+    """An ascent pair in R^{2n}: ``flow_step`` moves against it, to
+    normalize(b_unit - step * g_b) and normalize(c_unit - step * g_c).
+    ``OrbitGradient`` is one; ``run_flow`` builds the others."""
+
+    g_b: np.ndarray
+    g_c: np.ndarray
+
+
+@dataclass(frozen=True)
 class FlowIterate:
-    """One accepted iterate; ``step`` is the step that produced it (0 at the start)."""
+    """One accepted iterate. ``step`` is the multiplier of the direction that
+    produced it (0 at the start): the iterate is ``flow_step`` of the one
+    before along that direction, with this step."""
 
     placement: Placement
     phi: float
@@ -113,8 +131,10 @@ class FlowCounters:
     """Work a descent run did, none of which changes its result.
 
     ``evaluations`` counts ``cost_report`` calls and ``backtracks`` halved
-    trial steps. ``swallowed_errors`` counts the ``CodesignError``s the line
-    search caught and backtracked from (the last message is kept), and
+    trial steps. ``memory_resets`` counts the times the secant memory was
+    dropped: on a move with s.y <= 0, and on a direction along which no step
+    was accepted. ``swallowed_errors`` counts the ``CodesignError``s the
+    line search caught and backtracked from (the last message is kept), and
     ``modal_fallbacks`` the evaluations whose gain pair fell back from the
     modal to the Hamiltonian path (``GainPair.fallback``; the last reason is
     kept). That count is 0 on a symmetric plant with positive gains and
@@ -123,6 +143,7 @@ class FlowCounters:
 
     evaluations: int = 0
     backtracks: int = 0
+    memory_resets: int = 0
     swallowed_errors: int = 0
     last_swallowed_error: str | None = None
     modal_fallbacks: int = 0
@@ -219,19 +240,21 @@ def directional_derivative(
 
 
 def flow_step(
-    plant: Plant, placement: Placement, grad: OrbitGradient, step: float
+    plant: Plant, placement: Placement, direction: Direction, step: float
 ) -> Placement:
-    """One explicit Euler step with renormalization retraction.
+    """One explicit Euler step against ``direction`` with renormalization
+    retraction.
 
     Returns the placement with b_unit = normalize(b_unit - step * g_b) and
-    c_unit = normalize(c_unit - step * g_c).
+    c_unit = normalize(c_unit - step * g_c), for (g_b, g_c) the
+    ``direction``: an ``OrbitGradient`` or any other ``Direction``.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if placement.n != plant.n:
         raise ValueError("placement dimension does not match plant")
-    b_new = placement.b_unit - step * grad.g_b
-    c_new = placement.c_unit - step * grad.g_c
+    b_new = placement.b_unit - step * direction.g_b
+    c_new = placement.c_unit - step * direction.g_c
     nb, nc = np.linalg.norm(b_new), np.linalg.norm(c_new)
     if nb < _DEGENERATE_NORM or nc < _DEGENERATE_NORM:
         raise DegenerateStep(
@@ -240,29 +263,61 @@ def flow_step(
     return Placement(b_new / nb, c_new / nc)
 
 
-def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
-    """Gradient descent from ``init`` with secant trial steps.
+def _secant_direction(
+    grad: OrbitGradient, placement: Placement, pairs, gamma: float
+) -> Direction:
+    """H g for the limited-memory inverse model H of the secant ``pairs``
+    (s, y, 1 / s.y), oldest first, with H_0 = gamma I: the two-loop
+    recursion (Nocedal, Math. Comp. 35(151), 1980) in R^{2n}, its result
+    projected onto the tangent space at ``placement``. With no pair it is
+    gamma g, which is tangent already."""
+    if not pairs:
+        return Direction(gamma * grad.g_b, gamma * grad.g_c)
+    q = np.concatenate((grad.g_b, grad.g_c))
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * (s @ q)
+        q = q - alpha * y
+        alphas.append(alpha)
+    r = gamma * q
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r = r + (alpha - rho * (y @ r)) * s
+    d_b, d_c = r[: placement.n], r[placement.n :]
+    b, c = placement.b_unit, placement.c_unit
+    return Direction(d_b - (b @ d_b) * b, d_c - (c @ d_c) * c)
 
-    After the first trial step (1), each is the Barzilai-Borwein step s.s/s.y
-    of the last move in R^{2n}, or twice the last step if s.y <= 0. It is
-    halved until Armijo's test on the slope -norm^2 holds or, where the
-    objective moved by at most 4 ulps, the gradient norm falls.
+
+def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
+    """Descent from ``init`` along limited-memory secant directions.
+
+    Each move x -> x' in R^{2n}, with gradients g -> g', gives a secant pair
+    s = x' - x, y = g' - g. The direction d is H g for the L-BFGS inverse
+    model of the last ``_MEMORY`` pairs, with H_0 = gamma I and gamma the
+    Barzilai-Borwein step s.s / s.y of the last move (1 at the start, so the
+    first direction is g), projected onto the tangent space. Its step
+    multiplier starts at 1 and is halved until Armijo's test on the slope
+    2 g.d holds or, where the objective moved by at most 4 ulps, the
+    gradient norm falls. Where the model is wrong the memory is dropped
+    (``counters.memory_resets``): on a move with s.y <= 0, after which gamma
+    doubles the step taken along gamma g; and when no step along d is
+    accepted, after which the search runs once more along gamma g.
 
     Ends with one of four statuses:
 
     - ``converged``: the normal-metric gradient norm dropped below
       ``opts.grad_tol``;
-    - ``no_decrease``: no step that moves the placement lowers the
-      objective, nor, within its rounding, the gradient norm. Backtracking
-      ends once step * max(|g_b|, |g_c|) <= eps: a smaller move is lost in
+    - ``no_decrease``: no step along d, nor then along gamma g with the
+      memory dropped, that moves the placement lowers the objective, nor,
+      within its rounding, the gradient norm. Backtracking along a direction
+      ends once step * max(|d_b|, |d_c|) <= eps: a smaller move is lost in
       the rounding of the renormalization;
     - ``max_iters``: ``opts.max_iters`` steps were accepted;
     - ``solver_failure``: the start point could not be evaluated. This is
       recorded, with the solver's message in ``error``, rather than raised.
 
-    ``counters`` tallies the evaluations, backtracks, swallowed errors and
-    modal fallbacks of the run, and ``report`` keeps the evaluation of the
-    last accepted iterate.
+    ``counters`` tallies the evaluations, backtracks, memory resets,
+    swallowed errors and modal fallbacks of the run, and ``report`` keeps the
+    evaluation of the last accepted iterate.
     """
     use_phi_bar = is_zero_gain(plant)
     tally = asdict(FlowCounters())
@@ -282,6 +337,38 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
         counters = FlowCounters(**tally)
         return FlowTrace(tuple(iterates), status, error, counters, report)
 
+    def line_search(direction: Direction):
+        """(step, placement, report, objective, gradient) of the first
+        accepted trial along ``direction``, or None."""
+        slope = 2.0 * (grad.g_b @ direction.g_b + grad.g_c @ direction.g_c)
+        # A direction of positive slope is nonzero, so the backtracking ends;
+        # one of no descent (or NaN) slope is refused untried.
+        reach = max(np.linalg.norm(direction.g_b), np.linalg.norm(direction.g_c))
+        step = 1.0
+        while slope > 0.0 and step * reach > resolution:
+            try:
+                candidate = flow_step(plant, placement, direction, step)
+                cand_report = evaluate(candidate)
+            except CodesignError as exc:
+                tally["swallowed_errors"] += 1
+                tally["last_swallowed_error"] = str(exc)
+            else:
+                cand_obj = objective_of(cand_report)
+                cand_grad = gradient(cand_report)
+                if cand_obj <= obj - _ARMIJO_C1 * step * slope or (
+                    abs(cand_obj - obj) <= 4.0 * resolution * abs(obj)
+                    and cand_grad.norm < grad.norm
+                ):
+                    return step, candidate, cand_report, cand_obj, cand_grad
+            tally["backtracks"] += 1
+            step *= 0.5
+        return None
+
+    def drop_memory() -> None:
+        if pairs:
+            pairs.clear()
+            tally["memory_resets"] += 1
+
     placement, report = init, None
     iterates: list[FlowIterate] = []
     try:
@@ -294,40 +381,32 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     iterates.append(FlowIterate(placement, report.phi, obj, grad.norm, 0.0))
     resolution = np.finfo(float).eps
 
-    step = _STEP_INIT
+    pairs: deque = deque(maxlen=_MEMORY)
+    gamma = _STEP_INIT
     for _ in range(opts.max_iters):
         if grad.norm < opts.grad_tol:
             break
-        # Positive whenever grad.norm is, so the backtracking below ends.
-        reach = max(np.linalg.norm(grad.g_b), np.linalg.norm(grad.g_c))
-        while step * reach > resolution:
-            try:
-                candidate = flow_step(plant, placement, grad, step)
-                cand_report = evaluate(candidate)
-            except CodesignError as exc:
-                tally["swallowed_errors"] += 1
-                tally["last_swallowed_error"] = str(exc)
-            else:
-                cand_obj = objective_of(cand_report)
-                cand_grad = gradient(cand_report)
-                if cand_obj <= obj - _ARMIJO_C1 * step * grad.norm**2 or (
-                    abs(cand_obj - obj) <= 4.0 * resolution * abs(obj)
-                    and cand_grad.norm < grad.norm
-                ):
-                    break
-            tally["backtracks"] += 1
-            step *= 0.5
-        else:
+        accepted = line_search(_secant_direction(grad, placement, pairs, gamma))
+        if accepted is None and pairs:
+            drop_memory()
+            accepted = line_search(_secant_direction(grad, placement, pairs, gamma))
+        if accepted is None:
             return finish(STATUS_NO_DECREASE)
+        step, candidate, cand_report, cand_obj, cand_grad = accepted
         iterates.append(
             FlowIterate(candidate, cand_report.phi, cand_obj, cand_grad.norm, step)
         )
-        # Next trial: the secant step s.s / s.y of this move in R^{2n}.
-        s_b = candidate.b_unit - placement.b_unit
-        s_c = candidate.c_unit - placement.c_unit
-        sy = s_b @ (cand_grad.g_b - grad.g_b) + s_c @ (cand_grad.g_c - grad.g_c)
-        ss = s_b @ s_b + s_c @ s_c
-        step = min(ss / sy if sy > 0.0 else 2.0 * step, _STEP_MAX)
+        s = np.concatenate(
+            (candidate.b_unit - placement.b_unit, candidate.c_unit - placement.c_unit)
+        )
+        y = np.concatenate((cand_grad.g_b - grad.g_b, cand_grad.g_c - grad.g_c))
+        sy = s @ y
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = min((s @ s) / sy, _STEP_MAX)
+        else:
+            drop_memory()
+            gamma = min(2.0 * step * gamma, _STEP_MAX)
         placement, grad, obj, report = candidate, cand_grad, cand_obj, cand_report
     return finish(STATUS_CONVERGED if grad.norm < opts.grad_tol else STATUS_MAX_ITERS)
 

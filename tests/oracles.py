@@ -9,6 +9,10 @@ in which the equilibrium condition is the Cauchy-matrix system of
 eigenbasis directly; the tests read these coordinates to check its
 candidates, their supports and multipliers, and to match flow limits to
 candidates modulo the sign group.
+
+``two_loop_direction`` is the limited-memory secant direction of the
+descent, written out from the two-loop recursion for the tests that replay
+a run.
 """
 
 from __future__ import annotations
@@ -101,3 +105,37 @@ def candidate_match_distance(
         np.linalg.norm(placement.c_unit + candidate.placement.c_unit),
     )
     return float(max(d_b, d_c))
+
+
+def two_loop_direction(
+    g_b: np.ndarray,
+    g_c: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
+    gamma: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """H g for the L-BFGS inverse model of ``pairs`` (s, y), oldest first,
+    with H_0 = gamma I (Nocedal, Math. Comp. 35(151), 1980, two-loop form),
+    projected onto the tangent space of the sphere pair at (b, c).
+
+    With no pair the result is gamma g, unprojected: g is tangent already.
+    The arithmetic is written out in the order the recursion states it, so
+    a run that follows the recursion reproduces its bits.
+    """
+    if not pairs:
+        return gamma * g_b, gamma * g_c
+    rhos = [1.0 / (s @ y) for s, y in pairs]
+    q = np.concatenate((g_b, g_c))
+    alphas = [0.0] * len(pairs)
+    for i in range(len(pairs) - 1, -1, -1):
+        s, y = pairs[i]
+        alphas[i] = rhos[i] * (s @ q)
+        q = q - alphas[i] * y
+    r = gamma * q
+    for i, (s, y) in enumerate(pairs):
+        beta = rhos[i] * (y @ r)
+        r = r + (alphas[i] - beta) * s
+    n = b.shape[0]
+    d_b, d_c = r[:n], r[n:]
+    return d_b - (b @ d_b) * b, d_c - (c @ d_c) * c

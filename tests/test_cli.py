@@ -95,6 +95,11 @@ _EMITTER_CASES = {
     "scalars": [np.float64(-0.0), 2.0, np.float32(0.1), float("nan")],
     "nan_in_array": np.array([[1.0, np.nan], [2.5, 3.0]]),
     "finite_3x4": _MATRIX,
+    # A bitwise symmetric matrix formats its upper triangle once.
+    "symmetric": _MATRIX[:, :3] @ _MATRIX[:, :3].T,
+    "symmetric_but_signed_zero": np.array([[1.0, 0.0, 2.5], [-0.0, 3.0, 0.1], [2.5, 0.1, -4.0]]),
+    "symmetric_1x1": np.array([[0.1]]),
+    "symmetric_with_nan": np.array([[1.0, np.nan], [np.nan, 2.0]]),
     "nan_in_one_row": np.where(np.arange(12).reshape(3, 4) == 6, np.nan, _MATRIX),
     "inf_in_array": np.array([np.inf, 1.0, -np.inf]),
     "inf_in_list": [1.0, float("inf"), 2.0],
@@ -596,6 +601,7 @@ class TestFlowCommand:
             "counters": {
                 "evaluations": 0,
                 "backtracks": 0,
+                "memory_resets": 0,
                 "swallowed_errors": 0,
                 "last_swallowed_error": None,
                 "modal_fallbacks": 0,

@@ -11,6 +11,7 @@ from conftest import (
     random_unit,
     scalar_plant,
 )
+from oracles import two_loop_direction
 
 from lqg_codesign import (
     AllStartsFailed,
@@ -41,6 +42,7 @@ from lqg_codesign.flow import (
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
     STATUS_NO_DECREASE,
+    Direction,
     FlowIterate,
     FlowTrace,
     pbh_passing_placement,
@@ -325,8 +327,9 @@ class TestLineSearch:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("zero_gain", [False, True])
     def test_step_reproduces_each_iterate(self, seed, zero_gain):
-        # Each recorded step is the one that produced its iterate, also at
-        # zero gain, where steps accepted below phi_bar's resolution are common.
+        # Each recorded step, along the secant direction of the moves before
+        # it, is the one that produced its iterate, also at zero gain, where
+        # steps accepted below phi_bar's resolution are common.
         if zero_gain:
             plant, grad_tol = Plant(np.diag([-1.0, -2.0, -3.0]), 0.0, 0.0), 1e-12
         else:
@@ -334,11 +337,88 @@ class TestLineSearch:
         start = pbh_passing_placement(plant, np.random.default_rng(seed))
         trace = run_flow(plant, start, FlowOptions(grad_tol=grad_tol, max_iters=3_000))
         assert len(trace.iterates) > 1
-        for prev, it in zip(trace.iterates, trace.iterates[1:]):
-            grad = gradient(cost_report(plant, prev.placement))
-            moved = flow_step(plant, prev.placement, grad, it.step)
-            assert np.array_equal(moved.b_unit, it.placement.b_unit)
-            assert np.array_equal(moved.c_unit, it.placement.c_unit)
+        _replay(plant, trace)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_replay_through_refused_directions(self, seed):
+        # Run on below the rounding floor, the descent meets secant
+        # directions that no step lowers: the memory is dropped, and each
+        # iterate still follows from the one before.
+        plant = Plant(TestStopRule._RESOLUTION_A, 0.5, 0.8)
+        start = pbh_passing_placement(plant, np.random.default_rng(seed))
+        trace = run_flow(plant, start, FlowOptions(grad_tol=1e-30, max_iters=5_000))
+        assert _replay(plant, trace)[1] > 0
+
+    def test_replay_through_negative_curvature(self):
+        # A move with s.y <= 0 halfway down drops a memory of one pair.
+        rng = np.random.default_rng(0)
+        plant = Plant(random_symmetric_hurwitz(rng, 3), 0.5, 0.8)
+        start = pbh_passing_placement(plant, rng)
+        trace = run_flow(plant, start, FlowOptions(grad_tol=1e-9, max_iters=3_000))
+        assert trace.status == STATUS_CONVERGED
+        assert _replay(plant, trace)[0] > 0
+
+    def test_first_trial_is_the_gradient_step(self, monkeypatch):
+        # The memory starts empty: the first trial of a start moves along g
+        # itself with the initial step.
+        trials = []
+        original = flow.flow_step
+
+        def recorded(plant, placement, direction, step):
+            trials.append((placement, direction, step))
+            return original(plant, placement, direction, step)
+
+        monkeypatch.setattr(flow, "flow_step", recorded)
+        plant = _weighted_laplacian_plant()
+        start = pbh_passing_placement(plant, np.random.default_rng(1))
+        run_flow(plant, start, FlowOptions(grad_tol=1e-9, max_iters=1))
+        placement, direction, step = trials[0]
+        grad = gradient(cost_report(plant, start))
+        assert placement is start and step == flow._STEP_INIT
+        assert np.array_equal(direction.g_b, grad.g_b)
+        assert np.array_equal(direction.g_c, grad.g_c)
+
+
+def _replay(plant: Plant, trace: FlowTrace) -> tuple[int, int]:
+    """Replays ``trace`` bit for bit from fresh ``cost_report``s of its
+    iterates, its recorded steps and ``two_loop_direction``, keeping the
+    secant memory as the run does: a pair per move with s.y > 0, the
+    memory dropped on s.y <= 0, and, where the recorded step does not
+    reproduce the iterate along the memory's direction, dropped for a move
+    along the secant-scaled gradient. The drops of a nonempty memory, on
+    s.y <= 0 and on a refused direction, are returned; they must add up to
+    the run's ``memory_resets``."""
+    pairs, gamma, curvature, refused = [], flow._STEP_INIT, 0, 0
+    grad = gradient(cost_report(plant, trace.iterates[0].placement))
+    for prev, it in zip(trace.iterates, trace.iterates[1:]):
+        b, c = prev.placement.b_unit, prev.placement.c_unit
+
+        def moved(pairs):
+            d_b, d_c = two_loop_direction(grad.g_b, grad.g_c, b, c, pairs, gamma)
+            return flow_step(plant, prev.placement, Direction(d_b, d_c), it.step)
+
+        def reproduces(placement):
+            return np.array_equal(placement.b_unit, it.placement.b_unit) and np.array_equal(
+                placement.c_unit, it.placement.c_unit
+            )
+
+        if pairs and not reproduces(moved(pairs)):
+            pairs, refused = [], refused + 1
+        assert reproduces(moved(pairs))
+        new_grad = gradient(cost_report(plant, it.placement))
+        s = np.concatenate((it.placement.b_unit - b, it.placement.c_unit - c))
+        y = np.concatenate((new_grad.g_b - grad.g_b, new_grad.g_c - grad.g_c))
+        if s @ y > 0.0:
+            pairs = (pairs + [(s, y)])[-flow._MEMORY :]
+            gamma = min((s @ s) / (s @ y), flow._STEP_MAX)
+        else:
+            curvature += bool(pairs)
+            pairs, gamma = [], min(2.0 * it.step * gamma, flow._STEP_MAX)
+        grad = new_grad
+    # A run that ends no_decrease refused the memory's direction first.
+    refused += trace.status == STATUS_NO_DECREASE and bool(pairs)
+    assert curvature + refused == trace.counters.memory_resets
+    return curvature, refused
 
 
 class TestCounters:

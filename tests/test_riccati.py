@@ -517,11 +517,12 @@ def _symmetric_plant(rng, n, spread, eps, delta) -> Plant:
 
 
 def _hamiltonian_values(plant: Plant, placement: Placement) -> dict:
-    """Oracle: K, Sigma, M, N, phi and phi_bar by the Hamiltonian path and
-    the Schur forms of its closed loops."""
+    """Oracle: K, Sigma, M, N, phi and phi_bar by the ordered Schur form of
+    the Hamiltonian (``riccati._schur_care``, whatever n is) and the Schur
+    forms of its closed loops."""
     eye = np.eye(plant.n)
-    K, _, loop_K = riccati._solve_care(plant.A, plant.epsilon * placement.B, eye)
-    S, _, loop_S = riccati._solve_care(plant.A.T, plant.delta * placement.C, eye)
+    K, _, loop_K = riccati._schur_care(plant.A, plant.epsilon * placement.B, eye)
+    S, _, loop_S = riccati._schur_care(plant.A.T, plant.delta * placement.C, eye)
     M = loop_K.solve(S @ placement.C @ S)[0]
     N = loop_S.solve(K @ placement.B @ K)[0]
     A = plant.A
@@ -596,8 +597,10 @@ def _check_care_and_loop(gains, coeff, W, P, res, loop) -> None:
 
 
 def _check_hamiltonian_pair(plant: Plant, placement: Placement, gains, fallback: str) -> None:
-    """A symmetric plant's pair with a failed modal side: both sides are the
-    Hamiltonian path's, in A's coordinates, to the bit."""
+    """A symmetric plant's pair with a failed modal side: both sides are, in
+    A's coordinates and to the bit, those of ``riccati._solve_care``, the
+    A-basis path ``gain_pair`` falls back to (ordered Schur form below
+    ``DOUBLING_MIN_N``, doubling from there on)."""
     assert gains.fallback == fallback and gains.basis is None
     assert gains.loop_K.modes is None and gains.loop_Sigma.modes is None
     eye = np.eye(plant.n)
@@ -991,7 +994,7 @@ def _hamiltonian_report(plant: Plant, placement: Placement) -> dict:
 class TestEigenbasisEvaluation:
     """A symmetric plant is evaluated in its eigenbasis: phi, phi_bar, the
     gradient residuals and the A-basis K, Sigma, M and N formed on demand
-    agree with the Hamiltonian path (``_solve_care`` and the Schur forms of
+    agree with the Hamiltonian path (``_schur_care`` and the Schur forms of
     its closed loops) to 1e-9 relative."""
 
     @staticmethod
