@@ -32,7 +32,6 @@ from .errors import (
     NonNegativeEigenvalue,
     NotAnEquilibrium,
     NotHurwitz,
-    NotSkew,
     PBHViolation,
     ProblemFormatError,
     SimulationDiverged,
@@ -46,7 +45,6 @@ from .flow import (
     FlowTrace,
     MultiStartResult,
     OrbitGradient,
-    directional_derivative,
     flow_step,
     gradient,
     multi_start,

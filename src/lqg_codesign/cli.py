@@ -9,7 +9,8 @@ generator ({"generator": "diag", "eigenvalues": [...]} or
 A = -L from nonnegative undirected edge weights), gains "epsilon"/"delta",
 and optional "placement" ({"b": [...], "c": [...]}, normalized on load),
 "flow" options, "sim" config ("dt", "horizon_T", "n_paths", "burn_in"),
-"seed", and "n_starts". An unknown key in "flow" or "sim" is a parse error.
+"seed", and "n_starts". An unknown key, at the top level or in "A",
+"placement", "flow" or "sim", is a parse error.
 
 Reports are JSON with floats printed to 17 significant digits (lossless
 round-trip). Every report is read once into a shape and its values, and
@@ -233,11 +234,13 @@ def _build_matrix(entry) -> np.ndarray:
         raise ProblemFormatError("'A' must be a matrix or a generator object")
     kind = entry.get("generator")
     if kind == "diag":
+        _known(entry, ("generator", "eigenvalues"), "'A'")
         eigenvalues = entry.get("eigenvalues")
         if not isinstance(eigenvalues, list) or not eigenvalues:
             raise ProblemFormatError("diag generator needs a nonempty 'eigenvalues' list")
         return np.diag(_real_array(eigenvalues, "'eigenvalues'"))
     if kind == "laplacian":
+        _known(entry, ("generator", "n", "edges"), "'A'")
         n = entry.get("n")
         edges = entry.get("edges")
         if not _is_int(n) or n < 1:
@@ -262,14 +265,19 @@ def _build_matrix(entry) -> np.ndarray:
     raise ProblemFormatError(f"unknown generator {kind!r}")
 
 
+def _known(obj: dict, known, where: str) -> dict:
+    """``obj``, refused if a key, say a misspelled one, is not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ProblemFormatError(f"unknown key {key!r} in {where}")
+    return obj
+
+
 def _section(raw: dict, name: str, known) -> dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ProblemFormatError(f"'{name}' must be an object")
-    for key in section:
-        if key not in known:
-            raise ProblemFormatError(f"unknown key {key!r} in '{name}'")
-    return section
+    return _known(section, known, f"'{name}'")
 
 
 #: The "sim" section of a problem file, where the file leaves a key out.
@@ -285,6 +293,8 @@ def load_problem(path: Path) -> Problem:
         raise ProblemFormatError("problem file must hold a JSON object")
     if "A" not in raw:
         raise ProblemFormatError("problem file is missing 'A'")
+    problem_keys = ("A", "epsilon", "delta", "placement", "flow", "sim", "seed", "n_starts")
+    _known(raw, problem_keys, "the problem file")
     flow_raw = _section(raw, "flow", {f.name for f in dataclasses.fields(FlowOptions)})
     sim_raw = _section(raw, "sim", {f.name for f in dataclasses.fields(SimConfig)} - {"seed"})
     counts = ((flow_raw, "max_iters"), (sim_raw, "n_paths"), (raw, "seed"), (raw, "n_starts"))
@@ -306,8 +316,8 @@ def load_problem(path: Path) -> Problem:
 
     placement = None
     if "placement" in raw:
-        spot = raw["placement"]
-        if not isinstance(spot, dict) or "b" not in spot or "c" not in spot:
+        spot = _section(raw, "placement", ("b", "c"))
+        if "b" not in spot or "c" not in spot:
             raise ProblemFormatError("'placement' must hold vectors 'b' and 'c'")
         try:
             placement = Placement.normalized(

@@ -26,10 +26,6 @@ class PBHViolation(CodesignError):
         self.eigenvalue = eigenvalue
 
 
-class NotSkew(CodesignError):
-    """A tangent direction was not skew-symmetric."""
-
-
 class DegenerateStep(CodesignError):
     """A flow step collapsed the placement vector below renormalizable size."""
 

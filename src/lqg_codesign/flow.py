@@ -20,9 +20,11 @@ alone. ``OrbitGradient`` keeps the tangent residual r_b = (I - b b^T) S_b b
 eps*delta, or 1 when eps*delta is numerically zero: the eps*delta field
 vanishes identically there, and the descent acts on the potential phi_bar
 instead of phi. A ``Direction`` is any ascent pair (g_b, g_c), the gradient
-among them, and a step moves along ``b - step * g_b``. Every first-order
-quantity reads the residuals: the equilibrium test, the Armijo slope
-2 g . d and ``directional_derivative``.
+among them, and a step moves along ``b - step * g_b``. Every tangent of the
+sphere pair is such a pair, so the one first variation of the descended
+potential is ``OrbitGradient.slope``: moving to b - t d_b, c - t d_c changes
+it at the rate -slope(d) = -2 g . d. The line search steps on that slope, and
+``codesign verify`` checks it against finite differences.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cost import CostReport, cost_report
-from .errors import AllStartsFailed, CodesignError, DegenerateStep, NotSkew
+from .errors import AllStartsFailed, CodesignError, DegenerateStep
 from .plant import Placement, Plant
 from .riccati import pbh_check
 
 #: Below this value of eps*delta the natural flow field is identically zero
 #: and the field of scale 1, the gradient of phi_bar, is used instead.
 SCALE_TINY = 1e-12
-SKEW_TOL = 1e-12
 
 _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
@@ -101,6 +102,12 @@ class OrbitGradient:
     @property
     def g_c(self) -> np.ndarray:
         return -self.scale * self.r_c
+
+    def slope(self, direction: Direction) -> float:
+        """2 g . d: the rate at which the descended potential (phi, or phi_bar
+        at zero gain) falls along b - t d_b, c - t d_c at t = 0, for d a
+        tangent ``direction``. The gradient's own slope is ``norm`` squared."""
+        return 2.0 * (self.g_b @ direction.g_b + self.g_c @ direction.g_c)
 
 
 @dataclass(frozen=True)
@@ -208,37 +215,6 @@ def _residual(gains, X: np.ndarray, Y: np.ndarray, v: np.ndarray) -> np.ndarray:
     return gains.to_plant(s - (beta @ s) * beta)
 
 
-def directional_derivative(
-    report: CostReport, omega_b: np.ndarray, omega_c: np.ndarray
-) -> float:
-    """First variation of the potential ``gradient`` descends (phi, or
-    phi_bar at zero gain) at the report's placement along the orbit tangent
-    (ad_B Omega_b, ad_C Omega_c):
-
-        s (tr([B, S_b] Omega_b) + tr([C, S_c] Omega_c))
-            = 2 s (r_b . Omega_b b + r_c . Omega_c c),
-
-    with s the field scale (eps*delta, or 1 at zero gain). The tangent is
-    realized by the curves b(t) = expm(-t*Omega_b) b_unit and
-    c(t) = expm(-t*Omega_c) c_unit, whose derivative at t = 0 is
-    ([B, Omega_b], [C, Omega_c]).
-
-    Raises
-    ------
-    NotSkew
-        If either direction fails |Omega + Omega^T|_F <= 1e-12.
-    """
-    omega_b = np.atleast_2d(np.asarray(omega_b, dtype=float))
-    omega_c = np.atleast_2d(np.asarray(omega_c, dtype=float))
-    for name, om in (("omega_b", omega_b), ("omega_c", omega_c)):
-        if np.linalg.norm(om + om.T, "fro") > SKEW_TOL:
-            raise NotSkew(f"{name} is not skew-symmetric")
-    grad = gradient(report)
-    b, c = report.placement.b_unit, report.placement.c_unit
-    pairing = grad.r_b @ omega_b @ b + grad.r_c @ omega_c @ c
-    return float(2.0 * grad.scale * pairing)
-
-
 def flow_step(
     plant: Plant, placement: Placement, direction: Direction, step: float
 ) -> Placement:
@@ -340,7 +316,7 @@ def run_flow(plant: Plant, init: Placement, opts: FlowOptions) -> FlowTrace:
     def line_search(direction: Direction):
         """(step, placement, report, objective, gradient) of the first
         accepted trial along ``direction``, or None."""
-        slope = 2.0 * (grad.g_b @ direction.g_b + grad.g_c @ direction.g_c)
+        slope = grad.slope(direction)
         # A direction of positive slope is nonzero, so the backtracking ends;
         # one of no descent (or NaN) slope is refused untried.
         reach = max(np.linalg.norm(direction.g_b), np.linalg.norm(direction.g_c))

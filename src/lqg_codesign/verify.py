@@ -19,12 +19,7 @@ import scipy.linalg as sla
 from .cost import cost_report, phi, phi_bar, phi_gain_sensitivity
 from .equilibria import Spectrum, analytic_gains_at_v1, top_mode
 from .errors import CodesignError, NonNegativeEigenvalue, PBHViolation
-from .flow import (
-    NO_PLACEMENT,
-    directional_derivative,
-    is_zero_gain,
-    pbh_passing_placement,
-)
+from .flow import NO_PLACEMENT, Direction, gradient, is_zero_gain, pbh_passing_placement
 from .plant import Placement, Plant
 
 
@@ -81,9 +76,11 @@ def _random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool = False) -> dict:
-    """``flow.directional_derivative`` vs finite differences of the potential
-    it differentiates (phi, or phi_bar at zero gain) along the same orbit
-    curves; ``flip_sign`` plants a sign error."""
+    """``OrbitGradient.slope``, the pairing the descent steps on, vs finite
+    differences of the potential it differentiates (phi, or phi_bar at zero
+    gain) along orbit curves b(t) = expm(-t W_b) b, c(t) = expm(-t W_c) c for
+    seeded skew W_b, W_c. Those curves leave (b, c) along -(W_b b, W_c c), so
+    the derivative is -slope(W_b b, W_c c). ``flip_sign`` plants a sign error."""
     rng = np.random.default_rng(seed)
     potential = phi_bar if is_zero_gain(plant) else phi
 
@@ -92,16 +89,17 @@ def check_gradient_vs_fd(plant: Plant, seed: int, flip_sign: bool = False) -> di
         skews = [
             (_random_skew(plant.n, rng), _random_skew(plant.n, rng)) for _ in range(4)
         ]
-        report = cost_report(plant, placement)
+        grad = gradient(cost_report(plant, placement))
+        b, c = placement.b_unit, placement.c_unit
         worst = 0.0
         for W_b, W_c in skews:
-            pairing = directional_derivative(report, W_b, W_c)
+            pairing = -grad.slope(Direction(W_b @ b, W_c @ c))
             if flip_sign:
                 pairing = -pairing
 
             def value(t: float) -> float:
-                b_t = sla.expm(-t * W_b) @ placement.b_unit
-                c_t = sla.expm(-t * W_c) @ placement.c_unit
+                b_t = sla.expm(-t * W_b) @ b
+                c_t = sla.expm(-t * W_c) @ c
                 return potential(plant, Placement.normalized(b_t, c_t))
 
             # Step 1e-2: large enough to dominate solver-level noise in the
@@ -168,7 +166,9 @@ def check_phi_bar_sign(plant: Plant, seed: int) -> dict:
 def check_analytic_gains(plant: Plant) -> dict:
     """Closed-form gains and adjoints at (v_1, v_1) against the solvers. They
     hold in any eigenbasis that contains v_1, so repeated eigenvalues need no
-    rule here; ``top_mode`` refuses a repeated zero mode, which is skipped."""
+    rule here; ``top_mode`` refuses a repeated zero mode, which is skipped.
+    Each of K, Sigma, M and N passes when its largest error is below 1e-9
+    max(1, largest |entry| of its closed form): ``max_scaled_error``."""
     name = "analytic_gains_match"
     try:
         spectrum = Spectrum.of(plant)
@@ -189,13 +189,15 @@ def check_analytic_gains(plant: Plant) -> dict:
     gains, adjoints = report.gains, report.adjoints
     K_d, S_d, M_d, N_d = analytic_gains_at_v1(spectrum, plant.epsilon, plant.delta)
     Theta = spectrum.Theta
-    err = max(
-        float(np.max(np.abs(Theta.T @ gains.K @ Theta - np.diag(K_d)))),
-        float(np.max(np.abs(Theta.T @ gains.Sigma @ Theta - np.diag(S_d)))),
-        float(np.max(np.abs(Theta.T @ adjoints.M @ Theta - np.diag(M_d)))),
-        float(np.max(np.abs(Theta.T @ adjoints.N @ Theta - np.diag(N_d)))),
-    )
-    return {"name": name, "passed": bool(err < 1e-9), "max_abs_error": err}
+    pairs = ((gains.K, K_d), (gains.Sigma, S_d), (adjoints.M, M_d), (adjoints.N, N_d))
+    errors = [float(np.max(np.abs(Theta.T @ X @ Theta - np.diag(d)))) for X, d in pairs]
+    scaled = max(e / max(1.0, float(np.max(np.abs(d)))) for e, (_, d) in zip(errors, pairs))
+    return {
+        "name": name,
+        "passed": bool(scaled < 1e-9),
+        "max_abs_error": max(errors),
+        "max_scaled_error": scaled,
+    }
 
 
 def run_checks(plant: Plant, seed: int, *, flip_gradient_sign: bool = False) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import quad_vec
 
-from lqg_codesign import Placement, Plant, cost_report, gradient
+from lqg_codesign import Direction, Placement, Plant, cost_report, gradient
 from lqg_codesign.equilibria import STABLE, _tangent_basis, eq19_residual
 from lqg_codesign.verify import richardson_derivative
 from oracles import beta_gamma_coords
@@ -95,6 +95,14 @@ def random_placement_for(rng: np.random.Generator, n: int) -> Placement:
 def random_skew(rng: np.random.Generator, n: int) -> np.ndarray:
     W = rng.standard_normal((n, n))
     return 0.5 * (W - W.T)
+
+
+def orbit_pairing(report, omega_b: np.ndarray, omega_c: np.ndarray) -> float:
+    """First variation of the descended potential at the report's placement
+    along the ``rotate_placement`` curves: b(t) = expm(-t omega_b) b leaves b
+    along -omega_b b (and c likewise), so it is -slope(omega_b b, omega_c c)."""
+    b, c = report.placement.b_unit, report.placement.c_unit
+    return -gradient(report).slope(Direction(omega_b @ b, omega_c @ c))
 
 
 def rotate_placement(

@@ -344,6 +344,12 @@ class TestNonFiniteInput:
             ("solve", "placement", "b", [10**400, 1.0, 0.0]),
             ("simulate", "sim", "dt", 1e-320),
             ("simulate", "sim", "horizon_T", 1e300),
+            # a misspelled key, which used to leave its value at the default
+            ("solve", None, "epsillon", 1.0),
+            ("flow", None, "n_start", 4),
+            ("solve", "placement", "d", [1.0, 0.0, 0.0]),
+            ("solve", None, "A", {"generator": "diag", "eigenvalues": [-1.0, -2.0, -3.0], "n": 3}),
+            ("solve", None, "A", {"generator": "laplacian", "n": 3, "edges": [], "weights": []}),
         ],
     )
     def test_problem_error_exit_2(self, tmp_path, capsys, command, section, key, value):
@@ -386,6 +392,15 @@ class TestNonFiniteInput:
         problem = write_problem(tmp_path, "bool50.json", payload)
         assert main(["solve", "--problem", problem, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "problem error: 'A' must hold only numbers\n"
+
+    def test_a_misspelled_gain_exits_2(self, tmp_path, capsys):
+        # "epsillon" used to be ignored, which solved the zero-gain problem.
+        payload = {k: v for k, v in NONSYM3.items() if k != "epsilon"}
+        problem = write_problem(tmp_path, "typo.json", {**payload, "epsillon": 1.0})
+        assert main(["solve", "--problem", problem, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "problem error: unknown key 'epsillon' in the problem file\n"
+        )
 
     @pytest.mark.parametrize(
         "payload", [[NONSYM3], {k: v for k, v in NONSYM3.items() if k != "A"}]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 from conftest import (
+    orbit_pairing,
     random_placement_for,
     random_skew,
     random_symmetric_hurwitz,
@@ -24,7 +25,6 @@ from lqg_codesign import (
     classify_stability,
     cost,
     cost_report,
-    directional_derivative,
     equilibria,
     flow,
     flow_step,
@@ -47,6 +47,7 @@ from lqg_codesign.flow import (
     FlowTrace,
     pbh_passing_placement,
 )
+from lqg_codesign.verify import check_gradient_vs_fd
 
 
 _U = np.finfo(float).eps
@@ -105,7 +106,7 @@ class TestGradient:
         d_b, d_c = -grad.g_b, -grad.g_c
         omega_b = np.outer(b, d_b) - np.outer(d_b, b)
         omega_c = np.outer(c, d_c) - np.outer(d_c, c)
-        assert directional_derivative(report, omega_b, omega_c) < 0.0
+        assert orbit_pairing(report, omega_b, omega_c) < 0.0
 
     def test_norm_scaling_between_fields(self):
         rng = np.random.default_rng(77)
@@ -613,8 +614,37 @@ class TestGradientVsFiniteDifference:
         fd = (value(h) - value(-h)) / (2 * h)
         fd2 = (value(h / 2) - value(-h / 2)) / h
         fd = (4 * fd2 - fd) / 3
-        analytic = 2.0 * (d @ grad.g_b)
+        analytic = grad.slope(Direction(d, np.zeros(3)))
         assert abs(fd - analytic) / max(abs(analytic), 1e-10) < 1e-5
+
+    @pytest.mark.parametrize("gain", [0.5, 0.0])
+    def test_slope_of_the_gradient_is_its_norm_squared(self, gain):
+        rng = np.random.default_rng(1310)
+        plant = Plant(random_symmetric_hurwitz(rng, 3), gain, gain)
+        grad = gradient(cost_report(plant, random_placement_for(rng, 3)))
+        assert grad.norm > 1e-3
+        assert grad.slope(grad) == pytest.approx(grad.norm**2, rel=1e-13)
+
+    def test_descent_and_verify_pair_through_one_slope(self, monkeypatch):
+        # The slope the line search steps on is the one verify checks
+        # against finite differences.
+        calls = []
+        original = OrbitGradient.slope
+
+        def counted(self, direction):
+            calls.append(direction)
+            return original(self, direction)
+
+        monkeypatch.setattr(OrbitGradient, "slope", counted)
+        rng = np.random.default_rng(1320)
+        plant = Plant(random_symmetric_hurwitz(rng, 3), 0.5, 0.5)
+        trace = run_flow(plant, random_placement_for(rng, 3), FlowOptions(max_iters=5))
+        assert len(trace.iterates) == 6
+        assert len(calls) >= 5  # one per line search
+        calls.clear()
+        check = check_gradient_vs_fd(plant, seed=4)
+        assert check["passed"] and check["skipped_draws"] == 0
+        assert len(calls) == 3 * 4  # four skew pairs on each of three draws
 
 
 def test_converged_flow_satisfies_equilibrium_tolerance():
@@ -648,7 +678,7 @@ def test_gradient_reuses_report(monkeypatch):
         eigs, verdict = classify_stability(report, eq_tol=np.inf)
         return [
             grad.r_b, grad.r_c, grad.norm, *is_equilibrium(report, 1e-8),
-            directional_derivative(report, omega_b, omega_c),
+            orbit_pairing(report, omega_b, omega_c),
             hessian_matrix(report), eigs, verdict,
         ]
 

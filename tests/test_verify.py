@@ -1,13 +1,27 @@
 import numpy as np
+import pytest
+from conftest import random_symmetric_hurwitz
 
 from lqg_codesign import NonConvergence, Plant, Spectrum, pbh_passing_placement, verify
-from lqg_codesign.equilibria import ZERO_EIGENVALUE_TOL
+from lqg_codesign.equilibria import ZERO_EIGENVALUE_TOL, analytic_gains_at_v1
 from lqg_codesign.verify import (
     NO_PLACEMENT,
     check_analytic_gains,
+    check_gradient_vs_fd,
     check_phi_bar_sign,
     run_checks,
 )
+
+
+@pytest.mark.parametrize("gain", [0.5, 0.0], ids=["phi", "phi_bar"])
+def test_gradient_vs_fd_checks_the_slope_and_catches_a_flipped_sign(gain):
+    # At zero gain the pairing is the first variation of phi_bar.
+    plant = Plant(random_symmetric_hurwitz(np.random.default_rng(36), 3), gain, gain)
+    check = check_gradient_vs_fd(plant, seed=11)
+    assert check["passed"] and check["skipped_draws"] == 0
+    assert check["max_relative_error"] < 1e-5
+    flipped = check_gradient_vs_fd(plant, seed=11, flip_sign=True)
+    assert not flipped["passed"] and flipped["max_relative_error"] > 1.0
 
 
 def test_no_pbh_passing_placement_skips_instead_of_passing_vacuously():
@@ -123,3 +137,33 @@ def test_a_check_with_every_draw_failed_is_skipped_with_the_reason(monkeypatch):
         "passed": True,
         "skipped": "call 20 not certified",
     }
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [ring_laplacian_plant(4, 1e-4, 1e-4), Plant(np.diag([-1e-3, -2.0, -3.0]), 1e-8, 1e-8)],
+    ids=["ring4_1e-4", "diag_1e-8"],
+)
+def test_analytic_gains_bound_scales_with_the_closed_form(plant):
+    # Closed-form entries of 5e5 and 1.24e8: one ulp of the larger is 1.5e-8,
+    # so an absolute 1e-9 bound failed both correct solves.
+    closed = analytic_gains_at_v1(Spectrum.of(plant), plant.epsilon, plant.delta)
+    assert max(np.max(np.abs(d)) for d in closed) > 1e5
+    check = check_analytic_gains(plant)
+    assert check["passed"]
+    assert check["max_scaled_error"] < 1e-12
+    assert check["max_scaled_error"] <= check["max_abs_error"]
+
+
+def test_analytic_gains_fail_a_relative_error_above_the_bound(monkeypatch):
+    # A closed form off by 1e-8 of its own size still fails the scaled bound.
+    plant = ring_laplacian_plant(4, 1e-4, 1e-4)
+
+    def skewed(spectrum, epsilon, delta):
+        K, Sigma, M, N = analytic_gains_at_v1(spectrum, epsilon, delta)
+        return K, Sigma, M * (1.0 + 1e-8), N
+
+    monkeypatch.setattr(verify, "analytic_gains_at_v1", skewed)
+    check = check_analytic_gains(plant)
+    assert not check["passed"]
+    assert check["max_scaled_error"] > 1e-9
