@@ -9,17 +9,19 @@ generator ({"generator": "diag", "eigenvalues": [...]} or
 A = -L from nonnegative undirected edge weights), gains "epsilon"/"delta",
 and optional "placement" ({"b": [...], "c": [...]}, normalized on load),
 "flow" options, "sim" config ("dt", "horizon_T", "n_paths", "burn_in"),
-"seed", and "n_starts". An unknown key, at the top level or in "A",
-"placement", "flow" or "sim", is a parse error.
+"seed", and "n_starts". --seed and --starts stand in for "seed" and
+"n_starts". ``load_problem`` checks every value, "sim" included, whatever the
+command, and returns the frozen ``Problem`` that the command runs. An unknown
+key, at the top level or in "A", "placement", "flow" or "sim", is a parse error.
 
 Reports are JSON with floats printed to 17 significant digits (lossless
 round-trip). Every report is read once into a shape and its values, and
 filled from one template per shape, in the bytes of writing each value on
 its own. Flow traces are CSV with the fixed column schema
 iter,phi,grad_norm,step,b0..b{n-1},c0..c{n-1}, each row filled from one
-template. Exit codes: 0 ok, 1 usage, 2 parse, 3 solver (or failed
-verification), 4 all starts failed, 5 dimension cap, 6 simulation
-divergence. CODESIGN_THREADS caps multi-start parallelism (0 = sequential).
+template. Exit codes: 0 ok, 1 usage (the command line), 2 problem file,
+3 solver (or failed verification), 4 all starts failed, 5 dimension cap,
+6 simulation divergence. CODESIGN_THREADS caps multi-start workers (0 = sequential).
 """
 
 from __future__ import annotations
@@ -193,12 +195,12 @@ def _write_report(out_dir: Path, name: str, report: dict) -> Path:
 # Problem files
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Problem:
     plant: Plant
     placement: Placement | None
     flow_options: FlowOptions
-    sim_config_raw: dict
+    sim_config: SimConfig
     seed: int
     n_starts: int
 
@@ -284,7 +286,9 @@ def _section(raw: dict, name: str, known) -> dict:
 SIM_DEFAULTS = {"dt": 1e-3, "horizon_T": 100.0, "n_paths": 32, "burn_in": 10.0}
 
 
-def load_problem(path: Path) -> Problem:
+def load_problem(path: Path, seed: int | None = None, n_starts: int | None = None) -> Problem:
+    """The problem in the file at ``path``, every value checked, with ``seed``
+    and ``n_starts`` (from --seed and --starts) over the file's where given."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -333,30 +337,19 @@ def load_problem(path: Path) -> Problem:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid flow options: {exc}") from exc
 
-    if raw.get("seed", 0) < 0:
+    seed = raw.get("seed", 0) if seed is None else seed
+    n_starts = raw.get("n_starts", 8) if n_starts is None else n_starts
+    if seed < 0:
         raise ProblemFormatError("'seed' must be a nonnegative integer")
-    return Problem(
-        plant=plant,
-        placement=placement,
-        flow_options=flow_options,
-        sim_config_raw={**SIM_DEFAULTS, **sim_raw},
-        seed=raw.get("seed", 0),
-        n_starts=raw.get("n_starts", 8),
-    )
-
-
-def _sim_config(problem: Problem) -> SimConfig:
-    raw = problem.sim_config_raw
+    if n_starts < 1:
+        raise ProblemFormatError("'n_starts' must be at least 1")
+    sim = {**SIM_DEFAULTS, **sim_raw}
     try:
-        return SimConfig(
-            dt=float(raw["dt"]),
-            horizon_T=float(raw["horizon_T"]),
-            n_paths=raw["n_paths"],
-            burn_in=float(raw["burn_in"]),
-            seed=problem.seed,
-        )
+        dt, horizon_T, burn_in = (float(sim[key]) for key in ("dt", "horizon_T", "burn_in"))
+        sim_config = SimConfig(dt, horizon_T, sim["n_paths"], burn_in, seed)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid sim config: {exc}") from exc
+    return Problem(plant, placement, flow_options, sim_config, seed, n_starts)
 
 
 def _require_placement(problem: Problem) -> Placement:
@@ -508,19 +501,13 @@ def cmd_equilibria(problem: Problem, args) -> dict:
 def cmd_simulate(problem: Problem, args) -> dict:
     plant = problem.plant
     placement = _require_placement(problem)
-    cfg = _sim_config(problem)
-    result = estimate_eta(plant, placement, cfg)
-    z_score = (
-        (result.eta_hat - result.phi_reference) / result.stderr
-        if result.stderr and not math.isnan(result.stderr)
-        else None
-    )
+    result = estimate_eta(plant, placement, problem.sim_config)
     return {
-        "config": dataclasses.asdict(cfg),
+        "config": dataclasses.asdict(problem.sim_config),
         "eta_hat": result.eta_hat,
         "stderr": result.stderr,
         "phi_reference": result.phi_reference,
-        "z_score": z_score,
+        "z_score": result.z_score,
         "per_path": result.per_path,
         "flags": list(result.flags),
     }
@@ -544,6 +531,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(least: int, message: str):
+    """An argparse type: an integer of at least ``least``, else ``message``."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(message)
+        return int(text)
+    return integer
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="codesign", description=__doc__.splitlines()[0])
@@ -552,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--problem", required=True, type=Path)
         p.add_argument("--out", required=True, type=Path)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--starts", type=int, default=None)
+        p.add_argument("--seed", type=_at_least(0, "--seed must be nonnegative"))
+        p.add_argument("--starts", type=_at_least(1, "--starts must be at least 1"))
         if name == "verify":
             p.add_argument(
                 "--inject-wrong-sign-gradient",
@@ -591,24 +587,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        problem = load_problem(args.problem)
+        problem = load_problem(args.problem, args.seed, args.starts)
     except (OSError, ProblemFormatError) as exc:
         print(f"problem error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-    if args.seed is not None:
-        if args.seed < 0:
-            print("usage error: --seed must be nonnegative", file=sys.stderr)
-            return EXIT_USAGE
-        problem.seed = args.seed
-    if args.starts is not None:
-        problem.n_starts = args.starts
-    if args.command == "flow" and problem.n_starts < 1:
-        print("usage error: need at least one start", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "simulate" and problem.sim_config_raw["n_paths"] < 1:
-        print("usage error: need at least one simulation path", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         report = _COMMANDS[args.command](problem, args)

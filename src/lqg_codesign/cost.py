@@ -31,8 +31,9 @@ pair kept: in real Schur form, or in modal form on a symmetric plant, whose
 cost report then takes no Schur form at all. ``drive_matrices`` gives the
 symmetric matrices (K M K, Sigma N Sigma), in the coordinates of the pair,
 from which ``equilibria.hessian_matrix`` differentiates the descent field;
-``flow.gradient`` forms the field itself. Both, like every derivative, read
-one ``CostReport``, which carries the plant and placement it was solved at.
+``flow.gradient`` forms the field itself. Both read one ``CostReport``,
+which carries the plant and placement it was solved at; only
+``phi_gain_sensitivity`` takes (plant, placement) and solves its own gain pair.
 """
 
 from __future__ import annotations

@@ -391,15 +391,7 @@ def random_placement(n: int, rng: np.random.Generator) -> Placement:
     """Independent uniform draws of (b_unit, c_unit) on the unit sphere."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    vecs = []
-    for _ in range(2):
-        v = rng.standard_normal(n)
-        norm = np.linalg.norm(v)
-        while norm == 0.0:  # pragma: no cover - probability zero
-            v = rng.standard_normal(n)
-            norm = np.linalg.norm(v)
-        vecs.append(v / norm)
-    return Placement(vecs[0], vecs[1])
+    return Placement.normalized(rng.standard_normal(n), rng.standard_normal(n))
 
 
 def pbh_passing_placement(plant: Plant, rng: np.random.Generator) -> Placement | None:

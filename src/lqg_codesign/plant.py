@@ -37,7 +37,7 @@ def _unit_vector(v, name: str) -> np.ndarray:
     norm = np.linalg.norm(v)
     # Written so that a NaN norm (a non-finite entry) fails too.
     if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-        raise ValueError(f"{name} must be a unit vector (|{name}| = {norm!r})")
+        raise ValueError(f"{name} must be a unit vector (|{name}| = {float(norm)!r})")
     return v
 
 

@@ -84,6 +84,12 @@ class SimResult:
     phi_reference: float
     flags: tuple[str, ...] = ()
 
+    @property
+    def z_score(self) -> float | None:
+        """(eta_hat - phi_reference) / stderr; None where stderr is 0 or NaN."""
+        known = self.stderr and not math.isnan(self.stderr)
+        return (self.eta_hat - self.phi_reference) / self.stderr if known else None
+
 
 def _path_rngs(seed: int, path_indices) -> list[np.random.Generator]:
     return [

@@ -9,7 +9,7 @@ from scipy.integrate import quad_vec
 from lqg_codesign import Direction, Placement, Plant, cost_report, gradient
 from lqg_codesign.equilibria import STABLE, _tangent_basis, eq19_residual
 from lqg_codesign.verify import richardson_derivative
-from oracles import beta_gamma_coords
+from oracles import beta_gamma_coords, scipy_lqg
 
 
 def random_symmetric_hurwitz(
@@ -134,14 +134,8 @@ def scipy_phi_oracle(
     A: np.ndarray, eps: float, delta: float, b: np.ndarray, c: np.ndarray
 ) -> tuple[float, float]:
     """(phi, phi_bar) from scipy's CARE and Lyapunov solvers."""
-    n = A.shape[0]
-    K = la.solve_continuous_are(A, np.sqrt(eps) * b[:, None], np.eye(n), np.eye(1))
-    S = la.solve_continuous_are(A.T, np.sqrt(delta) * c[:, None], np.eye(n), np.eye(1))
-    B, C = np.outer(b, b), np.outer(c, c)
-    phi = float(np.trace(A.T @ K @ S + S @ K @ A + K + S))
-    M = la.solve_continuous_lyapunov(A - eps * B @ K, -S @ C @ S)
-    N = la.solve_continuous_lyapunov((A - delta * S @ C).T, -K @ B @ K)
-    return phi, float(np.trace(A.T @ M @ N + N @ M @ A))
+    oracle = scipy_lqg(A, eps, delta, b, c)
+    return oracle["phi"], oracle["phi_bar"]
 
 
 def angular_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -12,7 +12,8 @@ candidates modulo the sign group.
 
 ``two_loop_direction`` is the limited-memory secant direction of the
 descent, written out from the two-loop recursion for the tests that replay
-a run.
+a run. ``scipy_lqg`` solves a placement's gains and adjoints with scipy,
+for the tests and for the CI steps that check reports against scipy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 
 from lqg_codesign import NonNegativeEigenvalue, Placement, Spectrum, cauchy_matrix
 from lqg_codesign.equilibria import KIND_COMMON, EquilibriumCandidate
@@ -139,3 +141,25 @@ def two_loop_direction(
     n = b.shape[0]
     d_b, d_c = r[:n], r[n:]
     return d_b - (b @ d_b) * b, d_c - (c @ d_c) * c
+
+
+def scipy_lqg(
+    A: np.ndarray, eps: float, delta: float, b: np.ndarray, c: np.ndarray
+) -> dict:
+    """phi, phi_bar, K, Sigma, M and N of unit b and c, keyed as in a solve
+    report: the gains from scipy's CARE solver, the adjoints from its
+    Lyapunov solver, and phi and phi_bar from the dense trace formulas."""
+    n = A.shape[0]
+    K = la.solve_continuous_are(A, np.sqrt(eps) * b[:, None], np.eye(n), np.eye(1))
+    S = la.solve_continuous_are(A.T, np.sqrt(delta) * c[:, None], np.eye(n), np.eye(1))
+    B, C = np.outer(b, b), np.outer(c, c)
+    M = la.solve_continuous_lyapunov(A - eps * B @ K, -S @ C @ S)
+    N = la.solve_continuous_lyapunov((A - delta * S @ C).T, -K @ B @ K)
+    return {
+        "phi": float(np.trace(A.T @ K @ S + S @ K @ A + K + S)),
+        "phi_bar": float(np.trace(A.T @ M @ N + N @ M @ A)),
+        "K": K,
+        "Sigma": S,
+        "M": M,
+        "N": N,
+    }

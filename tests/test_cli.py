@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import functools
 import json
 import re
@@ -411,6 +412,58 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err.startswith("problem error:")
 
 
+class TestCheckedOnLoad:
+    """Every value of a problem file is checked by ``load_problem``, whatever
+    the command; --seed and --starts are checked by the parser."""
+
+    @pytest.mark.parametrize(
+        "command, changes, err",
+        [
+            ("solve", {"sim": {"dt": -1}}, "invalid sim config: dt must be positive"),
+            ("solve", {"flow": {"grad_tol": -1}},
+             "invalid flow options: grad_tol must be positive and finite"),
+            ("flow", {"n_starts": 0}, "'n_starts' must be at least 1"),
+            ("solve", {"n_starts": 0}, "'n_starts' must be at least 1"),
+            ("simulate", {"sim": {"n_paths": 0}},
+             "invalid sim config: n_paths must be at least 1"),
+            ("simulate", {"sim": {"dt": -1}}, "invalid sim config: dt must be positive"),
+            ("solve", {"seed": -1}, "'seed' must be a nonnegative integer"),
+        ],
+    )
+    def test_a_bad_file_value_exits_2(self, tmp_path, capsys, command, changes, err):
+        problem = write_problem(tmp_path, "bad.json", {**SCALAR, **changes})
+        assert main([command, "--problem", problem, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"problem error: {err}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, err",
+        [
+            ("--seed", "-1", "--seed must be nonnegative"),
+            ("--starts", "0", "--starts must be at least 1"),
+            ("--starts", "two", "invalid integer value: 'two'"),
+        ],
+    )
+    def test_a_bad_flag_exits_1(self, tmp_path, capsys, flag, value, err):
+        problem = write_problem(tmp_path, "scalar.json", SCALAR)
+        argv = ["solve", "--problem", problem, "--out", str(tmp_path / "o"), flag, value]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: argument {flag}: {err}\n"
+
+    def test_the_flags_stand_in_for_the_file_values_before_the_check(self, tmp_path):
+        problem = write_problem(tmp_path, "p.json", {**SCALAR, "seed": -1, "n_starts": 0})
+        loaded = load_problem(problem, seed=9, n_starts=2)
+        assert (loaded.seed, loaded.n_starts, loaded.sim_config.seed) == (9, 2, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loaded.seed = 10
+
+    def test_the_sim_config_takes_the_file_over_the_defaults(self, tmp_path):
+        problem = write_problem(tmp_path, "p.json", {**SCALAR, "sim": {"dt": 1, "n_paths": 3}})
+        config = load_problem(problem).sim_config
+        assert config == simulate.SimConfig(1.0, 100.0, 3, 10.0, SCALAR["seed"])
+        assert type(config.dt) is float
+
+
 class TestSolveCommand:
     def test_scalar_chain(self, tmp_path, capsys):
         problem = write_problem(tmp_path, "scalar.json", SCALAR)
@@ -785,11 +838,16 @@ class TestSimulateCommand:
         assert report["z_score"] is not None
         assert len(report["per_path"]) == 12
 
-    def test_zero_paths_usage_error(self, tmp_path):
+    def test_zero_paths_usage_error(self, tmp_path, capsys):
+        # n_paths is a value of the file, so too few paths is a problem error
+        # (exit 2), not a usage error: exit 1 is for the command line.
         payload = dict(SCALAR)
-        payload["sim"] = {"dt": 0.01, "horizon_T": 10.0, "n_paths": 0}
+        payload["sim"] = {"dt": 0.01, "horizon_T": 10.0, "n_paths": 0, "burn_in": 1.0}
         problem = write_problem(tmp_path, "zero.json", payload)
-        assert main(["simulate", "--problem", problem, "--out", str(tmp_path / "o")]) == 1
+        assert main(["simulate", "--problem", problem, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "problem error: invalid sim config: n_paths must be at least 1\n"
+        )
 
     def test_coarse_discretization_exit_0(self, tmp_path):
         problem = write_problem(tmp_path, "coarse.json", COARSE)

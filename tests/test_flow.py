@@ -588,6 +588,13 @@ class TestRandomPlacement:
         draws = np.array([random_placement(3, rng).b_unit for _ in range(10_000)])
         assert np.linalg.norm(draws.mean(axis=0)) < 0.05
 
+    def test_normalizes_two_draws_in_order(self):
+        # The draws b then c, each over its own norm, bit for bit.
+        placement = random_placement(4, np.random.default_rng(3))
+        draws = np.random.default_rng(3).standard_normal((2, 4))
+        for unit, draw in zip((placement.b_unit, placement.c_unit), draws):
+            assert np.array_equal(unit, draw / np.linalg.norm(draw))
+
     def test_distinct_rng_states_differ(self):
         p1 = random_placement(3, np.random.default_rng(1))
         p2 = random_placement(3, np.random.default_rng(2))

@@ -31,6 +31,15 @@ class TestSimConfig:
             SimConfig(dt=0.01, horizon_T=10.0, n_paths=4, seed=-1)
 
 
+class TestSimResult:
+    @pytest.mark.parametrize(
+        "stderr, z_score", [(0.5, 4.0), (0.0, None), (float("nan"), None)]
+    )
+    def test_z_score(self, stderr, z_score):
+        result = simulate.SimResult(3.0, stderr, np.ones(2), phi_reference=1.0)
+        assert result.z_score == z_score
+
+
 class TestUncontrolledStationaryVariance:
     def test_matches_discrete_ou_oracle(self):
         # With u = 0 the sampled chain is x_{k+1} = e^{-dt} x_k + w_k with
