@@ -85,10 +85,10 @@ def _shape(obj, slots: list):
     "null", "true", "false", "[]" or "{}" for that literal; ("f", L) or
     ("d", L) for a list of L finite floats or ints; ("[", s1, ...) for any
     other list, tuple or array; and ("{", (key, s1), ...) for a dict. A
-    finite nonempty float64 matrix is read whole, its rows all ("f", ncols);
-    if it is square and bitwise symmetric (-0.0 facing 0.0 across the
-    diagonal is not), each value of its upper triangle is formatted once,
-    and its rows are all ("s", n) of those strings. Any other array is read as its ``tolist()``.
+    finite nonempty square float64 matrix that is bitwise symmetric (-0.0
+    facing 0.0 across the diagonal is not), as every report's matrix is, has
+    each value of its upper triangle formatted once, and its rows are all
+    ("s", n) of those strings; any other array is read as its ``tolist()``.
     A value that JSON cannot hold raises ``json.dumps``'s TypeError.
     """
     kind = type(obj)
@@ -102,8 +102,6 @@ def _shape(obj, slots: list):
                     text = ["%.17g" % value for value in obj[upper].tolist()]
                     slots.extend(map(text.__getitem__, mirror))
                     return ("[", *[("s", cols)] * rows)
-                slots.extend(obj.ravel().tolist())
-                return ("[", *[("f", cols)] * rows)
             return _shape(obj.tolist(), slots)
         if kind is str:
             slots.append(json.dumps(obj))

@@ -269,7 +269,7 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """``Placement.normalized``'s normalization, per row."""
+    """``Placement.normalized``'s normalization in its normal range, per row."""
     norm = np.sqrt(_dot(v, v))
     if not np.all((0.0 < norm) & (norm < np.inf)):
         raise ValueError("cannot normalize a zero or non-finite vector")

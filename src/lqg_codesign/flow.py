@@ -457,7 +457,10 @@ def multi_start(
         ready = threading.Barrier(workers)
 
         def run_group(k: int) -> None:
-            ready.wait()
+            try:
+                ready.wait()
+            except threading.BrokenBarrierError:  # another worker failed to start
+                return
             for i in range(k, n_starts, workers):
                 try:
                     traces[i] = run_one(placements[i])

@@ -195,13 +195,20 @@ class Placement:
 
     @classmethod
     def normalized(cls, b, c) -> "Placement":
-        """Build a placement from arbitrary nonzero vectors by normalizing."""
-        b = np.asarray(b, dtype=float).reshape(-1)
-        c = np.asarray(c, dtype=float).reshape(-1)
-        nb, nc = np.linalg.norm(b), np.linalg.norm(c)
-        if not (0.0 < nb < math.inf and 0.0 < nc < math.inf):
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(b / nb, c / nc)
+        """Build a placement from nonzero finite vectors by normalizing: v / |v|
+        to the bit where |v| is in [2^-500, 2^500], else after scaling v by an
+        exact power of two, so |v| neither overflows nor loses subnormal bits."""
+        units = []
+        for v in (b, c):
+            v = np.asarray(v, dtype=float).reshape(-1)
+            with np.errstate(over="ignore", under="ignore"):
+                if not 2.0**-500 <= np.linalg.norm(v) <= 2.0**500:  # 0, inf, NaN stay
+                    v = np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1])
+                norm = np.linalg.norm(v)
+            if not 0.0 < norm < math.inf:
+                raise ValueError("cannot normalize a zero or non-finite vector")
+            units.append(v / norm)
+        return cls(*units)
 
     @property
     def n(self) -> int:

@@ -186,20 +186,21 @@ def _certified(F, Q, P, transpose: bool, update=None) -> tuple[np.ndarray, float
     return P, _certify("Lyapunov", res, LYAP_RTOL * (1.0 + math.sqrt(np.vdot(P, P))))
 
 
-def _certified_care(A, W, Q, P) -> float:
-    """CARE residual of a symmetric P, certified against
-    1e-10 * (1 + |P|_F^2); a non-finite residual or tolerance fails too."""
-    return _certify("CARE", care_residual(A, W, Q, P), _care_tol(P))
+def _certified_care(res: float, P, error=NonConvergence) -> float:
+    """The CARE certificate of every path: the residual of a symmetric P
+    against 1e-10 * (1 + |P|_F^2). A non-finite residual or tolerance fails
+    too, raising ``error`` (``_Refused`` where the side is handed over)."""
+    return _certify("CARE", res, CARE_RTOL * (1.0 + float(np.vdot(P, P))), error)
 
 
-def _care_tol(P) -> float:
-    return CARE_RTOL * (1.0 + float(np.vdot(P, P)))
-
-
-def _certify(kind: str, res: float, tol: float) -> float:
+def _certify(kind: str, res: float, tol: float, error=NonConvergence) -> float:
     if not res <= tol < np.inf:
-        raise NonConvergence(f"{kind} residual {res:.3e} exceeds tolerance {tol:.3e}")
+        raise error(f"{kind} residual {res:.3e} exceeds tolerance {tol:.3e}")
     return res
+
+
+class _Refused(Exception):
+    """Why a modal or doubling CARE solve hands its side over."""
 
 
 def _to_plant(basis: np.ndarray | None, X: np.ndarray) -> np.ndarray:
@@ -431,18 +432,13 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
             raise NoStabilizingSolution(
                 "W = 0 and A is not Hurwitz: no stabilizing solution exists"
             ) from exc
-        P, res = loop.solve(Q, transpose=True)
-        return P, res, loop
+        return (*loop.solve(Q, transpose=True), loop)
     if A.shape[0] >= DOUBLING_MIN_N:
         try:
             return _doubling_care(A, W, Q)
-        except _DoublingRefused:
+        except _Refused:
             pass
     return _schur_care(A, W, Q)
-
-
-class _DoublingRefused(Exception):
-    """Why a doubling CARE solve hands over to the ordered Schur form."""
 
 
 def _doubling_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
@@ -464,9 +460,9 @@ def _doubling_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
 
     Raises
     ------
-    _DoublingRefused
+    _Refused
         After ``_DOUBLING_STEPS`` steps, on a singular solve, a non-finite
-        iterate or a failed certificate.
+        iterate, a loop that is not Hurwitz or a failed CARE certificate.
     """
     n = A.shape[0]
     eye = np.eye(n)
@@ -485,18 +481,18 @@ def _doubling_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
                 H = H + step
                 size = math.sqrt(np.vdot(H, H))
                 if not math.isfinite(size):
-                    raise _DoublingRefused("non-finite iterate")
+                    raise _Refused("non-finite iterate")
                 if math.sqrt(np.vdot(step, step)) <= u * size:
                     break
                 G = G + E @ Z[:, n:] @ E.T
                 E = E @ Z[:, :n]
             else:
-                raise _DoublingRefused(f"no convergence in {_DOUBLING_STEPS} steps")
+                raise _Refused(f"no convergence in {_DOUBLING_STEPS} steps")
         P = 0.5 * (H + H.T)
         loop = closed_loop(A - W @ P)
-        return P, _certified_care(A, W, Q, P), loop
-    except (np.linalg.LinAlgError, NotHurwitz, NonConvergence) as exc:
-        raise _DoublingRefused(str(exc)) from exc
+        return P, _certified_care(care_residual(A, W, Q, P), P, _Refused), loop
+    except (np.linalg.LinAlgError, NotHurwitz) as exc:
+        raise _Refused(str(exc)) from exc
 
 
 def _schur_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
@@ -532,7 +528,7 @@ def _schur_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
         loop = closed_loop(A - W @ P)
     except NotHurwitz as exc:
         raise NoStabilizingSolution(f"closed loop A - W P: {exc}") from exc
-    return P, _certified_care(A, W, Q, P), loop
+    return P, _certified_care(care_residual(A, W, Q, P), P), loop
 
 
 def pbh_check(A, v, mode: str, *, setup: PBHSetup | None = None) -> PBHReport:
@@ -604,10 +600,6 @@ def _require_pbh(plant: Plant, placement: Placement) -> tuple[PBHReport, ...]:
     return tuple(reports)
 
 
-class _ModalFallback(Exception):
-    """Why a modal Riccati solve hands over to the Hamiltonian path."""
-
-
 def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, ClosedLoop]:
     """``_solve_care(A, gain v v^T, I)`` for symmetric A in the coordinates of
     its eigenbasis ``modal.basis`` (Theta), where A is diag(lam); beta is
@@ -640,14 +632,14 @@ def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, Clo
 
     Raises
     ------
-    _ModalFallback
+    _Refused
         At zero gain, for a decoupled mode with lam_i >= 0, coupled |lam_i|
         not separated by 1e-8 * max |lam| (repeated or +-lam eigenvalues), a
-        nonzero ``dlasd4`` info, a failed certificate or a formed loop that
-        is not Hurwitz.
+        nonzero ``dlasd4`` info, poles not left of -1e-12, a failed CARE
+        certificate or a formed loop that is not Hurwitz.
     """
     if gain == 0.0:
-        raise _ModalFallback("W = 0")
+        raise _Refused("W = 0")
     lam, n = modal.lam, modal.lam.size
     if np.abs(beta).min() > _DEFLATE_TOL:
         idx, block = slice(None), (slice(None), slice(None))
@@ -655,13 +647,13 @@ def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, Clo
     else:
         coupled = np.abs(beta) > _DEFLATE_TOL
         if np.any(lam[~coupled] >= 0.0):
-            raise _ModalFallback("a decoupled mode has lambda >= 0")
+            raise _Refused("a decoupled mode has lambda >= 0")
         idx = np.flatnonzero(coupled)
         block = np.ix_(idx, idx)
         d, gaps = modal.d[idx], modal.gaps[block]
         split = separated(d)
     if not split:
-        raise _ModalFallback("|lambda| not separated by 1e-8 * max |lambda|")
+        raise _Refused("|lambda| not separated by 1e-8 * max |lambda|")
     lam_a, beta_a = lam[idx], beta[idx]
     norm = math.sqrt(beta_a @ beta_a)
     z, rho = beta_a / norm, gain * norm**2
@@ -671,7 +663,7 @@ def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, Clo
     for k in range(m):
         below[k], sigma[k], _, info = _dlasd4(k, d, z, rho)
         if info != 0:
-            raise _ModalFallback(f"dlasd4 info = {info}")
+            raise _Refused(f"dlasd4 info = {info}")
     if m == 1:  # dlasd4 returns DELTA = 1, an eigenvector entry, for one mode
         below[0, 0] = -rho / (d[0] + sigma[0])
     if m == n:
@@ -681,7 +673,7 @@ def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, Clo
         p[idx] = -sigma
     top = float(p.max())
     if not -top > HURWITZ_MARGIN:
-        raise _ModalFallback(f"closed loop not Hurwitz: max pole {top:.3e}")
+        raise _Refused(f"closed loop not Hurwitz: max pole {top:.3e}")
     diff = -below.T  # lam_i - p_k, read off d_i + sigma_k where lam_i > 0
     up = lam_a > 0.0
     if up.any():
@@ -700,10 +692,7 @@ def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, Clo
         P = _modal_lyapunov(V, Vinv, p, k[:, None] * (k / gain) + eye, transpose=True)
         P = 0.5 * (P + P.T)
     res = update_residual(modal.sums, 0.5 * gain * (P @ beta), beta, eye, P)
-    try:
-        _certify("CARE", res, _care_tol(P))
-    except NonConvergence as exc:
-        raise _ModalFallback(str(exc)) from exc
+    _certified_care(res, P, _Refused)
     # P~ is finite from here on.
     u, w = gain * beta, P @ beta
     F = u[:, None] * -w
@@ -716,7 +705,7 @@ def _modal_care(modal: Modal, gain: float, beta) -> tuple[np.ndarray, float, Clo
         try:
             loop._schur  # the formed F decides, as on the Hamiltonian path
         except NotHurwitz as exc:
-            raise _ModalFallback(f"formed loop: {exc}") from exc
+            raise _Refused(f"formed loop: {exc}") from exc
     return P, res, loop
 
 
@@ -752,7 +741,7 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
         for side, _, gain, v in sides:
             try:
                 solved.append(_modal_care(modal, gain, modal.basis.T @ v))
-            except _ModalFallback as exc:
+            except _Refused as exc:
                 fallbacks.append(f"{side}: {exc}")
         if not fallbacks:
             (K, res_K, loop_K), (Sigma, res_S, loop_S) = solved
@@ -760,8 +749,7 @@ def gain_pair(plant: Plant, placement: Placement) -> GainPair:
     (K, res_K, loop_K), (Sigma, res_S, loop_S) = (
         _solve_care(A, gain * np.outer(v, v), np.eye(plant.n)) for _, A, gain, v in sides
     )
-    fallback = "; ".join(fallbacks) or None
-    return GainPair(K, Sigma, res_K, res_S, loop_K, loop_S, fallback, pbh)
+    return GainPair(K, Sigma, res_K, res_S, loop_K, loop_S, "; ".join(fallbacks) or None, pbh)
 
 
 def adjoint_pair(plant: Plant, placement: Placement, gains: GainPair) -> AdjointPair:

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,22 @@ class TestProblemLoading:
         payload["placement"] = {"b": [2.0], "c": [-3.0]}
         problem = load_problem(write_problem(tmp_path, "p.json", payload))
         assert abs(np.linalg.norm(problem.placement.b_unit) - 1.0) < 1e-15
+
+    def test_a_placement_whose_norm_overflows_solves(self, tmp_path, capsys):
+        # |b|^2 overflows, b itself does not: it loads as (1, 1) / sqrt(2).
+        payload = {
+            "A": [[-1.0, 0.0], [0.0, -2.0]],
+            "epsilon": 0.5,
+            "delta": 0.5,
+            "placement": {"b": [1e308, 1e308], "c": [1.0, 0.5]},
+        }
+        problem = write_problem(tmp_path, "huge.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--problem", problem, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "solve.json").read_text())
+        assert report["placement"]["b"] == pytest.approx([0.5**0.5] * 2, rel=4e-16)
 
 
 class TestNonFiniteInput:

@@ -771,6 +771,29 @@ def test_the_first_start_error_is_raised_after_every_start_ran(monkeypatch):
     assert errors[0] == errors[1] and counts == [1, 5]
 
 
+def test_a_failed_thread_start_is_raised_and_leaves_no_worker(monkeypatch):
+    # The second worker's thread cannot start: the first worker, released
+    # from the start barrier, ends without running a start or raising, and
+    # the start's error reaches the caller.
+    plant = Plant(np.diag([-1.0, -2.0]), 0.05, 0.05)
+    real_start, started, unhandled, ran = threading.Thread.start, [], [], []
+
+    def start_once(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    monkeypatch.setattr(flow, "run_flow", lambda *args: ran.append(args))
+    monkeypatch.setenv("CODESIGN_THREADS", "2")
+    with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        multi_start(plant, 2, seed=5, opts=FlowOptions())
+    started[0].join(timeout=10.0)
+    assert not started[0].is_alive() and unhandled == [] and ran == []
+
+
 def test_multi_start_threaded_matches_sequential(monkeypatch):
     plant = Plant(np.diag([-1.0, -2.0]), 0.05, 0.05)
     opts = FlowOptions(grad_tol=1e-9)

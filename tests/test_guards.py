@@ -2,6 +2,7 @@
 refuses its bad input with its own error type and message."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,37 @@ UNIT2 = np.array([1.0, 0.0])
 def test_guard_refuses(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
+
+
+@pytest.mark.parametrize(
+    "b, unit",
+    [
+        ([1e308, 1e308], [0.5**0.5] * 2),  # |b|^2 overflows
+        ([1e-200, 1e-200], [0.5**0.5] * 2),  # |b|^2 underflows to 0
+        ([1e-160, 1e-160], [0.5**0.5] * 2),  # |b|^2 is subnormal
+        ([3e-162, 4e-162], [0.6, 0.8]),
+    ],
+)
+def test_placement_normalizes_across_the_float_range(b, unit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b_unit = Placement.normalized(b, UNIT2).b_unit
+    assert np.all(np.abs(b_unit - unit) <= 4.0 * np.finfo(float).eps * np.abs(unit))
+
+
+@pytest.mark.parametrize("b", [[0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1e-320, np.inf]])
+def test_placement_refuses_a_zero_or_non_finite_vector(b):
+    for args in ((b, UNIT2), (UNIT2, b)):
+        with pytest.raises(ValueError, match="^cannot normalize a zero or non-finite vector$"):
+            Placement.normalized(*args)
+
+
+def test_placement_in_the_normal_range_keeps_the_bits_of_v_over_its_norm():
+    rng = np.random.default_rng(37)
+    for _ in range(2000):
+        n = int(rng.integers(1, 8))
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100.0, 100.0, n)
+        assert Placement.normalized(v, v).b_unit.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
 def test_default_workers_reads_a_non_integer_as_one(monkeypatch):

@@ -338,7 +338,7 @@ class TestDoubling:
 
         def refusing(*args):
             refused.append(args)
-            raise riccati._DoublingRefused("refused")
+            raise riccati._Refused("refused")
 
         monkeypatch.setattr(riccati, "_doubling_care", refusing)
         P, res, loop = riccati._solve_care(A, W, Q)
@@ -361,7 +361,7 @@ class TestDoubling:
             A[:m, :m] = G - G.T
             A[m:, m:] = -rng.uniform(0.5, 2.0) * np.eye(n - m)
             W = np.diag([0.0] * m + [1.0] * (n - m))
-            with pytest.raises(riccati._DoublingRefused):
+            with pytest.raises(riccati._Refused):
                 riccati._doubling_care(A, W, np.eye(n))
             with pytest.raises(NoStabilizingSolution):
                 solve_care(A, W, np.eye(n))
@@ -399,7 +399,7 @@ class TestDoubling:
                         except CodesignError:
                             continue
                         P, res, loop = riccati._solve_care(A, W, np.eye(n))
-                        assert res <= riccati._care_tol(P)
+                        assert res <= riccati.CARE_RTOL * (1.0 + np.vdot(P, P))
                         assert np.max(np.linalg.eigvals(loop.F).real) < 0.0
                         path = "schur" if np.array_equal(P, P_ref) else "doubling"
                         if path == "doubling":
@@ -638,7 +638,7 @@ class TestCertificates:
             cost_report(plant, placement)
         if symmetric:
             beta = plant.modal.basis.T @ placement.b_unit
-            with pytest.raises(riccati._ModalFallback, match="CARE residual nan exceeds"):
+            with pytest.raises(riccati._Refused, match="CARE residual nan exceeds"):
                 riccati._modal_care(plant.modal, 0.5, beta)
 
     @pytest.mark.parametrize("transpose", [False, True])
@@ -649,7 +649,7 @@ class TestCertificates:
         # tolerance inf as well, and an inf residual is not below it.
         F, P, text = np.array([[-1.0]]), np.array([[bad]]), f"{bad:.3e}"
         with pytest.raises(NonConvergence, match=f"CARE residual {text} .* {text}"):
-            riccati._certified_care(F, np.eye(1), np.eye(1), P)
+            riccati._certified_care(care_residual(F, np.eye(1), np.eye(1), P), P)
         with pytest.raises(NonConvergence, match=f"Lyapunov residual {text} .* {text}"):
             riccati._certified(F, np.eye(1), P, transpose)
 
@@ -662,7 +662,7 @@ class TestCertificates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence, match="CARE residual"):
-                riccati._certified_care(F, np.eye(3), np.eye(3), P)
+                riccati._certified_care(care_residual(F, np.eye(3), np.eye(3), P), P)
             for transpose in (False, True):
                 with pytest.raises(NonConvergence, match="Lyapunov residual"):
                     riccati._certified(F, np.eye(3), P, transpose)
@@ -835,6 +835,108 @@ class TestCertificates:
         assert seen == rescued
 
 
+def _refused(solve, *args) -> str:
+    with pytest.raises(riccati._Refused) as refusal:
+        solve(*args)
+    return str(refusal.value)
+
+
+def _halved(solve):
+    return lambda *args, **kwargs: 0.5 * solve(*args, **kwargs)
+
+
+_PLANT2 = Plant(np.diag([-1.0, -2.0]), 0.5, 0.5)
+_PLACEMENT2 = Placement.normalized([0.6, 0.8], [0.8, 0.6])
+_ZERO, _ONE = np.zeros((1, 1)), np.eye(1)
+_NOT_SEPARATED = "|lambda| not separated by 1e-8 * max |lambda|"
+_RESIDUAL_NAN = "CARE residual nan exceeds tolerance 1.111e-10"
+
+
+def _zero_mode(beta0: float):
+    """The eigenbasis of diag(0, -1) and beta = (beta0, 1): at gain 1 the
+    slowest pole is about -beta0 / sqrt(2)."""
+    return modal_basis(np.array([0.0, -1.0]), np.eye(2)), 1.0, np.array([beta0, 1.0])
+
+
+#: Every reason a modal or doubling CARE solve hands its side over, by the
+#: smallest plant (or monkeypatch) that gives it: (patches, reason, text).
+#: A modal reason that shows through ``GainPair.fallback`` is read there.
+_REFUSALS = {
+    "modal_zero_gain": (
+        {},
+        lambda: gain_pair(Plant(np.diag([-1.0, -2.0]), 0.0, 0.5), _PLACEMENT2).fallback,
+        "regulator: W = 0",
+    ),
+    "modal_decoupled_unstable_mode": (
+        {},
+        lambda: _refused(
+            riccati._modal_care, modal_basis(np.array([0.5, -2.0]), np.eye(2)), 1.0,
+            np.array([0.0, 1.0]),
+        ),
+        "a decoupled mode has lambda >= 0",
+    ),
+    "modal_not_separated": (
+        {},
+        lambda: gain_pair(*_plus_minus_pair(151)).fallback,
+        f"regulator: {_NOT_SEPARATED}; filter: {_NOT_SEPARATED}",
+    ),
+    "modal_dlasd4_info": (
+        {"_dlasd4": lambda k, d, z, rho: (np.zeros(d.size), 0.0, 0.0, 2)},
+        lambda: gain_pair(_PLANT2, _PLACEMENT2).fallback,
+        "regulator: dlasd4 info = 2; filter: dlasd4 info = 2",
+    ),
+    "modal_poles_not_hurwitz": (
+        {},
+        lambda: _refused(riccati._modal_care, *_zero_mode(1e-12)),
+        "closed loop not Hurwitz: max pole -7.071e-13",
+    ),
+    "modal_care_residual": (
+        {"update_residual": lambda *args: float("nan")},
+        lambda: gain_pair(Plant([[-1.0]], 3.0, 3.0), Placement([1.0], [1.0])).fallback,
+        f"regulator: {_RESIDUAL_NAN}; filter: {_RESIDUAL_NAN}",
+    ),
+    # Half the modal solve still passes the CARE certificate at |P~| ~ 7e11,
+    # but its formed loop puts the slow pole right of -1e-12.
+    "modal_formed_loop": (
+        {"_modal_lyapunov": _halved(riccati._modal_lyapunov)},
+        lambda: _refused(riccati._modal_care, *_zero_mode(2e-12)),
+        "formed loop: matrix is not Hurwitz: max Re(eig) = -8.284e-13",
+    ),
+    "doubling_non_finite_iterate": (
+        {},
+        lambda: _refused(riccati._doubling_care, _ONE, _ZERO, _ONE),
+        "non-finite iterate",
+    ),
+    "doubling_no_convergence": (
+        {},
+        lambda: _refused(riccati._doubling_care, _ZERO, _ZERO, _ONE),
+        "no convergence in 50 steps",
+    ),
+    "doubling_singular_solve": (
+        {},
+        lambda: _refused(riccati._doubling_care, _ZERO, -_ONE, _ONE),
+        "Singular matrix",
+    ),
+    "doubling_loop_not_hurwitz": (
+        {},
+        lambda: _refused(riccati._doubling_care, _ZERO, _ONE, _ZERO),
+        "matrix is not Hurwitz: max Re(eig) = 0.000e+00",
+    ),
+    "doubling_care_residual": (
+        {"care_residual": lambda *args: float("nan")},
+        lambda: _refused(riccati._doubling_care, -_ONE, 3.0 * _ONE, _ONE),
+        _RESIDUAL_NAN,
+    ),
+}
+
+
+@pytest.mark.parametrize("patches, reason, text", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_every_refusal_keeps_its_reason(monkeypatch, patches, reason, text):
+    for name, value in patches.items():
+        monkeypatch.setattr(riccati, name, value)
+    assert reason() == text
+
+
 class TestModalPath:
     def test_symmetric_helper_takes_the_modal_path(self):
         for n in (1, 3, 5):
@@ -956,7 +1058,7 @@ class TestModalPath:
     def test_decoupled_unstable_mode_falls_back(self):
         modal = modal_basis(np.array([-2.0, 0.5]), np.eye(2))
         beta = modal.basis.T @ np.array([1.0, 0.0])
-        with pytest.raises(riccati._ModalFallback, match="decoupled"):
+        with pytest.raises(riccati._Refused, match="decoupled"):
             riccati._modal_care(modal, 1.0, beta)
 
     @pytest.mark.parametrize("transpose", [False, True])
