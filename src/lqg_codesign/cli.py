@@ -21,7 +21,9 @@ its own. Flow traces are CSV with the fixed column schema
 iter,phi,grad_norm,step,b0..b{n-1},c0..c{n-1}, each row filled from one
 template. Exit codes: 0 ok, 1 usage (the command line), 2 problem file,
 3 solver (or failed verification), 4 all starts failed, 5 dimension cap,
-6 simulation divergence. CODESIGN_THREADS caps multi-start workers (0 = sequential).
+6 simulation divergence. CODESIGN_THREADS caps multi-start workers (0 = one
+worker, the calling thread); each worker stops at its first error, and the
+first error in start order is raised.
 """
 
 from __future__ import annotations
@@ -565,6 +567,14 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
+#: The line a command prints after its report, filled from the report;
+#: ``verify`` prints one line per check instead.
+_SUMMARIES = {
+    "solve": "phi = {phi!r}, phi_bar = {phi_bar!r}",
+    "flow": "best phi = {best[phi]!r} ({best[status]}, {best[iterations]} iterations)",
+    "equilibria": "{n_candidates} candidates, stable: {stable_indices}",
+    "simulate": "eta_hat = {eta_hat!r} +/- {stderr!r} (phi = {phi_reference!r})",
+}
 
 #: A command's error, by the first row whose type it is: exit code and stderr
 #: prefix. The last row holds every type above it.
@@ -599,30 +609,13 @@ def main(argv=None) -> int:
 
     path = _write_report(Path(args.out), f"{args.command}.json", report)
     print(f"wrote {path}")
-    if args.command == "solve":
-        print(f"phi = {report['phi']!r}, phi_bar = {report['phi_bar']!r}")
-    elif args.command == "flow":
-        print(
-            f"best phi = {report['best']['phi']!r} ({report['best']['status']}, "
-            f"{report['best']['iterations']} iterations)"
-        )
-    elif args.command == "equilibria":
-        print(
-            f"{report['n_candidates']} candidates, "
-            f"stable: {report['stable_indices']}"
-        )
-    elif args.command == "simulate":
-        print(
-            f"eta_hat = {report['eta_hat']!r} +/- {report['stderr']!r} "
-            f"(phi = {report['phi_reference']!r})"
-        )
-    elif args.command == "verify":
-        for check in report["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            print(f"[{'SKIP' if 'skipped' in check else status}] {check['name']}")
-        if not report["all_passed"]:
-            return EXIT_SOLVER
-    return EXIT_OK
+    if args.command in _SUMMARIES:
+        print(_SUMMARIES[args.command].format(**report))
+        return EXIT_OK
+    for check in report["checks"]:
+        status = "PASS" if check["passed"] else "FAIL"
+        print(f"[{'SKIP' if 'skipped' in check else status}] {check['name']}")
+    return EXIT_OK if report["all_passed"] else EXIT_SOLVER
 
 
 if __name__ == "__main__":

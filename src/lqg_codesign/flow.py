@@ -409,7 +409,7 @@ def pbh_passing_placement(plant: Plant, rng: np.random.Generator) -> Placement |
 
 
 def default_workers() -> int:
-    """Worker count from CODESIGN_THREADS (0 or unset means sequential auto)."""
+    """Worker count from CODESIGN_THREADS; unset, below 1 or not an int is 1."""
     try:
         return max(int(os.environ.get("CODESIGN_THREADS", "0")), 1)
     except ValueError:
@@ -419,10 +419,12 @@ def default_workers() -> int:
 def multi_start(
     plant: Plant, n_starts: int, seed: int, opts: FlowOptions
 ) -> MultiStartResult:
-    """Run the descent from ``n_starts`` seeded uniform placements. With
-    w = min(``default_workers()``, n_starts) > 1, worker k runs starts k,
-    k + w, ... on a thread of its own, and the first error a start raised,
-    in start order, is raised once every worker is done.
+    """Run the descent from ``n_starts`` seeded uniform placements on
+    w = min(``default_workers()``, n_starts) workers. Worker k runs starts
+    k, k + w, ... in order and stops at its first error; worker 0 is the
+    calling thread and each other worker gets a thread of its own. Once every
+    worker is done, the first error in start order is raised: every start
+    before it in its worker's group succeeded, so it is the same for every w.
 
     Start points are drawn from independent per-start RNG streams (spawned
     from ``seed``), rejection-checked against the PBH tests, so the result is
@@ -443,44 +445,29 @@ def multi_start(
     placements = [
         pbh_passing_placement(plant, np.random.default_rng(s)) for s in streams
     ]
-
-    def run_one(start: Placement | None) -> FlowTrace:
-        if start is None:
-            return FlowTrace((), STATUS_SOLVER_FAILURE, NO_PLACEMENT)
-        return run_flow(plant, start, opts)
-
     workers = min(default_workers(), n_starts)
-    if workers > 1:
-        traces: list = [None] * n_starts
-        # No worker starts before all are alive, so no two share a thread,
-        # however short the starts are.
-        ready = threading.Barrier(workers)
+    traces: list = [None] * n_starts
 
-        def run_group(k: int) -> None:
+    def run_group(k: int) -> None:
+        for i in range(k, n_starts, workers):
             try:
-                ready.wait()
-            except threading.BrokenBarrierError:  # another worker failed to start
+                if placements[i] is None:
+                    traces[i] = FlowTrace((), STATUS_SOLVER_FAILURE, NO_PLACEMENT)
+                else:
+                    traces[i] = run_flow(plant, placements[i], opts)
+            except Exception as exc:  # raised below, in start order
+                traces[i] = exc
                 return
-            for i in range(k, n_starts, workers):
-                try:
-                    traces[i] = run_one(placements[i])
-                except BaseException as exc:  # raised below, in start order
-                    traces[i] = exc
 
-        threads = [threading.Thread(target=run_group, args=(k,)) for k in range(workers)]
-        try:
-            for thread in threads:
-                thread.start()
-        except BaseException:
-            ready.abort()  # release the workers that did start
-            raise
-        for thread in threads:
-            thread.join()
-        for trace in traces:
-            if isinstance(trace, BaseException):
-                raise trace
-    else:
-        traces = [run_one(p) for p in placements]
+    threads = [threading.Thread(target=run_group, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run_group(0)
+    for thread in threads:
+        thread.join()
+    for trace in traces:
+        if isinstance(trace, Exception):
+            raise trace
 
     usable = [t for t in traces if t.status != STATUS_SOLVER_FAILURE]
     if not usable:

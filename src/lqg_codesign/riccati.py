@@ -422,7 +422,7 @@ def _solve_care(A, W, Q) -> tuple[np.ndarray, float, ClosedLoop]:
     W = np.atleast_2d(np.asarray(W, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
 
-    if np.linalg.norm(W) == 0.0:
+    if not W.any():
         # Degenerate CARE: A^T P + P A + Q = 0, solvable iff A is Hurwitz.
         # The closed loop is A itself; its Schur form solves the transposed
         # equation.

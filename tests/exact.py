@@ -75,3 +75,39 @@ def care_residual(A, W, Q, P) -> float:
     A, W, Q, P = exact(A), exact(W), exact(Q), exact(P)
     PWP = _mul(_mul(P, W), P)
     return frobenius(_sum(_mul(transpose(A), P), _mul(P, A), _negate(PWP), Q))
+
+
+def lyapunov_solve(F, Q) -> list:
+    """The exact X of F X + X F^T + Q = 0 for the stored F and Q, n <= 6.
+
+    Gaussian elimination over Fractions on the n^2 x n^2 Kronecker system
+    (I (x) F + F (x) I) vec X = -vec Q, with X[i][j] the unknown i n + j.
+    Raises ``ZeroDivisionError`` when that system is singular.
+    """
+    F, Q = exact(F), exact(Q)
+    n = len(F)
+    if n > 6:
+        raise ValueError(f"an exact solve is for n <= 6, not n = {n}")
+    m = n * n
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [Fraction(0)] * m + [-Q[i][j]]
+            for k in range(n):
+                row[k * n + j] += F[i][k]
+                row[i * n + k] += F[j][k]
+            rows.append(row)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
+        if pivot is None:
+            raise ZeroDivisionError("the Kronecker system is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for r in range(col + 1, m):
+            factor = rows[r][col] / top[col]
+            if factor:
+                rows[r][col:] = [a - factor * b for a, b in zip(rows[r][col:], top[col:])]
+    x = [Fraction(0)] * m
+    for r in reversed(range(m)):
+        x[r] = (rows[r][m] - sum(rows[r][k] * x[k] for k in range(r + 1, m))) / rows[r][r]
+    return [x[i * n : (i + 1) * n] for i in range(n)]

@@ -936,6 +936,44 @@ class TestVerifyCommand:
             assert f"[SKIP] {check['name']}" in printed
 
 
+class TestSummaryLines:
+    """Each command prints "wrote <path>" and then its summary, filled from
+    the report it wrote; verify prints one line per check."""
+
+    PAYLOAD = {
+        "A": {"generator": "diag", "eigenvalues": [-1.0, -2.0]},
+        "epsilon": 0.0,
+        "delta": 0.0,
+        "placement": {"b": [1.0, 1.0], "c": [1.0, 0.5]},
+        "sim": {"dt": 0.5, "horizon_T": 50.0, "n_paths": 2, "burn_in": 0.0},
+    }
+    EXPECTED = {
+        "solve": lambda r: f"phi = {r['phi']!r}, phi_bar = {r['phi_bar']!r}",
+        "flow": lambda r: (
+            f"best phi = {r['best']['phi']!r} ({r['best']['status']}, "
+            f"{r['best']['iterations']} iterations)"
+        ),
+        "equilibria": lambda r: f"{r['n_candidates']} candidates, stable: {r['stable_indices']}",
+        "simulate": lambda r: (
+            f"eta_hat = {r['eta_hat']!r} +/- {r['stderr']!r} (phi = {r['phi_reference']!r})"
+        ),
+        "verify": lambda r: "\n".join(
+            f"[{'SKIP' if 'skipped' in c else 'PASS' if c['passed'] else 'FAIL'}] {c['name']}"
+            for c in r["checks"]
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_the_summary_is_the_reports(self, tmp_path, capsys, command):
+        problem = write_problem(tmp_path, "diag2.json", self.PAYLOAD)
+        code = main([command, "--problem", problem, "--out", str(tmp_path / "out")])
+        path = tmp_path / "out" / f"{command}.json"
+        report = json.loads(path.read_text())
+        assert code == (0 if report.get("all_passed", True) else 3)
+        line = self.EXPECTED[command](report)
+        assert capsys.readouterr().out == f"wrote {path}\n{line}\n"
+
+
 class TestUsage:
     def test_unknown_command_is_usage_error(self):
         assert main(["bogus"]) == 1

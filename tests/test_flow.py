@@ -749,7 +749,7 @@ def test_more_workers_than_cores_put_every_start_in_its_place(monkeypatch):
         assert np.array_equal(t1.final.b_unit, t2.final.b_unit)
 
 
-def test_the_first_start_error_is_raised_after_every_start_ran(monkeypatch):
+def test_the_first_start_error_is_raised_and_each_worker_stops_at_its_first(monkeypatch):
     plant = Plant(np.diag([-1.0, -2.0]), 0.05, 0.05)
     ran = []
 
@@ -766,16 +766,26 @@ def test_the_first_start_error_is_raised_after_every_start_ran(monkeypatch):
             multi_start(plant, 5, seed=5, opts=FlowOptions())
         errors.append(excinfo.value.args[0])
         counts.append(len(ran))
-    # Sequentially start 0 raises at once; on threads every start runs, and
-    # start 0's error is the one raised.
-    assert errors[0] == errors[1] and counts == [1, 5]
+    # One worker stops at start 0; each of three workers stops at its first
+    # start (0, 1 and 2), and start 0's error is the one raised.
+    assert errors[0] == errors[1] and counts == [1, 3]
+
+
+def _start_index(plant, n_starts, seed):
+    """The start index of each placement ``multi_start`` draws, by b."""
+    streams = np.random.SeedSequence(seed).spawn(n_starts)
+    placements = [flow.pbh_passing_placement(plant, np.random.default_rng(s)) for s in streams]
+    return lambda init: next(
+        i for i, p in enumerate(placements) if np.array_equal(p.b_unit, init.b_unit)
+    )
 
 
 def test_a_failed_thread_start_is_raised_and_leaves_no_worker(monkeypatch):
-    # The second worker's thread cannot start: the first worker, released
-    # from the start barrier, ends without running a start or raising, and
-    # the start's error reaches the caller.
+    # The third worker's thread cannot start: the error reaches the caller
+    # before worker 0 runs, and the second worker, already started, runs its
+    # one start and ends without raising.
     plant = Plant(np.diag([-1.0, -2.0]), 0.05, 0.05)
+    index = _start_index(plant, 3, seed=5)
     real_start, started, unhandled, ran = threading.Thread.start, [], [], []
 
     def start_once(thread):
@@ -786,12 +796,27 @@ def test_a_failed_thread_start_is_raised_and_leaves_no_worker(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start_once)
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    monkeypatch.setattr(flow, "run_flow", lambda *args: ran.append(args))
-    monkeypatch.setenv("CODESIGN_THREADS", "2")
+    monkeypatch.setattr(flow, "run_flow", lambda plant, init, opts: ran.append(index(init)))
+    monkeypatch.setenv("CODESIGN_THREADS", "3")
     with pytest.raises(RuntimeError, match="^can't start new thread$"):
-        multi_start(plant, 2, seed=5, opts=FlowOptions())
+        multi_start(plant, 3, seed=5, opts=FlowOptions())
     started[0].join(timeout=10.0)
-    assert not started[0].is_alive() and unhandled == [] and ran == []
+    assert not started[0].is_alive() and unhandled == [] and ran == [1]
+
+
+def test_start_0_runs_on_the_calling_thread(monkeypatch):
+    plant = Plant(np.diag([-1.0, -2.0]), 0.05, 0.05)
+    index = _start_index(plant, 2, seed=5)
+    real_run_flow, thread_of = flow.run_flow, {}
+
+    def recorded(plant, init, opts):
+        thread_of[index(init)] = threading.get_ident()
+        return real_run_flow(plant, init, opts)
+
+    monkeypatch.setattr(flow, "run_flow", recorded)
+    monkeypatch.setenv("CODESIGN_THREADS", "2")
+    multi_start(plant, 2, seed=5, opts=FlowOptions(grad_tol=1e-9, max_iters=2))
+    assert thread_of[0] == threading.get_ident() != thread_of[1]
 
 
 def test_multi_start_threaded_matches_sequential(monkeypatch):

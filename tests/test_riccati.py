@@ -119,6 +119,24 @@ class TestSolveCare:
             with pytest.raises(NoStabilizingSolution):
                 solve_care(A, W, Q)
 
+    def test_a_nonzero_w_is_never_taken_for_zero(self):
+        # |W|_F underflows to 0 for entries below about 1e-162 and overflows
+        # above about 1e154; neither may send W down the W = 0 path.
+        v = np.array([0.6, 0.8])
+        unstable = np.array([[0.1, 1.0], [0.0, -1.0]])  # (A, v) passes PBH
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-170, 1e200):
+                with pytest.raises(NoStabilizingSolution) as excinfo:
+                    solve_care(unstable, scale * np.outer(v, v), np.eye(2))
+                assert "W = 0" not in str(excinfo.value)
+            # For a Hurwitz A a tiny W is solved as W, on the Schur path,
+            # and the solution is the W = 0 one to rounding.
+            A = np.array([[-1.0, 1.0], [0.0, -2.0]])
+            P0 = solve_care(A, np.zeros((2, 2)), np.eye(2))
+            P = solve_care(A, 1e-170 * np.outer(v, v), np.eye(2))
+        assert la.norm(P - P0) <= 4 * np.finfo(float).eps * la.norm(P0)
+
     def test_failed_schur_reordering_is_no_stabilizing_solution(self, monkeypatch):
         def failing_schur(*args, **kwargs):
             raise la.LinAlgError("Leading eigenvalues do not satisfy sort condition")
